@@ -304,18 +304,26 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray | None = None) -> flo
 
 
 def compare_spectra(N: int, W: float, values: np.ndarray | None = None,
-                    tail: int = 30) -> SpectrumComparison:
+                    tail: int = 30, cont_values: np.ndarray | None = None
+                    ) -> SpectrumComparison:
     """l2 distance between discrete eigenvalues (zero-padded past N) and the
-    first N + tail sinc-kernel eigenvalues at c = pi N W, with its bound."""
+    first N + tail sinc-kernel eigenvalues at c = pi N W, with its bound.
+
+    ``cont_values`` are precomputed sinc-kernel eigenvalues at that c; at
+    least N + tail of them are needed."""
     params = DiscreteParams(N, W)
     if values is None:
         values = spectrum(params).values
     c = params.bandwidth
-    M = max(default_order(c), N + tail + 40)
-    cont = nystrom_spectrum(c, M, check_convergence=False)
+    if cont_values is None:
+        cont_values = nystrom_spectrum(c, max(default_order(c), N + tail + 40),
+                                       check_convergence=False).values
+    if len(cont_values) < N + tail:
+        raise ValueError(f"need {N + tail} sinc-kernel eigenvalues, "
+                         f"got {len(cont_values)}")
     padded = np.zeros(N + tail)
     padded[:N] = values
-    diff = float(np.linalg.norm(padded - cont.values[:N + tail]))
+    diff = float(np.linalg.norm(padded - cont_values[:N + tail]))
     return SpectrumComparison(N=N, W=W, c=c, l2_diff=diff,
                               bound=kernel_hs_distance_bound(W),
                               tail_index=N + tail)
@@ -383,9 +391,16 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         for W in w_grid:
             spectra[(N, W)] = spectrum(DiscreteParams(N, W), method=method)
 
+    # one Nystrom solve per (N, W), at an order covering every consumer; only
+    # the values are kept, keyed by the rounded bandwidth for the HS checks
+    cont_by_c: dict[float, np.ndarray] = {}
     for (N, W), disc in sorted(spectra.items()):
         lam = disc.values
         pw = {"N": N, "W": W}
+        c = disc.params.bandwidth
+        cont = nystrom_spectrum(c, max(default_order(c), N + 70),
+                                check_convergence=False).values
+        cont_by_c[round(c, 12)] = cont
 
         trace_defect = abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W)
         checks.append(BoundCheck(
@@ -437,7 +452,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             satisfied=measured_pm <= bound_pm + TOL.check_floor,
             margin=bound_pm - measured_pm))
 
-        cmp_ = compare_spectra(N, W, lam)
+        cmp_ = compare_spectra(N, W, lam, cont_values=cont)
         checks.append(BoundCheck(
             name="spectra_l2_distance",
             paper_ref="l2 spectrum comparison via Wielandt-Hoffman",
@@ -452,7 +467,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             params=pw, bound=hsb, measured=hsd,
             satisfied=hsd <= hsb + TOL.check_floor, margin=hsb - hsd))
 
-        checks.extend(verify_comparison(N, W, lam))
+        checks.extend(verify_comparison(N, W, lam, cont))
 
         # tail bound family (gated on the small-W validity range)
         if 0.0 < W < 2.0 / (E * PI) and N >= 2:
@@ -522,9 +537,8 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                 informational=True))
 
     # continuous-side HS lower bound at the grid bandwidths
-    cs = sorted({round(PI * N * W, 12) for N in n_grid for W in w_grid})
-    for c in cs:
-        hs = hs_norm_sq(c)
+    for c, cont in sorted(cont_by_c.items()):
+        hs = hs_norm_sq(c, values=cont)
         lb = hs_lower_bound(c)
         checks.append(BoundCheck(
             name="hs_norm_lower_bound",

@@ -63,8 +63,6 @@ class RunConfig:
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     w_grid: tuple[float, ...] = DEFAULT_W_GRID
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    nystrom_order: int | None = None   # None: per-bandwidth default
-    projection_order: int | None = None
     out_dir: str = "."
     strict: bool = False
 
@@ -89,8 +87,6 @@ def _parse_value(key: str, raw: str):
         return tuple(int(v) for v in raw.split(","))
     if key in ("w_grid", "eps_grid"):
         return tuple(float(v) for v in raw.split(","))
-    if key in ("nystrom_order", "projection_order"):
-        return None if raw.lower() == "none" else int(raw)
     if key == "strict":
         return raw.lower() in ("1", "true", "yes", "on")
     if key == "out_dir":

@@ -59,67 +59,97 @@ def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _nystrom_values(c: float, M: int, halfwidth: float):
+    """Eigen-decomposition of the sqrt(w)-scaled kernel matrix S by parity.
+
+    The rule is mirror-symmetric, so S commutes with the index reversal J and
+    splits into an even block A + BJ and an odd block A - BJ of half the
+    size (for odd M the even block gains the sqrt(2)-weighted middle row and
+    column). Each block goes through ``eig_sym`` and its output contract;
+    eigenvectors of S are assembled as [u; +-Ju] / sqrt(2).
+    """
     rule = gauss_legendre(M).scaled(halfwidth)
     S = _sinc_kernel_matrix(c, rule.nodes, rule.weights)
-    system = eig_sym(S)
-    return system, rule
+    h = M // 2
+    A = S[:h, :h]
+    BJ = S[:h, M - h:][:, ::-1]
+    even = A + BJ
+    if M % 2:
+        col = math.sqrt(2.0) * S[:h, h]
+        even = np.block([[even, col[:, None]], [col[None, :], S[h, h]]])
+    odd = A - BJ
+    del S, A, BJ   # keep the M x M matrix out of the solves' peak memory
+    even_sys, odd_sys = eig_sym(even), eig_sym(odd)
+    del even, odd
+    r = 1.0 / math.sqrt(2.0)
+    Ue, Uo = even_sys.vectors, odd_sys.vectors
+    vectors = np.hstack([
+        np.vstack([Ue[:h] * r, Ue[h:], Ue[:h][::-1] * r]),
+        np.vstack([Uo * r, np.zeros((M % 2, h)), -Uo[::-1] * r])])
+    values = np.concatenate([even_sys.values, odd_sys.values])
+    order = np.argsort(values, kind="stable")[::-1]
+    return values[order], vectors[:, order], rule
 
 
 def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
                      check_convergence: bool = True) -> ContinuousSpectrum:
     """Sinc-kernel eigenvalues on [-halfwidth, halfwidth] by the Nystrom method.
 
+    The kernel is sampled on the memoised Newton Gauss-Legendre rule of order
+    ``M``. The rule is mirror-symmetric, so the scaled kernel matrix splits
+    into even and odd index-reversal blocks, each diagonalised by the
+    contract-checked ``eig_sym``; eigenvalues must also sum to the operator
+    trace 2 c halfwidth / pi.
+
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
     With ``check_convergence`` the spectrum is recomputed at order 2M and each
     eigenvalue above 1e-12 must agree to 1e-10, otherwise the discretisation
     is declared unconverged.
     """
-    if not c > 0:
-        raise ValueError(f"bandwidth c must be positive, got {c}")
-    if not halfwidth > 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+    if not (halfwidth > 0 and math.isfinite(halfwidth)):
+        raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
     min_order = default_order(c * halfwidth)
     if M is None:
         M = min_order
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
-    system, rule = _nystrom_values(c, M, halfwidth)
-    values = system.values
+    values, vectors, rule = _nystrom_values(c, M, halfwidth)
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
     if trace_defect > TOL.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
         raise NumericalFailure(
             f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
     if check_convergence:
-        refined, _ = _nystrom_values(c, 2 * M, halfwidth)
+        refined, _, _ = _nystrom_values(c, 2 * M, halfwidth)
         mask = values >= TOL.floor_checks
-        drift = np.max(np.abs(values[mask] - refined.values[:M][mask]),
+        drift = np.max(np.abs(values[mask] - refined[:M][mask]),
                        initial=0.0)
         if drift > TOL.mesh_stability:
             raise NumericalFailure(
                 f"mesh refinement moved an eigenvalue by {drift:.3e} at c={c}; "
                 "increase the quadrature order")
     return ContinuousSpectrum(c=float(c), values=values,
-                              grid_vectors=system.vectors, rule=rule,
+                              grid_vectors=vectors, rule=rule,
                               order=M, halfwidth=float(halfwidth))
 
 
-def hs_norm_sq(c: float, M: int | None = None) -> float:
+def hs_norm_sq(c: float, M: int | None = None,
+               values: np.ndarray | None = None) -> float:
     """Squared Hilbert-Schmidt norm of the sinc-kernel operator on [-1, 1].
 
-    Computed as the sum of squared Nystrom eigenvalues and cross-checked
-    against an independent two-dimensional quadrature of the squared kernel
-    on a staggered grid.
+    Computed as the sum of squared Nystrom eigenvalues (``values``, when the
+    caller already holds an order-M spectrum at this c, else solved here) and
+    cross-checked against an independent two-dimensional quadrature of the
+    squared kernel on a staggered grid: sum_ij w_i w_j K_ij^2 is the squared
+    Frobenius norm of the scaled kernel matrix.
     """
-    spec = nystrom_spectrum(c, M, check_convergence=False)
-    value = float(np.sum(spec.values ** 2))
-    check_rule = gauss_legendre(spec.order + 37)
-    x, w = check_rule.nodes, check_rule.weights
-    d = x[:, None] - x[None, :]
-    K = np.empty_like(d)
-    np.divide(np.sin(c * d), np.pi * d, out=K, where=(d != 0))
-    np.fill_diagonal(K, c / np.pi)
-    quad = float(np.einsum("i,ij,j->", w, K ** 2, w))
-    if abs(value - quad) > TOL.hs_cross_rel * max(abs(quad), 1e-300):
+    if values is None:
+        values = nystrom_spectrum(c, M, check_convergence=False).values
+    value = float(np.sum(values ** 2))
+    check_rule = gauss_legendre(len(values) + 37)
+    S = _sinc_kernel_matrix(c, check_rule.nodes, check_rule.weights)
+    quad = float(np.vdot(S, S))
+    if not abs(value - quad) <= TOL.hs_cross_rel * max(abs(quad), 1e-300):
         raise NumericalFailure(
             f"HS norm cross-check failed at c={c}: {value} vs {quad}")
     return value

@@ -1,14 +1,18 @@
 """Numerical kernels: symmetric eigensolvers and Gauss-Legendre quadrature.
 
 Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``,
-``scipy.linalg.eigh_tridiagonal``) and ``numpy.polynomial.legendre.leggauss``.
-Every decomposition is validated against the output contract (descending
-eigenvalues, orthonormal columns, small residual) before it is returned, so a
-silent solver defect cannot propagate into downstream verification.
+``scipy.linalg.eigh_tridiagonal``), and a Gauss-Legendre rule computed by
+Newton's method on the Legendre three-term recurrence and memoised by order.
+Every decomposition and every rule is validated against its output contract
+(descending eigenvalues, orthonormal columns, small residual; ordered,
+symmetric nodes and positive weights summing to 2) before it is returned, so
+a silent defect cannot propagate into downstream verification.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,13 +149,64 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
+_NEWTON_MAX_STEPS = 20
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence, O(n len(x)) flops."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre_rule(n: int) -> QuadratureRule:
+    """Newton's method on the recurrence, from Tricomi's asymptotic guess.
+
+    Only the n // 2 positive roots are iterated; the rule is completed by
+    reflection, so nodes and weights are exactly mirror-symmetric and the
+    middle node of an odd rule is exactly 0. Cost is O(n^2) flops per Newton
+    step and O(n) memory (numpy's ``leggauss`` is an O(n^3) eigensolve).
+    """
+    k = np.arange(1, n // 2 + 1)
+    theta = math.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - 1.0 / (8.0 * n ** 2) + 1.0 / (8.0 * n ** 3)) * np.cos(theta)
+    for _ in range(_NEWTON_MAX_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step), initial=0.0) <= np.finfo(float).eps:
+            break
+    else:
+        raise NumericalFailure(
+            f"Newton iteration for Gauss-Legendre order {n} did not converge")
+    if n % 2:
+        x = np.append(x, 0.0)
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+    # x descends from the largest root; mirror it into ascending order
+    h = n // 2
+    nodes = np.concatenate([-x[:h], x[h:], x[:h][::-1]])
+    weights = np.concatenate([w[:h], w[h:], w[:h][::-1]])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes, weights)
+
+
 def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1."""
+    """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1.
+
+    Rules are memoised by order and their arrays are read-only. The contract
+    (ordered nodes inside (-1, 1), mirror symmetry, positive weights summing
+    to 2) is checked on every call, cache hits included, against the current
+    tolerances.
+    """
     if int(order) != order or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order}")
-    nodes, weights = np.polynomial.legendre.leggauss(int(order))
-    # leggauss refines companion-matrix roots with one Newton step; its failure
-    # mode is a malformed rule, so validate instead of trusting it blindly.
+    rule = _gauss_legendre_rule(int(order))
+    nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
     if np.max(np.abs(nodes + nodes[::-1])) > TOL.node_symmetry:
@@ -160,7 +215,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
         raise NumericalFailure("quadrature weights are invalid")
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
         raise NumericalFailure("quadrature nodes left (-1, 1)")
-    return QuadratureRule(nodes, weights)
+    return rule
 
 
 def snapped_floor(x: float, snap: float = 1e-9) -> int:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from slepian import bounds, continuous
 from slepian.bounds import (BoundReport, IllConditionedFloor, OutOfRangeError,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
@@ -264,6 +266,15 @@ class TestCompareSpectra:
         b = compare_spectra(60, 0.1, lam, tail=60)
         assert abs(a.l2_diff - b.l2_diff) <= 1e-12
 
+    def test_precomputed_continuous_values(self, get_spectrum, get_nystrom):
+        lam = get_spectrum(60, 0.1).values
+        cont = get_nystrom(PI * 6.0, 130)
+        a = compare_spectra(60, 0.1, lam)
+        b = compare_spectra(60, 0.1, lam, cont_values=cont.values)
+        assert a.l2_diff == b.l2_diff
+        with pytest.raises(ValueError):
+            compare_spectra(60, 0.1, lam, cont_values=cont.values[:89])
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -283,6 +294,30 @@ class TestVerifyAll:
         payload = json.loads(text)
         assert payload["pass"] is True
         assert {"version", "tolerances", "pass", "checks"} <= set(payload)
+
+    def test_checks_match_reference(self, report):
+        # digest of the names, params and verdicts of the 175 default-grid
+        # checks; the measured numbers may move in their last digits
+        payload = json.loads(report.to_json())
+        key = [[c["name"], c["params"], c["satisfied"], c["informational"],
+                c["skipped"]] for c in payload["checks"]]
+        assert len(key) == 175
+        digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "35cdca2843efd4e1af6e1da8f0c9ed27d2cb6662a41977bd20f0d00954de20b4")
+
+    def test_one_nystrom_solve_per_bandwidth(self, monkeypatch):
+        calls = []
+
+        def counting(c, *args, **kwargs):
+            calls.append(c)
+            return nystrom_spectrum(c, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "nystrom_spectrum", counting)
+        monkeypatch.setattr(continuous, "nystrom_spectrum", counting)
+        n_grid, w_grid = (30, 60), (0.1, 0.2)
+        verify_all(n_grid, w_grid, (0.05,))
+        assert len(calls) == len(n_grid) * len(w_grid)
 
     def test_check_names_sorted(self, report):
         keys = [(c.name, json.dumps(c.params, sort_keys=True))

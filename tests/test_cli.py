@@ -264,6 +264,14 @@ class TestConfigAndExitCodes:
         cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
         assert cp.returncode == 1
 
+    @pytest.mark.parametrize("key", ["nystrom_order", "projection_order"])
+    def test_order_keys_rejected(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 200\n")
+        cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
+        assert cp.returncode == 1
+        assert f"unknown config key: {key}" in cp.stderr
+
     def test_numerical_failure_maps_to_exit_2(self, monkeypatch):
         from slepian.numkit import NumericalFailure
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from slepian.continuous import (default_order, eigenspace_bound, hs_lower_bound,
-                                hs_norm_sq, kernel_hs_distance,
-                                kernel_hs_distance_bound, nystrom_spectrum,
-                                plunge_index, projector_distance)
-from slepian.numkit import IllConditionedError
+from slepian.config import TOL
+from slepian.continuous import (_sinc_kernel_matrix, default_order,
+                                eigenspace_bound, hs_lower_bound, hs_norm_sq,
+                                kernel_hs_distance, kernel_hs_distance_bound,
+                                nystrom_spectrum, plunge_index,
+                                projector_distance)
+from slepian.numkit import IllConditionedError, NumericalFailure
 
 
 class TestNystrom:
@@ -40,10 +42,27 @@ class TestNystrom:
         with pytest.raises(ValueError):
             nystrom_spectrum(18.85, M=32)
 
-    @pytest.mark.parametrize("c", [0.0, -2.0])
+    @pytest.mark.parametrize("c", [0.0, -2.0, math.inf, -math.inf, math.nan])
     def test_invalid_bandwidth(self, c):
         with pytest.raises(ValueError):
             nystrom_spectrum(c)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, math.inf, math.nan])
+    def test_invalid_halfwidth(self, halfwidth):
+        with pytest.raises(ValueError):
+            nystrom_spectrum(5.0, halfwidth=halfwidth)
+
+    @pytest.mark.parametrize("M", [98, 99])
+    def test_parity_split_matches_dense(self, M):
+        c = 18.85
+        cont = nystrom_spectrum(c, M, check_convergence=False)
+        S = _sinc_kernel_matrix(c, cont.rule.nodes, cont.rule.weights)
+        dense = np.linalg.eigvalsh(S)[::-1]
+        assert np.max(np.abs(cont.values - dense)) <= 1e-13
+        V = cont.grid_vectors
+        assert np.max(np.abs(V.T @ V - np.eye(M))) <= TOL.orthonormality
+        resid = np.max(np.linalg.norm(S @ V - V * cont.values, axis=0))
+        assert resid <= TOL.eigen_residual * np.max(np.abs(cont.values))
 
     def test_grid_vectors_orthonormal(self, get_nystrom):
         cont = get_nystrom(18.85)
@@ -75,6 +94,13 @@ class TestHsNorm:
         cont = get_nystrom(18.85)
         assert hs_norm_sq(18.85) == pytest.approx(
             float(np.sum(cont.values ** 2)), rel=1e-10)
+
+    def test_precomputed_values_are_cross_checked(self, get_nystrom):
+        cont = get_nystrom(18.85, 130)
+        assert hs_norm_sq(18.85, values=cont.values) == pytest.approx(
+            hs_norm_sq(18.85), rel=1e-12)
+        with pytest.raises(NumericalFailure):
+            hs_norm_sq(18.85, values=1.01 * cont.values)
 
 
 class TestKernelDistance:

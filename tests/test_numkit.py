@@ -3,8 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from slepian.numkit import (SymTridiag, eig_sym, eig_symtridiag,
-                            gauss_legendre, snapped_floor, spectral_norm_sym)
+from slepian.config import TOL
+from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
+                            eig_symtridiag, gauss_legendre, snapped_floor,
+                            spectral_norm_sym)
+
+
+def _mp_gauss_node(n, i, steps=5):
+    """Node i (ascending) of the order-n Gauss-Legendre rule and its weight,
+    at 40 digits.
+
+    Newton on the three-term recurrence in mpmath, started from the cosine
+    asymptotic guess for that index, so the reference shares nothing with the
+    rule under test.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = -mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * n + 2))
+        for step in range(steps + 1):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            if step < steps:
+                x -= p / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
 
 
 class TestGaussLegendre:
@@ -45,6 +68,40 @@ class TestGaussLegendre:
     def test_invalid_order(self, order):
         with pytest.raises(ValueError):
             gauss_legendre(order)
+
+    def test_accuracy_against_mpmath(self):
+        # the outermost weights are where an eigenvalue-based rule (numpy's
+        # leggauss) loses accuracy: about 6e-8 relative at this order
+        n = 2048
+        rule = gauss_legendre(n)
+        for i in (0, 1, 2, 3, 4, 300, 1023, 1500):
+            x, w = _mp_gauss_node(n, i)
+            assert abs(rule.nodes[i] - float(x)) <= 1e-15
+            assert abs(rule.weights[i] / float(w) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_exact_mirror_symmetry(self, order):
+        rule = gauss_legendre(order)
+        assert (rule.nodes == -rule.nodes[::-1]).all()
+        assert (rule.weights == rule.weights[::-1]).all()
+        if order % 2:
+            assert rule.nodes[order // 2] == 0.0
+
+    def test_cached_arrays_read_only(self):
+        rule = gauss_legendre(17)
+        assert gauss_legendre(17) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+    def test_validation_runs_on_cache_hit(self, monkeypatch):
+        rule = gauss_legendre(2048)
+        defect = abs(rule.weights.sum() - 2.0)
+        assert 0.0 < defect <= TOL.weight_sum
+        monkeypatch.setattr(TOL, "weight_sum", defect / 2)
+        with pytest.raises(NumericalFailure):
+            gauss_legendre(2048)
 
     def test_scaled_interval(self):
         rule = gauss_legendre(5).scaled(0.25)
