@@ -370,26 +370,19 @@ def _family_check(name: str, ref: str, params: dict, violations: list[float],
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                eps_grid=DEFAULT_EPS_GRID, method: str = "tridiag") -> BoundReport:
     """Run every applicable bound/identity check over the grid."""
-    n_grid = tuple(n_grid)
     w_grid = tuple(w_grid)
     eps_grid = tuple(eps_grid)
-    if not n_grid or not w_grid or not eps_grid:
+    grid = [DiscreteParams(N, W) for N in n_grid for W in w_grid]
+    if not grid or not eps_grid:
         raise ValueError("verification grids must be nonempty")
-    for N in n_grid:
-        if int(N) != N or N < 1:
-            raise ValueError(f"invalid N={N}")
-    for W in w_grid:
-        if not 0.0 < W < 0.5:
-            raise ValueError(f"invalid W={W}")
     for eps in eps_grid:
         if not 0.0 < eps < 0.5:
             raise ValueError(f"invalid eps={eps}")
 
     checks: list[BoundCheck] = []
     spectra = {}
-    for N in n_grid:
-        for W in w_grid:
-            spectra[(N, W)] = spectrum(DiscreteParams(N, W), method=method)
+    for p in grid:
+        spectra[(p.N, p.W)] = spectrum(p, method=method)
 
     # one Nystrom solve per (N, W), at an order covering every consumer; only
     # the values are kept, keyed by the rounded bandwidth for the HS checks

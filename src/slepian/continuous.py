@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
+from .discrete import DiscreteParams, dpswf_matrix, spectrum
 from .numkit import (IllConditionedError, NumericalFailure, QuadratureRule,
-                     eig_sym, gauss_legendre, snapped_floor)
+                     eig_sym, gauss_legendre, parity_blocks, parity_vectors,
+                     snapped_floor)
 
 
 @dataclass(frozen=True)
@@ -62,29 +64,16 @@ def _nystrom_values(c: float, M: int, halfwidth: float):
     """Eigen-decomposition of the sqrt(w)-scaled kernel matrix S by parity.
 
     The rule is mirror-symmetric, so S commutes with the index reversal J and
-    splits into an even block A + BJ and an odd block A - BJ of half the
-    size (for odd M the even block gains the sqrt(2)-weighted middle row and
-    column). Each block goes through ``eig_sym`` and its output contract;
-    eigenvectors of S are assembled as [u; +-Ju] / sqrt(2).
+    splits into even and odd blocks of half the size (``parity_blocks``).
+    Each block goes through ``eig_sym`` and its output contract; eigenvectors
+    of S are assembled as [u; +-Ju] / sqrt(2) (``parity_vectors``).
     """
     rule = gauss_legendre(M).scaled(halfwidth)
-    S = _sinc_kernel_matrix(c, rule.nodes, rule.weights)
-    h = M // 2
-    A = S[:h, :h]
-    BJ = S[:h, M - h:][:, ::-1]
-    even = A + BJ
-    if M % 2:
-        col = math.sqrt(2.0) * S[:h, h]
-        even = np.block([[even, col[:, None]], [col[None, :], S[h, h]]])
-    odd = A - BJ
-    del S, A, BJ   # keep the M x M matrix out of the solves' peak memory
+    # S is dropped once split, which keeps it out of the solves' peak memory
+    even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
     even_sys, odd_sys = eig_sym(even), eig_sym(odd)
     del even, odd
-    r = 1.0 / math.sqrt(2.0)
-    Ue, Uo = even_sys.vectors, odd_sys.vectors
-    vectors = np.hstack([
-        np.vstack([Ue[:h] * r, Ue[h:], Ue[:h][::-1] * r]),
-        np.vstack([Uo * r, np.zeros((M % 2, h)), -Uo[::-1] * r])])
+    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M)
     values = np.concatenate([even_sys.values, odd_sys.values])
     order = np.argsort(values, kind="stable")[::-1]
     return values[order], vectors[:, order], rule
@@ -174,10 +163,7 @@ def kernel_hs_distance(N: int, W: float, quad_order: int | None = None) -> float
     Evaluated by two-dimensional Gauss-Legendre quadrature; the integrand's
     diagonal value is 0 (both kernels tend to N).
     """
-    if int(N) != N or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N}")
-    if not 0.0 < W < 0.5:
-        raise ValueError(f"W must lie in (0, 0.5), got {W}")
+    N = DiscreteParams(N, W).N
     cN = math.pi * N
     Q = quad_order or max(128, math.ceil(4 * N * W) + 64)
     rule = gauss_legendre(Q).scaled(W)
@@ -248,8 +234,6 @@ def projector_distance(N: int, W: float, K: int, disc=None,
     sqrt(W) U_k(W x) / sqrt(lambda_k). Quadrature weighting makes the discrete
     norm approximate the L2 operator norm.
     """
-    from .discrete import DiscreteParams, dpswf_matrix, spectrum
-
     if disc is None:
         disc = spectrum(DiscreteParams(N, W))
     N = disc.N

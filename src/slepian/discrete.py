@@ -1,15 +1,17 @@
 """Discrete prolate spheroidal sequences (DPSS) and wave functions (DPSWF).
 
-Two independent computations of the same spectrum:
+Two independent computations of the same spectrum, each diagonalising the
+two index-reversal parity blocks (half the order) with numkit's validated
+solvers, so eigenvectors stay exactly symmetric/antisymmetric even where the
+spectrum clusters at 0 and 1 beyond double-precision resolution:
 
-* ``toeplitz`` route: eigendecomposition of the prolate (Toeplitz) matrix
-  ``sin(2 pi W (n-m)) / (pi (n-m))``, split into index-reversal parity blocks
-  so eigenvectors stay symmetric/antisymmetric even where the spectrum
-  clusters at 0 and 1 beyond double-precision resolution.
-* ``tridiag`` route: eigenvectors of Slepian's commuting tridiagonal matrix,
-  with eigenvalues recovered as Rayleigh quotients against the prolate matrix
-  (the tridiagonal spectrum itself says nothing about the concentration
-  values, so the Rayleigh quotient is what orders the modes).
+* ``toeplitz`` route: the blocks of the prolate (Toeplitz) matrix
+  ``sin(2 pi W (n-m)) / (pi (n-m))``.
+* ``tridiag`` route: eigenvectors of the blocks of Slepian's commuting
+  tridiagonal matrix, with eigenvalues recovered as Rayleigh quotients
+  against the matching prolate block (the tridiagonal spectrum itself says
+  nothing about the concentration values, so the Rayleigh quotient is what
+  orders the modes).
 
 Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
 ``dpss[:, k]`` are the unit-norm sequences. The wave functions are the
@@ -19,13 +21,15 @@ trigonometric polynomials obtained from the sequences (``dpswf``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TOL
 from .numkit import (IllConditionedError, NumericalFailure, SymTridiag,
-                     eig_symtridiag)
+                     eig_sym, eig_symtridiag, parity_blocks, parity_vectors,
+                     tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
 
@@ -38,10 +42,12 @@ class DiscreteParams:
     W: float
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N}")
-        if not 0.0 < self.W < 0.5:
-            raise ValueError(f"W must lie strictly in (0, 0.5), got {self.W}")
+        N, W = self.N, self.W
+        if isinstance(N, bool) or not isinstance(N, numbers.Real) or not N >= 1 or N % 1:
+            raise ValueError(f"N must be an integer >= 1, got {N!r}")
+        if isinstance(W, bool) or not isinstance(W, numbers.Real) or not 0.0 < W < 0.5:
+            raise ValueError(f"W must lie strictly in (0, 0.5), got {W!r}")
+        object.__setattr__(self, "N", int(N))
 
     @property
     def bandwidth(self) -> float:
@@ -93,38 +99,13 @@ def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
     return SymTridiag(diagonal, offdiag)
 
 
-def _parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the index-reversal symmetric/antisymmetric spaces."""
-    half = 1.0 / math.sqrt(2.0)
-    ne = (n + 1) // 2
-    Pe = np.zeros((n, ne))
-    for i in range(ne):
-        if i == n - 1 - i:
-            Pe[i, i] = 1.0
-        else:
-            Pe[i, i] = Pe[n - 1 - i, i] = half
-    no = n // 2
-    Po = np.zeros((n, no))
-    for i in range(no):
-        Po[i, i] = half
-        Po[n - 1 - i, i] = -half
-    return Pe, Po
-
-
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component positive; first index wins ties."""
-    vectors = vectors.copy()
-    lead = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    """Make the largest-magnitude component positive in place; first index wins ties."""
+    top = vectors[:(len(vectors) + 1) // 2]   # |v| = |Jv|: the first maximum is here
+    lead = np.argmax(np.abs(top), axis=0)
+    flip = top[lead, np.arange(vectors.shape[1])] < 0
     vectors[:, flip] *= -1.0
     return vectors
-
-
-def _eigh_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectrum:
@@ -132,23 +113,19 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     N = params.N
-    rho = prolate_matrix(params)
+    rho_blocks = parity_blocks(prolate_matrix(params))
+    has_odd = N > 1   # the odd blocks are empty when N == 1
     if method == "toeplitz":
-        # The prolate matrix commutes with index reversal; diagonalising the
-        # two parity blocks separately keeps every eigenvector an exact parity
-        # vector even inside the numerically degenerate clusters at 0 and 1.
-        Pe, Po = _parity_bases(N)
-        vals_e, vecs_e = _eigh_sym(Pe.T @ rho @ Pe)
-        if Po.shape[1]:
-            vals_o, vecs_o = _eigh_sym(Po.T @ rho @ Po)
-            values = np.concatenate([vals_e, vals_o])
-            vectors = np.concatenate([Pe @ vecs_e, Po @ vecs_o], axis=1)
-        else:
-            values, vectors = vals_e, Pe @ vecs_e
+        systems = [eig_sym(B) for B in rho_blocks[:1 + has_odd]]
+        values = np.concatenate([s.values for s in systems])
     else:
-        system = eig_symtridiag(commuting_tridiagonal(params))
-        vectors = system.vectors
-        values = np.einsum("ij,ij->j", vectors, rho @ vectors)
+        T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
+        systems = [eig_symtridiag(T) for T in T_blocks[:1 + has_odd]]
+        # u^T B u = v^T rho v for the lifted sequence v of block vector u
+        values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
+                                 for s, B in zip(systems, rho_blocks)])
+    vectors = parity_vectors(systems[0].vectors,
+                             systems[-1].vectors if has_odd else np.zeros((0, 0)), N)
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = _apply_sign_convention(vectors[:, order])
@@ -246,21 +223,23 @@ def symmetry_defect(N: int, W: float, method: str = "tridiag") -> float:
 def commutation_defect(params: DiscreteParams) -> float:
     """Normalised Frobenius norm of the commutator of the two matrices."""
     rho = prolate_matrix(params)
-    sig = commuting_tridiagonal(params).dense()
-    comm = rho @ sig - sig @ rho
-    return float(np.linalg.norm(comm) /
-                 (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
+    T = commuting_tridiagonal(params)
+    X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
+    return float(np.linalg.norm(X.T - X) /
+                 (1.0 + np.linalg.norm(rho) * np.linalg.norm(T.dense())))
 
 
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int,
-                tail_floor: float = TOL.tail_floor) -> float:
+                tail_floor: float | None = None) -> float:
     """Value of the k-th sequence at an arbitrary integer index.
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
     it outside. Requires values[k] >= tail_floor: division by a smaller
-    eigenvalue amplifies double-precision noise beyond usefulness.
+    eigenvalue amplifies double-precision noise beyond usefulness. The floor
+    defaults to ``TOL.tail_floor`` as it stands at call time.
     """
+    tail_floor = TOL.tail_floor if tail_floor is None else tail_floor
     N, W = spec.N, spec.W
     if not 0 <= k <= N - 1:
         raise ValueError(f"mode index k={k} outside [0, {N - 1}]")

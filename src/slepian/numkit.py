@@ -1,8 +1,9 @@
-"""Numerical kernels: symmetric eigensolvers and Gauss-Legendre quadrature.
+"""Numerical kernels: symmetric eigensolvers, parity splits and quadrature.
 
 Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``,
-``scipy.linalg.eigh_tridiagonal``), and a Gauss-Legendre rule computed by
-Newton's method on the Legendre three-term recurrence and memoised by order.
+``scipy.linalg.eigh_tridiagonal``), index-reversal parity splits, and a
+Gauss-Legendre rule computed by Newton's method on the Legendre three-term
+recurrence and memoised by order.
 Every decomposition and every rule is validated against its output contract
 (descending eigenvalues, orthonormal columns, small residual; ordered,
 symmetric nodes and positive weights summing to 2) before it is returned, so
@@ -61,13 +62,15 @@ class SymTridiag:
         return len(self.diagonal)
 
     def dense(self) -> np.ndarray:
-        n = self.order
-        A = np.zeros((n, n))
-        A[np.arange(n), np.arange(n)] = self.diagonal
-        if n > 1:
-            A[np.arange(n - 1), np.arange(1, n)] = self.offdiag
-            A[np.arange(1, n), np.arange(n - 1)] = self.offdiag
-        return A
+        return self.apply(np.eye(self.order))
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """Banded product ``dense() @ V`` for an n x k array, in O(n k) flops."""
+        e = self.offdiag[:, None]
+        out = self.diagonal[:, None] * V
+        out[:-1] += e * V[1:]
+        out[1:] += e * V[:-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _validated_system(A: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+def _validated_system(apply, values: np.ndarray, vectors: np.ndarray,
                       method: str) -> EigenSystem:
+    """Sort descending and check the contract; ``apply(V)`` computes A @ V."""
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = vectors[:, order]
@@ -106,7 +110,7 @@ def _validated_system(A: np.ndarray, values: np.ndarray, vectors: np.ndarray,
         raise NumericalFailure(
             f"eigenvector orthonormality defect {gram_defect:.3e} exceeds "
             f"{TOL.orthonormality:.1e}")
-    resid = np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0))
+    resid = np.max(np.linalg.norm(apply(vectors) - vectors * values, axis=0))
     scale = max(np.max(np.abs(values)), 1e-300)
     if resid > TOL.eigen_residual * scale:
         raise NumericalFailure(
@@ -122,21 +126,61 @@ def eig_sym(A: np.ndarray) -> EigenSystem:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return _validated_system(A, values, vectors, "eigh")
+    return _validated_system(A.__matmul__, values, vectors, "eigh")
 
 
 def eig_symtridiag(T: SymTridiag) -> EigenSystem:
     """Spectral decomposition of a symmetric tridiagonal matrix."""
-    if T.order == 1:
-        return EigenSystem(values=np.array([float(T.diagonal[0])]),
-                           vectors=np.array([[1.0]]), method="tridiag",
-                           residual_bound=0.0)
     try:
-        values, vectors = eigh_tridiagonal(np.asarray(T.diagonal, dtype=float),
-                                           np.asarray(T.offdiag, dtype=float))
+        values, vectors = eigh_tridiagonal(T.diagonal, T.offdiag)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _validated_system(T.dense(), values, vectors, "tridiag")
+    return _validated_system(T.apply, values, vectors, "tridiag")
+
+
+def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a centrosymmetric symmetric matrix S (JSJ = S).
+
+    With h = n // 2, A = S[:h, :h] and BJ = S[:h, n-h:][:, ::-1], they are
+    A + BJ and A - BJ: S in the orthonormal bases of ``parity_vectors``. For
+    odd n the even block gains the sqrt(2)-weighted middle row and column.
+    """
+    n = S.shape[0]
+    h = n // 2
+    A = S[:h, :h]
+    BJ = S[:h, n - h:][:, ::-1]
+    even = A + BJ
+    if n % 2:
+        col = math.sqrt(2.0) * S[:h, h]
+        even = np.block([[even, col[:, None]], [col[None, :], S[h, h]]])
+    return even, A - BJ
+
+
+def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int) -> np.ndarray:
+    """Lift even/odd block vectors u to length n as [u; +-Ju] / sqrt(2).
+
+    For odd n the last row of ``Ue`` is the middle entry, taken unscaled. The
+    columns are exactly symmetric, then antisymmetric, under index reversal.
+    """
+    h = n // 2
+    r = 1.0 / math.sqrt(2.0)
+    return np.hstack([
+        np.vstack([Ue[:h] * r, Ue[h:], Ue[:h][::-1] * r]),
+        np.vstack([Uo * r, np.zeros((n % 2, Uo.shape[1])), -Uo[::-1] * r])])
+
+
+def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:
+    """``parity_blocks`` of a persymmetric tridiagonal matrix, kept banded.
+
+    For n = 2h the last diagonal entry becomes d[h-1] +- e[h-1]; for
+    n = 2h + 1 the even block keeps the middle entry, coupled by sqrt(2) e[h-1].
+    """
+    d, e, h = T.diagonal, T.offdiag, T.order // 2
+    if T.order % 2:
+        even_e = np.append(e[:h - 1], math.sqrt(2.0) * e[h - 1]) if h else e
+        return SymTridiag(d[:h + 1], even_e), SymTridiag(d[:h], e[:h - 1])
+    shift = np.append(np.zeros(h - 1), e[h - 1])
+    return SymTridiag(d[:h] + shift, e[:h - 1]), SymTridiag(d[:h] - shift, e[:h - 1])
 
 
 def spectral_norm_sym(A: np.ndarray) -> float:

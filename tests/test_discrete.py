@@ -3,19 +3,30 @@ import math
 import numpy as np
 import pytest
 
+from slepian import discrete
+from slepian.config import TOL
 from slepian.discrete import (DiscreteParams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
                               dpswf_matrix, extend_dpss, prolate_matrix,
                               spectrum, symmetry_defect)
-from slepian.numkit import IllConditionedError
+from slepian.numkit import IllConditionedError, NumericalFailure, SymTridiag
 
 
 class TestParams:
     @pytest.mark.parametrize("N,W", [(0, 0.2), (-1, 0.2), (2.5, 0.2),
-                                     (3, 0.0), (3, 0.5), (3, 0.7), (3, -0.1)])
+                                     (3, 0.0), (3, 0.5), (3, 0.7), (3, -0.1),
+                                     (True, 0.2), (math.nan, 0.2),
+                                     (math.inf, 0.2), ("10", 0.2),
+                                     (3, math.nan), (3, True), (3, "0.2")])
     def test_invalid(self, N, W):
         with pytest.raises(ValueError):
             DiscreteParams(N, W)
+
+    @pytest.mark.parametrize("N", [10.0, np.int64(10), np.float64(10.0)])
+    def test_integral_N_stored_as_int(self, N):
+        params = DiscreteParams(N, 0.2)
+        assert type(params.N) is int and params.N == 10
+        assert abs(spectrum(params).values.sum() - 4.0) <= 1e-12
 
     def test_bandwidth(self):
         assert DiscreteParams(60, 0.3).bandwidth == pytest.approx(
@@ -110,6 +121,27 @@ class TestSpectrum:
         for k in np.flatnonzero(gaps >= 1e-6):
             overlap = abs(np.dot(a.dpss[:, k], b.dpss[:, k]))
             assert overlap >= 1 - 1e-8
+
+    @pytest.mark.parametrize("N", [60, 61])
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_parity_pure_by_construction(self, get_spectrum, N, method):
+        V = get_spectrum(N, 0.3, method).dpss
+        assert (np.abs(V) == np.abs(V[::-1])).all()
+
+    def test_toeplitz_route_checks_eigen_contract(self, monkeypatch):
+        # rotating two eigenvectors of a parity block keeps every invariant
+        # that _validate checks; only the solver's residual check sees it
+        eigh = np.linalg.eigh
+
+        def rotated(A):
+            values, vectors = eigh(A)
+            c, s = math.cos(1e-4), math.sin(1e-4)
+            vectors[:, [-2, -1]] = vectors[:, [-2, -1]] @ np.array([[c, -s], [s, c]])
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        with pytest.raises(NumericalFailure, match="residual"):
+            spectrum(DiscreteParams(20, 0.1), method="toeplitz")
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
@@ -238,6 +270,17 @@ class TestCommutation:
     def test_grid(self, N, W):
         assert commutation_defect(DiscreteParams(N, W)) <= 1e-12
 
+    def test_detects_non_commuting_matrix(self, monkeypatch):
+        params = DiscreteParams(30, 0.2)
+        T = commuting_tridiagonal(params)
+        bent = SymTridiag(T.diagonal + np.linspace(0.0, 1.0, 30), T.offdiag)
+        monkeypatch.setattr(discrete, "commuting_tridiagonal", lambda p: bent)
+        rho, sig = prolate_matrix(params), bent.dense()
+        dense = (np.linalg.norm(rho @ sig - sig @ rho)
+                 / (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
+        assert dense > 1e-4
+        assert commutation_defect(params) == pytest.approx(dense, rel=1e-12)
+
 
 class TestExtend:
     def test_scalar_case(self):
@@ -262,3 +305,38 @@ class TestExtend:
         assert disc.values[29] < 1e-8
         with pytest.raises(IllConditionedError):
             extend_dpss(disc, 29, 35)
+
+    def test_floor_read_at_call_time(self, get_spectrum, monkeypatch):
+        disc = get_spectrum(30, 0.1)
+        assert 1e-8 < disc.values[6] < 0.5
+        extend_dpss(disc, 6, 35)
+        monkeypatch.setattr(TOL, "tail_floor", 0.5)
+        with pytest.raises(IllConditionedError):
+            extend_dpss(disc, 6, 35)
+
+
+def _mp_prolate_values(N, W, dps=40):
+    """Eigenvalues of the prolate matrix for the double W, by mpmath eigsy."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        w = mpmath.mpf(W)
+        A = mpmath.matrix(N, N)
+        for i in range(N):
+            for j in range(N):
+                k = abs(i - j)
+                A[i, j] = 2 * w if k == 0 else (
+                    mpmath.sin(2 * mpmath.pi * w * k) / (mpmath.pi * k))
+        values = mpmath.eigsy(A, eigvals_only=True)
+        return np.sort(np.array([float(v) for v in values]))[::-1]
+
+
+class TestMpmathOracle:
+    """Values above the trust floor against a 40-digit eigensolve."""
+
+    @pytest.mark.parametrize("N,W", [(11, 1 / 6), (24, 0.1), (24, 0.3), (25, 0.2)])
+    def test_trusted_values_match(self, get_spectrum, N, W):
+        reference = _mp_prolate_values(N, W)
+        for method in ("toeplitz", "tridiag"):
+            values = get_spectrum(N, W, method).values
+            trusted = values >= TOL.floor_untrusted
+            assert np.max(np.abs(values[trusted] - reference[trusted])) <= 4e-15

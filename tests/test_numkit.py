@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh_tridiagonal
+
+from slepian import numkit
 from slepian.config import TOL
 from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
-                            eig_symtridiag, gauss_legendre, snapped_floor,
-                            spectral_norm_sym)
+                            eig_symtridiag, gauss_legendre, parity_blocks,
+                            parity_vectors, snapped_floor, spectral_norm_sym,
+                            tridiag_parity_blocks)
 
 
 def _mp_gauss_node(n, i, steps=5):
@@ -181,6 +185,90 @@ class TestEigSymTridiag:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             SymTridiag(np.zeros(3), np.zeros(3))
+
+    def test_banded_product_matches_dense(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 60):
+            T = SymTridiag(rng.normal(size=n), rng.normal(size=n - 1))
+            V = rng.normal(size=(n, 5))
+            assert (T.dense() == _dense(T)).all()
+            assert np.max(np.abs(T.apply(V) - _dense(T) @ V)) <= 1e-14 * n
+
+    def test_corrupted_vector_fails_contract(self, monkeypatch):
+        # a small rotation of two eigenvectors keeps them orthonormal, so only
+        # the banded residual check can catch it
+        def rotated(d, e):
+            values, vectors = eigh_tridiagonal(d, e)
+            c, s = math.cos(1e-4), math.sin(1e-4)
+            vectors[:, [0, 1]] = vectors[:, [0, 1]] @ np.array([[c, -s], [s, c]])
+            return values, vectors
+
+        monkeypatch.setattr(numkit, "eigh_tridiagonal", rotated)
+        T = SymTridiag(np.arange(40.0), np.ones(39))
+        with pytest.raises(NumericalFailure, match="residual"):
+            eig_symtridiag(T)
+
+
+def _dense(T):
+    """Reference dense form, independent of SymTridiag.apply."""
+    return (np.diag(T.diagonal) + np.diag(T.offdiag, 1)
+            + np.diag(T.offdiag, -1))
+
+
+def _persymmetric_tridiag(n, seed):
+    rng = np.random.default_rng(seed)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    return SymTridiag(d + d[::-1], e + e[::-1])
+
+
+def _centrosymmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A = A + A.T
+    return A + A[::-1, ::-1]
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 60, 61])
+    def test_tridiag_blocks_carry_spectrum(self, n):
+        T = _persymmetric_tridiag(n, n)
+        even, odd = tridiag_parity_blocks(T)
+        assert (even.order, odd.order) == ((n + 1) // 2, n // 2)
+        split = np.sort(np.concatenate(
+            [eigh_tridiagonal(B.diagonal, B.offdiag, eigvals_only=True)
+             for B in (even, odd)]))
+        full = eigh_tridiagonal(T.diagonal, T.offdiag, eigvals_only=True)
+        assert np.max(np.abs(split - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 60, 61])
+    def test_dense_blocks_carry_spectrum(self, n):
+        S = _centrosymmetric(n, n)
+        even, odd = parity_blocks(S)
+        assert (even == even.T).all() and (odd == odd.T).all()
+        split = np.sort(np.concatenate([np.linalg.eigvalsh(even),
+                                        np.linalg.eigvalsh(odd)]))
+        full = np.linalg.eigvalsh(S)
+        assert np.max(np.abs(split - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 60, 61])
+    def test_lifted_vectors_are_parity_eigenvectors(self, n):
+        S = _centrosymmetric(n, 7 * n)
+        even, odd = parity_blocks(S)
+        se = eig_sym(even)
+        Uo = eig_sym(odd).vectors if n > 1 else np.zeros((0, 0))
+        V = parity_vectors(se.vectors, Uo, n)
+        assert V.shape == (n, n)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-13
+        h = (n + 1) // 2
+        assert (V[::-1, :h] == V[:, :h]).all()
+        assert (V[::-1, h:] == -V[:, h:]).all()
+        resid = S @ V[:, :h] - V[:, :h] * se.values
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(se.values))
+
+    def test_tridiag_blocks_match_dense_blocks(self):
+        T = _persymmetric_tridiag(9, 3)
+        for tri, dense in zip(tridiag_parity_blocks(T), parity_blocks(_dense(T))):
+            assert np.max(np.abs(_dense(tri) - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
 class TestSpectralNorm:
