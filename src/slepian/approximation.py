@@ -72,6 +72,8 @@ class TestFunction:
             raise ValueError("sample set is empty")
         if x.size != y.size:
             raise ValueError("x and y sample arrays differ in length")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("samples must be finite")
         order = np.argsort(x)
         x, y = x[order], y[order]
         return cls(kind="user_samples", params={"n_samples": int(x.size)},
@@ -88,6 +90,9 @@ def weierstrass_terms(s: float, tol: float = 1e-12):
     n_terms = 0
     while 2.0 ** (-n_terms * s) > tol:
         n_terms += 1
+        if n_terms > 1023:
+            raise ValueError(f"s={s} needs frequencies beyond 2^1023 to reach "
+                             f"tol={tol}; they overflow double precision")
     k = np.arange(n_terms + 1)
     return 2.0 ** (-k * s), 2.0 ** k
 
@@ -95,9 +100,7 @@ def weierstrass_terms(s: float, tol: float = 1e-12):
 def weierstrass(s: float, x) -> np.ndarray | float:
     """Truncated Weierstrass function sum_k cos(2^k x)/2^(k s), k <= K_s,
     where K_s is minimal with 2^(-K_s s) <= 1e-12."""
-    amps, freqs = weierstrass_terms(s)
-    xa = np.asarray(x, dtype=float)
-    values = np.cos(np.multiply.outer(xa, freqs)) @ amps
+    values = TestFunction.weierstrass(s)(x)
     return float(values) if np.isscalar(x) else values
 
 
@@ -242,8 +245,7 @@ def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
 
 
 def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                   s: float | None = None,
-                   quad_order: int | None = None) -> ProjectionResult:
+                   s: float | None = None) -> ProjectionResult:
     """Project f onto the first K native modes; residuals on [-W, W].
 
     Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
@@ -255,7 +257,7 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
     N, W = spec.N, spec.W
     if not 1 <= K <= N:
         raise ValueError(f"K={K} outside [1, {N}]")
-    M = quad_order or max(4 * N, 256)
+    M = max(4 * N, 256)
     rule_half = gauss_legendre(M).scaled(0.5)
     rule_band = gauss_legendre(M).scaled(W)
     if f.cosine_terms is not None:
@@ -311,8 +313,7 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
 
 
 def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                    lambda_floor: float | None = None,
-                    quad_order: int | None = None) -> ProjectionResult:
+                    lambda_floor: float | None = None) -> ProjectionResult:
     """Project f onto the span of the first K dilated modes on [-1, 1].
 
     The projection is a least-squares fit on the mode span in the quadrature
@@ -336,8 +337,7 @@ def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
     if not included:
         raise IllConditionedError(
             f"all {K} modes fall below the floor {lambda_floor:.1e}")
-    M = quad_order or max(4 * N, 256)
-    rule = gauss_legendre(M)
+    rule = gauss_legendre(max(4 * N, 256))
     x, w = rule.nodes, rule.weights
     sw = np.sqrt(w)
     raw = dpswf_matrix(spec, W * x, np.array(included))     # U_k(W x)
@@ -369,13 +369,11 @@ def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
         untrusted=untrusted, rank=int(rank), lambda_floor=lambda_floor)
 
 
-def dilated_gram(spec: DiscreteSpectrum, modes, quad_order: int | None = None
-                 ) -> np.ndarray:
+def dilated_gram(spec: DiscreteSpectrum, modes) -> np.ndarray:
     """Quadrature Gram matrix of the normalised dilated modes on [-1, 1]."""
     modes = np.asarray(modes, dtype=int)
     N, W = spec.N, spec.W
-    M = quad_order or max(4 * N, 256)
-    rule = gauss_legendre(M)
+    rule = gauss_legendre(max(4 * N, 256))
     U = dpswf_matrix(spec, W * rule.nodes, modes)
     U = U * np.sqrt(W) / np.sqrt(spec.values[modes])[None, :]
     return (U.conj().T * rule.weights[None, :]) @ U

@@ -119,10 +119,6 @@ class SpectrumComparison:
     def satisfied(self) -> bool:
         return self.l2_diff <= self.bound + TOL.check_floor
 
-    @property
-    def margin(self) -> float:
-        return self.bound - self.l2_diff
-
 
 # ----------------------------------------------------------------- formulas
 
@@ -149,10 +145,14 @@ def plunge_count_bound(N: int, W: float, eps: float) -> float:
         raise OutOfRangeError(f"eps={eps} outside (0, 1/2)")
     if not 0.0 < W < 0.5 or N < 1:
         raise OutOfRangeError(f"invalid (N, W)=({N}, {W})")
+    return _plunge_mass_bound(N, W) / (eps * (1.0 - eps))
+
+
+def _plunge_mass_bound(N: int, W: float) -> float:
+    """log(2NW)/pi^2 + 0.45 - (2/3) W^2 + (W^2/(6 c^2)) sin^2(2c), c = pi N W."""
     c = PI * N * W
-    numerator = (math.log(2.0 * N * W) / PI ** 2 + 0.45 - (2.0 / 3.0) * W ** 2
-                 + (W ** 2 / (6.0 * c ** 2)) * math.sin(2.0 * c) ** 2)
-    return numerator / (eps * (1.0 - eps))
+    return (math.log(2.0 * N * W) / PI ** 2 + 0.45 - (2.0 / 3.0) * W ** 2
+            + (W ** 2 / (6.0 * c ** 2)) * math.sin(2.0 * c) ** 2)
 
 
 def plunge_count_bound_coarse(N: int, eps: float) -> float:
@@ -201,8 +201,7 @@ def superexponential_decay_bound(k: int, N: int, W: float) -> float:
     lo = E * PI / 2.0 * N * W
     if not (k >= 2 and lo <= k <= N - 1):
         raise OutOfRangeError(f"k={k} outside [max(2, {lo:.3f}), {N - 1}]")
-    return 2.0 * math.exp(-(2.0 * k + 1.0)
-                          * math.log(2.0 * (k + 1.0) / (E * PI * N * W)))
+    return decay_formula(k, N, W)
 
 
 def decay_formula(k: float, N: int, W: float) -> float:
@@ -270,11 +269,7 @@ def plunge_mass(N: int, W: float, values: np.ndarray | None = None
     """
     if values is None:
         values = spectrum(DiscreteParams(N, W)).values
-    measured = float(np.sum(values * (1.0 - values)))
-    c = PI * N * W
-    bound = (math.log(2.0 * N * W) / PI ** 2 + 0.45 - (2.0 / 3.0) * W ** 2
-             + (W ** 2 / (6.0 * c ** 2)) * math.sin(2.0 * c) ** 2)
-    return measured, bound
+    return float(np.sum(values * (1.0 - values))), _plunge_mass_bound(N, W)
 
 
 def plunge_decay_rate(N: int, W: float, values: np.ndarray | None = None) -> float:
@@ -340,31 +335,37 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray | None = None,
         cont_values = nystrom_spectrum(c, max(default_order(c), N + 10),
                                        check_convergence=False).values
     A = comparison_constant(W)
-    mask = disc_values >= TOL.floor_checks
-    excess = disc_values[:N][mask[:N]] - A * cont_values[:N][mask[:N]]
-    worst = float(np.max(excess)) if excess.size else 0.0
-    return [BoundCheck(
-        name="comparison_inequality",
-        paper_ref="eigenvalue comparison with the sinc-kernel spectrum",
-        params={"N": N, "W": W, "A": A, "checked": int(mask[:N].sum())},
-        bound=0.0, measured=worst,
-        satisfied=worst <= TOL.check_floor,
-        margin=-worst)]
+    return [_family("comparison_inequality",
+                    "eigenvalue comparison with the sinc-kernel spectrum",
+                    {"N": N, "W": W, "A": A}, disc_values, range(N),
+                    lambda k: A * cont_values[k])]
 
 
 # ------------------------------------------------------------- verify_all
 
-def _family_check(name: str, ref: str, params: dict, violations: list[float],
-                  checked: int, skipped_reason: str = "") -> BoundCheck:
-    if skipped_reason:
-        return BoundCheck(name=name, paper_ref=ref, params=params, bound=None,
-                          measured=None, satisfied=True, margin=None,
-                          skipped=True, note=skipped_reason)
-    worst = max(violations) if violations else 0.0
-    return BoundCheck(name=name, paper_ref=ref,
-                      params={**params, "checked": checked},
-                      bound=0.0, measured=worst,
-                      satisfied=worst <= TOL.check_floor, margin=-worst)
+def _le(name: str, ref: str, params: dict, measured: float, bound: float,
+        slack: float = 0.0) -> BoundCheck:
+    """The check measured <= bound + slack, with margin bound - measured."""
+    return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
+                      measured=measured, satisfied=measured <= bound + slack,
+                      margin=bound - measured)
+
+
+def _skipped(name: str, ref: str, params: dict, note: str,
+             informational: bool = False) -> BoundCheck:
+    return BoundCheck(name=name, paper_ref=ref, params=params, bound=None,
+                      measured=None, satisfied=True, margin=None,
+                      informational=informational, skipped=True, note=note)
+
+
+def _family(name: str, ref: str, params: dict, values: np.ndarray, indices,
+            bound) -> BoundCheck:
+    """values[k] <= bound(k) for every index k with values[k] above the check
+    floor: the worst excess against 0, with the number of indices checked."""
+    excess = [values[k] - bound(k) for k in indices
+              if values[k] >= TOL.floor_checks]
+    return _le(name, ref, {**params, "checked": len(excess)},
+               max(excess, default=0.0), 0.0, TOL.check_floor)
 
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
@@ -372,7 +373,8 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
     """Run every applicable bound/identity check over the grid."""
     w_grid = tuple(w_grid)
     eps_grid = tuple(eps_grid)
-    grid = [DiscreteParams(N, W) for N in n_grid for W in w_grid]
+    grid = sorted({(p.N, p.W) for p in (DiscreteParams(N, W)
+                                        for N in n_grid for W in w_grid)})
     if not grid or not eps_grid:
         raise ValueError("verification grids must be nonempty")
     for eps in eps_grid:
@@ -380,14 +382,11 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             raise ValueError(f"invalid eps={eps}")
 
     checks: list[BoundCheck] = []
-    spectra = {}
-    for p in grid:
-        spectra[(p.N, p.W)] = spectrum(p, method=method)
-
     # one Nystrom solve per (N, W), at an order covering every consumer; only
     # the values are kept, keyed by the rounded bandwidth for the HS checks
     cont_by_c: dict[float, np.ndarray] = {}
-    for (N, W), disc in sorted(spectra.items()):
+    for N, W in grid:
+        disc = spectrum(DiscreteParams(N, W), method=method)
         lam = disc.values
         pw = {"N": N, "W": W}
         c = disc.params.bandwidth
@@ -395,126 +394,75 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                                 check_convergence=False).values
         cont_by_c[round(c, 12)] = cont
 
-        trace_defect = abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W)
-        checks.append(BoundCheck(
-            name="trace_identity", paper_ref="trace equals 2NW",
-            params=pw, bound=TOL.trace_rel, measured=trace_defect,
-            satisfied=trace_defect <= TOL.trace_rel,
-            margin=TOL.trace_rel - trace_defect))
-
-        sym = symmetry_defect(N, W, method=method)
-        checks.append(BoundCheck(
-            name="symmetry_identity",
-            paper_ref="reflection identity between W and 1/2 - W",
-            params=pw, bound=TOL.symmetry_identity, measured=sym,
-            satisfied=sym <= TOL.symmetry_identity,
-            margin=TOL.symmetry_identity - sym))
-
-        comm = commutation_defect(disc.params)
-        checks.append(BoundCheck(
-            name="commutation", paper_ref="commuting tridiagonal matrix",
-            params=pw, bound=TOL.commutation, measured=comm,
-            satisfied=comm <= TOL.commutation,
-            margin=TOL.commutation - comm))
-
-        rho = prolate_matrix(disc.params)
-        gram = disc.dpss.T @ (rho @ disc.dpss)
-        off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-        checks.append(BoundCheck(
-            name="double_orthogonality",
-            paper_ref="double orthogonality of the wave functions",
-            params=pw, bound=TOL.double_orthogonality, measured=off,
-            satisfied=off <= TOL.double_orthogonality,
-            margin=TOL.double_orthogonality - off))
-
+        gram = disc.dpss.T @ (prolate_matrix(disc.params) @ disc.dpss)
         other = spectrum(disc.params,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= TOL.floor_checks
-        cross = float(np.max(np.abs(lam[mask] - other.values[mask])))
-        checks.append(BoundCheck(
-            name="cross_route_agreement",
-            paper_ref="Toeplitz route vs tridiagonal route",
-            params=pw, bound=TOL.cross_route, measured=cross,
-            satisfied=cross <= TOL.cross_route,
-            margin=TOL.cross_route - cross))
-
-        measured_pm, bound_pm = plunge_mass(N, W, lam)
-        checks.append(BoundCheck(
-            name="plunge_mass", paper_ref="trace minus squared HS norm",
-            params=pw, bound=bound_pm, measured=measured_pm,
-            satisfied=measured_pm <= bound_pm + TOL.check_floor,
-            margin=bound_pm - measured_pm))
-
         cmp_ = compare_spectra(N, W, lam, cont_values=cont)
-        checks.append(BoundCheck(
-            name="spectra_l2_distance",
-            paper_ref="l2 spectrum comparison via Wielandt-Hoffman",
-            params={**pw, "c": cmp_.c}, bound=cmp_.bound, measured=cmp_.l2_diff,
-            satisfied=cmp_.satisfied, margin=cmp_.margin))
+        checks += [
+            _le("trace_identity", "trace equals 2NW", pw,
+                abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), TOL.trace_rel),
+            _le("symmetry_identity", "reflection identity between W and 1/2 - W",
+                pw, symmetry_defect(N, W, method=method), TOL.symmetry_identity),
+            _le("commutation", "commuting tridiagonal matrix", pw,
+                commutation_defect(disc.params), TOL.commutation),
+            _le("double_orthogonality",
+                "double orthogonality of the wave functions", pw,
+                float(np.max(np.abs(gram - np.diag(np.diag(gram))))),
+                TOL.double_orthogonality),
+            _le("cross_route_agreement", "Toeplitz route vs tridiagonal route",
+                pw, float(np.max(np.abs(lam[mask] - other.values[mask]))),
+                TOL.cross_route),
+            _le("plunge_mass", "trace minus squared HS norm", pw,
+                *plunge_mass(N, W, lam), TOL.check_floor),
+            _le("spectra_l2_distance",
+                "l2 spectrum comparison via Wielandt-Hoffman",
+                {**pw, "c": cmp_.c}, cmp_.l2_diff, cmp_.bound, TOL.check_floor),
+            _le("kernel_hs_distance",
+                "HS distance between Dirichlet and sinc kernels", pw,
+                kernel_hs_distance(N, W), kernel_hs_distance_bound(W),
+                TOL.check_floor),
+            *verify_comparison(N, W, lam, cont),
+        ]
 
-        hsd = kernel_hs_distance(N, W)
-        hsb = kernel_hs_distance_bound(W)
-        checks.append(BoundCheck(
-            name="kernel_hs_distance",
-            paper_ref="HS distance between Dirichlet and sinc kernels",
-            params=pw, bound=hsb, measured=hsd,
-            satisfied=hsd <= hsb + TOL.check_floor, margin=hsb - hsd))
-
-        checks.extend(verify_comparison(N, W, lam, cont))
-
-        # tail bound family (gated on the small-W validity range)
-        if 0.0 < W < 2.0 / (E * PI) and N >= 2:
-            q = E * PI * W * (N - 1) / 2.0
-            viols, cnt = [], 0
-            for n in range(max(0, math.floor(q) + 1), N):
-                if n > q and lam[n] >= TOL.floor_checks:
-                    viols.append(lam[n] - eigenvalue_tail_bound(n, N, W))
-                    cnt += 1
-            checks.append(_family_check(
-                "eigenvalue_tail_bound", "min-max tail estimate", pw, viols, cnt))
+        # tail bound family (gated on small W and N >= 2)
+        tail = ("eigenvalue_tail_bound", "min-max tail estimate", pw)
+        if not 0.0 < W < 2.0 / (E * PI):
+            checks.append(_skipped(*tail, f"W={W} outside (0, 2/(e pi))"))
+        elif N < 2:
+            checks.append(_skipped(*tail, f"N={N} must be >= 2"))
         else:
-            checks.append(_family_check(
-                "eigenvalue_tail_bound", "min-max tail estimate", pw, [], 0,
-                skipped_reason=f"W={W} outside (0, 2/(e pi))"))
+            q = E * PI * W * (N - 1) / 2.0
+            checks.append(_family(*tail, lam, range(math.floor(q) + 1, N),
+                                  lambda n: eigenvalue_tail_bound(n, N, W)))
 
         # superexponential decay family
+        decay = ("superexponential_decay", "tail decay past the plunge", pw)
         if N >= 3 and 0.0 < W < 2.0 / (E * PI) * (N - 1.0) / N:
             lo = E * PI / 2.0 * N * W
-            viols, cnt = [], 0
-            for k in range(max(2, math.ceil(lo)), N):
-                if lam[k] >= TOL.floor_checks:
-                    viols.append(lam[k] - superexponential_decay_bound(k, N, W))
-                    cnt += 1
-            checks.append(_family_check(
-                "superexponential_decay", "tail decay past the plunge",
-                pw, viols, cnt))
+            checks.append(_family(*decay, lam, range(max(2, math.ceil(lo)), N),
+                                  lambda k: superexponential_decay_bound(k, N, W)))
         else:
-            checks.append(_family_check(
-                "superexponential_decay", "tail decay past the plunge", pw, [], 0,
-                skipped_reason=f"(N, W)=({N}, {W}) outside the validity range"))
+            checks.append(_skipped(
+                *decay, f"(N, W)=({N}, {W}) outside the validity range"))
 
         # plunge decay rate (informational: only existence is claimed)
+        rate = ("plunge_decay_rate", "plunge-region decay rate", pw)
         try:
             eta = plunge_decay_rate(N, W, lam)
-            checks.append(BoundCheck(
-                name="plunge_decay_rate", paper_ref="plunge-region decay rate",
-                params=pw, bound=None, measured=eta, satisfied=eta > 0.0,
-                margin=None, informational=True))
         except OutOfRangeError as exc:
-            checks.append(BoundCheck(
-                name="plunge_decay_rate", paper_ref="plunge-region decay rate",
-                params=pw, bound=None, measured=None, satisfied=True,
-                margin=None, informational=True, skipped=True, note=str(exc)))
+            checks.append(_skipped(*rate, str(exc), informational=True))
+        else:
+            checks.append(BoundCheck(*rate, bound=None, measured=eta,
+                                     satisfied=eta > 0.0, margin=None,
+                                     informational=True))
 
         for eps in eps_grid:
             peps = {**pw, "eps": eps}
-            count = int(np.sum((lam >= eps) & (lam <= 1.0 - eps)))
+            count = float(np.sum((lam >= eps) & (lam <= 1.0 - eps)))
             bound = plunge_count_bound(N, W, eps)
-            checks.append(BoundCheck(
-                name="plunge_count", paper_ref="eigenvalue count bound",
-                params=peps, bound=bound, measured=float(count),
-                satisfied=count <= bound + TOL.check_floor,
-                margin=bound - count))
+            checks.append(_le("plunge_count", "eigenvalue count bound", peps,
+                              count, bound, TOL.check_floor))
             if N >= 2 and PI * N * W >= 1.0:
                 coarse = plunge_count_bound_coarse(N, eps)
                 checks.append(BoundCheck(
@@ -526,7 +474,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                 name="plunge_count_estimate",
                 paper_ref="asymptotic count estimate",
                 params=peps, bound=plunge_count_estimate(N, eps),
-                measured=float(count), satisfied=True, margin=None,
+                measured=count, satisfied=True, margin=None,
                 informational=True))
 
     # continuous-side HS lower bound at the grid bandwidths
@@ -540,21 +488,18 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             satisfied=hs >= lb - TOL.check_floor, margin=hs - lb))
 
     # concentration-inequality constant (informational, fixed W = 1/6)
+    turan = ("concentration_constant", "Turan-Nazarov concentration constant")
     try:
         tn = concentration_inequality_constant(1.0 / 6.0)
+    except OutOfRangeError as exc:
+        checks.append(_skipped(*turan, {"W": 1.0 / 6.0}, str(exc),
+                               informational=True))
+    else:
         checks.append(BoundCheck(
-            name="concentration_constant",
-            paper_ref="Turan-Nazarov concentration constant",
-            params={"W": 1.0 / 6.0, "per_n": tn["per_n"]},
+            *turan, params={"W": 1.0 / 6.0, "per_n": tn["per_n"]},
             bound=tn["formula_value"], measured=tn["empirical"],
             satisfied=tn["empirical"] >= tn["formula_value"],
             margin=tn["empirical"] - tn["formula_value"], informational=True))
-    except OutOfRangeError as exc:
-        checks.append(BoundCheck(
-            name="concentration_constant",
-            paper_ref="Turan-Nazarov concentration constant",
-            params={"W": 1.0 / 6.0}, bound=None, measured=None, satisfied=True,
-            margin=None, informational=True, skipped=True, note=str(exc)))
 
     checks.sort(key=lambda ch: (ch.name, json.dumps(ch.params, sort_keys=True)))
     return BoundReport(checks=checks, tolerances=dataclasses.asdict(TOL))

@@ -63,7 +63,6 @@ class RunConfig:
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     w_grid: tuple[float, ...] = DEFAULT_W_GRID
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    out_dir: str = "."
     strict: bool = False
 
     def __post_init__(self):
@@ -89,8 +88,6 @@ def _parse_value(key: str, raw: str):
         return tuple(float(v) for v in raw.split(","))
     if key == "strict":
         return raw.lower() in ("1", "true", "yes", "on")
-    if key == "out_dir":
-        return raw
     if key.startswith("tol_"):
         return float(raw)
     raise ValueError(f"unknown config key: {key}")

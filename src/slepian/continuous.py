@@ -17,7 +17,7 @@ from .config import TOL
 from .discrete import DiscreteParams, dpswf_matrix, spectrum
 from .numkit import (IllConditionedError, NumericalFailure, QuadratureRule,
                      eig_sym, gauss_legendre, parity_blocks, parity_vectors,
-                     snapped_floor)
+                     sinc_kernel, snapped_floor)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ def default_order(c: float) -> int:
 
 
 def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    d = x[:, None] - x[None, :]
-    K = np.empty_like(d)
-    np.divide(np.sin(c * d), np.pi * d, out=K, where=(d != 0))
-    np.fill_diagonal(K, c / np.pi)
+    K = sinc_kernel(c, x[:, None] - x[None, :], c / np.pi)
     # outer(sw, sw) is exactly symmetric, so S inherits exact symmetry from K
     sw = np.sqrt(w)
     return np.outer(sw, sw) * K
@@ -156,7 +153,7 @@ def hs_lower_bound(c: float) -> float:
     return t - math.log(t) / math.pi ** 2 - 0.45
 
 
-def kernel_hs_distance(N: int, W: float, quad_order: int | None = None) -> float:
+def kernel_hs_distance(N: int, W: float) -> float:
     """Hilbert-Schmidt distance on [-W, W]^2 between the Dirichlet kernel
     sin(pi N (x-y))/sin(pi (x-y)) and the sinc kernel with bandwidth pi N.
 
@@ -165,17 +162,12 @@ def kernel_hs_distance(N: int, W: float, quad_order: int | None = None) -> float
     """
     N = DiscreteParams(N, W).N
     cN = math.pi * N
-    Q = quad_order or max(128, math.ceil(4 * N * W) + 64)
-    rule = gauss_legendre(Q).scaled(W)
+    rule = gauss_legendre(max(128, math.ceil(4 * N * W) + 64)).scaled(W)
     x, w = rule.nodes, rule.weights
     d = x[:, None] - x[None, :]
-    num = np.sin(cN * d)
-    dirichlet = np.empty_like(d)
-    np.divide(num, np.sin(np.pi * d), out=dirichlet, where=(d != 0))
-    sinc = np.empty_like(d)
-    np.divide(num, np.pi * d, out=sinc, where=(d != 0))
-    diff = dirichlet - sinc
-    np.fill_diagonal(diff, 0.0)
+    dirichlet = np.full_like(d, N)
+    np.divide(np.sin(cN * d), np.sin(np.pi * d), out=dirichlet, where=(d != 0))
+    diff = dirichlet - sinc_kernel(cN, d, N)
     return float(math.sqrt(np.einsum("i,ij,j->", w, diff ** 2, w)))
 
 
@@ -224,8 +216,7 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     return bound, condition_ok
 
 
-def projector_distance(N: int, W: float, K: int, disc=None,
-                       quad_order: int | None = None) -> float:
+def projector_distance(N: int, W: float, K: int, disc=None) -> float:
     """Spectral-norm distance between two rank-K spectral projectors.
 
     On a shared Gauss-Legendre grid over [-1, 1]: the projector onto the
@@ -247,8 +238,8 @@ def projector_distance(N: int, W: float, K: int, disc=None,
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
             f"{TOL.floor_untrusted:.0e}; the rank-K projector is not resolvable")
     c = math.pi * N * W
-    M = quad_order or max(default_order(c), 4 * N)
-    cont = nystrom_spectrum(c, M, check_convergence=False)
+    cont = nystrom_spectrum(c, max(default_order(c), 4 * N),
+                            check_convergence=False)
     x = cont.rule.nodes
     sw = np.sqrt(cont.rule.weights)
     P1 = cont.grid_vectors[:, :K] @ cont.grid_vectors[:, :K].T

@@ -29,7 +29,7 @@ import numpy as np
 from .config import TOL
 from .numkit import (IllConditionedError, NumericalFailure, SymTridiag,
                      eig_sym, eig_symtridiag, parity_blocks, parity_vectors,
-                     tridiag_parity_blocks)
+                     sinc_kernel, tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
 
@@ -80,12 +80,8 @@ def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     The diagonal is the sinc limit of the generic entry.
     """
     N, W = params.N, params.W
-    first = np.empty(N)
-    first[0] = 2.0 * W
-    if N > 1:
-        k = np.arange(1, N)
-        first[1:] = np.sin(2.0 * np.pi * W * k) / (np.pi * k)
     idx = np.arange(N)
+    first = sinc_kernel(2.0 * np.pi * W, idx, 2.0 * W)
     return first[np.abs(idx[:, None] - idx[None, :])]
 
 
@@ -247,8 +243,5 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int,
     if not lam >= tail_floor:
         raise IllConditionedError(
             f"eigenvalue {lam:.3e} below extension floor {tail_floor:.1e}")
-    m = np.arange(N)
-    d = n - m
-    kernel = np.where(d == 0, 2.0 * W,
-                      np.sin(2.0 * np.pi * W * d) / (np.pi * np.where(d == 0, 1, d)))
+    kernel = sinc_kernel(2.0 * np.pi * W, n - np.arange(N), 2.0 * W)
     return float(kernel @ spec.dpss[:, k] / lam)

@@ -1,4 +1,5 @@
-"""Numerical kernels: symmetric eigensolvers, parity splits and quadrature.
+"""Numerical kernels: symmetric eigensolvers, parity splits, the sinc kernel
+and quadrature.
 
 Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``,
 ``scipy.linalg.eigh_tridiagonal``), index-reversal parity splits, and a
@@ -181,6 +182,17 @@ def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:
         return SymTridiag(d[:h + 1], even_e), SymTridiag(d[:h], e[:h - 1])
     shift = np.append(np.zeros(h - 1), e[h - 1])
     return SymTridiag(d[:h] + shift, e[:h - 1]), SymTridiag(d[:h] - shift, e[:h - 1])
+
+
+def sinc_kernel(c: float, d: np.ndarray, at_zero: float) -> np.ndarray:
+    """sin(c d) / (pi d) elementwise, equal to ``at_zero`` where d == 0.
+
+    The caller gives the d = 0 limit c/pi in its own form (2W when c = 2 pi W),
+    because c/pi need not round to the same double.
+    """
+    out = np.full(np.shape(d), at_zero, dtype=float)
+    np.divide(np.sin(c * d), np.pi * d, out=out, where=(d != 0))
+    return out
 
 
 def spectral_norm_sym(A: np.ndarray) -> float:

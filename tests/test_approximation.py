@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slepian.approximation import (TestFunction, dilated_gram, project_dilated,
-                                   project_native, sobolev_norm, weierstrass)
+                                   project_native, sobolev_norm, weierstrass,
+                                   weierstrass_terms)
 from slepian.discrete import dpswf_matrix
 from slepian.numkit import IllConditionedError, NumericalFailure, gauss_legendre
 
@@ -27,6 +28,18 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             weierstrass(0.0, 0.1)
 
+    def test_overflowing_frequencies_rejected(self):
+        # s = 1e-2 needs 3988 terms; frequencies past 2^1023 are not finite
+        with pytest.raises(ValueError, match="overflow"):
+            weierstrass_terms(1e-2)
+        with pytest.raises(ValueError, match="overflow"):
+            TestFunction.weierstrass(1e-2)
+
+    def test_largest_finite_frequency_accepted(self):
+        amps, freqs = weierstrass_terms(math.log2(1e12) / 1022.5)
+        assert len(freqs) == 1024 and freqs[-1] == 2.0 ** 1023
+        assert np.isfinite(amps).all() and amps[-1] <= 1e-12
+
 
 class TestTestFunction:
     def test_sinc_at_zero(self):
@@ -41,6 +54,14 @@ class TestTestFunction:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             TestFunction.from_samples(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        good = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction.from_samples(np.array([0.0, bad, 1.0]), good)
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction.from_samples(good, np.array([0.0, bad, 1.0]))
 
     def test_samples_interpolate(self):
         f = TestFunction.from_samples(np.array([0.0, 1.0]), np.array([0.0, 2.0]))

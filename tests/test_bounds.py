@@ -132,6 +132,18 @@ class TestComparisonConstant:
         assert lam <= comparison_constant(0.2) * cont.values[0] + 1e-12
 
 
+class TestSharedFormulas:
+    @pytest.mark.parametrize("N,W", [(30, 0.1), (60, 0.3), (500, 0.45)])
+    def test_count_bound_is_mass_bound_over_eps_gap(self, N, W):
+        _, mass_bound = plunge_mass(N, W, np.zeros(N))
+        for eps in (0.01, 0.05, 0.2):
+            assert plunge_count_bound(N, W, eps) == mass_bound / (eps * (1 - eps))
+
+    def test_decay_bound_is_formula_in_range(self):
+        for k in range(26, 60):   # (e pi / 2) N W = 25.6
+            assert superexponential_decay_bound(k, 60, 0.1) == decay_formula(k, 60, 0.1)
+
+
 class TestDecayBound:
     def test_far_tail_value(self):
         # k = N-1 at (60, 0.1): 2 exp(-119 log(120/(6 e pi)))
@@ -295,18 +307,40 @@ class TestVerifyAll:
         assert payload["pass"] is True
         assert {"version", "tolerances", "pass", "checks"} <= set(payload)
 
+    @staticmethod
+    def digest(payload) -> str:
+        # names, params and verdicts; the measured numbers may move in their
+        # last digits. Float params are rounded to 10 significant digits, and
+        # the concentration_constant per-N values, which derive from the
+        # smallest eigenvalue (about 1e-11 at N = 11) and move with it, are
+        # pinned by their keys only.
+        def pinned(v):
+            if isinstance(v, dict):
+                return sorted(v)
+            return float(f"{v:.10g}") if isinstance(v, float) else v
+
+        key = [[c["name"], {k: pinned(v) for k, v in c["params"].items()},
+                c["satisfied"], c["informational"], c["skipped"]]
+               for c in payload["checks"]]
+        return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+
     def test_checks_match_reference(self, report):
-        # digest of the names, params and verdicts of the 175 default-grid
-        # checks; the measured numbers may move in their last digits. The
-        # concentration_constant params carry per-N values derived from the
-        # smallest eigenvalue (about 1e-11 at N = 11), so they move with it.
         payload = json.loads(report.to_json())
-        key = [[c["name"], c["params"], c["satisfied"], c["informational"],
-                c["skipped"]] for c in payload["checks"]]
-        assert len(key) == 175
-        digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode())
-        assert digest.hexdigest() == (
-            "80f9f81590656547ddfe615d38df32ffa2dffbf0b45c51fd030204b10af940ed")
+        assert len(payload["checks"]) == 175
+        assert self.digest(payload) == (
+            "56566f88582ec73b252c223a3438a6a5fc333263166493bb3faae9b9e04681be")
+
+    def test_digest_tracks_verdicts_not_noise(self, report):
+        payload = json.loads(report.to_json())
+        reference = self.digest(payload)
+        turan, = [c for c in payload["checks"]
+                  if c["name"] == "concentration_constant"]
+        turan["params"]["per_n"] = {k: v * (1 + 1e-6)
+                                    for k, v in turan["params"]["per_n"].items()}
+        payload["checks"][0]["params"]["W"] *= 1 + 1e-13
+        assert self.digest(payload) == reference
+        payload["checks"][0]["satisfied"] = not payload["checks"][0]["satisfied"]
+        assert self.digest(payload) != reference
 
     def test_one_nystrom_solve_per_bandwidth(self, monkeypatch):
         calls = []
@@ -341,3 +375,27 @@ class TestVerifyAll:
         tail = [c for c in report.checks if c.name == "eigenvalue_tail_bound"]
         assert len(tail) == 1 and tail[0].skipped
         assert report.passed
+
+    @pytest.mark.parametrize("N,W,note", [(1, 0.1, "N=1 must be >= 2"),
+                                          (1, 0.3, "W=0.3 outside (0, 2/(e pi))"),
+                                          (30, 0.3, "W=0.3 outside (0, 2/(e pi))")])
+    def test_tail_skip_note_names_failed_condition(self, N, W, note):
+        report = verify_all(n_grid=(N,), w_grid=(W,), eps_grid=(0.05,))
+        tail, = [c for c in report.checks if c.name == "eigenvalue_tail_bound"]
+        assert tail.skipped and tail.note == note
+
+    def test_upper_bound_checks_share_one_rule(self, report):
+        # every "measured <= bound + slack" check reports margin = bound -
+        # measured and a verdict consistent with its slack
+        slack = {"trace_identity": 0.0, "symmetry_identity": 0.0,
+                 "commutation": 0.0, "double_orthogonality": 0.0,
+                 "cross_route_agreement": 0.0}
+        upper = [c for c in report.checks if not c.skipped and c.name in {
+            *slack, "plunge_mass", "spectra_l2_distance", "kernel_hs_distance",
+            "plunge_count", "comparison_inequality", "eigenvalue_tail_bound",
+            "superexponential_decay"}]
+        assert len({c.name for c in upper}) == 12
+        for c in upper:
+            assert c.margin == c.bound - c.measured
+            tol = slack.get(c.name, bounds.TOL.check_floor)
+            assert c.satisfied == (c.measured <= c.bound + tol)

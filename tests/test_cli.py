@@ -143,6 +143,25 @@ class TestProject:
                      str(samples), "--N", "16", "--W", "0.2")
         assert cp.returncode == 1
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "nan,1.0", "0.5,inf"])
+    def test_non_finite_samples_file(self, tmp_path, row):
+        samples = tmp_path / "bad.csv"
+        samples.write_text(f"x,f\n-1.0,0.0\n{row}\n1.0,1.0\n")
+        out = tmp_path / "proj.json"
+        cp = run_cli("project", "--target", "samples", "--samples-file",
+                     str(samples), "--N", "16", "--W", "0.2", "--out", str(out))
+        assert cp.returncode == 1
+        assert cp.stderr == "slepian: samples must be finite\n"
+        assert not out.exists()
+
+    def test_overflowing_weierstrass(self, tmp_path):
+        out = tmp_path / "proj.json"
+        cp = run_cli("project", "--target", "weierstrass", "--s", "0.01",
+                     "--N", "16", "--W", "0.2", "--out", str(out))
+        assert cp.returncode == 1
+        assert len(cp.stderr.splitlines()) == 1 and "overflow" in cp.stderr
+        assert not out.exists()
+
     def test_samples_projection(self, tmp_path):
         samples = tmp_path / "data.csv"
         rows = ["x,f"] + [f"{x},{x * x}" for x in
@@ -264,7 +283,8 @@ class TestConfigAndExitCodes:
         cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
         assert cp.returncode == 1
 
-    @pytest.mark.parametrize("key", ["nystrom_order", "projection_order"])
+    @pytest.mark.parametrize("key", ["nystrom_order", "projection_order",
+                                     "out_dir"])
     def test_order_keys_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 200\n")

@@ -9,8 +9,8 @@ from slepian import numkit
 from slepian.config import TOL
 from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_blocks,
-                            parity_vectors, snapped_floor, spectral_norm_sym,
-                            tridiag_parity_blocks)
+                            parity_vectors, sinc_kernel, snapped_floor,
+                            spectral_norm_sym, tridiag_parity_blocks)
 
 
 def _mp_gauss_node(n, i, steps=5):
@@ -269,6 +269,24 @@ class TestParitySplit:
         T = _persymmetric_tridiag(9, 3)
         for tri, dense in zip(tridiag_parity_blocks(T), parity_blocks(_dense(T))):
             assert np.max(np.abs(_dense(tri) - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
+class TestSincKernel:
+    def test_lag_vector_matches_closed_form(self):
+        W = 0.37
+        k = np.arange(1, 40)
+        row = sinc_kernel(2.0 * np.pi * W, np.arange(40), 2.0 * W)
+        assert row[0] == 2.0 * W
+        assert np.array_equal(row[1:], np.sin(2.0 * np.pi * W * k) / (np.pi * k))
+
+    def test_value_at_zero_is_the_callers(self):
+        # at W = 0.37, (2 pi W)/pi does not round to 2W, so the limit is passed in
+        c = 2.0 * np.pi * 0.37
+        assert c / np.pi != 0.74
+        d = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        K = sinc_kernel(c, d, 0.74)
+        assert np.array_equal(np.diag(K), [0.74, 0.74])
+        assert K[0, 1] == np.sin(c * 0.5) / (np.pi * 0.5) == K[1, 0]
 
 
 class TestSpectralNorm:
