@@ -8,7 +8,7 @@ approximation in the wave-function bases.
 
 from .approximation import (ProjectionResult, SobolevSpec, TestFunction,
                             dilated_gram, project_dilated, project_native,
-                            sobolev_norm, weierstrass)
+                            projection_sweep, sobolev_norm, weierstrass)
 from .bounds import (BoundCheck, BoundReport, SpectrumComparison,
                      asymptotic_decay_constants, comparison_constant,
                      compare_spectra, concentration_inequality_constant,

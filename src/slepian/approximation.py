@@ -17,6 +17,7 @@ well past that point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,7 +175,9 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
     (the even periodisation is continuous at the seam, so the derivative
     Parseval identity applies). Everything else goes through trapezoidal
     Fourier coefficients on a doubling grid; failure to stabilise to
-    1e-8 relative raises NumericalFailure.
+    1e-8 relative raises NumericalFailure, as does a cosine sum with a
+    frequency above the largest grid's Nyquist frequency (checked before any
+    grid is built).
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
@@ -194,9 +197,17 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
         return SobolevSpec(s=float(s), interval=interval,
                            norm=math.sqrt(norm_sq),
                            note="closed-form cosine-sum path")
+    grids = [2 ** m for m in range(8, 25)]
+    if f.cosine_terms is not None:
+        nyquist = math.pi * grids[-1] / (2.0 * T)
+        top = float(np.max(np.abs(f.cosine_terms[1]), initial=0.0))
+        if top > nyquist:
+            raise NumericalFailure(
+                f"cosine frequency {top:.3e} exceeds the Nyquist frequency "
+                f"{nyquist:.3e} of the largest grid ({grids[-1]} points); the "
+                f"H^{s} norm is not resolvable")
     prev = None
-    for m in range(8, 25):
-        G = 2 ** m
+    for G in grids:
         x = -T + 2.0 * T * np.arange(G) / G
         fx = np.asarray(f(x), dtype=complex)
         coeff = np.sqrt(2.0 * T) * np.fft.fft(fx) / G
@@ -244,22 +255,22 @@ def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
     return math.ceil(lo - 1e-12), N - 1
 
 
-def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                   s: float | None = None) -> ProjectionResult:
-    """Project f onto the first K native modes; residuals on [-W, W].
+def _check_truncation(spec: DiscreteSpectrum, K: int) -> None:
+    if not 1 <= K <= spec.N:
+        raise ValueError(f"K={K} outside [1, {spec.N}]")
 
-    Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
-    Gauss-Legendre of order >= 4N otherwise). When s is known and K falls in
-    the admissible range, the Sobolev approximation inequality
-    residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
-    is evaluated alongside.
+
+def _native_frame(f: TestFunction, spec: DiscreteSpectrum, s: float | None = None):
+    """Build everything of a native projection that does not depend on K and
+    return the per-K fit.
+
+    The frame holds beta_k = <f, U_k> on [-1/2, 1/2] for every mode, the band
+    residual data (closed-form cross terms and band Gram for cosine sums,
+    otherwise all modes and f on the band quadrature rule), all modes and f
+    on the sup grid, and the Sobolev norm, computed at the first K that needs
+    it.
     """
     N, W = spec.N, spec.W
-    if not 1 <= K <= N:
-        raise ValueError(f"K={K} outside [1, {N}]")
-    M = max(4 * N, 256)
-    rule_half = gauss_legendre(M).scaled(0.5)
-    rule_band = gauss_legendre(M).scaled(W)
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
         beta = _cosine_mode_integrals(amps, freqs, spec, 1.0, 0.5)
@@ -270,46 +281,132 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
         eps = np.where(n_idx % 2 == 0, 1.0 + 0.0j, 1.0j)
         band_gram = (np.outer(eps, np.conj(eps))
                      * (spec.dpss.T @ prolate_matrix(spec.params) @ spec.dpss))
-        b = beta[:K]
-        res_sq = (f_band_sq - 2.0 * np.real(np.conj(b) @ gamma[:K])
-                  + np.real(np.conj(b) @ band_gram[:K, :K] @ b))
-        residual_l2 = math.sqrt(max(res_sq, 0.0))
+
+        def residual_l2(K):
+            b = beta[:K]
+            res_sq = (f_band_sq - 2.0 * np.real(np.conj(b) @ gamma[:K])
+                      + np.real(np.conj(b) @ band_gram[:K, :K] @ b))
+            return math.sqrt(max(res_sq, 0.0))
     else:
+        rule = gauss_legendre(max(4 * N, 256))
+        rule_half, rule_band = rule.scaled(0.5), rule.scaled(W)
         U_half = dpswf_matrix(spec, rule_half.nodes)
         f_half = np.asarray(f(rule_half.nodes), dtype=complex)
         beta = (U_half.conj().T * rule_half.weights[None, :]) @ f_half
         f_half_sq = float(np.sum(rule_half.weights * np.abs(f_half) ** 2))
-        U_band = dpswf_matrix(spec, rule_band.nodes, np.arange(K))
+        U_band = dpswf_matrix(spec, rule_band.nodes)
         f_band = np.asarray(f(rule_band.nodes), dtype=complex)
-        r_band = f_band - U_band @ beta[:K]
-        residual_l2 = math.sqrt(abs(float(
-            np.sum(rule_band.weights * np.abs(r_band) ** 2))))
+
+        def residual_l2(K):
+            r_band = f_band - U_band[:, :K] @ beta[:K]
+            return math.sqrt(abs(float(
+                np.sum(rule_band.weights * np.abs(r_band) ** 2))))
     xs = _sup_grid(W)
-    p_sup = dpswf_matrix(spec, xs, np.arange(K)) @ beta[:K]
-    residual_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=complex) - p_sup)))
+    U_sup = dpswf_matrix(spec, xs)
+    f_sup = np.asarray(f(xs), dtype=complex)
 
     if s is None:
         s = f.params.get("s")
-    sobolev_rhs = sobolev_ok = None
-    note = ""
     if s is not None:
         k_lo, k_hi = sobolev_k_range(N, W)
-        if k_lo <= K <= k_hi and spec.params.bandwidth >= 1.0:
-            try:
-                hs = sobolev_norm(f, s, "native").norm
-                sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (s / 2.0) * hs
-                               + math.sqrt(max(float(spec.values[K]), 0.0))
-                               * math.sqrt(f_half_sq))
-                sobolev_ok = residual_l2 <= sobolev_rhs
-            except NumericalFailure as exc:
-                note = f"Sobolev norm unavailable: {exc}"
+
+    @functools.cache
+    def sobolev():
+        try:
+            return sobolev_norm(f, s, "native").norm, ""
+        except NumericalFailure as exc:
+            return None, f"Sobolev norm unavailable: {exc}"
+
+    def fit(K: int) -> ProjectionResult:
+        res_l2 = residual_l2(K)
+        residual_sup = float(np.max(np.abs(f_sup - U_sup[:, :K] @ beta[:K])))
+        sobolev_rhs = sobolev_ok = None
+        note = ""
+        if s is not None:
+            if k_lo <= K <= k_hi and spec.params.bandwidth >= 1.0:
+                hs, note = sobolev()
+                if hs is not None:
+                    sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (s / 2.0) * hs
+                                   + math.sqrt(max(float(spec.values[K]), 0.0))
+                                   * math.sqrt(f_half_sq))
+                    sobolev_ok = res_l2 <= sobolev_rhs
+            else:
+                note = f"K={K} outside the inequality range [{k_lo}, {k_hi}]"
+        return ProjectionResult(
+            K=K, interval="native", residual_l2=res_l2,
+            residual_sup=residual_sup, coefficients=beta[:K].copy(),
+            coefficient_indices=tuple(range(K)), sobolev_rhs=sobolev_rhs,
+            sobolev_ok=sobolev_ok, note=note)
+    return fit
+
+
+def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
+                   s: float | None = None) -> ProjectionResult:
+    """Project f onto the first K native modes; residuals on [-W, W].
+
+    Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
+    Gauss-Legendre of order >= 4N otherwise). When s is known and K falls in
+    the admissible range, the Sobolev approximation inequality
+    residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
+    is evaluated alongside.
+    """
+    _check_truncation(spec, K)
+    return _native_frame(f, spec, s)(K)
+
+
+def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
+                   lambda_floor: float | None = None):
+    """Build everything of a dilated projection that does not depend on K and
+    return the per-K fit.
+
+    The frame holds every mode U_k(W x) and f on the Gauss-Legendre rule of
+    [-1, 1] and on the sup grid, and the normalised-mode inner products of
+    every trusted mode. The fit selects the column prefix (or the modes above
+    ``lambda_floor``) and solves the weighted least-squares problem.
+    """
+    N, W = spec.N, spec.W
+    rule = gauss_legendre(max(4 * N, 256))
+    x, w = rule.nodes, rule.weights
+    sw = np.sqrt(w)
+    raw = dpswf_matrix(spec, W * x)                 # U_k(W x), every mode
+    A = raw * sw[:, None]
+    fx = np.asarray(f(x), dtype=complex)
+    rhs = fx * sw
+    xs = _sup_grid(1.0)
+    raw_sup = dpswf_matrix(spec, W * xs)
+    f_sup = np.asarray(f(xs), dtype=complex)
+    # normalised-mode coefficients, only where the eigenvalue is trustworthy
+    is_trusted = spec.values >= TOL.floor_untrusted
+    if f.cosine_terms is not None:
+        amps, freqs = f.cosine_terms
+        raw_ip = _cosine_mode_integrals(amps, freqs, spec, W, 1.0)
+    else:
+        raw_ip = (raw.conj().T * w[None, :]) @ fx
+    scale = np.sqrt(W) / np.sqrt(np.where(is_trusted, spec.values, 1.0))
+    normalised = raw_ip * scale
+
+    def fit(K: int) -> ProjectionResult:
+        if lambda_floor is None:
+            included, cols = list(range(K)), slice(0, K)
         else:
-            note = f"K={K} outside the inequality range [{k_lo}, {k_hi}]"
-    return ProjectionResult(
-        K=K, interval="native", residual_l2=residual_l2,
-        residual_sup=residual_sup, coefficients=beta[:K],
-        coefficient_indices=tuple(range(K)), sobolev_rhs=sobolev_rhs,
-        sobolev_ok=sobolev_ok, note=note)
+            included = [k for k in range(K) if spec.values[k] >= lambda_floor]
+            cols = np.array(included, dtype=int)
+        if not included:
+            raise IllConditionedError(
+                f"all {K} modes fall below the floor {lambda_floor:.1e}")
+        excluded = tuple(k for k in range(K) if k not in included)
+        coef, _, rank, _ = np.linalg.lstsq(A[:, cols], rhs, rcond=None)
+        r = fx - raw[:, cols] @ coef
+        residual_l2 = math.sqrt(abs(float(np.sum(w * np.abs(r) ** 2))))
+        residual_sup = float(np.max(np.abs(f_sup - raw_sup[:, cols] @ coef)))
+        trusted = [k for k in included if is_trusted[k]]
+        untrusted = tuple(k for k in included if not is_trusted[k])
+        return ProjectionResult(
+            K=K, interval="dilated", residual_l2=residual_l2,
+            residual_sup=residual_sup, coefficients=normalised[trusted],
+            coefficient_indices=tuple(trusted), excluded=excluded,
+            untrusted=untrusted, rank=int(rank), lambda_floor=lambda_floor)
+    return fit
 
 
 def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
@@ -326,47 +423,28 @@ def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
     given for modes above the trust floor 1e-13; deeper in-span modes are
     listed as untrusted.
     """
-    N, W = spec.N, spec.W
-    if not 1 <= K <= N:
-        raise ValueError(f"K={K} outside [1, {N}]")
-    if lambda_floor is None:
-        included = list(range(K))
-    else:
-        included = [k for k in range(K) if spec.values[k] >= lambda_floor]
-    excluded = tuple(k for k in range(K) if k not in included)
-    if not included:
-        raise IllConditionedError(
-            f"all {K} modes fall below the floor {lambda_floor:.1e}")
-    rule = gauss_legendre(max(4 * N, 256))
-    x, w = rule.nodes, rule.weights
-    sw = np.sqrt(w)
-    raw = dpswf_matrix(spec, W * x, np.array(included))     # U_k(W x)
-    A = raw * sw[:, None]
-    fx = np.asarray(f(x), dtype=complex)
-    coef, _, rank, _ = np.linalg.lstsq(A, fx * sw, rcond=None)
-    r = fx - raw @ coef
-    residual_l2 = math.sqrt(abs(float(np.sum(w * np.abs(r) ** 2))))
-    xs = _sup_grid(1.0)
-    raw_sup = dpswf_matrix(spec, W * xs, np.array(included))
-    residual_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=complex)
-                                       - raw_sup @ coef)))
-    # normalised-mode coefficients, only where the eigenvalue is trustworthy
-    trusted = [k for k in included if spec.values[k] >= TOL.floor_untrusted]
-    untrusted = tuple(k for k in included if k not in trusted)
-    if f.cosine_terms is not None:
-        amps, freqs = f.cosine_terms
-        raw_ip = _cosine_mode_integrals(amps, freqs, spec, W, 1.0)
-        raw_ip = raw_ip[trusted]
-    else:
-        raw_t = dpswf_matrix(spec, W * x, np.array(trusted, dtype=int))
-        raw_ip = (raw_t.conj().T * w[None, :]) @ fx
-    scale = np.sqrt(W) / np.sqrt(spec.values[trusted])
-    coefficients = raw_ip * scale
-    return ProjectionResult(
-        K=K, interval="dilated", residual_l2=residual_l2,
-        residual_sup=residual_sup, coefficients=coefficients,
-        coefficient_indices=tuple(trusted), excluded=excluded,
-        untrusted=untrusted, rank=int(rank), lambda_floor=lambda_floor)
+    _check_truncation(spec, K)
+    return _dilated_frame(f, spec, lambda_floor)(K)
+
+
+def projection_sweep(f: TestFunction, spec: DiscreteSpectrum, K: int,
+                     basis: str = "dilated", lambda_floor: float | None = None
+                     ) -> list[ProjectionResult]:
+    """Projections onto the first k modes for every k = 1..K.
+
+    Builds the K-independent frame once and fits each k on it; row k - 1
+    equals ``project_dilated(f, spec, k, lambda_floor)`` or
+    ``project_native(f, spec, k)``. ``lambda_floor`` applies to the dilated
+    basis only.
+    """
+    if basis not in INTERVALS:
+        raise ValueError(f"basis must be one of {tuple(INTERVALS)}, got {basis!r}")
+    if basis == "native" and lambda_floor is not None:
+        raise ValueError("lambda_floor applies to the dilated basis only")
+    _check_truncation(spec, K)
+    fit = (_dilated_frame(f, spec, lambda_floor) if basis == "dilated"
+           else _native_frame(f, spec))
+    return [fit(k) for k in range(1, K + 1)]
 
 
 def dilated_gram(spec: DiscreteSpectrum, modes) -> np.ndarray:

@@ -226,8 +226,7 @@ def asymptotic_decay_constants(W: float, eps: float) -> tuple[float, float]:
     return 2.0, c2
 
 
-def concentration_inequality_constant(W: float, n_list=(7, 9, 11),
-                                      spectra=None) -> dict:
+def concentration_inequality_constant(W: float, n_list=(7, 9, 11)) -> dict:
     """Lower estimate of the constant in the Turan-Nazarov concentration
     inequality for trigonometric polynomials, plus empirical values.
 
@@ -243,9 +242,7 @@ def concentration_inequality_constant(W: float, n_list=(7, 9, 11),
     for N in n_list:
         if N < 2:
             raise OutOfRangeError(f"N={N} must be >= 2")
-        lam = (spectra[N] if spectra is not None
-               else spectrum(DiscreteParams(N, W)).values)
-        last = lam[N - 1]
+        last = spectrum(DiscreteParams(N, W)).values[N - 1]
         if last >= TOL.floor_checks:
             per_n[N] = -math.log(last) / ((1.0 - 2.0 * W) * (N - 1.0))
     if not per_n:
@@ -403,7 +400,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             _le("trace_identity", "trace equals 2NW", pw,
                 abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), TOL.trace_rel),
             _le("symmetry_identity", "reflection identity between W and 1/2 - W",
-                pw, symmetry_defect(N, W, method=method), TOL.symmetry_identity),
+                pw, symmetry_defect(N, W, method, lam), TOL.symmetry_identity),
             _le("commutation", "commuting tridiagonal matrix", pw,
                 commutation_defect(disc.params), TOL.commutation),
             _le("double_orthogonality",

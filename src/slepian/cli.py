@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .approximation import TestFunction, project_dilated, project_native
+from .approximation import (TestFunction, project_dilated, project_native,
+                            projection_sweep)
 from .config import install_tolerances, load_config
 from .continuous import eigenspace_bound, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
@@ -177,9 +178,15 @@ def cmd_project(args, cfg) -> int:
             setattr(args, key, default)
     if args.K is None:
         args.K = args.N
+    if args.basis == "native" and args.lambda_floor is not None:
+        raise ValueError("--lambda-floor applies to the dilated basis only")
     f = _build_target(args)
     disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
-    if args.basis == "dilated":
+    if args.out:
+        # the JSON result is the sweep's last row
+        sweep = projection_sweep(f, disc, args.K, args.basis, args.lambda_floor)
+        result = sweep[-1]
+    elif args.basis == "dilated":
         result = project_dilated(f, disc, args.K, lambda_floor=args.lambda_floor)
     else:
         result = project_native(f, disc, args.K)
@@ -188,16 +195,11 @@ def cmd_project(args, cfg) -> int:
     payload["N"], payload["W"] = args.N, args.W
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.out:
-        sweep_path = str(Path(args.out).with_suffix(".csv"))
         lines = ["K,residual_l2,residual_sup"]
-        for K in range(1, args.K + 1):
-            if args.basis == "dilated":
-                rk = project_dilated(f, disc, K, lambda_floor=args.lambda_floor)
-            else:
-                rk = project_native(f, disc, K)
-            lines.append(f"{K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}")
-        Path(sweep_path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                    newline="")
+        lines += [f"{rk.K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}"
+                  for rk in sweep]
+        Path(args.out).with_suffix(".csv").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8", newline="")
     if (args.strict or cfg.strict) and args.preset == "example2" \
             and result.residual_sup > cfg.tolerances.example2_sup:
         sys.stderr.write(f"project: sup residual {result.residual_sup:.3e} "
@@ -302,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--basis", choices=("native", "dilated"), default=None)
     p.add_argument("--lambda-floor", type=float, default=None,
                    help="exclude modes with eigenvalue below this floor "
-                        "(default: keep all K modes)")
+                        "(dilated basis only; default: keep all K modes)")
     p.add_argument("--samples-file", default=None)
     p.set_defaults(func=cmd_project)
 

@@ -206,14 +206,17 @@ def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
     return float(spec.dpss[:, j] @ (rho @ spec.dpss[:, k]))
 
 
-def symmetry_defect(N: int, W: float, method: str = "tridiag") -> float:
+def symmetry_defect(N: int, W: float, method: str = "tridiag",
+                    values: np.ndarray | None = None) -> float:
     """Max defect of the reflection identity between spectra at W and 1/2 - W.
 
     The eigenvalues satisfy lambda_k(1/2 - W) = 1 - lambda_{N-1-k}(W).
+    ``values`` is the spectrum at (N, W) by ``method`` when already at hand.
     """
-    a = spectrum(DiscreteParams(N, W), method=method).values
+    if values is None:
+        values = spectrum(DiscreteParams(N, W), method=method).values
     b = spectrum(DiscreteParams(N, 0.5 - W), method=method).values
-    return float(np.max(np.abs(b - (1.0 - a[::-1]))))
+    return float(np.max(np.abs(b - (1.0 - values[::-1]))))
 
 
 def commutation_defect(params: DiscreteParams) -> float:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from slepian import approximation
 from slepian.approximation import (TestFunction, dilated_gram, project_dilated,
-                                   project_native, sobolev_norm, weierstrass,
-                                   weierstrass_terms)
+                                   project_native, projection_sweep,
+                                   sobolev_norm, weierstrass, weierstrass_terms)
 from slepian.discrete import dpswf_matrix
 from slepian.numkit import IllConditionedError, NumericalFailure, gauss_legendre
 
@@ -114,6 +115,22 @@ class TestSobolevNorm:
         with pytest.raises(NumericalFailure):
             sobolev_norm(f, 1.0, "native")
 
+    def test_unresolvable_cosine_sum_refused_before_any_grid(self):
+        # Weierstrass at s = 0.5 reaches 2^80, far above the Nyquist frequency
+        # of the largest grid; evaluating it there would take about 11 GB
+        amps, freqs = weierstrass_terms(0.5)
+        calls = []
+
+        def recording(x):
+            calls.append(np.shape(x))
+            raise AssertionError("the evaluator must not be called")
+
+        f = TestFunction(kind="weierstrass", params={"s": 0.5},
+                         evaluator=recording, cosine_terms=(amps, freqs))
+        with pytest.raises(NumericalFailure, match="Nyquist"):
+            sobolev_norm(f, 0.5, "native")
+        assert calls == []
+
     def test_closed_form_agrees_with_fft_on_resolvable_sum(self):
         terms = 10   # frequencies up to 2^9, resolvable on a modest grid
         amps = 2.0 ** -np.arange(terms)
@@ -199,6 +216,20 @@ class TestProjectNative:
             with pytest.raises(ValueError):
                 project_native(f, spec60_03, K)
 
+    def test_unresolvable_sobolev_norm_becomes_a_note(self, get_spectrum):
+        # the evaluator refuses the Sobolev grids; the sup grid has 2001 points
+        amps, freqs = weierstrass_terms(0.5)
+
+        def small_grids_only(x):
+            assert np.size(x) <= 2001, "Sobolev grid built"
+            return np.cos(np.multiply.outer(x, freqs)) @ amps
+
+        f = TestFunction(kind="weierstrass", params={"s": 0.5},
+                         evaluator=small_grids_only, cosine_terms=(amps, freqs))
+        result = project_native(f, get_spectrum(30, 0.2), 25)
+        assert result.sobolev_ok is None
+        assert result.note.startswith("Sobolev norm unavailable")
+
 
 class TestProjectDilated:
     def test_bandlimited_high_accuracy(self, spec60_03):
@@ -264,3 +295,79 @@ class TestDilatedGram:
         rule = gauss_legendre(512)
         l2_sq = float(np.sum(rule.weights * f(rule.nodes) ** 2))
         assert np.sum(np.abs(result.coefficients) ** 2) <= l2_sq + 1e-9
+
+
+def _sample_target():
+    x = np.linspace(-1.0, 1.0, 512)
+    return TestFunction.from_samples(x, np.cos(3.1 * x + 0.2)
+                                     + 0.4 * np.cos(17.3 * x) - 0.2 * x ** 2)
+
+
+SWEEP_CASES = {
+    "example2": (lambda: TestFunction.sinc_bandlimited(56.0), 60, "dilated", None),
+    "example3": (lambda: TestFunction.weierstrass(1.0), 36, "dilated", None),
+    "samples": (_sample_target, 30, "dilated", None),
+    "lambda_floor": (lambda: TestFunction.sinc_bandlimited(56.0), 60, "dilated",
+                     1e-10),
+    "native_cosine": (lambda: TestFunction.weierstrass(1.0), 60, "native", None),
+    "native_grid": (lambda: TestFunction.sinc_bandlimited(40.0), 60, "native",
+                    None),
+}
+
+
+class TestProjectionSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_rows_equal_standalone_projections(self, spec60_03, case):
+        make, K, basis, floor = SWEEP_CASES[case]
+        f = make()
+        sweep = projection_sweep(f, spec60_03, K, basis, floor)
+        assert [row.K for row in sweep] == list(range(1, K + 1))
+        for k, row in enumerate(sweep, start=1):
+            alone = (project_dilated(f, spec60_03, k, lambda_floor=floor)
+                     if basis == "dilated" else project_native(f, spec60_03, k))
+            assert row.residual_l2 == pytest.approx(alone.residual_l2, abs=1e-12)
+            assert row.residual_sup == pytest.approx(alone.residual_sup, abs=1e-12)
+            assert row.coefficient_indices == alone.coefficient_indices
+            assert np.max(np.abs(row.coefficients - alone.coefficients),
+                          initial=0.0) <= 1e-12
+            assert (row.rank, row.excluded, row.untrusted) == \
+                (alone.rank, alone.excluded, alone.untrusted)
+            assert (row.sobolev_ok, row.note) == (alone.sobolev_ok, alone.note)
+        if floor is not None:
+            assert sweep[-1].excluded
+
+    @pytest.mark.parametrize("basis", ["dilated", "native"])
+    def test_mode_evaluations_do_not_grow_with_k(self, spec60_03, monkeypatch,
+                                                 basis):
+        calls = []
+        real = approximation.dpswf_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(approximation, "dpswf_matrix", counting)
+        f = _sample_target()
+        projection_sweep(f, spec60_03, 60, basis)
+        n_full = len(calls)
+        calls.clear()
+        projection_sweep(f, spec60_03, 5, basis)
+        assert n_full == len(calls) <= 4
+
+    def test_rows_do_not_share_coefficients(self, spec60_03):
+        sweep = projection_sweep(TestFunction.weierstrass(1.0), spec60_03, 3,
+                                 "native")
+        sweep[-1].coefficients[0] = 0.0
+        assert sweep[0].coefficients[0] != 0.0
+
+    def test_invalid_arguments(self, spec60_03):
+        f = TestFunction.sinc_bandlimited(56.0)
+        for K in (0, 61):
+            with pytest.raises(ValueError):
+                projection_sweep(f, spec60_03, K)
+        with pytest.raises(ValueError):
+            projection_sweep(f, spec60_03, 10, "half")
+        with pytest.raises(ValueError, match="dilated basis only"):
+            projection_sweep(f, spec60_03, 10, "native", lambda_floor=1e-13)
+        with pytest.raises(IllConditionedError):
+            projection_sweep(f, spec60_03, 10, lambda_floor=2.0)

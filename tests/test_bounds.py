@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slepian import bounds, continuous
+from slepian import bounds, continuous, discrete
 from slepian.bounds import (BoundReport, IllConditionedFloor, OutOfRangeError,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
@@ -354,6 +354,22 @@ class TestVerifyAll:
         n_grid, w_grid = (30, 60), (0.1, 0.2)
         verify_all(n_grid, w_grid, (0.05,))
         assert len(calls) == len(n_grid) * len(w_grid)
+
+    def test_one_spectrum_per_grid_point_and_route(self, monkeypatch):
+        calls = []
+        real = discrete.spectrum
+
+        def counting(params, method="tridiag"):
+            calls.append((params.N, params.W, method))
+            return real(params, method)
+
+        monkeypatch.setattr(bounds, "spectrum", counting)
+        monkeypatch.setattr(discrete, "spectrum", counting)
+        verify_all((30,), (0.1,), (0.05,))
+        # the reflection identity adds only the spectrum at 1/2 - W
+        assert calls.count((30, 0.1, "tridiag")) == 1
+        assert calls.count((30, 0.1, "toeplitz")) == 1
+        assert calls.count((30, 0.5 - 0.1, "tridiag")) == 1
 
     def test_check_names_sorted(self, report):
         keys = [(c.name, json.dumps(c.params, sort_keys=True))

@@ -126,6 +126,36 @@ class TestProject:
         payload = json.loads(out.read_text())
         assert abs(payload["residual_l2"] - 2.43e-2) / 2.43e-2 <= 0.10
 
+    def test_sweep_csv_matches_standalone_projections(self, tmp_path,
+                                                      get_spectrum):
+        from slepian.approximation import TestFunction, project_dilated
+        out = tmp_path / "w1.json"
+        cp = run_cli("project", "--preset", "example3", "--K", "36",
+                     "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        header, rows = read_csv(tmp_path / "w1.csv")
+        assert header == ["K", "residual_l2", "residual_sup"]
+        assert [int(r[0]) for r in rows] == list(range(1, 37))
+        f, disc = TestFunction.weierstrass(1.0), get_spectrum(60, 0.3)
+        for K, l2, sup in rows:
+            alone = project_dilated(f, disc, int(K))
+            assert float(l2) == pytest.approx(alone.residual_l2, abs=1e-12)
+            assert float(sup) == pytest.approx(alone.residual_sup, abs=1e-12)
+        # the JSON result is the last sweep row, written with the same format
+        payload = json.loads(out.read_text())
+        assert rows[-1][1:] == [cli.fmt(payload["residual_l2"]),
+                                cli.fmt(payload["residual_sup"])]
+
+    def test_lambda_floor_rejected_on_native_basis(self, tmp_path):
+        out = tmp_path / "native.json"
+        cp = run_cli("project", "--target", "weierstrass", "--N", "16",
+                     "--W", "0.2", "--basis", "native", "--lambda-floor",
+                     "1e-13", "--out", str(out))
+        assert cp.returncode == 1
+        assert cp.stderr == ("slepian: --lambda-floor applies to the dilated "
+                             "basis only\n")
+        assert not out.exists()
+
     def test_native_basis_reports_sobolev_check(self, tmp_path):
         out = tmp_path / "native.json"
         cp = run_cli("project", "--target", "weierstrass", "--s", "1.0",

@@ -258,6 +258,21 @@ class TestSymmetry:
     def test_defect(self, N, W, method):
         assert symmetry_defect(N, W, method=method) <= 1e-10
 
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_values_at_hand_are_reused(self, monkeypatch, method):
+        values = spectrum(DiscreteParams(30, 0.2), method=method).values
+        expected = symmetry_defect(30, 0.2, method=method)
+        calls = []
+        real = discrete.spectrum
+
+        def counting(params, method="tridiag"):
+            calls.append((params.N, params.W, method))
+            return real(params, method)
+
+        monkeypatch.setattr(discrete, "spectrum", counting)
+        assert symmetry_defect(30, 0.2, method, values) == expected
+        assert calls == [(30, 0.5 - 0.2, method)]
+
 
 class TestCommutation:
     def test_scalar_commutes(self):
