@@ -1,9 +1,9 @@
 """Discrete prolate spheroidal sequences and wave functions.
 
 Spectra by two independent routes (Toeplitz eigendecomposition and Slepian's
-commuting tridiagonal matrix), sinc-kernel eigenvalues by the Nystrom method,
-machine verification of the closed-form bounds relating the two, and spectral
-approximation in the wave-function bases.
+commuting tridiagonal matrix), sinc-kernel eigenvalues by two routes (prolate
+operator and Nystrom), machine verification of the closed-form bounds relating
+the two, and spectral approximation in the wave-function bases.
 """
 
 from .approximation import (ProjectionResult, SobolevSpec, TestFunction,
@@ -22,7 +22,8 @@ from .config import (RunConfig, Tolerances, TOL, install_tolerances,
 from .continuous import (ContinuousSpectrum, PlungeIndex, default_order,
                          eigenspace_bound, hs_lower_bound, hs_norm_sq,
                          kernel_hs_distance, kernel_hs_distance_bound,
-                         nystrom_spectrum, plunge_index, projector_distance)
+                         legendre_spectrum, nystrom_spectrum, plunge_index,
+                         projector_distance)
 from .discrete import (DiscreteParams, DiscreteSpectrum, commutation_defect,
                        commuting_tridiagonal, concentration, dpswf,
                        dpswf_matrix, extend_dpss, prolate_matrix, spectrum,

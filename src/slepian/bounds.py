@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, DEFAULT_EPS_GRID, DEFAULT_N_GRID, DEFAULT_W_GRID
-from .continuous import (default_order, hs_lower_bound, hs_norm_sq,
-                         kernel_hs_distance, kernel_hs_distance_bound,
-                         nystrom_spectrum)
+from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
+                         kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, commutation_defect, prolate_matrix,
                        spectrum, symmetry_defect)
 
@@ -308,8 +307,7 @@ def compare_spectra(N: int, W: float, values: np.ndarray | None = None,
         values = spectrum(params).values
     c = params.bandwidth
     if cont_values is None:
-        cont_values = nystrom_spectrum(c, max(default_order(c), N + tail + 40),
-                                       check_convergence=False).values
+        cont_values = legendre_spectrum(c, N + tail)
     if len(cont_values) < N + tail:
         raise ValueError(f"need {N + tail} sinc-kernel eigenvalues, "
                          f"got {len(cont_values)}")
@@ -329,8 +327,7 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray | None = None,
         disc_values = spectrum(params).values
     c = params.bandwidth
     if cont_values is None:
-        cont_values = nystrom_spectrum(c, max(default_order(c), N + 10),
-                                       check_convergence=False).values
+        cont_values = legendre_spectrum(c, N)
     A = comparison_constant(W)
     return [_family("comparison_inequality",
                     "eigenvalue comparison with the sinc-kernel spectrum",
@@ -379,19 +376,19 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             raise ValueError(f"invalid eps={eps}")
 
     checks: list[BoundCheck] = []
-    # one Nystrom solve per (N, W), at an order covering every consumer; only
-    # the values are kept, keyed by the rounded bandwidth for the HS checks
+    # one sinc-kernel spectrum per (N, W), long enough for compare_spectra's
+    # default tail; keyed by the rounded bandwidth for the HS checks
     cont_by_c: dict[float, np.ndarray] = {}
     for N, W in grid:
         disc = spectrum(DiscreteParams(N, W), method=method)
         lam = disc.values
         pw = {"N": N, "W": W}
         c = disc.params.bandwidth
-        cont = nystrom_spectrum(c, max(default_order(c), N + 70),
-                                check_convergence=False).values
+        cont = legendre_spectrum(c, N + 30)
         cont_by_c[round(c, 12)] = cont
 
-        gram = disc.dpss.T @ (prolate_matrix(disc.params) @ disc.dpss)
+        rho = prolate_matrix(disc.params)
+        gram = disc.dpss.T @ (rho @ disc.dpss)
         other = spectrum(disc.params,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= TOL.floor_checks
@@ -402,7 +399,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             _le("symmetry_identity", "reflection identity between W and 1/2 - W",
                 pw, symmetry_defect(N, W, method, lam), TOL.symmetry_identity),
             _le("commutation", "commuting tridiagonal matrix", pw,
-                commutation_defect(disc.params), TOL.commutation),
+                commutation_defect(disc.params, rho), TOL.commutation),
             _le("double_orthogonality",
                 "double orthogonality of the wave functions", pw,
                 float(np.max(np.abs(gram - np.diag(np.diag(gram))))),

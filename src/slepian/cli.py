@@ -78,18 +78,13 @@ def cmd_eigs(args, cfg) -> int:
     disc = spectrum(params, method=args.method)
     lines = ["k,lambda_discrete,method,N,W"]
     if args.with_classical:
-        from .continuous import default_order, nystrom_spectrum
-        cont = nystrom_spectrum(params.bandwidth,
-                                max(default_order(params.bandwidth), args.N + 10),
-                                check_convergence=False)
+        from .continuous import legendre_spectrum
+        cont = legendre_spectrum(params.bandwidth, params.N)
         lines[0] += ",lambda_classical"
-        for k in range(params.N):
-            lines.append(f"{k},{fmt(disc.values[k])},{args.method},{args.N},"
-                         f"{fmt(args.W)},{fmt(cont.values[k])}")
-    else:
-        for k in range(params.N):
-            lines.append(f"{k},{fmt(disc.values[k])},{args.method},{args.N},"
-                         f"{fmt(args.W)}")
+    for k in range(params.N):
+        classical = f",{fmt(cont[k])}" if args.with_classical else ""
+        lines.append(f"{k},{fmt(disc.values[k])},{args.method},{args.N},"
+                     f"{fmt(args.W)}{classical}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -273,7 +268,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eigs", help="discrete spectrum as CSV")
     common(p, 60, 0.3)
     p.add_argument("--with-classical", action="store_true",
-                   help="add the sinc-kernel eigenvalues at c = pi N W")
+                   help="add the sinc-kernel eigenvalues at c = pi N W (Legendre route)")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("table1", help="l2 spectrum-comparison table for N=60")

@@ -1,9 +1,10 @@
-"""Sinc-kernel operator on an interval: Nystrom eigenvalues and related tools.
+"""Sinc-kernel operator on an interval: eigenvalues by two routes and
+related tools.
 
 The operator maps f to integral of sin(c(x-y))/(pi(x-y)) f(y) dy over the
-interval. Discretising on a Gauss-Legendre grid with the symmetric
-sqrt(w)-scaling gives a symmetric matrix whose eigenvalues approximate the
-operator's; accuracy is certified by recomputing at doubled order.
+interval. ``legendre_spectrum`` diagonalises the commuting prolate
+differential operator; ``nystrom_spectrum`` discretises the kernel on a
+Gauss-Legendre grid and is certified against the Legendre route.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .config import TOL
 from .discrete import DiscreteParams, dpswf_matrix, spectrum
 from .numkit import (IllConditionedError, NumericalFailure, QuadratureRule,
-                     eig_sym, gauss_legendre, parity_blocks, parity_vectors,
-                     sinc_kernel, snapped_floor)
+                     SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
+                     parity_blocks, parity_vectors, sinc_kernel, snapped_floor)
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,57 @@ def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.outer(sw, sw) * K
 
 
-def _nystrom_values(c: float, M: int, halfwidth: float):
-    """Eigen-decomposition of the sqrt(w)-scaled kernel matrix S by parity.
+def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
+    """Even and odd parity blocks of the prolate operator
+    -d/dx (1 - x^2) d/dx + c^2 x^2 in the normalised Legendre polynomials
+    sqrt(k + 1/2) P_k, k < M; the operator couples degree k to k +- 2 only."""
+    k = np.arange(M, dtype=float)
+    diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    k = k[:-2]
+    offdiag = (c * c * (k + 1) * (k + 2)
+               / ((2 * k + 3) * np.sqrt((2 * k + 1) * (2 * k + 5))))
+    return (SymTridiag(diagonal[0::2], offdiag[0::2]),
+            SymTridiag(diagonal[1::2], offdiag[1::2]))
 
-    The rule is mirror-symmetric, so S commutes with the index reversal J and
-    splits into even and odd blocks of half the size (``parity_blocks``).
-    Each block goes through ``eig_sym`` and its output contract; eigenvectors
-    of S are assembled as [u; +-Ju] / sqrt(2) (``parity_vectors``).
+
+def legendre_spectrum(c: float, count: int = 0) -> np.ndarray:
+    """Sinc-kernel eigenvalues mu_n on [-1, 1] in the order of the prolate
+    operator's eigenvalues chi_n: at least ``count``, and always enough to
+    match the trace 2c/pi to ``TOL.trace_continuous_rel``.
+
+    The operator's eigenfunctions psi_n (parity of n) are the kernel's. Each
+    parity block goes through ``eig_symtridiag`` on a basis grown until the
+    last two Legendre coefficients beta of every returned psi_n are below
+    machine epsilon. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n =
+    sqrt(2) beta_0 / psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0)
+    for odd n (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 2001).
     """
-    rule = gauss_legendre(M).scaled(halfwidth)
-    # S is dropped once split, which keeps it out of the solves' peak memory
-    even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
-    even_sys, odd_sys = eig_sym(even), eig_sym(odd)
-    del even, odd
-    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M)
-    values = np.concatenate([even_sys.values, odd_sys.values])
-    order = np.argsort(values, kind="stable")[::-1]
-    return values[order], vectors[:, order], rule
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+    # mu_n < 1e-17 beyond the plunge; psi_n needs degrees to ~max(n, c + 14 c^(1/3))
+    n = max(int(count), math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24)
+    M = max(n, math.ceil(c + 14.0 * c ** (1.0 / 3.0))) + 40
+    for _ in range(3):
+        blocks = _prolate_blocks(c, M)
+        # ascending chi; the even block holds n = 0, 2, ..., the odd n = 1, 3, ...
+        Ve, Vo = (eig_symtridiag(T).vectors[:, ::-1][:, :m]
+                  for T, m in zip(blocks, ((n + 1) // 2, n // 2)))
+        if max(np.max(np.abs(Ve[-2:])), np.max(np.abs(Vo[-2:]))) <= np.finfo(float).eps:
+            break
+        M *= 2
+    else:
+        raise NumericalFailure(f"Legendre expansion unresolved at c={c}, M={M}")
+    k = np.arange(0, M, 2)
+    p0 = np.cumprod(np.append(1.0, (1.0 - k[1:]) / k[1:]))   # P_k(0), k even
+    psi0 = (np.sqrt(k + 0.5) * p0)[:blocks[0].order] @ Ve
+    dpsi0 = ((k + 1) * np.sqrt(k + 1.5) * p0)[:blocks[1].order] @ Vo   # P'_{k+1}(0)
+    mu = np.empty(n)
+    mu[0::2] = c / math.pi * (Ve[0] / psi0) ** 2
+    mu[1::2] = c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2
+    defect = abs(mu.sum() - 2.0 * c / math.pi)
+    if defect > TOL.trace_continuous_rel * 2.0 * c / math.pi:
+        raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
+    return mu
 
 
 def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
@@ -87,9 +122,9 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     trace 2 c halfwidth / pi.
 
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
-    With ``check_convergence`` the spectrum is recomputed at order 2M and each
-    eigenvalue above 1e-12 must agree to 1e-10, otherwise the discretisation
-    is declared unconverged.
+    With ``check_convergence`` each eigenvalue above ``TOL.floor_checks`` must
+    agree with ``legendre_spectrum(c * halfwidth)`` to ``TOL.mesh_stability``,
+    otherwise the discretisation is declared unconverged.
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
@@ -100,41 +135,51 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
         M = min_order
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
-    values, vectors, rule = _nystrom_values(c, M, halfwidth)
+    rule = gauss_legendre(M).scaled(halfwidth)
+    # S is dropped once split, which keeps it out of the solves' peak memory
+    even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
+    even_sys, odd_sys = eig_sym(even), eig_sym(odd)
+    del even, odd
+    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M)
+    values = np.concatenate([even_sys.values, odd_sys.values])
+    order = np.argsort(values, kind="stable")[::-1]
+    values, vectors = values[order], vectors[:, order]
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
     if trace_defect > TOL.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
         raise NumericalFailure(
             f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
     if check_convergence:
-        refined, _, _ = _nystrom_values(c, 2 * M, halfwidth)
-        mask = values >= TOL.floor_checks
-        drift = np.max(np.abs(values[mask] - refined[:M][mask]),
-                       initial=0.0)
+        k = int(np.count_nonzero(values >= TOL.floor_checks))
+        reference = legendre_spectrum(c * halfwidth, k)
+        drift = np.max(np.abs(values[:k] - reference[:k]), initial=0.0)
         if drift > TOL.mesh_stability:
             raise NumericalFailure(
-                f"mesh refinement moved an eigenvalue by {drift:.3e} at c={c}; "
-                "increase the quadrature order")
+                f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
+                f"c={c}; increase the quadrature order")
     return ContinuousSpectrum(c=float(c), values=values,
                               grid_vectors=vectors, rule=rule,
                               order=M, halfwidth=float(halfwidth))
 
 
+def _lag_integral(kernel, length: float, c: float) -> float:
+    """Integral of kernel(x - y)^2 over [0, length]^2 for an even kernel, as
+    2 * integral_0^length (length - t) kernel(t)^2 dt; the rule resolves
+    kernel(t) ~ sin(2 c t / length)."""
+    rule = gauss_legendre(max(128, math.ceil(4.0 * c / math.pi) + 64))
+    t = length / 2.0 * (1.0 + rule.nodes)
+    return length * float(np.sum(rule.weights * (length - t) * kernel(t) ** 2))
+
+
 def hs_norm_sq(c: float, M: int | None = None,
                values: np.ndarray | None = None) -> float:
-    """Squared Hilbert-Schmidt norm of the sinc-kernel operator on [-1, 1].
-
-    Computed as the sum of squared Nystrom eigenvalues (``values``, when the
-    caller already holds an order-M spectrum at this c, else solved here) and
-    cross-checked against an independent two-dimensional quadrature of the
-    squared kernel on a staggered grid: sum_ij w_i w_j K_ij^2 is the squared
-    Frobenius norm of the scaled kernel matrix.
-    """
+    """Squared Hilbert-Schmidt norm of the sinc-kernel operator on [-1, 1]:
+    the sum of squared eigenvalues (``values`` at this c when at hand, else
+    ``legendre_spectrum(c, M)``), cross-checked against the lag integral of
+    the squared kernel (``_lag_integral``)."""
     if values is None:
-        values = nystrom_spectrum(c, M, check_convergence=False).values
+        values = legendre_spectrum(c, M or 0)
     value = float(np.sum(values ** 2))
-    check_rule = gauss_legendre(len(values) + 37)
-    S = _sinc_kernel_matrix(c, check_rule.nodes, check_rule.weights)
-    quad = float(np.vdot(S, S))
+    quad = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
     if not abs(value - quad) <= TOL.hs_cross_rel * max(abs(quad), 1e-300):
         raise NumericalFailure(
             f"HS norm cross-check failed at c={c}: {value} vs {quad}")
@@ -157,18 +202,13 @@ def kernel_hs_distance(N: int, W: float) -> float:
     """Hilbert-Schmidt distance on [-W, W]^2 between the Dirichlet kernel
     sin(pi N (x-y))/sin(pi (x-y)) and the sinc kernel with bandwidth pi N.
 
-    Evaluated by two-dimensional Gauss-Legendre quadrature; the integrand's
-    diagonal value is 0 (both kernels tend to N).
+    Both depend on x - y only: the squared distance is the lag integral of
+    sin(pi N t)^2 (1/sin(pi t) - 1/(pi t))^2 over [0, 2W] (``_lag_integral``).
     """
     N = DiscreteParams(N, W).N
-    cN = math.pi * N
-    rule = gauss_legendre(max(128, math.ceil(4 * N * W) + 64)).scaled(W)
-    x, w = rule.nodes, rule.weights
-    d = x[:, None] - x[None, :]
-    dirichlet = np.full_like(d, N)
-    np.divide(np.sin(cN * d), np.sin(np.pi * d), out=dirichlet, where=(d != 0))
-    diff = dirichlet - sinc_kernel(cN, d, N)
-    return float(math.sqrt(np.einsum("i,ij,j->", w, diff ** 2, w)))
+    return math.sqrt(_lag_integral(
+        lambda t: np.sin(np.pi * N * t) * (1.0 / np.sin(np.pi * t) - 1.0 / (np.pi * t)),
+        2.0 * W, np.pi * N * W))
 
 
 def kernel_hs_distance_bound(W: float) -> float:
@@ -184,6 +224,9 @@ def plunge_index(c: float, b: float) -> PlungeIndex:
     At this index the eigenvalue tends to 1/(1 + e^{pi b}) as c grows; b = 0
     gives the centre of the plunge region floor(2c/pi).
     """
+    for name, value in (("c", c), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not c > 1:
         raise ValueError(f"plunge index needs c > 1, got {c}")
     if b < 0:

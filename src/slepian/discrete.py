@@ -219,13 +219,17 @@ def symmetry_defect(N: int, W: float, method: str = "tridiag",
     return float(np.max(np.abs(b - (1.0 - values[::-1]))))
 
 
-def commutation_defect(params: DiscreteParams) -> float:
-    """Normalised Frobenius norm of the commutator of the two matrices."""
-    rho = prolate_matrix(params)
+def commutation_defect(params: DiscreteParams,
+                       rho: np.ndarray | None = None) -> float:
+    """Normalised Frobenius norm of the commutator of the two matrices;
+    ``rho`` is ``prolate_matrix(params)`` when already at hand."""
+    if rho is None:
+        rho = prolate_matrix(params)
     T = commuting_tridiagonal(params)
     X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
+    d, e = T.diagonal, T.offdiag
     return float(np.linalg.norm(X.T - X) /
-                 (1.0 + np.linalg.norm(rho) * np.linalg.norm(T.dense())))
+                 (1.0 + np.linalg.norm(rho) * math.sqrt(d @ d + 2.0 * (e @ e))))
 
 
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int,

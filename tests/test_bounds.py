@@ -15,7 +15,8 @@ from slepian.bounds import (BoundReport, IllConditionedFloor, OutOfRangeError,
                             plunge_decay_rate, plunge_mass,
                             superexponential_decay_bound, verify_all,
                             verify_comparison)
-from slepian.continuous import default_order, nystrom_spectrum
+from slepian.continuous import (default_order, legendre_spectrum,
+                                nystrom_spectrum)
 
 E = math.e
 PI = math.pi
@@ -278,14 +279,14 @@ class TestCompareSpectra:
         b = compare_spectra(60, 0.1, lam, tail=60)
         assert abs(a.l2_diff - b.l2_diff) <= 1e-12
 
-    def test_precomputed_continuous_values(self, get_spectrum, get_nystrom):
+    def test_precomputed_continuous_values(self, get_spectrum):
         lam = get_spectrum(60, 0.1).values
-        cont = get_nystrom(PI * 6.0, 130)
+        cont = legendre_spectrum(PI * 60 * 0.1, 90)
         a = compare_spectra(60, 0.1, lam)
-        b = compare_spectra(60, 0.1, lam, cont_values=cont.values)
+        b = compare_spectra(60, 0.1, lam, cont_values=cont)
         assert a.l2_diff == b.l2_diff
         with pytest.raises(ValueError):
-            compare_spectra(60, 0.1, lam, cont_values=cont.values[:89])
+            compare_spectra(60, 0.1, lam, cont_values=cont[:89])
 
 
 @pytest.fixture(scope="module")
@@ -342,18 +343,24 @@ class TestVerifyAll:
         payload["checks"][0]["satisfied"] = not payload["checks"][0]["satisfied"]
         assert self.digest(payload) != reference
 
-    def test_one_nystrom_solve_per_bandwidth(self, monkeypatch):
+    def test_no_nystrom_solve_and_one_legendre_spectrum_per_grid_point(
+            self, monkeypatch):
         calls = []
 
         def counting(c, *args, **kwargs):
-            calls.append(c)
-            return nystrom_spectrum(c, *args, **kwargs)
+            calls.append(round(c, 12))
+            return legendre_spectrum(c, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "nystrom_spectrum", counting)
-        monkeypatch.setattr(continuous, "nystrom_spectrum", counting)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_all made a Nystrom solve")
+
+        monkeypatch.setattr(bounds, "legendre_spectrum", counting)
+        monkeypatch.setattr(continuous, "legendre_spectrum", counting)
+        monkeypatch.setattr(continuous, "nystrom_spectrum", forbidden)
         n_grid, w_grid = (30, 60), (0.1, 0.2)
         verify_all(n_grid, w_grid, (0.05,))
-        assert len(calls) == len(n_grid) * len(w_grid)
+        expected = [round(PI * N * W, 12) for N in n_grid for W in w_grid]
+        assert sorted(calls) == sorted(expected)
 
     def test_one_spectrum_per_grid_point_and_route(self, monkeypatch):
         calls = []

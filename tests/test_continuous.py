@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from slepian.config import TOL
-from slepian.continuous import (_sinc_kernel_matrix, default_order,
+from slepian import continuous
+from slepian.config import TOL, Tolerances
+from slepian.continuous import (_lag_integral, _prolate_blocks,
+                                _sinc_kernel_matrix, default_order,
                                 eigenspace_bound, hs_lower_bound, hs_norm_sq,
                                 kernel_hs_distance, kernel_hs_distance_bound,
-                                nystrom_spectrum, plunge_index,
-                                projector_distance)
-from slepian.numkit import IllConditionedError, NumericalFailure
+                                legendre_spectrum, nystrom_spectrum,
+                                plunge_index, projector_distance)
+from slepian.numkit import (IllConditionedError, NumericalFailure,
+                            eig_symtridiag, gauss_legendre, sinc_kernel)
 
 
 class TestNystrom:
@@ -37,6 +40,14 @@ class TestNystrom:
 
     def test_convergence_check_runs(self):
         nystrom_spectrum(5.0, check_convergence=True)
+
+    def test_convergence_check_catches_a_mismatch(self, monkeypatch):
+        def shifted(c, count=0):
+            return legendre_spectrum(c, count) + 2 * TOL.mesh_stability
+
+        monkeypatch.setattr(continuous, "legendre_spectrum", shifted)
+        with pytest.raises(NumericalFailure, match="Legendre route"):
+            nystrom_spectrum(5.0, check_convergence=True)
 
     def test_order_below_default_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +88,145 @@ class TestNystrom:
         scaled = nystrom_spectrum(math.pi * N, M, halfwidth=W,
                                   check_convergence=False)
         assert np.max(np.abs(unit.values - scaled.values)) <= 1e-10
+
+
+def _mp_nystrom_oracle(c, M=40, dps=40):
+    """Sinc-kernel eigenvalues at ``dps`` digits: Nystrom on an M-point
+    Gauss-Legendre rule, split by parity on the positive nodes, so a
+    different method from the Legendre route. For c <= 10 the rule resolves
+    the eigenvalues used below far beyond double precision."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        c = mp.mpf(c)
+        nodes, weights = [], []
+        for x0 in np.polynomial.legendre.leggauss(M)[0][M // 2:]:
+            x = mp.mpf(float(x0))
+            for _ in range(50):
+                p, q = mp.legendre(M, x), mp.legendre(M - 1, x)
+                dp = M * (q - x * p) / (1 - x * x)
+                x -= p / dp
+                if abs(p / dp) < mp.mpf(10) ** (-dps - 5):
+                    break
+            dp = M * (mp.legendre(M - 1, x) - x * mp.legendre(M, x)) / (1 - x * x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp ** 2))
+
+        def kernel(t):
+            return c / mp.pi if t == 0 else mp.sin(c * t) / (mp.pi * t)
+
+        h = M // 2
+        parts = []
+        for sign in (1, -1):
+            A = mp.matrix(h, h)
+            for i in range(h):
+                for j in range(h):
+                    A[i, j] = mp.sqrt(weights[i] * weights[j]) * (
+                        kernel(nodes[i] - nodes[j]) + sign * kernel(nodes[i] + nodes[j]))
+            E = mp.eigsy(A, eigvals_only=True)
+            parts.append(sorted((E[i] for i in range(h)), reverse=True))
+        return [float(v) for pair in zip(*parts) for v in pair]
+
+
+class TestLegendreSpectrum:
+    @pytest.mark.parametrize("c", [2.0, 18.85, 94.25, 707.0, 1414.0])
+    def test_agrees_with_nystrom(self, get_nystrom, c):
+        ny = get_nystrom(c).values
+        k = int(np.count_nonzero(ny >= 1e-12))
+        mu = legendre_spectrum(c, k)
+        assert len(mu) >= k
+        # measured at most 3.8e-13 (c = 1414)
+        assert np.max(np.abs(mu[:k] - ny[:k])) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-3, 2.0, 94.25, 707.0])
+    @pytest.mark.parametrize("count", [0, 40, 600])
+    def test_count_and_trace(self, c, count):
+        mu = legendre_spectrum(c, count)
+        assert len(mu) >= count
+        trace = 2 * c / math.pi
+        assert abs(mu.sum() - trace) <= TOL.trace_continuous_rel * trace
+        assert (mu >= 0).all()
+
+    # scipy's pro_cv aborts the process at c = 400 (scipy 1.17.1), so the
+    # comparison stays at c <= 200, where it was measured to run
+    @pytest.mark.parametrize("c", [2.0, 18.85, 94.25])
+    def test_operator_eigenvalues_match_pro_cv(self, c):
+        special = pytest.importorskip("scipy.special")
+        even, odd = (eig_symtridiag(T).values[::-1]
+                     for T in _prolate_blocks(c, 200))
+        chi = np.ravel(np.column_stack([even[:20], odd[:20]]))
+        ref = np.array([special.pro_cv(0, n, c) for n in range(40)])
+        assert np.max(np.abs(chi - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+    def test_mpmath_oracle(self, c):
+        # Relative accuracy is claimed down to 1e-15 only: the eigenvector
+        # entry beta_0 carries an absolute error near 1e-17, so below that
+        # the values keep an absolute accuracy of about c * 1e-32 (measured
+        # at c = 10: 1e-11 relative at mu_18 = 7.7e-17, 5e-6 at 3.9e-24)
+        ref = np.array(_mp_nystrom_oracle(c))
+        mu = legendre_spectrum(c, len(ref))[:len(ref)]
+        mask = ref >= 1e-15
+        assert mask.sum() >= 6 and (~mask).sum() >= 10
+        assert np.max(np.abs(mu[mask] - ref[mask]) / ref[mask]) <= 1e-12
+        assert np.max(np.abs(mu[~mask] - ref[~mask])) <= 1e-29
+
+    def test_short_basis_is_enlarged(self, monkeypatch):
+        sizes = []
+        real = continuous._prolate_blocks
+
+        def short_first(c, M):
+            sizes.append(M)
+            return real(c, M if len(sizes) > 1 else M // 8)
+
+        monkeypatch.setattr(continuous, "_prolate_blocks", short_first)
+        mu = legendre_spectrum(94.25, 120)
+        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
+        monkeypatch.undo()
+        assert np.max(np.abs(mu - legendre_spectrum(94.25, 120))) <= 1e-13
+
+    def test_trace_defect_raises(self, monkeypatch):
+        monkeypatch.setattr(continuous, "TOL",
+                            Tolerances(trace_continuous_rel=1e-300))
+        with pytest.raises(NumericalFailure, match="trace defect"):
+            legendre_spectrum(18.85)
+
+    @pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
+    def test_invalid_bandwidth(self, c):
+        with pytest.raises(ValueError):
+            legendre_spectrum(c)
+
+
+class TestLagIntegrals:
+    @pytest.mark.parametrize("c", [1e-3, 2.0, 18.85, 94.25, 707.0])
+    def test_hs_lag_integral_matches_two_dimensional_quadrature(self, c):
+        rule = gauss_legendre(default_order(c) + 37)
+        S = _sinc_kernel_matrix(c, rule.nodes, rule.weights)
+        two_d = float(np.vdot(S, S))
+        one_d = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
+        assert one_d == pytest.approx(two_d, rel=1e-13)
+
+    @staticmethod
+    def two_d_distance(N, W):
+        rule = gauss_legendre(max(128, math.ceil(4 * N * W) + 64)).scaled(W)
+        x, w = rule.nodes, rule.weights
+        d = x[:, None] - x[None, :]
+        dirichlet = np.full_like(d, N)
+        np.divide(np.sin(np.pi * N * d), np.sin(np.pi * d), out=dirichlet,
+                  where=(d != 0))
+        diff = dirichlet - sinc_kernel(np.pi * N, d, N)
+        return math.sqrt(np.einsum("i,ij,j->", w, diff ** 2, w))
+
+    @pytest.mark.parametrize("N,W", [(60, 0.1), (60, 0.3), (30, 0.4),
+                                     (60, 0.4), (500, 0.45)])
+    def test_kernel_distance_matches_two_dimensional_quadrature(self, N, W):
+        assert kernel_hs_distance(N, W) == pytest.approx(
+            self.two_d_distance(N, W), rel=1e-14)
+
+    def test_kernel_distance_at_small_band(self):
+        # 1/sin(pi t) - 1/(pi t) cancels for small t: against a 30-digit
+        # mpmath quadrature the lag integral is 8.7e-12 off at W = 1e-3
+        assert kernel_hs_distance(10, 1e-3) == pytest.approx(
+            3.3965720962501456e-08, rel=1e-10)
 
 
 class TestHsNorm:
@@ -147,6 +297,12 @@ class TestPlungeIndex:
             plunge_index(0.5, 0.0)
         with pytest.raises(ValueError):
             plunge_index(10.0, -1.0)
+
+    @pytest.mark.parametrize("c,b,name", [(math.nan, 0.0, "c"), (math.inf, 0.0, "c"),
+                                          (10.0, math.nan, "b"), (10.0, math.inf, "b")])
+    def test_non_finite_rejected(self, c, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            plunge_index(c, b)
 
 
 class TestProjectorDistance:

@@ -296,6 +296,17 @@ class TestCommutation:
         assert dense > 1e-4
         assert commutation_defect(params) == pytest.approx(dense, rel=1e-12)
 
+    def test_reuses_prolate_matrix_at_hand(self, monkeypatch):
+        params = DiscreteParams(40, 0.3)
+        rho = prolate_matrix(params)
+        expected = commutation_defect(params)
+
+        def forbidden(p):
+            raise AssertionError("prolate_matrix rebuilt")
+
+        monkeypatch.setattr(discrete, "prolate_matrix", forbidden)
+        assert commutation_defect(params, rho) == expected
+
 
 class TestExtend:
     def test_scalar_case(self):
