@@ -7,11 +7,12 @@ the two, and spectral approximation in the wave-function bases.
 """
 
 from .approximation import (ProjectionResult, SobolevSpec, TestFunction,
-                            dilated_gram, project_dilated, project_native,
-                            projection_sweep, sobolev_norm, weierstrass)
-from .bounds import (BoundCheck, BoundReport, SpectrumComparison,
-                     asymptotic_decay_constants, comparison_constant,
-                     compare_spectra, concentration_inequality_constant,
+                            project_dilated, project_native, projection_sweep,
+                            sobolev_norm, weierstrass)
+from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
+                     SpectrumComparison, asymptotic_decay_constants,
+                     comparison_constant, compare_spectra,
+                     concentration_inequality_constant,
                      eigenvalue_tail_bound, plunge_count_bound,
                      plunge_count_bound_coarse, plunge_count_estimate,
                      plunge_decay_rate, plunge_mass,
@@ -30,8 +31,6 @@ from .discrete import (DiscreteParams, DiscreteSpectrum, commutation_defect,
                        symmetry_defect)
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
                      QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
-                     gauss_legendre, snapped_floor, spectral_norm_sym)
-
-__version__ = "0.1.0"
+                     gauss_legendre, snapped_floor)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

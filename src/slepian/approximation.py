@@ -28,6 +28,7 @@ from .discrete import DiscreteSpectrum, dpswf_matrix, prolate_matrix
 from .numkit import IllConditionedError, NumericalFailure, gauss_legendre, snapped_floor
 
 INTERVALS = {"native": 0.5, "dilated": 1.0}
+WEIERSTRASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ class TestFunction:
                    evaluator=lambda x: np.sinc(alpha * x / np.pi))
 
     @classmethod
-    def weierstrass(cls, s: float, tol: float = 1e-12) -> "TestFunction":
-        """Truncated Weierstrass sum cos(2^k x) / 2^(k s), tail below 2*tol."""
-        amps, freqs = weierstrass_terms(s, tol)
-        return cls(kind="weierstrass", params={"s": float(s), "tol": float(tol)},
+    def weierstrass(cls, s: float) -> "TestFunction":
+        """Truncated Weierstrass sum cos(2^k x) / 2^(k s) (``weierstrass_terms``)."""
+        amps, freqs = weierstrass_terms(s)
+        return cls(kind="weierstrass", params={"s": float(s)},
                    evaluator=lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
                    cosine_terms=(amps, freqs))
 
@@ -81,26 +82,28 @@ class TestFunction:
                    evaluator=lambda t: np.interp(t, x, y))
 
     @classmethod
-    def from_callable(cls, fn, name: str = "callable", **params) -> "TestFunction":
-        return cls(kind=name, params=params, evaluator=fn)
+    def from_callable(cls, fn) -> "TestFunction":
+        return cls(kind="callable", params={}, evaluator=fn)
 
 
-def weierstrass_terms(s: float, tol: float = 1e-12):
+def weierstrass_terms(s: float):
+    """(amplitudes 2^(-k s), frequencies 2^k) for k <= K_s, where K_s is
+    minimal with 2^(-K_s s) <= WEIERSTRASS_TOL."""
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     n_terms = 0
-    while 2.0 ** (-n_terms * s) > tol:
+    while 2.0 ** (-n_terms * s) > WEIERSTRASS_TOL:
         n_terms += 1
         if n_terms > 1023:
             raise ValueError(f"s={s} needs frequencies beyond 2^1023 to reach "
-                             f"tol={tol}; they overflow double precision")
+                             f"tol={WEIERSTRASS_TOL}; they overflow double precision")
     k = np.arange(n_terms + 1)
     return 2.0 ** (-k * s), 2.0 ** k
 
 
 def weierstrass(s: float, x) -> np.ndarray | float:
     """Truncated Weierstrass function sum_k cos(2^k x)/2^(k s), k <= K_s,
-    where K_s is minimal with 2^(-K_s s) <= 1e-12."""
+    where K_s is minimal with 2^(-K_s s) <= WEIERSTRASS_TOL."""
     values = TestFunction.weierstrass(s)(x)
     return float(values) if np.isscalar(x) else values
 
@@ -175,9 +178,10 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
     (the even periodisation is continuous at the seam, so the derivative
     Parseval identity applies). Everything else goes through trapezoidal
     Fourier coefficients on a doubling grid; failure to stabilise to
-    1e-8 relative raises NumericalFailure, as does a cosine sum with a
-    frequency above the largest grid's Nyquist frequency (checked before any
-    grid is built).
+    1e-8 relative raises NumericalFailure. So does, before any grid is built,
+    a cosine sum with a frequency above the largest grid's Nyquist frequency,
+    or one whose periodisation has a derivative jump at the seam when
+    s >= 3/2: there the norm diverges.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
@@ -199,8 +203,15 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
                            note="closed-form cosine-sum path")
     grids = [2 ** m for m in range(8, 25)]
     if f.cosine_terms is not None:
+        amps, freqs = f.cosine_terms
+        slopes = amps * freqs
+        jump = 2.0 * float(np.sum(slopes * np.sin(freqs * T)))
+        if s >= 1.5 and abs(jump) > TOL.sobolev_rel * float(np.sum(np.abs(slopes))):
+            raise NumericalFailure(
+                f"the periodised derivative jumps by {jump:.3e} at x = +-{T}; "
+                f"the H^{s} norm diverges for s >= 3/2")
         nyquist = math.pi * grids[-1] / (2.0 * T)
-        top = float(np.max(np.abs(f.cosine_terms[1]), initial=0.0))
+        top = float(np.max(np.abs(freqs), initial=0.0))
         if top > nyquist:
             raise NumericalFailure(
                 f"cosine frequency {top:.3e} exceeds the Nyquist frequency "
@@ -244,8 +255,8 @@ class ProjectionResult:
     note: str = ""
 
 
-def _sup_grid(T: float, n: int = 2001) -> np.ndarray:
-    return np.linspace(-T, T, n)
+def _sup_grid(T: float) -> np.ndarray:
+    return np.linspace(-T, T, 2001)
 
 
 def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
@@ -260,7 +271,7 @@ def _check_truncation(spec: DiscreteSpectrum, K: int) -> None:
         raise ValueError(f"K={K} outside [1, {spec.N}]")
 
 
-def _native_frame(f: TestFunction, spec: DiscreteSpectrum, s: float | None = None):
+def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     """Build everything of a native projection that does not depend on K and
     return the per-K fit.
 
@@ -305,8 +316,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum, s: float | None = Non
     U_sup = dpswf_matrix(spec, xs)
     f_sup = np.asarray(f(xs), dtype=complex)
 
-    if s is None:
-        s = f.params.get("s")
+    s = f.params.get("s")
     if s is not None:
         k_lo, k_hi = sobolev_k_range(N, W)
 
@@ -340,22 +350,22 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum, s: float | None = Non
     return fit
 
 
-def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                   s: float | None = None) -> ProjectionResult:
+def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int) -> ProjectionResult:
     """Project f onto the first K native modes; residuals on [-W, W].
 
     Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
-    Gauss-Legendre of order >= 4N otherwise). When s is known and K falls in
-    the admissible range, the Sobolev approximation inequality
+    Gauss-Legendre of order >= 4N otherwise). When f has a smoothness
+    ``f.params["s"]`` and K falls in the admissible range, the Sobolev
+    approximation inequality
     residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
     is evaluated alongside.
     """
     _check_truncation(spec, K)
-    return _native_frame(f, spec, s)(K)
+    return _native_frame(f, spec)(K)
 
 
 def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
-                   lambda_floor: float | None = None):
+                   lambda_floor: float | None):
     """Build everything of a dilated projection that does not depend on K and
     return the per-K fit.
 
@@ -446,12 +456,3 @@ def projection_sweep(f: TestFunction, spec: DiscreteSpectrum, K: int,
            else _native_frame(f, spec))
     return [fit(k) for k in range(1, K + 1)]
 
-
-def dilated_gram(spec: DiscreteSpectrum, modes) -> np.ndarray:
-    """Quadrature Gram matrix of the normalised dilated modes on [-1, 1]."""
-    modes = np.asarray(modes, dtype=int)
-    N, W = spec.N, spec.W
-    rule = gauss_legendre(max(4 * N, 256))
-    U = dpswf_matrix(spec, W * rule.nodes, modes)
-    U = U * np.sqrt(W) / np.sqrt(spec.values[modes])[None, :]
-    return (U.conj().T * rule.weights[None, :]) @ U

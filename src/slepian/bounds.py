@@ -25,6 +25,9 @@ from .discrete import (DiscreteParams, commutation_defect, prolate_matrix,
 
 VERSION = "0.1.0"
 
+# sinc-kernel eigenvalues past N that the l2 spectrum comparison includes
+COMPARISON_TAIL = 30
+
 E = math.e
 PI = math.pi
 
@@ -85,14 +88,14 @@ class BoundReport:
         return all(c.satisfied for c in self.checks
                    if not c.informational and not c.skipped)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "version": self.version,
             "tolerances": self.tolerances,
             "pass": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "BoundReport":
@@ -257,20 +260,19 @@ def concentration_inequality_constant(W: float, n_list=(7, 9, 11)) -> dict:
     }
 
 
-def plunge_mass(N: int, W: float, values: np.ndarray | None = None
-                ) -> tuple[float, float]:
-    """(measured, bound) for sum_k lambda_k (1 - lambda_k).
+def plunge_mass(N: int, W: float, values: np.ndarray) -> tuple[float, float]:
+    """(measured, bound) for sum_k lambda_k (1 - lambda_k) over the spectrum
+    ``values`` of (N, W).
 
     The bound is log(2NW)/pi^2 + 0.45 - (2/3) W^2 + (W^2/(6 c^2)) sin^2(2c).
     """
-    if values is None:
-        values = spectrum(DiscreteParams(N, W)).values
     return float(np.sum(values * (1.0 - values))), _plunge_mass_bound(N, W)
 
 
-def plunge_decay_rate(N: int, W: float, values: np.ndarray | None = None) -> float:
+def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     """Largest eta with lambda_n <= 2 exp(-eta (n - 2NW)/(log(pi N W) + 5))
-    over the plunge-adjacent range 2NW + log(pi N W) + 6 <= n <= pi N W.
+    over the plunge-adjacent range 2NW + log(pi N W) + 6 <= n <= pi N W of
+    the spectrum ``values`` of (N, W).
 
     Raises OutOfRangeError when the range is empty or contains no eigenvalue
     above the 1e-12 floor (informational skip).
@@ -280,8 +282,6 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray | None = None) -> flo
     hi = min(c, N - 1)
     if lo > hi:
         raise OutOfRangeError(f"empty plunge-decay range for (N, W)=({N}, {W})")
-    if values is None:
-        values = spectrum(DiscreteParams(N, W)).values
     candidates = [n for n in range(math.ceil(lo), math.floor(hi) + 1)
                   if values[n] >= TOL.floor_checks]
     if not candidates:
@@ -294,40 +294,27 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray | None = None) -> flo
     return float(min(etas))
 
 
-def compare_spectra(N: int, W: float, values: np.ndarray | None = None,
-                    tail: int = 30, cont_values: np.ndarray | None = None
-                    ) -> SpectrumComparison:
-    """l2 distance between discrete eigenvalues (zero-padded past N) and the
-    first N + tail sinc-kernel eigenvalues at c = pi N W, with its bound.
-
-    ``cont_values`` are precomputed sinc-kernel eigenvalues at that c; at
-    least N + tail of them are needed."""
+def compare_spectra(N: int, W: float, values: np.ndarray,
+                    cont_values: np.ndarray) -> SpectrumComparison:
+    """l2 distance between the discrete eigenvalues ``values`` of (N, W),
+    zero-padded past N, and the first N + COMPARISON_TAIL sinc-kernel
+    eigenvalues ``cont_values`` at c = pi N W, with its bound."""
     params = DiscreteParams(N, W)
-    if values is None:
-        values = spectrum(params).values
-    c = params.bandwidth
-    if cont_values is None:
-        cont_values = legendre_spectrum(c, N + tail)
-    if len(cont_values) < N + tail:
-        raise ValueError(f"need {N + tail} sinc-kernel eigenvalues, "
+    n = N + COMPARISON_TAIL
+    if len(cont_values) < n:
+        raise ValueError(f"need {n} sinc-kernel eigenvalues, "
                          f"got {len(cont_values)}")
-    padded = np.zeros(N + tail)
+    padded = np.zeros(n)
     padded[:N] = values
-    diff = float(np.linalg.norm(padded - cont_values[:N + tail]))
-    return SpectrumComparison(N=N, W=W, c=c, l2_diff=diff,
-                              bound=kernel_hs_distance_bound(W),
-                              tail_index=N + tail)
+    diff = float(np.linalg.norm(padded - cont_values[:n]))
+    return SpectrumComparison(N=N, W=W, c=params.bandwidth, l2_diff=diff,
+                              bound=kernel_hs_distance_bound(W), tail_index=n)
 
 
-def verify_comparison(N: int, W: float, disc_values: np.ndarray | None = None,
-                      cont_values: np.ndarray | None = None) -> list[BoundCheck]:
-    """Per-eigenvalue checks lambda_k <= A(W) lambda_k(c) + 1e-12."""
-    params = DiscreteParams(N, W)
-    if disc_values is None:
-        disc_values = spectrum(params).values
-    c = params.bandwidth
-    if cont_values is None:
-        cont_values = legendre_spectrum(c, N)
+def verify_comparison(N: int, W: float, disc_values: np.ndarray,
+                      cont_values: np.ndarray) -> list[BoundCheck]:
+    """Per-eigenvalue checks lambda_k <= A(W) lambda_k(c) + 1e-12 between the
+    discrete eigenvalues of (N, W) and the sinc-kernel ones at c = pi N W."""
     A = comparison_constant(W)
     return [_family("comparison_inequality",
                     "eigenvalue comparison with the sinc-kernel spectrum",
@@ -376,15 +363,15 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             raise ValueError(f"invalid eps={eps}")
 
     checks: list[BoundCheck] = []
-    # one sinc-kernel spectrum per (N, W), long enough for compare_spectra's
-    # default tail; keyed by the rounded bandwidth for the HS checks
+    # one sinc-kernel spectrum per (N, W), long enough for compare_spectra;
+    # keyed by the rounded bandwidth for the HS checks
     cont_by_c: dict[float, np.ndarray] = {}
     for N, W in grid:
         disc = spectrum(DiscreteParams(N, W), method=method)
         lam = disc.values
         pw = {"N": N, "W": W}
         c = disc.params.bandwidth
-        cont = legendre_spectrum(c, N + 30)
+        cont = legendre_spectrum(c, N + COMPARISON_TAIL)
         cont_by_c[round(c, 12)] = cont
 
         rho = prolate_matrix(disc.params)
@@ -392,12 +379,12 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         other = spectrum(disc.params,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= TOL.floor_checks
-        cmp_ = compare_spectra(N, W, lam, cont_values=cont)
+        cmp_ = compare_spectra(N, W, lam, cont)
         checks += [
             _le("trace_identity", "trace equals 2NW", pw,
                 abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), TOL.trace_rel),
             _le("symmetry_identity", "reflection identity between W and 1/2 - W",
-                pw, symmetry_defect(N, W, method, lam), TOL.symmetry_identity),
+                pw, symmetry_defect(disc), TOL.symmetry_identity),
             _le("commutation", "commuting tridiagonal matrix", pw,
                 commutation_defect(disc.params, rho), TOL.commutation),
             _le("double_orthogonality",
@@ -473,7 +460,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
 
     # continuous-side HS lower bound at the grid bandwidths
     for c, cont in sorted(cont_by_c.items()):
-        hs = hs_norm_sq(c, values=cont)
+        hs = hs_norm_sq(c, cont)
         lb = hs_lower_bound(c)
         checks.append(BoundCheck(
             name="hs_norm_lower_bound",

@@ -2,10 +2,10 @@
 
 Subcommands: eigs, table1, bounds, project, count, symmetry,
 projector-distance, turan. Exit codes: 0 success, 1 usage or validation
-error, 2 numerical failure, 3 verification failure under --strict. Output
-files are byte-deterministic for fixed inputs and version: floats are
-written in scientific notation with 17 significant digits and JSON keys are
-sorted.
+error, 2 numerical failure, 3 verification failure under --strict. Floats
+are written in scientific notation with 17 significant digits and JSON keys
+are sorted, so output files are byte-deterministic for fixed inputs, version
+and BLAS thread count; the last digits can change with the thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import bounds as bnd
 from .approximation import (TestFunction, project_dilated, project_native,
                             projection_sweep)
 from .config import install_tolerances, load_config
-from .continuous import eigenspace_bound, projector_distance
+from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
 from .numkit import NumericalFailure
 
@@ -78,7 +78,6 @@ def cmd_eigs(args, cfg) -> int:
     disc = spectrum(params, method=args.method)
     lines = ["k,lambda_discrete,method,N,W"]
     if args.with_classical:
-        from .continuous import legendre_spectrum
         cont = legendre_spectrum(params.bandwidth, params.N)
         lines[0] += ",lambda_classical"
     for k in range(params.N):
@@ -93,7 +92,10 @@ def cmd_table1(args, cfg) -> int:
     lines = ["W,c,l2_diff"]
     worst_rel = 0.0
     for W in TABLE1_W:
-        cmp_ = bnd.compare_spectra(TABLE1_N, W)
+        params = DiscreteParams(TABLE1_N, W)
+        cmp_ = bnd.compare_spectra(
+            TABLE1_N, W, spectrum(params).values,
+            legendre_spectrum(params.bandwidth, TABLE1_N + bnd.COMPARISON_TAIL))
         lines.append(f"{fmt(W)},{fmt(cmp_.c)},{fmt(cmp_.l2_diff)}")
         worst_rel = max(worst_rel,
                         abs(cmp_.l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
@@ -221,14 +223,15 @@ def cmd_count(args, cfg) -> int:
 
 
 def cmd_symmetry(args, cfg) -> int:
-    defect = symmetry_defect(args.N, args.W, method=args.method)
+    defect = symmetry_defect(
+        spectrum(DiscreteParams(args.N, args.W), method=args.method))
     _write_text(args.out, f"symmetry_defect={fmt(defect)}\n")
     return EXIT_OK
 
 
 def cmd_projector_distance(args, cfg) -> int:
     disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
-    distance = projector_distance(args.N, args.W, args.K, disc=disc)
+    distance = projector_distance(disc, args.K)
     lines = [f"distance={fmt(distance)}"]
     if args.b is not None:
         bound, condition_ok = eigenspace_bound(args.N, args.W, args.b)

@@ -29,7 +29,6 @@ class Tolerances:
     double_orthogonality: float = 1e-10
     symmetry_identity: float = 1e-10
     commutation: float = 1e-12
-    periodicity: float = 1e-12
     # eigenvalue floors
     floor_untrusted: float = 1e-13
     floor_checks: float = 1e-12
@@ -43,11 +42,7 @@ class Tolerances:
     # approximation experiments
     table1_rel: float = 0.02
     example2_sup: float = 1e-8
-    example3_rel: float = 0.10
     sobolev_rel: float = 1e-8
-    parseval_slack: float = 1e-10
-    gram_identity: float = 1e-9
-    monotonicity_slack: float = 1e-12
 
 
 DEFAULT_N_GRID = (30, 60)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .discrete import DiscreteParams, dpswf_matrix, spectrum
+from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, QuadratureRule,
                      SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
                      parity_blocks, parity_vectors, sinc_kernel, snapped_floor)
@@ -71,7 +71,7 @@ def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
             SymTridiag(diagonal[1::2], offdiag[1::2]))
 
 
-def legendre_spectrum(c: float, count: int = 0) -> np.ndarray:
+def legendre_spectrum(c: float, count: int) -> np.ndarray:
     """Sinc-kernel eigenvalues mu_n on [-1, 1] in the order of the prolate
     operator's eigenvalues chi_n: at least ``count``, and always enough to
     match the trace 2c/pi to ``TOL.trace_continuous_rel``.
@@ -123,7 +123,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
 
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
     With ``check_convergence`` each eigenvalue above ``TOL.floor_checks`` must
-    agree with ``legendre_spectrum(c * halfwidth)`` to ``TOL.mesh_stability``,
+    agree with ``legendre_spectrum`` at c * halfwidth to ``TOL.mesh_stability``,
     otherwise the discretisation is declared unconverged.
     """
     if not (c > 0 and math.isfinite(c)):
@@ -170,14 +170,11 @@ def _lag_integral(kernel, length: float, c: float) -> float:
     return length * float(np.sum(rule.weights * (length - t) * kernel(t) ** 2))
 
 
-def hs_norm_sq(c: float, M: int | None = None,
-               values: np.ndarray | None = None) -> float:
+def hs_norm_sq(c: float, values: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm of the sinc-kernel operator on [-1, 1]:
-    the sum of squared eigenvalues (``values`` at this c when at hand, else
-    ``legendre_spectrum(c, M)``), cross-checked against the lag integral of
-    the squared kernel (``_lag_integral``)."""
-    if values is None:
-        values = legendre_spectrum(c, M or 0)
+    the sum of the squared eigenvalues ``values`` at this c (as from
+    ``legendre_spectrum``), cross-checked against the lag integral of the
+    squared kernel (``_lag_integral``)."""
     value = float(np.sum(values ** 2))
     quad = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
     if not abs(value - quad) <= TOL.hs_cross_rel * max(abs(quad), 1e-300):
@@ -259,19 +256,17 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     return bound, condition_ok
 
 
-def projector_distance(N: int, W: float, K: int, disc=None) -> float:
+def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     """Spectral-norm distance between two rank-K spectral projectors.
 
     On a shared Gauss-Legendre grid over [-1, 1]: the projector onto the
     first K Nystrom eigenvectors of the sinc kernel at c = pi N W, versus the
     projector onto the span of the first K dilated wave functions
-    sqrt(W) U_k(W x) / sqrt(lambda_k). Quadrature weighting makes the discrete
-    norm approximate the L2 operator norm.
+    sqrt(W) U_k(W x) / sqrt(lambda_k) of the spectrum ``disc`` of (N, W).
+    Quadrature weighting makes the discrete norm approximate the L2 operator
+    norm.
     """
-    if disc is None:
-        disc = spectrum(DiscreteParams(N, W))
-    N = disc.N
-    W = disc.W
+    N, W = disc.N, disc.W
     if not 0 <= K <= N:
         raise ValueError(f"K must lie in [0, {N}], got {K}")
     if K == 0:

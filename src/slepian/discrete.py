@@ -166,7 +166,7 @@ def _validate(params: DiscreteParams, values: np.ndarray,
 
 
 def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
-                 k: np.ndarray | slice | None = None) -> np.ndarray:
+                 k: np.ndarray | None = None) -> np.ndarray:
     """Evaluate wave functions on points ``x``; column j is mode k[j].
 
     U_k(x) = eps_k * sum_n v_n^(k) exp(-i pi (N-1-2n) x) with eps_k = 1 for
@@ -175,8 +175,6 @@ def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
     N = spec.N
     if k is None:
         k = np.arange(N)
-    elif isinstance(k, slice):
-        k = np.arange(N)[k]
     else:
         k = np.atleast_1d(np.asarray(k, dtype=int))
     n = np.arange(N)
@@ -206,25 +204,19 @@ def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
     return float(spec.dpss[:, j] @ (rho @ spec.dpss[:, k]))
 
 
-def symmetry_defect(N: int, W: float, method: str = "tridiag",
-                    values: np.ndarray | None = None) -> float:
+def symmetry_defect(spec: DiscreteSpectrum) -> float:
     """Max defect of the reflection identity between spectra at W and 1/2 - W.
 
-    The eigenvalues satisfy lambda_k(1/2 - W) = 1 - lambda_{N-1-k}(W).
-    ``values`` is the spectrum at (N, W) by ``method`` when already at hand.
+    The eigenvalues satisfy lambda_k(1/2 - W) = 1 - lambda_{N-1-k}(W); the
+    spectrum at 1/2 - W is computed by ``spec.method``.
     """
-    if values is None:
-        values = spectrum(DiscreteParams(N, W), method=method).values
-    b = spectrum(DiscreteParams(N, 0.5 - W), method=method).values
-    return float(np.max(np.abs(b - (1.0 - values[::-1]))))
+    b = spectrum(DiscreteParams(spec.N, 0.5 - spec.W), method=spec.method).values
+    return float(np.max(np.abs(b - (1.0 - spec.values[::-1]))))
 
 
-def commutation_defect(params: DiscreteParams,
-                       rho: np.ndarray | None = None) -> float:
+def commutation_defect(params: DiscreteParams, rho: np.ndarray) -> float:
     """Normalised Frobenius norm of the commutator of the two matrices;
-    ``rho`` is ``prolate_matrix(params)`` when already at hand."""
-    if rho is None:
-        rho = prolate_matrix(params)
+    ``rho`` is ``prolate_matrix(params)``."""
     T = commuting_tridiagonal(params)
     X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
     d, e = T.diagonal, T.offdiag
@@ -232,23 +224,20 @@ def commutation_defect(params: DiscreteParams,
                  (1.0 + np.linalg.norm(rho) * math.sqrt(d @ d + 2.0 * (e @ e))))
 
 
-def extend_dpss(spec: DiscreteSpectrum, k: int, n: int,
-                tail_floor: float | None = None) -> float:
+def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     """Value of the k-th sequence at an arbitrary integer index.
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
-    it outside. Requires values[k] >= tail_floor: division by a smaller
-    eigenvalue amplifies double-precision noise beyond usefulness. The floor
-    defaults to ``TOL.tail_floor`` as it stands at call time.
+    it outside. Requires values[k] >= ``TOL.tail_floor``: division by a
+    smaller eigenvalue amplifies double-precision noise beyond usefulness.
     """
-    tail_floor = TOL.tail_floor if tail_floor is None else tail_floor
     N, W = spec.N, spec.W
     if not 0 <= k <= N - 1:
         raise ValueError(f"mode index k={k} outside [0, {N - 1}]")
     lam = spec.values[k]
-    if not lam >= tail_floor:
+    if not lam >= TOL.tail_floor:
         raise IllConditionedError(
-            f"eigenvalue {lam:.3e} below extension floor {tail_floor:.1e}")
+            f"eigenvalue {lam:.3e} below extension floor {TOL.tail_floor:.1e}")
     kernel = sinc_kernel(2.0 * np.pi * W, n - np.arange(N), 2.0 * W)
     return float(kernel @ spec.dpss[:, k] / lam)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -42,9 +42,9 @@ class QuadratureRule:
     def order(self) -> int:
         return len(self.nodes)
 
-    def scaled(self, halfwidth: float, center: float = 0.0) -> "QuadratureRule":
-        """Rule for the interval [center - halfwidth, center + halfwidth]."""
-        return QuadratureRule(center + halfwidth * self.nodes, halfwidth * self.weights)
+    def scaled(self, halfwidth: float) -> "QuadratureRule":
+        """Rule for the interval [-halfwidth, halfwidth]."""
+        return QuadratureRule(halfwidth * self.nodes, halfwidth * self.weights)
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,11 @@ class SymTridiag:
 class EigenSystem:
     """Full spectral decomposition, eigenvalues descending.
 
-    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``;
-    ``residual_bound`` is the measured max column residual |A v - lambda v|.
+    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    method: str = "eigh"
-    residual_bound: float = field(default=0.0)
 
 
 def check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -99,8 +96,8 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _validated_system(apply, values: np.ndarray, vectors: np.ndarray,
-                      method: str) -> EigenSystem:
+def _validated_system(apply, values: np.ndarray, vectors: np.ndarray
+                      ) -> EigenSystem:
     """Sort descending and check the contract; ``apply(V)`` computes A @ V."""
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
@@ -116,8 +113,7 @@ def _validated_system(apply, values: np.ndarray, vectors: np.ndarray,
     if resid > TOL.eigen_residual * scale:
         raise NumericalFailure(
             f"eigen residual {resid:.3e} exceeds {TOL.eigen_residual:.1e} * |A|")
-    return EigenSystem(values=values, vectors=vectors, method=method,
-                       residual_bound=float(resid))
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def eig_sym(A: np.ndarray) -> EigenSystem:
@@ -127,7 +123,7 @@ def eig_sym(A: np.ndarray) -> EigenSystem:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return _validated_system(A.__matmul__, values, vectors, "eigh")
+    return _validated_system(A.__matmul__, values, vectors)
 
 
 def eig_symtridiag(T: SymTridiag) -> EigenSystem:
@@ -136,7 +132,7 @@ def eig_symtridiag(T: SymTridiag) -> EigenSystem:
         values, vectors = eigh_tridiagonal(T.diagonal, T.offdiag)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _validated_system(T.apply, values, vectors, "tridiag")
+    return _validated_system(T.apply, values, vectors)
 
 
 def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,16 +189,6 @@ def sinc_kernel(c: float, d: np.ndarray, at_zero: float) -> np.ndarray:
     out = np.full(np.shape(d), at_zero, dtype=float)
     np.divide(np.sin(c * d), np.pi * d, out=out, where=(d != 0))
     return out
-
-
-def spectral_norm_sym(A: np.ndarray) -> float:
-    """Largest |eigenvalue| of a symmetric matrix."""
-    A = check_symmetric(A)
-    try:
-        values = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return float(np.max(np.abs(values)))
 
 
 _NEWTON_MAX_STEPS = 20
@@ -274,13 +260,13 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return rule
 
 
-def snapped_floor(x: float, snap: float = 1e-9) -> int:
-    """floor(x), treating values within ``snap`` of an integer as exact.
+def snapped_floor(x: float) -> int:
+    """floor(x), treating values within 1e-9 of an integer as exact.
 
     Products such as 2*N*W evaluate to e.g. 35.99999999999999 in double
     precision when the intended value is 36; a plain floor would be off by one.
     """
     r = round(x)
-    if abs(x - r) <= snap:
+    if abs(x - r) <= 1e-9:
         return int(r)
     return int(np.floor(x))

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from slepian.approximation import TestFunction, project_dilated, project_native
-from slepian.bounds import (OutOfRangeError, compare_spectra,
-                            comparison_constant,
+from slepian.bounds import (COMPARISON_TAIL, OutOfRangeError,
+                            compare_spectra, comparison_constant,
                             concentration_inequality_constant,
                             eigenvalue_tail_bound, plunge_count_bound,
                             plunge_count_bound_coarse, plunge_decay_rate,
                             superexponential_decay_bound)
 from slepian.continuous import (default_order, hs_lower_bound, hs_norm_sq,
-                                nystrom_spectrum)
+                                legendre_spectrum, nystrom_spectrum)
 from slepian.discrete import (DiscreteParams, commutation_defect,
                               dpswf_matrix, prolate_matrix, spectrum,
                               symmetry_defect)
@@ -48,7 +48,8 @@ def table1_results():
     results = {}
     for W in GRID_W:
         disc = spectrum(DiscreteParams(60, W), method="toeplitz")
-        results[W] = compare_spectra(60, W, disc.values)
+        cont = legendre_spectrum(disc.params.bandwidth, 60 + COMPARISON_TAIL)
+        results[W] = compare_spectra(60, W, disc.values, cont)
     return results, time.perf_counter() - start
 
 
@@ -149,12 +150,13 @@ def test_criterion_06_identities(get_spectrum):
     for N in GRID_N:
         for W in GRID_W:
             disc = get_spectrum(N, W)
+            rho = prolate_matrix(disc.params)
             worst["trace"] = max(worst["trace"],
                                  abs(disc.values.sum() - 2 * N * W) / (2 * N * W))
-            worst["symmetry"] = max(worst["symmetry"], symmetry_defect(N, W))
+            worst["symmetry"] = max(worst["symmetry"], symmetry_defect(disc))
             worst["commutation"] = max(worst["commutation"],
-                                       commutation_defect(disc.params))
-            gram = disc.dpss.T @ prolate_matrix(disc.params) @ disc.dpss
+                                       commutation_defect(disc.params, rho))
+            gram = disc.dpss.T @ rho @ disc.dpss
             off = gram - np.diag(np.diag(gram))
             worst["orthogonality"] = max(worst["orthogonality"],
                                          float(np.max(np.abs(off))))
@@ -184,7 +186,7 @@ def test_criterion_07_continuous_side():
         mask = cont.values >= FLOOR
         worst_drift = max(worst_drift, float(np.max(
             np.abs(cont.values[mask] - refined.values[:M][mask]))))
-        hs_ok &= hs_norm_sq(c) >= hs_lower_bound(c)
+        hs_ok &= hs_norm_sq(c, legendre_spectrum(c, 0)) >= hs_lower_bound(c)
     ok = worst_trace <= 1e-9 and hs_ok and worst_drift <= 1e-10
     report(7, ok, f"trace defect {worst_trace:.2e} (limit 1e-9), HS lower "
                   f"bound holds at all five bandwidths ({hs_ok}), mesh-doubling "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slepian import approximation
-from slepian.approximation import (TestFunction, dilated_gram, project_dilated,
+from slepian.approximation import (TestFunction, project_dilated,
                                    project_native, projection_sweep,
                                    sobolev_norm, weierstrass, weierstrass_terms)
 from slepian.discrete import dpswf_matrix
@@ -130,6 +130,31 @@ class TestSobolevNorm:
         with pytest.raises(NumericalFailure, match="Nyquist"):
             sobolev_norm(f, 0.5, "native")
         assert calls == []
+
+    def test_divergent_cosine_sum_refused_before_any_grid(self):
+        # the even periodisation is continuous, but its derivative jumps by
+        # 2 sum a_j w_j sin(w_j / 2) = 2.2 at the seam: H^2 diverges
+        amps, freqs = weierstrass_terms(2.0)
+        calls = []
+
+        def recording(x):
+            calls.append(np.shape(x))
+            raise AssertionError("the evaluator must not be called")
+
+        f = TestFunction(kind="weierstrass", params={"s": 2.0},
+                         evaluator=recording, cosine_terms=(amps, freqs))
+        with pytest.raises(NumericalFailure, match="jumps by 2.204e"):
+            sobolev_norm(f, 2.0, "native")
+        assert sobolev_norm(f, 1.0, "native").norm > 0   # closed form, s < 3/2
+        assert calls == []
+
+    def test_lattice_cosine_has_no_seam_jump(self):
+        # cos(2 pi x) is periodic on [-1/2, 1/2]: (1/4 + 1/4) (1 + 1)^2
+        f = TestFunction(kind="cosine", params={},
+                         evaluator=lambda x: np.cos(2 * np.pi * x),
+                         cosine_terms=(np.array([1.0]), np.array([2 * np.pi])))
+        assert sobolev_norm(f, 2.0, "native").norm == pytest.approx(
+            math.sqrt(2.0), rel=1e-10)
 
     def test_closed_form_agrees_with_fft_on_resolvable_sum(self):
         terms = 10   # frequencies up to 2^9, resolvable on a modest grid
@@ -284,8 +309,12 @@ class TestProjectDilated:
 
 class TestDilatedGram:
     def test_orthonormal_for_resolvable_modes(self, spec60_03):
+        # Gram matrix of the normalised modes sqrt(W) U_k(W x) / sqrt(lambda_k)
         modes = [k for k in range(60) if spec60_03.values[k] >= 1e-7]
-        G = dilated_gram(spec60_03, modes)
+        rule = gauss_legendre(256)
+        U = dpswf_matrix(spec60_03, 0.3 * rule.nodes, np.array(modes))
+        U = U * np.sqrt(0.3) / np.sqrt(spec60_03.values[modes])[None, :]
+        G = (U.conj().T * rule.weights[None, :]) @ U
         assert np.max(np.abs(G - np.eye(len(modes)))) <= 1e-9
 
     def test_parseval_on_projection(self, spec60_03):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from slepian import bounds, continuous, discrete
-from slepian.bounds import (BoundReport, IllConditionedFloor, OutOfRangeError,
+from slepian.bounds import (COMPARISON_TAIL, BoundReport, IllConditionedFloor,
+                            OutOfRangeError,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
                             concentration_inequality_constant, decay_formula,
@@ -180,7 +181,7 @@ class TestDecayBound:
 
 class TestPlungeMass:
     def test_scalar_case(self):
-        measured, _ = plunge_mass(1, 0.2, values=np.array([0.4]))
+        measured, _ = plunge_mass(1, 0.2, np.array([0.4]))
         assert measured == pytest.approx(0.24, abs=1e-15)
 
     @pytest.mark.parametrize("N,W", [(30, 0.1), (60, 0.3), (120, 0.4)])
@@ -189,7 +190,7 @@ class TestPlungeMass:
         assert 0.0 <= measured <= bound
 
     def test_reference_bound_value(self):
-        _, bound = plunge_mass(60, 0.3, values=np.zeros(60))
+        _, bound = plunge_mass(60, 0.3, np.zeros(60))
         assert bound == pytest.approx(0.7530863804491068, rel=1e-10)
 
 
@@ -200,7 +201,7 @@ class TestPlungeDecayRate:
 
     def test_empty_range_raises(self):
         with pytest.raises(OutOfRangeError):
-            plunge_decay_rate(10, 0.1)
+            plunge_decay_rate(10, 0.1, np.zeros(10))
 
     def test_stability_across_lengths(self, get_spectrum):
         etas = [plunge_decay_rate(N, 0.2, get_spectrum(N, 0.2).values)
@@ -262,31 +263,38 @@ class TestConcentrationConstant:
 class TestCompareSpectra:
     TABLE = {0.1: 4.15e-3, 0.2: 1.65e-2, 0.3: 3.98e-2, 0.4: 8.51e-2}
 
+    @staticmethod
+    def cont(N, W, count=None):
+        return legendre_spectrum(PI * N * W, count or N + COMPARISON_TAIL)
+
     @pytest.mark.parametrize("W", [0.1, 0.2, 0.3, 0.4])
     def test_reproduces_reference_table(self, get_spectrum, W):
-        cmp_ = compare_spectra(60, W, get_spectrum(60, W, "toeplitz").values)
+        cmp_ = compare_spectra(60, W, get_spectrum(60, W, "toeplitz").values,
+                               self.cont(60, W))
         assert abs(cmp_.l2_diff - self.TABLE[W]) / self.TABLE[W] <= 0.02
         assert cmp_.satisfied
 
     def test_bound_value(self, get_spectrum):
-        cmp_ = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values)
+        cmp_ = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values,
+                               self.cont(60, 0.1))
         assert cmp_.bound == pytest.approx(0.0223882, rel=1e-5)
         assert cmp_.l2_diff <= cmp_.bound
 
     def test_tail_extension_invariance(self, get_spectrum):
+        # the sinc-kernel values past N + COMPARISON_TAIL change nothing
         lam = get_spectrum(60, 0.1).values
-        a = compare_spectra(60, 0.1, lam, tail=30)
-        b = compare_spectra(60, 0.1, lam, tail=60)
-        assert abs(a.l2_diff - b.l2_diff) <= 1e-12
+        cont = self.cont(60, 0.1, 120)
+        a = compare_spectra(60, 0.1, lam, cont)
+        b = float(np.linalg.norm(np.append(lam, np.zeros(60)) - cont[:120]))
+        assert a.tail_index == 90
+        assert abs(a.l2_diff - b) <= 1e-12
 
     def test_precomputed_continuous_values(self, get_spectrum):
         lam = get_spectrum(60, 0.1).values
-        cont = legendre_spectrum(PI * 60 * 0.1, 90)
-        a = compare_spectra(60, 0.1, lam)
-        b = compare_spectra(60, 0.1, lam, cont_values=cont)
-        assert a.l2_diff == b.l2_diff
-        with pytest.raises(ValueError):
-            compare_spectra(60, 0.1, lam, cont_values=cont[:89])
+        cont = self.cont(60, 0.1)
+        assert len(cont) >= 90
+        with pytest.raises(ValueError, match="need 90"):
+            compare_spectra(60, 0.1, lam, cont[:89])
 
 
 @pytest.fixture(scope="module")

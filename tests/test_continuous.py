@@ -188,12 +188,12 @@ class TestLegendreSpectrum:
         monkeypatch.setattr(continuous, "TOL",
                             Tolerances(trace_continuous_rel=1e-300))
         with pytest.raises(NumericalFailure, match="trace defect"):
-            legendre_spectrum(18.85)
+            legendre_spectrum(18.85, 0)
 
     @pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
     def test_invalid_bandwidth(self, c):
         with pytest.raises(ValueError):
-            legendre_spectrum(c)
+            legendre_spectrum(c, 0)
 
 
 class TestLagIntegrals:
@@ -229,28 +229,32 @@ class TestLagIntegrals:
             3.3965720962501456e-08, rel=1e-10)
 
 
+def _hs_norm_sq(c):
+    return hs_norm_sq(c, legendre_spectrum(c, 0))
+
+
 class TestHsNorm:
     def test_rank_one_limit(self):
         c = 1e-3
-        value = hs_norm_sq(c)
+        value = _hs_norm_sq(c)
         leading = (2 * c / math.pi) ** 2
         assert abs(value - leading) <= 1e-6 * leading
 
     @pytest.mark.parametrize("c", [5.0, 18.85, 37.7, 56.55, 75.4])
     def test_lower_bound(self, c):
-        assert hs_norm_sq(c) >= hs_lower_bound(c)
+        assert _hs_norm_sq(c) >= hs_lower_bound(c)
 
     def test_sum_matches_eigenvalues(self, get_nystrom):
         cont = get_nystrom(18.85)
-        assert hs_norm_sq(18.85) == pytest.approx(
+        assert _hs_norm_sq(18.85) == pytest.approx(
             float(np.sum(cont.values ** 2)), rel=1e-10)
 
     def test_precomputed_values_are_cross_checked(self, get_nystrom):
         cont = get_nystrom(18.85, 130)
-        assert hs_norm_sq(18.85, values=cont.values) == pytest.approx(
-            hs_norm_sq(18.85), rel=1e-12)
+        assert hs_norm_sq(18.85, cont.values) == pytest.approx(
+            _hs_norm_sq(18.85), rel=1e-12)
         with pytest.raises(NumericalFailure):
-            hs_norm_sq(18.85, values=1.01 * cont.values)
+            hs_norm_sq(18.85, 1.01 * cont.values)
 
 
 class TestKernelDistance:
@@ -306,30 +310,30 @@ class TestPlungeIndex:
 
 
 class TestProjectorDistance:
-    def test_rank_zero(self):
-        assert projector_distance(20, 0.1, 0) == 0.0
+    def test_rank_zero(self, get_spectrum):
+        assert projector_distance(get_spectrum(20, 0.1), 0) == 0.0
 
     def test_top_eigenspaces_close(self, get_spectrum):
         disc = get_spectrum(60, 0.1)
-        d = projector_distance(60, 0.1, 6, disc=disc)
+        d = projector_distance(disc, 6)
         assert d <= 0.05
 
     @pytest.mark.parametrize("K", [1, 4, 9, 12])
     def test_distance_in_unit_interval(self, get_spectrum, K):
         disc = get_spectrum(60, 0.1)
-        d = projector_distance(60, 0.1, K, disc=disc)
+        d = projector_distance(disc, K)
         assert -1e-12 <= d <= 1.0 + 1e-10
 
     def test_unresolvable_rank_rejected(self, get_spectrum):
         disc = get_spectrum(60, 0.1)
         assert disc.values[39] < 1e-13
         with pytest.raises(IllConditionedError):
-            projector_distance(60, 0.1, 40, disc=disc)
+            projector_distance(disc, 40)
 
     def test_rank_bounds(self, get_spectrum):
         disc = get_spectrum(60, 0.1)
         with pytest.raises(ValueError):
-            projector_distance(60, 0.1, 61, disc=disc)
+            projector_distance(disc, 61)
 
 
 class TestEigenspaceBound:

@@ -175,7 +175,7 @@ class TestRandomisedSweep:
     def test_moderate_scale(self):
         disc = spectrum(DiscreteParams(512, 0.25))
         assert abs(disc.values.sum() - 256.0) / 256.0 <= 1e-11
-        assert symmetry_defect(512, 0.25) <= 1e-10
+        assert symmetry_defect(disc) <= 1e-10
 
     @pytest.mark.parametrize("W", [1e-6, 0.499999])
     def test_extreme_bandwidths(self, W):
@@ -247,7 +247,7 @@ class TestConcentration:
 
 class TestSymmetry:
     def test_scalar(self):
-        assert symmetry_defect(1, 0.2) <= 1e-16
+        assert symmetry_defect(spectrum(DiscreteParams(1, 0.2))) <= 1e-16
 
     def test_self_dual_quarter(self, get_spectrum):
         disc = get_spectrum(60, 0.25)
@@ -255,13 +255,13 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("N,W", [(60, 0.1), (60, 0.3), (30, 0.2), (17, 0.05)])
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
-    def test_defect(self, N, W, method):
-        assert symmetry_defect(N, W, method=method) <= 1e-10
+    def test_defect(self, get_spectrum, N, W, method):
+        assert symmetry_defect(get_spectrum(N, W, method)) <= 1e-10
 
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_values_at_hand_are_reused(self, monkeypatch, method):
-        values = spectrum(DiscreteParams(30, 0.2), method=method).values
-        expected = symmetry_defect(30, 0.2, method=method)
+        # one spectrum, at 1/2 - W by the method of the given spectrum
+        spec = spectrum(DiscreteParams(30, 0.2), method=method)
         calls = []
         real = discrete.spectrum
 
@@ -270,20 +270,24 @@ class TestSymmetry:
             return real(params, method)
 
         monkeypatch.setattr(discrete, "spectrum", counting)
-        assert symmetry_defect(30, 0.2, method, values) == expected
+        symmetry_defect(spec)
         assert calls == [(30, 0.5 - 0.2, method)]
 
 
 class TestCommutation:
+    @staticmethod
+    def defect(params):
+        return commutation_defect(params, prolate_matrix(params))
+
     def test_scalar_commutes(self):
-        assert commutation_defect(DiscreteParams(1, 0.3)) == 0.0
+        assert self.defect(DiscreteParams(1, 0.3)) == 0.0
 
     def test_two_by_two(self):
-        assert commutation_defect(DiscreteParams(2, 0.25)) <= 1e-14
+        assert self.defect(DiscreteParams(2, 0.25)) <= 1e-14
 
     @pytest.mark.parametrize("N,W", [(60, 0.3), (30, 0.1), (120, 0.4)])
     def test_grid(self, N, W):
-        assert commutation_defect(DiscreteParams(N, W)) <= 1e-12
+        assert self.defect(DiscreteParams(N, W)) <= 1e-12
 
     def test_detects_non_commuting_matrix(self, monkeypatch):
         params = DiscreteParams(30, 0.2)
@@ -294,18 +298,7 @@ class TestCommutation:
         dense = (np.linalg.norm(rho @ sig - sig @ rho)
                  / (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
         assert dense > 1e-4
-        assert commutation_defect(params) == pytest.approx(dense, rel=1e-12)
-
-    def test_reuses_prolate_matrix_at_hand(self, monkeypatch):
-        params = DiscreteParams(40, 0.3)
-        rho = prolate_matrix(params)
-        expected = commutation_defect(params)
-
-        def forbidden(p):
-            raise AssertionError("prolate_matrix rebuilt")
-
-        monkeypatch.setattr(discrete, "prolate_matrix", forbidden)
-        assert commutation_defect(params, rho) == expected
+        assert commutation_defect(params, rho) == pytest.approx(dense, rel=1e-12)
 
 
 class TestExtend:

@@ -10,7 +10,7 @@ from slepian.config import TOL
 from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_blocks,
                             parity_vectors, sinc_kernel, snapped_floor,
-                            spectral_norm_sym, tridiag_parity_blocks)
+                            tridiag_parity_blocks)
 
 
 def _mp_gauss_node(n, i, steps=5):
@@ -143,7 +143,6 @@ class TestEigSym:
         resid = np.max(np.linalg.norm(A @ system.vectors
                                       - system.vectors * system.values, axis=0))
         assert resid <= 1e-11 * np.max(np.abs(system.values))
-        assert system.residual_bound == resid
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -287,18 +286,6 @@ class TestSincKernel:
         K = sinc_kernel(c, d, 0.74)
         assert np.array_equal(np.diag(K), [0.74, 0.74])
         assert K[0, 1] == np.sin(c * 0.5) / (np.pi * 0.5) == K[1, 0]
-
-
-class TestSpectralNorm:
-    def test_zero(self):
-        assert spectral_norm_sym(np.zeros((4, 4))) == 0.0
-
-    def test_identity(self):
-        assert spectral_norm_sym(np.eye(5)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_two_by_two(self):
-        A = np.array([[0.5, 1 / math.pi], [1 / math.pi, 0.5]])
-        assert spectral_norm_sym(A) == pytest.approx(0.5 + 1 / math.pi, rel=1e-10)
 
 
 def test_snapped_floor():
