@@ -158,16 +158,12 @@ class SobolevSpec:
     """Periodic Sobolev data: sum over the lattice of (1+n^2)^s |c_n|^2.
 
     Coefficients are in the orthonormal-basis convention, so the s = 0 norm
-    is the L2 norm of the interval. ``coefficients`` is None on the
-    closed-form path (cosine sums spread over ~1e11 lattice points).
+    is the L2 norm of the interval.
     """
 
     s: float
     interval: str
     norm: float
-    coefficients: np.ndarray | None = None
-    indices: np.ndarray | None = None
-    grid_size: int | None = None
     note: str = ""
 
 
@@ -225,11 +221,8 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
         n = np.fft.fftfreq(G, d=1.0 / G)
         norm_sq = float(np.sum((1.0 + n ** 2) ** s * np.abs(coeff) ** 2))
         if prev is not None and abs(norm_sq - prev) <= TOL.sobolev_rel * norm_sq:
-            order = np.argsort(n)
             return SobolevSpec(s=float(s), interval=interval,
-                               norm=math.sqrt(norm_sq),
-                               coefficients=coeff[order], indices=n[order],
-                               grid_size=G)
+                               norm=math.sqrt(norm_sq))
         prev = norm_sq
     raise NumericalFailure(
         f"Sobolev norm did not stabilise under grid doubling (s={s}, "

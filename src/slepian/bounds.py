@@ -1,8 +1,9 @@
 """Closed-form bounds and identities for the concentration spectrum, with
 machine verification against computed spectra.
 
-Each evaluator returns the bound value; ``verify_all`` runs every applicable
-check over a parameter grid and assembles a serialisable ``BoundReport``.
+Each evaluator returns the bound value and raises ``OutOfRangeError`` outside
+its validity range; ``verify_all`` runs every check over a parameter grid,
+records such a check as skipped, and assembles a serialisable ``BoundReport``.
 Checks on asymptotic statements are informational: they are reported but
 never fail the suite. Eigenvalues below 1e-12 are outside double-precision
 resolution and are excluded from all inequalities.
@@ -22,6 +23,7 @@ from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
                          kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, commutation_defect, prolate_matrix,
                        spectrum, symmetry_defect)
+from .numkit import OutOfRangeError
 
 VERSION = "0.1.0"
 
@@ -30,10 +32,6 @@ COMPARISON_TAIL = 30
 
 E = math.e
 PI = math.pi
-
-
-class OutOfRangeError(ValueError):
-    """Parameters outside the stated validity range of a bound."""
 
 
 class IllConditionedFloor(OutOfRangeError):
@@ -100,8 +98,7 @@ class BoundReport:
     @classmethod
     def from_json(cls, text: str) -> "BoundReport":
         payload = json.loads(text)
-        checks = [BoundCheck(**{k: v for k, v in item.items()})
-                  for item in payload["checks"]]
+        checks = [BoundCheck(**item) for item in payload["checks"]]
         return cls(checks=checks, version=payload["version"],
                    tolerances=payload["tolerances"])
 
@@ -117,24 +114,24 @@ class SpectrumComparison:
     bound: float
     tail_index: int
 
-    @property
-    def satisfied(self) -> bool:
-        return self.l2_diff <= self.bound + TOL.check_floor
-
 
 # ----------------------------------------------------------------- formulas
 
-def eigenvalue_tail_bound(n: int, N: int, W: float) -> float:
-    """Min-max tail bound on the n-th eigenvalue for small W.
-
-    Requires 0 < W < 2/(e pi), N >= 2 and e pi W (N-1)/2 < n <= N-1.
-    """
+def eigenvalue_tail_range(N: int, W: float) -> range:
+    """Indices e pi W (N-1)/2 < n <= N-1 of eigenvalue_tail_bound; requires
+    0 < W < 2/(e pi) and N >= 2."""
     if not 0.0 < W < 2.0 / (E * PI):
         raise OutOfRangeError(f"W={W} outside (0, 2/(e pi))")
     if N < 2:
         raise OutOfRangeError(f"N={N} must be >= 2")
+    return range(math.floor(E * PI * W * (N - 1) / 2.0) + 1, N)
+
+
+def eigenvalue_tail_bound(n: int, N: int, W: float) -> float:
+    """Min-max tail bound on the n-th eigenvalue for small W, for n in
+    eigenvalue_tail_range(N, W)."""
     q = E * PI * W * (N - 1) / 2.0
-    if not q < n <= N - 1:
+    if n not in eigenvalue_tail_range(N, W):
         raise OutOfRangeError(f"n={n} outside ({q:.3f}, {N - 1}]")
     cw = math.sqrt(2.0 * W) * (2.0 + 2.0 / (E * PI * W))
     log_ratio = math.log(n / q)
@@ -151,8 +148,10 @@ def plunge_count_bound(N: int, W: float, eps: float) -> float:
 
 
 def _plunge_mass_bound(N: int, W: float) -> float:
-    """log(2NW)/pi^2 + 0.45 - (2/3) W^2 + (W^2/(6 c^2)) sin^2(2c), c = pi N W."""
+    """log(2NW)/pi^2 + 0.45 - (2/3) W^2 + (W^2/(6 c^2)) sin^2(2c), c = pi N W >= 1."""
     c = PI * N * W
+    if not c >= 1.0:
+        raise OutOfRangeError(f"c=pi N W={c:g} below 1")
     return (math.log(2.0 * N * W) / PI ** 2 + 0.45 - (2.0 / 3.0) * W ** 2
             + (W ** 2 / (6.0 * c ** 2)) * math.sin(2.0 * c) ** 2)
 
@@ -191,17 +190,21 @@ def comparison_constant(W: float) -> float:
     return 2.0 * PI ** 2 / math.cos(PI * W) ** 2 * (0.25 - W ** 2) ** 2
 
 
-def superexponential_decay_bound(k: int, N: int, W: float) -> float:
-    """Tail bound 2 exp(-(2k+1) log(2(k+1)/(e pi N W))) past the plunge.
-
-    Requires N >= 3, W < (2/(e pi)) (N-1)/N and 2 <= (e pi / 2) N W <= k <= N-1.
-    """
+def superexponential_decay_range(N: int, W: float) -> range:
+    """Indices max(2, (e pi / 2) N W) <= k <= N-1 of superexponential_decay_bound;
+    requires N >= 3 and W < (2/(e pi)) (N-1)/N."""
     if N < 3:
         raise OutOfRangeError(f"N={N} must be >= 3")
     if not 0.0 < W < 2.0 / (E * PI) * (N - 1.0) / N:
         raise OutOfRangeError(f"W={W} outside the admissible range for N={N}")
+    return range(max(2, math.ceil(E * PI / 2.0 * N * W)), N)
+
+
+def superexponential_decay_bound(k: int, N: int, W: float) -> float:
+    """Tail bound 2 exp(-(2k+1) log(2(k+1)/(e pi N W))) past the plunge, for
+    k in superexponential_decay_range(N, W)."""
     lo = E * PI / 2.0 * N * W
-    if not (k >= 2 and lo <= k <= N - 1):
+    if k not in superexponential_decay_range(N, W):
         raise OutOfRangeError(f"k={k} outside [max(2, {lo:.3f}), {N - 1}]")
     return decay_formula(k, N, W)
 
@@ -269,15 +272,22 @@ def plunge_mass(N: int, W: float, values: np.ndarray) -> tuple[float, float]:
     return float(np.sum(values * (1.0 - values))), _plunge_mass_bound(N, W)
 
 
+def plunge_count(values: np.ndarray, eps: float) -> int:
+    """#{k: eps <= lambda_k <= 1-eps} over the spectrum ``values``."""
+    return int(np.sum((values >= eps) & (values <= 1.0 - eps)))
+
+
 def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     """Largest eta with lambda_n <= 2 exp(-eta (n - 2NW)/(log(pi N W) + 5))
     over the plunge-adjacent range 2NW + log(pi N W) + 6 <= n <= pi N W of
     the spectrum ``values`` of (N, W).
 
-    Raises OutOfRangeError when the range is empty or contains no eigenvalue
-    above the 1e-12 floor (informational skip).
+    Raises OutOfRangeError below c = pi N W = 1, or when the range is empty or
+    contains no eigenvalue above the 1e-12 floor (informational skip).
     """
     c = PI * N * W
+    if not c >= 1.0:
+        raise OutOfRangeError(f"c=pi N W={c:g} below 1")
     lo = 2.0 * N * W + math.log(c) + 6.0
     hi = min(c, N - 1)
     if lo > hi:
@@ -332,11 +342,24 @@ def _le(name: str, ref: str, params: dict, measured: float, bound: float,
                       margin=bound - measured)
 
 
-def _skipped(name: str, ref: str, params: dict, note: str,
-             informational: bool = False) -> BoundCheck:
-    return BoundCheck(name=name, paper_ref=ref, params=params, bound=None,
-                      measured=None, satisfied=True, margin=None,
-                      informational=informational, skipped=True, note=note)
+def _ge(name: str, ref: str, params: dict, measured: float, bound: float,
+        slack: float = 0.0, informational: bool = False) -> BoundCheck:
+    """The check measured >= bound - slack, with margin measured - bound."""
+    return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
+                      measured=measured, satisfied=measured >= bound - slack,
+                      margin=measured - bound, informational=informational)
+
+
+def _gated(name: str, ref: str, params: dict, check,
+           informational: bool = False) -> BoundCheck:
+    """check(), or a skipped check noting the OutOfRangeError it raised."""
+    try:
+        return check()
+    except OutOfRangeError as exc:
+        return BoundCheck(name=name, paper_ref=ref, params=params, bound=None,
+                          measured=None, satisfied=True, margin=None,
+                          informational=informational, skipped=True,
+                          note=str(exc))
 
 
 def _family(name: str, ref: str, params: dict, values: np.ndarray, indices,
@@ -351,7 +374,7 @@ def _family(name: str, ref: str, params: dict, values: np.ndarray, indices,
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                eps_grid=DEFAULT_EPS_GRID, method: str = "tridiag") -> BoundReport:
-    """Run every applicable bound/identity check over the grid."""
+    """Run every bound/identity check over the grid, skipping out-of-range ones."""
     w_grid = tuple(w_grid)
     eps_grid = tuple(eps_grid)
     grid = sorted({(p.N, p.W) for p in (DiscreteParams(N, W)
@@ -380,6 +403,16 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= TOL.floor_checks
         cmp_ = compare_spectra(N, W, lam, cont)
+        mass = ("plunge_mass", "trace minus squared HS norm", pw)
+        tail = ("eigenvalue_tail_bound", "min-max tail estimate", pw)
+        decay = ("superexponential_decay", "tail decay past the plunge", pw)
+        rate = ("plunge_decay_rate", "plunge-region decay rate", pw)
+
+        def rate_check():   # informational: only existence is claimed
+            eta = plunge_decay_rate(N, W, lam)
+            return BoundCheck(*rate, bound=None, measured=eta, margin=None,
+                              satisfied=eta > 0.0, informational=True)
+
         checks += [
             _le("trace_identity", "trace equals 2NW", pw,
                 abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), TOL.trace_rel),
@@ -394,8 +427,6 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             _le("cross_route_agreement", "Toeplitz route vs tridiagonal route",
                 pw, float(np.max(np.abs(lam[mask] - other.values[mask]))),
                 TOL.cross_route),
-            _le("plunge_mass", "trace minus squared HS norm", pw,
-                *plunge_mass(N, W, lam), TOL.check_floor),
             _le("spectra_l2_distance",
                 "l2 spectrum comparison via Wielandt-Hoffman",
                 {**pw, "c": cmp_.c}, cmp_.l2_diff, cmp_.bound, TOL.check_floor),
@@ -404,83 +435,58 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                 kernel_hs_distance(N, W), kernel_hs_distance_bound(W),
                 TOL.check_floor),
             *verify_comparison(N, W, lam, cont),
+            _gated(*mass, lambda: _le(*mass, *plunge_mass(N, W, lam),
+                                      TOL.check_floor)),
+            _gated(*tail, lambda: _family(
+                *tail, lam, eigenvalue_tail_range(N, W),
+                lambda n: eigenvalue_tail_bound(n, N, W))),
+            _gated(*decay, lambda: _family(
+                *decay, lam, superexponential_decay_range(N, W),
+                lambda k: superexponential_decay_bound(k, N, W))),
+            _gated(*rate, rate_check, informational=True),
         ]
-
-        # tail bound family (gated on small W and N >= 2)
-        tail = ("eigenvalue_tail_bound", "min-max tail estimate", pw)
-        if not 0.0 < W < 2.0 / (E * PI):
-            checks.append(_skipped(*tail, f"W={W} outside (0, 2/(e pi))"))
-        elif N < 2:
-            checks.append(_skipped(*tail, f"N={N} must be >= 2"))
-        else:
-            q = E * PI * W * (N - 1) / 2.0
-            checks.append(_family(*tail, lam, range(math.floor(q) + 1, N),
-                                  lambda n: eigenvalue_tail_bound(n, N, W)))
-
-        # superexponential decay family
-        decay = ("superexponential_decay", "tail decay past the plunge", pw)
-        if N >= 3 and 0.0 < W < 2.0 / (E * PI) * (N - 1.0) / N:
-            lo = E * PI / 2.0 * N * W
-            checks.append(_family(*decay, lam, range(max(2, math.ceil(lo)), N),
-                                  lambda k: superexponential_decay_bound(k, N, W)))
-        else:
-            checks.append(_skipped(
-                *decay, f"(N, W)=({N}, {W}) outside the validity range"))
-
-        # plunge decay rate (informational: only existence is claimed)
-        rate = ("plunge_decay_rate", "plunge-region decay rate", pw)
-        try:
-            eta = plunge_decay_rate(N, W, lam)
-        except OutOfRangeError as exc:
-            checks.append(_skipped(*rate, str(exc), informational=True))
-        else:
-            checks.append(BoundCheck(*rate, bound=None, measured=eta,
-                                     satisfied=eta > 0.0, margin=None,
-                                     informational=True))
 
         for eps in eps_grid:
             peps = {**pw, "eps": eps}
-            count = float(np.sum((lam >= eps) & (lam <= 1.0 - eps)))
-            bound = plunge_count_bound(N, W, eps)
-            checks.append(_le("plunge_count", "eigenvalue count bound", peps,
-                              count, bound, TOL.check_floor))
-            if N >= 2 and PI * N * W >= 1.0:
+            count = float(plunge_count(lam, eps))
+            plunge = ("plunge_count", "eigenvalue count bound", peps)
+            gain = ("plunge_count_improvement",
+                    "count bound improves the log(N-1) bound", peps)
+
+            def gain_check():
+                bound = plunge_count_bound(N, W, eps)
                 coarse = plunge_count_bound_coarse(N, eps)
-                checks.append(BoundCheck(
-                    name="plunge_count_improvement",
-                    paper_ref="count bound improves the log(N-1) bound",
-                    params=peps, bound=coarse, measured=bound,
-                    satisfied=bound < coarse, margin=coarse - bound))
-            checks.append(BoundCheck(
-                name="plunge_count_estimate",
-                paper_ref="asymptotic count estimate",
-                params=peps, bound=plunge_count_estimate(N, eps),
-                measured=count, satisfied=True, margin=None,
-                informational=True))
+                return BoundCheck(*gain, bound=coarse, measured=bound,
+                                  satisfied=bound < coarse, margin=coarse - bound)
+
+            checks += [
+                _gated(*plunge, lambda: _le(
+                    *plunge, count, plunge_count_bound(N, W, eps), TOL.check_floor)),
+                _gated(*gain, gain_check),
+                BoundCheck(name="plunge_count_estimate",
+                           paper_ref="asymptotic count estimate",
+                           params=peps, bound=plunge_count_estimate(N, eps),
+                           measured=count, satisfied=True, margin=None,
+                           informational=True),
+            ]
 
     # continuous-side HS lower bound at the grid bandwidths
     for c, cont in sorted(cont_by_c.items()):
-        hs = hs_norm_sq(c, cont)
-        lb = hs_lower_bound(c)
-        checks.append(BoundCheck(
-            name="hs_norm_lower_bound",
-            paper_ref="HS norm lower bound for the sinc kernel",
-            params={"c": c}, bound=lb, measured=hs,
-            satisfied=hs >= lb - TOL.check_floor, margin=hs - lb))
+        hs = ("hs_norm_lower_bound", "HS norm lower bound for the sinc kernel",
+              {"c": c})
+        # the bound comes first: below c = 1 it raises before the norm is taken
+        checks.append(_gated(*hs, lambda: _ge(
+            *hs, bound=hs_lower_bound(c), measured=hs_norm_sq(c, cont),
+            slack=TOL.check_floor)))
 
     # concentration-inequality constant (informational, fixed W = 1/6)
     turan = ("concentration_constant", "Turan-Nazarov concentration constant")
-    try:
-        tn = concentration_inequality_constant(1.0 / 6.0)
-    except OutOfRangeError as exc:
-        checks.append(_skipped(*turan, {"W": 1.0 / 6.0}, str(exc),
-                               informational=True))
-    else:
-        checks.append(BoundCheck(
-            *turan, params={"W": 1.0 / 6.0, "per_n": tn["per_n"]},
-            bound=tn["formula_value"], measured=tn["empirical"],
-            satisfied=tn["empirical"] >= tn["formula_value"],
-            margin=tn["empirical"] - tn["formula_value"], informational=True))
 
+    def turan_check():
+        tn = concentration_inequality_constant(1.0 / 6.0)
+        return _ge(*turan, {"W": 1.0 / 6.0, "per_n": tn["per_n"]},
+                   tn["empirical"], tn["formula_value"], informational=True)
+
+    checks.append(_gated(*turan, {"W": 1.0 / 6.0}, turan_check, informational=True))
     checks.sort(key=lambda ch: (ch.name, json.dumps(ch.params, sort_keys=True)))
     return BoundReport(checks=checks, tolerances=dataclasses.asdict(TOL))

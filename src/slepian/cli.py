@@ -206,15 +206,12 @@ def cmd_project(args, cfg) -> int:
 
 
 def cmd_count(args, cfg) -> int:
-    if not 0.0 < args.eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {args.eps}")
-    disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
-    measured = int(np.sum((disc.values >= args.eps)
-                          & (disc.values <= 1.0 - args.eps)))
+    params = DiscreteParams(args.N, args.W)
     bound = bnd.plunge_count_bound(args.N, args.W, args.eps)
-    coarse = bnd.plunge_count_bound_coarse(args.N, args.eps) if args.N >= 2 else float("inf")
+    coarse = bnd.plunge_count_bound_coarse(args.N, args.eps)
     estimate = bnd.plunge_count_estimate(args.N, args.eps)
-    out = [f"measured_count={measured}",
+    disc = spectrum(params, method=args.method)
+    out = [f"measured_count={bnd.plunge_count(disc.values, args.eps)}",
            f"count_bound={fmt(bound)}",
            f"coarse_bound={fmt(coarse)}",
            f"asymptotic_estimate={fmt(estimate)}"]

@@ -16,9 +16,10 @@ import numpy as np
 
 from .config import TOL
 from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
-from .numkit import (IllConditionedError, NumericalFailure, QuadratureRule,
-                     SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
-                     parity_blocks, parity_vectors, sinc_kernel, snapped_floor)
+from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
+                     QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
+                     gauss_legendre, parity_blocks, parity_vectors,
+                     sinc_kernel, snapped_floor)
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,10 @@ def hs_norm_sq(c: float, values: np.ndarray) -> float:
 
 
 def hs_lower_bound(c: float) -> float:
-    """Closed-form lower bound 2c/pi - log(2c/pi)/pi^2 - 0.45 for hs_norm_sq.
-
-    Valid once c is moderately large; it is vacuous (negative) for small c
-    and is checked in the ledger only at the bandwidths where it applies.
-    """
-    if not c > 0:
-        raise ValueError(f"bandwidth c must be positive, got {c}")
+    """Closed-form lower bound 2c/pi - log(2c/pi)/pi^2 - 0.45 for hs_norm_sq,
+    stated for c >= 1 (it fails below c ~ 0.02)."""
+    if not c >= 1.0:
+        raise OutOfRangeError(f"c={c:g} below 1")
     t = 2.0 * c / math.pi
     return t - math.log(t) / math.pi ** 2 - 0.45
 

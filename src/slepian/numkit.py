@@ -27,6 +27,10 @@ class NumericalFailure(RuntimeError):
     """An iterative kernel failed to converge or broke its output contract."""
 
 
+class OutOfRangeError(ValueError):
+    """Parameters outside the stated validity range of a bound."""
+
+
 class IllConditionedError(NumericalFailure):
     """Requested quantity is not resolvable in double precision."""
 
@@ -37,10 +41,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
 
     def scaled(self, halfwidth: float) -> "QuadratureRule":
         """Rule for the interval [-halfwidth, halfwidth]."""
@@ -266,6 +266,8 @@ def snapped_floor(x: float) -> int:
     Products such as 2*N*W evaluate to e.g. 35.99999999999999 in double
     precision when the intended value is 36; a plain floor would be off by one.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot take the floor of non-finite {x}")
     r = round(x)
     if abs(x - r) <= 1e-9:
         return int(r)

@@ -97,7 +97,6 @@ class TestSobolevNorm:
         # frozen from exact pairwise integrals, cross-checked against an FFT
         # of a short truncation that a grid can actually resolve
         assert spec.norm == pytest.approx(1.68368412919908, rel=1e-12)
-        assert spec.coefficients is None
 
     def test_weierstrass_h0_matches_l2(self):
         f = TestFunction.weierstrass(1.0)

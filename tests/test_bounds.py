@@ -11,10 +11,12 @@ from slepian.bounds import (COMPARISON_TAIL, BoundReport, IllConditionedFloor,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
                             concentration_inequality_constant, decay_formula,
-                            eigenvalue_tail_bound, plunge_count_bound,
+                            eigenvalue_tail_bound, eigenvalue_tail_range,
+                            plunge_count, plunge_count_bound,
                             plunge_count_bound_coarse, plunge_count_estimate,
                             plunge_decay_rate, plunge_mass,
-                            superexponential_decay_bound, verify_all,
+                            superexponential_decay_bound,
+                            superexponential_decay_range, verify_all,
                             verify_comparison)
 from slepian.continuous import (default_order, legendre_spectrum,
                                 nystrom_spectrum)
@@ -60,6 +62,21 @@ class TestTailBound:
         with pytest.raises(OutOfRangeError):
             eigenvalue_tail_bound(21, 21, 0.1)   # n > N-1
 
+    def test_index_range(self):
+        # e pi W (N-1)/2 = 8.54 at (21, 0.1)
+        assert eigenvalue_tail_range(21, 0.1) == range(9, 21)
+        for n in range(-1, 23):
+            if n in range(9, 21):
+                assert eigenvalue_tail_bound(n, 21, 0.1) > 0
+            else:
+                with pytest.raises(OutOfRangeError, match=f"n={n} outside"):
+                    eigenvalue_tail_bound(n, 21, 0.1)
+        with pytest.raises(OutOfRangeError,
+                           match=r"W=0.3 outside \(0, 2/\(e pi\)\)"):
+            eigenvalue_tail_range(21, 0.3)
+        with pytest.raises(OutOfRangeError, match="N=1 must be >= 2"):
+            eigenvalue_tail_range(1, 0.1)
+
 
 class TestCountBounds:
     def test_reference_evaluation(self):
@@ -103,6 +120,17 @@ class TestCountBounds:
                 plunge_count_bound(60, 0.3, bad_eps)
         with pytest.raises(OutOfRangeError):
             plunge_count_bound_coarse(1, 0.1)
+
+    @pytest.mark.parametrize("N,W", [(1, 0.3), (5, 0.001), (3, 0.1)])
+    def test_below_unit_bandwidth(self, N, W):
+        # pi N W < 1, where log(2NW)/pi^2 + 0.45 is not a bound
+        with pytest.raises(OutOfRangeError, match="below 1"):
+            plunge_count_bound(N, W, 0.05)
+
+    def test_count_is_closed_band(self):
+        values = np.array([1.0, 0.96, 0.95, 0.5, 0.05, 0.04])
+        assert plunge_count(values, 0.05) == 3
+        assert plunge_count(values, 0.01) == 5
 
 
 class TestComparisonConstant:
@@ -178,11 +206,27 @@ class TestDecayBound:
         with pytest.raises(OutOfRangeError):
             superexponential_decay_bound(2, 2, 0.1)     # N < 3
 
+    def test_index_range(self):
+        # (e pi / 2) N W = 25.6 at (60, 0.1) and 1.28 at (3, 0.1)
+        assert superexponential_decay_range(60, 0.1) == range(26, 60)
+        assert superexponential_decay_range(3, 0.1) == range(2, 3)
+        for k in (0, 1, 25, 60):
+            with pytest.raises(OutOfRangeError, match=f"k={k} outside"):
+                superexponential_decay_bound(k, 60, 0.1)
+        with pytest.raises(OutOfRangeError,
+                           match="W=0.3 outside the admissible range for N=30"):
+            superexponential_decay_range(30, 0.3)
+        with pytest.raises(OutOfRangeError, match="N=2 must be >= 3"):
+            superexponential_decay_range(2, 0.1)
+
 
 class TestPlungeMass:
     def test_scalar_case(self):
-        measured, _ = plunge_mass(1, 0.2, np.array([0.4]))
-        assert measured == pytest.approx(0.24, abs=1e-15)
+        # (1, 0.2) has c = 0.63, below the bound's range c >= 1
+        with pytest.raises(OutOfRangeError, match="below 1"):
+            plunge_mass(1, 0.2, np.array([0.4]))
+        measured, _ = plunge_mass(2, 0.2, np.array([0.6, 0.2]))
+        assert measured == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("N,W", [(30, 0.1), (60, 0.3), (120, 0.4)])
     def test_bound_holds(self, get_spectrum, N, W):
@@ -272,7 +316,7 @@ class TestCompareSpectra:
         cmp_ = compare_spectra(60, W, get_spectrum(60, W, "toeplitz").values,
                                self.cont(60, W))
         assert abs(cmp_.l2_diff - self.TABLE[W]) / self.TABLE[W] <= 0.02
-        assert cmp_.satisfied
+        assert cmp_.l2_diff <= cmp_.bound + bounds.TOL.check_floor
 
     def test_bound_value(self, get_spectrum):
         cmp_ = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values,
@@ -401,11 +445,52 @@ class TestVerifyAll:
         with pytest.raises(ValueError):
             verify_all(n_grid, w_grid, (0.05,))
 
+    @pytest.mark.parametrize("eps_grid", [(0.0,), (0.05, 0.5)])
+    def test_invalid_eps_rejected(self, eps_grid):
+        with pytest.raises(ValueError, match="invalid eps"):
+            verify_all((30,), (0.1,), eps_grid)
+
+    def test_only_out_of_range_becomes_a_skip(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("not a range error")
+
+        monkeypatch.setattr(bounds, "plunge_mass", broken)
+        with pytest.raises(ValueError, match="not a range error"):
+            verify_all((30,), (0.1,), (0.05,))
+
     def test_range_gated_checks_skipped(self):
         report = verify_all(n_grid=(30,), w_grid=(0.3,), eps_grid=(0.05,))
         tail = [c for c in report.checks if c.name == "eigenvalue_tail_bound"]
         assert len(tail) == 1 and tail[0].skipped
         assert report.passed
+
+    def test_bounds_below_unit_bandwidth_skipped(self):
+        # c = pi N W = 0.0157: the plunge mass and count bounds are negative
+        # and the HS lower bound fails there
+        report = verify_all(n_grid=(5,), w_grid=(0.001,), eps_grid=(0.05,))
+        notes = {c.name: c.note for c in report.checks if c.skipped}
+        for name in ("plunge_mass", "plunge_count", "plunge_count_improvement"):
+            assert notes[name] == "c=pi N W=0.015708 below 1"
+        assert notes["hs_norm_lower_bound"] == "c=0.015708 below 1"
+        assert report.passed
+
+    def test_improvement_skipped_for_single_sample(self):
+        report = verify_all(n_grid=(1,), w_grid=(0.4,), eps_grid=(0.05,))
+        gain, = [c for c in report.checks
+                 if c.name == "plunge_count_improvement"]
+        assert gain.skipped and gain.note == "N=1 must be >= 2"
+        assert report.passed
+
+    def test_large_point_reports_every_check(self):
+        report = verify_all((500,), (0.45,), (0.05,))
+        assert len(report.checks) == 17
+        assert report.passed
+
+    def test_decay_skip_note_is_the_formula_message(self):
+        report = verify_all(n_grid=(30,), w_grid=(0.3,), eps_grid=(0.05,))
+        decay, = [c for c in report.checks if c.name == "superexponential_decay"]
+        assert decay.skipped
+        assert decay.note == "W=0.3 outside the admissible range for N=30"
 
     @pytest.mark.parametrize("N,W,note", [(1, 0.1, "N=1 must be >= 2"),
                                           (1, 0.3, "W=0.3 outside (0, 2/(e pi))"),

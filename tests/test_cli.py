@@ -107,6 +107,18 @@ class TestBounds:
         assert tail and all(c["skipped"] for c in tail)
         assert payload["pass"] is True
 
+    def test_bounds_below_unit_bandwidth_skipped_under_strict(self, tmp_path):
+        # c = pi N W = 0.0157: the plunge and HS bounds do not apply
+        out = tmp_path / "report.json"
+        cp = run_cli("bounds", "--N", "5", "--W", "0.001", "--eps", "0.05",
+                     "--out", str(out), "--strict")
+        assert cp.returncode == 0, cp.stderr
+        checks = json.loads(out.read_text())["checks"]
+        skipped = {c["name"]: c["note"] for c in checks if c["skipped"]}
+        for name in ("plunge_mass", "plunge_count", "plunge_count_improvement",
+                     "hs_norm_lower_bound"):
+            assert skipped[name].endswith("below 1"), (name, skipped.get(name))
+
 
 class TestProject:
     def test_example2_preset(self, tmp_path):
@@ -225,6 +237,16 @@ class TestCount:
     def test_eps_range(self):
         cp = run_cli("count", "--N", "60", "--W", "0.3", "--eps", "0.5")
         assert cp.returncode == 1
+
+    @pytest.mark.parametrize("N,W,message", [
+        ("1", "0.3", "slepian: c=pi N W=0.942478 below 1"),
+        ("5", "0.001", "slepian: c=pi N W=0.015708 below 1"),
+        ("1", "0.4", "slepian: N=1 must be >= 2")])
+    def test_bound_out_of_range_is_a_usage_error(self, N, W, message):
+        cp = run_cli("count", "--N", N, "--W", W, "--eps", "0.05")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr.splitlines() == [message]
 
 
 class TestOtherCommands:

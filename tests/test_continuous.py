@@ -12,7 +12,7 @@ from slepian.continuous import (_lag_integral, _prolate_blocks,
                                 legendre_spectrum, nystrom_spectrum,
                                 plunge_index, projector_distance)
 from slepian.numkit import (IllConditionedError, NumericalFailure,
-                            eig_symtridiag, gauss_legendre, sinc_kernel)
+                            OutOfRangeError, eig_symtridiag, gauss_legendre, sinc_kernel)
 
 
 class TestNystrom:
@@ -240,9 +240,14 @@ class TestHsNorm:
         leading = (2 * c / math.pi) ** 2
         assert abs(value - leading) <= 1e-6 * leading
 
-    @pytest.mark.parametrize("c", [5.0, 18.85, 37.7, 56.55, 75.4])
+    @pytest.mark.parametrize("c", [1.0, 5.0, 18.85, 37.7, 56.55, 75.4])
     def test_lower_bound(self, c):
         assert _hs_norm_sq(c) >= hs_lower_bound(c)
+
+    @pytest.mark.parametrize("c", [0.999, 0.01, 0.0, -1.0, math.nan])
+    def test_lower_bound_range(self, c):
+        with pytest.raises(OutOfRangeError, match="below 1"):
+            hs_lower_bound(c)
 
     def test_sum_matches_eigenvalues(self, get_nystrom):
         cont = get_nystrom(18.85)

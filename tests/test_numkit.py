@@ -294,3 +294,9 @@ def test_snapped_floor():
     assert snapped_floor(35.4) == 35
     assert snapped_floor(-0.2) == -1
     assert snapped_floor(12.0) == 12
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_snapped_floor_rejects_non_finite(x):
+    with pytest.raises(ValueError, match=f"non-finite {x}"):
+        snapped_floor(x)

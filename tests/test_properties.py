@@ -1,11 +1,13 @@
 """Property tests on random (N, W, eps): the trace and reflection identities
-of the concentration spectrum and the plunge bounds, each evaluated on the
-spectrum it is given."""
+of the concentration spectrum, its monotonicity in W, the plunge bounds, each
+evaluated on the spectrum it is given, and the verification report."""
+
+import math
 
 import numpy as np
 import pytest
 
-from slepian.bounds import plunge_count_bound, plunge_mass
+from slepian.bounds import plunge_count_bound, plunge_mass, verify_all
 from slepian.config import TOL
 from slepian.discrete import METHODS, DiscreteParams, spectrum, symmetry_defect
 
@@ -55,3 +57,39 @@ def test_plunge_mass_and_count_below_bounds(params, eps):
     assert measured <= bound
     count = int(np.sum((values >= eps) & (values <= 1 - eps)))
     assert count <= plunge_count_bound(N, W, eps)
+
+
+@PROPERTY
+@given(N=lengths, W1=bandwidths, W2=bandwidths, method=methods)
+def test_monotone_in_bandwidth(N, W1, W2, method):
+    W1, W2 = sorted((W1, W2))
+    low = spectrum(DiscreteParams(N, W1), method).values
+    high = spectrum(DiscreteParams(N, W2), method).values
+    resolved = low >= TOL.floor_checks
+    assert np.all(low[resolved] <= high[resolved] + 1e-13)
+
+
+@st.composite
+def report_params(draw):
+    """(N, W) with W drawn below c = pi N W = 1 for about half the draws."""
+    N = draw(st.integers(min_value=1, max_value=60))
+    W = draw(st.one_of(
+        st.floats(min_value=1e-5, max_value=1.0 / (math.pi * N),
+                  exclude_max=True),
+        st.floats(min_value=1e-5, max_value=0.5, exclude_max=True)))
+    return N, W
+
+
+@pytest.fixture(scope="module")
+def check_names():
+    return {c.name for c in verify_all((30,), (0.1,), (0.05,)).checks}
+
+
+@PROPERTY
+@given(params=report_params())
+def test_report_has_every_check_and_passes(check_names, params):
+    N, W = params
+    report = verify_all((N,), (W,), (0.05,))
+    assert {c.name for c in report.checks} == check_names
+    assert report.passed
+    assert all(c.note for c in report.checks if c.skipped)
