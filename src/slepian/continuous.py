@@ -141,10 +141,10 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
     even_sys, odd_sys = eig_sym(even), eig_sym(odd)
     del even, odd
-    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M)
     values = np.concatenate([even_sys.values, odd_sys.values])
     order = np.argsort(values, kind="stable")[::-1]
-    values, vectors = values[order], vectors[:, order]
+    values = values[order]
+    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M, order)
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
     if trace_defect > TOL.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
         raise NumericalFailure(
@@ -193,6 +193,14 @@ def hs_lower_bound(c: float) -> float:
     return t - math.log(t) / math.pi ** 2 - 0.45
 
 
+def _csc_minus_inverse(x: np.ndarray) -> np.ndarray:
+    """1/sin(x) - 1/x = (x - sin x) / (x sin x) for 0 < x < pi; below x = 2
+    x - sin x = x^3 sum_{k<=10} (-1)^k x^(2k) / (2k + 3)!, which does not cancel."""
+    s, y = np.sin(x), x * x
+    coefficients = [(-1) ** k / math.factorial(2 * k + 3) for k in range(10, -1, -1)]
+    return np.where(x < 2.0, x * y * np.polyval(coefficients, y), x - s) / (x * s)
+
+
 def kernel_hs_distance(N: int, W: float) -> float:
     """Hilbert-Schmidt distance on [-W, W]^2 between the Dirichlet kernel
     sin(pi N (x-y))/sin(pi (x-y)) and the sinc kernel with bandwidth pi N.
@@ -202,7 +210,7 @@ def kernel_hs_distance(N: int, W: float) -> float:
     """
     N = DiscreteParams(N, W).N
     return math.sqrt(_lag_integral(
-        lambda t: np.sin(np.pi * N * t) * (1.0 / np.sin(np.pi * t) - 1.0 / (np.pi * t)),
+        lambda t: np.sin(np.pi * N * t) * _csc_minus_inverse(np.pi * t),
         2.0 * W, np.pi * N * W))
 
 

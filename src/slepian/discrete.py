@@ -15,7 +15,9 @@ spectrum clusters at 0 and 1 beyond double-precision resolution:
 
 Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
 ``dpss[:, k]`` are the unit-norm sequences. The wave functions are the
-trigonometric polynomials obtained from the sequences (``dpswf``).
+trigonometric polynomials obtained from the sequences (``dpswf``). A full
+spectrum peaks at about two N x N float64 arrays (the result, the blocks and
+their vectors); partial spectra are ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL
 from .numkit import (IllConditionedError, NumericalFailure, SymTridiag,
@@ -85,6 +88,14 @@ def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     return first[np.abs(idx[:, None] - idx[None, :])]
 
 
+def _prolate_blocks(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
+    """``parity_blocks(prolate_matrix(params))`` read from a strided Toeplitz
+    view of the lag vector, so the N x N matrix is never built."""
+    N, W = params.N, params.W
+    lag = sinc_kernel(2.0 * np.pi * W, np.arange(N), 2.0 * W)
+    return parity_blocks(sliding_window_view(np.concatenate([lag[:0:-1], lag]), N)[::-1])
+
+
 def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
     """Slepian's tridiagonal matrix commuting with the prolate matrix."""
     N, W = params.N, params.W
@@ -95,13 +106,14 @@ def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
     return SymTridiag(diagonal, offdiag)
 
 
-def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component positive in place; first index wins ties."""
-    top = vectors[:(len(vectors) + 1) // 2]   # |v| = |Jv|: the first maximum is here
-    lead = np.argmax(np.abs(top), axis=0)
-    flip = top[lead, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] *= -1.0
-    return vectors
+def _sign_convention(U: np.ndarray, h: int) -> np.ndarray:
+    """Negate block columns in place so that the largest lifted component (the
+    first h rows scaled by 1/sqrt(2), a middle row h not) is positive."""
+    top = np.abs(U[:h + 1])   # |v| = |Jv|; the first maximum wins ties
+    top[:h] *= 1.0 / math.sqrt(2.0)
+    lead = np.argmax(top, axis=0)
+    U *= np.copysign(1.0, U[lead, np.arange(U.shape[1])])
+    return U
 
 
 def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectrum:
@@ -109,10 +121,10 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     N = params.N
-    rho_blocks = parity_blocks(prolate_matrix(params))
     has_odd = N > 1   # the odd blocks are empty when N == 1
+    rho_blocks = _prolate_blocks(params)[:1 + has_odd]
     if method == "toeplitz":
-        systems = [eig_sym(B) for B in rho_blocks[:1 + has_odd]]
+        systems = [eig_sym(B) for B in rho_blocks]
         values = np.concatenate([s.values for s in systems])
     else:
         T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
@@ -120,11 +132,13 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
         # u^T B u = v^T rho v for the lifted sequence v of block vector u
         values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
                                  for s, B in zip(systems, rho_blocks)])
-    vectors = parity_vectors(systems[0].vectors,
-                             systems[-1].vectors if has_odd else np.zeros((0, 0)), N)
+    blocks = [_sign_convention(s.vectors, N // 2) for s in systems]
+    del rho_blocks, systems
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
-    vectors = _apply_sign_convention(vectors[:, order])
+    vectors = parity_vectors(blocks[0], blocks[-1] if has_odd else np.zeros((0, 0)),
+                             N, order)
+    del blocks
     warnings = _validate(params, values, vectors)
     return DiscreteSpectrum(params=params, values=values, dpss=vectors,
                             method=method, warnings=tuple(warnings))
@@ -134,10 +148,13 @@ def _validate(params: DiscreteParams, values: np.ndarray,
               vectors: np.ndarray) -> list[str]:
     N, W = params.N, params.W
     warnings: list[str] = []
-    norms = np.linalg.norm(vectors, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if np.max(np.abs(norms - 1.0)) > 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
-    sym_defect = np.max(np.abs(np.abs(vectors) - np.abs(vectors[::-1, :])))
+    # rows i and N-1-i give the same difference; 64-column chunks bound temporaries
+    sym_defect = max(np.max(np.abs(np.abs(vectors[:N // 2, j:j + 64])
+                                   - np.abs(vectors[:(N - 1) // 2:-1, j:j + 64])),
+                            initial=0.0) for j in range(0, N, 64))
     if sym_defect > TOL.component_symmetry:
         raise NumericalFailure(
             f"component symmetry defect {sym_defect:.3e} exceeds "

@@ -102,13 +102,15 @@ def _validated_system(apply, values: np.ndarray, vectors: np.ndarray
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = vectors[:, order]
-    n = len(values)
-    gram_defect = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
+    gram = vectors.T @ vectors   # the buffer is reused for the residual
+    gram.flat[::len(values) + 1] -= 1.0
+    gram_defect = np.max(np.abs(gram, out=gram))
     if gram_defect > TOL.orthonormality:
         raise NumericalFailure(
             f"eigenvector orthonormality defect {gram_defect:.3e} exceeds "
             f"{TOL.orthonormality:.1e}")
-    resid = np.max(np.linalg.norm(apply(vectors) - vectors * values, axis=0))
+    R = np.subtract(apply(vectors), np.multiply(vectors, values, out=gram), out=gram)
+    resid = math.sqrt(np.max(np.einsum("ij,ij->j", R, R)))
     scale = max(np.max(np.abs(values)), 1e-300)
     if resid > TOL.eigen_residual * scale:
         raise NumericalFailure(
@@ -141,29 +143,40 @@ def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With h = n // 2, A = S[:h, :h] and BJ = S[:h, n-h:][:, ::-1], they are
     A + BJ and A - BJ: S in the orthonormal bases of ``parity_vectors``. For
     odd n the even block gains the sqrt(2)-weighted middle row and column.
+    S may be any strided view; only the blocks are allocated.
     """
     n = S.shape[0]
     h = n // 2
     A = S[:h, :h]
     BJ = S[:h, n - h:][:, ::-1]
-    even = A + BJ
+    even = np.empty((n - h, n - h))
+    np.add(A, BJ, out=even[:h, :h])
     if n % 2:
-        col = math.sqrt(2.0) * S[:h, h]
-        even = np.block([[even, col[:, None]], [col[None, :], S[h, h]]])
-    return even, A - BJ
+        even[:h, h] = even[h, :h] = math.sqrt(2.0) * S[:h, h]
+        even[h, h] = S[h, h]
+    return even, np.subtract(A, BJ, out=np.empty((h, h)))
 
 
-def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int) -> np.ndarray:
-    """Lift even/odd block vectors u to length n as [u; +-Ju] / sqrt(2).
-
-    For odd n the last row of ``Ue`` is the middle entry, taken unscaled. The
-    columns are exactly symmetric, then antisymmetric, under index reversal.
-    """
+def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int,
+                   order: np.ndarray) -> np.ndarray:
+    """Lift column order[k] of [Ue, Uo] to column k of an F-ordered n x n
+    array as [u; +-Ju] / sqrt(2), writing each entry once; Ue and Uo are
+    overwritten (first n // 2 rows scaled, Uo negated). For odd n the last
+    row of ``Ue`` is the middle entry, taken unscaled. The columns are exactly
+    symmetric, then antisymmetric, under index reversal."""
     h = n // 2
     r = 1.0 / math.sqrt(2.0)
-    return np.hstack([
-        np.vstack([Ue[:h] * r, Ue[h:], Ue[:h][::-1] * r]),
-        np.vstack([Uo * r, np.zeros((n % 2, Uo.shape[1])), -Uo[::-1] * r])])
+    positions = np.argsort(order)   # the inverse permutation
+    even, odd = positions[:Ue.shape[1]], positions[Ue.shape[1]:]
+    out = np.empty((n, n), order="F")
+    Ue[:h] *= r
+    out[:n - h, even] = Ue
+    out[n - h:, even] = Ue[:h][::-1]
+    Uo *= r
+    out[:h, odd] = Uo
+    out[h:n - h, odd] = 0.0
+    out[n - h:, odd] = np.negative(Uo, out=Uo)[::-1]
+    return out
 
 
 def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:

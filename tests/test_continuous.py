@@ -223,10 +223,27 @@ class TestLagIntegrals:
             self.two_d_distance(N, W), rel=1e-14)
 
     def test_kernel_distance_at_small_band(self):
-        # 1/sin(pi t) - 1/(pi t) cancels for small t: against a 30-digit
-        # mpmath quadrature the lag integral is 8.7e-12 off at W = 1e-3
         assert kernel_hs_distance(10, 1e-3) == pytest.approx(
             3.3965720962501456e-08, rel=1e-10)
+
+    @staticmethod
+    def mp_distance(N, W, dps=20):
+        """The same lag integral by mpmath quadrature, one panel per period."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(dps):
+            w, pi = mpmath.mpf(W), mpmath.pi
+            f = lambda t: ((mpmath.sin(pi * N * t) * (1 / mpmath.sin(pi * t) - 1 / (pi * t))) ** 2
+                           * (2 * w - t))
+            panels = mpmath.linspace(0, 2 * w, int(N * W) + 2)
+            return float(mpmath.sqrt(2 * mpmath.quad(f, panels, method="gauss-legendre")))
+
+    @pytest.mark.parametrize("N,W,rel", [(10, 1e-3, 1e-14), (5, 1e-4, 1e-14),
+                                         (60, 0.1, 1e-15), (30, 0.3, 1e-15),
+                                         (500, 0.45, 1e-15)])
+    def test_kernel_distance_matches_mpmath(self, N, W, rel):
+        # 1/sin(pi t) - 1/(pi t) cancels at small t unless taken from a series
+        reference = self.mp_distance(N, W)
+        assert abs(kernel_hs_distance(N, W) - reference) <= rel * reference
 
 
 def _hs_norm_sq(c):

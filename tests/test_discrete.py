@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from slepian import discrete
+from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
 from slepian.config import TOL
 from slepian.discrete import (DiscreteParams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
                               dpswf_matrix, extend_dpss, prolate_matrix,
                               spectrum, symmetry_defect)
-from slepian.numkit import IllConditionedError, NumericalFailure, SymTridiag
+from slepian.numkit import (IllConditionedError, NumericalFailure, SymTridiag,
+                            eig_sym, eig_symtridiag, gauss_legendre,
+                            parity_blocks, tridiag_parity_blocks)
 
 
 class TestParams:
@@ -359,3 +363,114 @@ class TestMpmathOracle:
             values = get_spectrum(N, W, method).values
             trusted = values >= TOL.floor_untrusted
             assert np.max(np.abs(values[trusted] - reference[trusted])) <= 4e-15
+
+
+def _reference_lift(Ue, Uo, n):
+    """[u; +-Ju] / sqrt(2) stacked into a new array, block columns in order."""
+    h = n // 2
+    r = 1.0 / math.sqrt(2.0)
+    return np.hstack([
+        np.vstack([Ue[:h] * r, Ue[h:], Ue[:h][::-1] * r]),
+        np.vstack([Uo * r, np.zeros((n % 2, Uo.shape[1])), -Uo[::-1] * r])])
+
+
+def _reference_spectrum(params, method):
+    """The full-size construction: blocks of the N x N prolate matrix, lift,
+    stable descending sort, then the sign convention on the lifted vectors."""
+    N = params.N
+    rho_blocks = parity_blocks(prolate_matrix(params))[:1 + (N > 1)]
+    if method == "toeplitz":
+        systems = [eig_sym(B) for B in rho_blocks]
+        values = np.concatenate([s.values for s in systems])
+    else:
+        T_blocks = tridiag_parity_blocks(discrete.commuting_tridiagonal(params))
+        systems = [eig_symtridiag(T) for T in T_blocks[:len(rho_blocks)]]
+        values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
+                                 for s, B in zip(systems, rho_blocks)])
+    Uo = systems[1].vectors if N > 1 else np.zeros((0, 0))
+    order = np.argsort(values, kind="stable")[::-1]
+    vectors = _reference_lift(systems[0].vectors, Uo, N)[:, order]
+    top = vectors[:(N + 1) // 2]
+    lead = np.argmax(np.abs(top), axis=0)
+    vectors[:, top[lead, np.arange(N)] < 0] *= -1.0
+    return values[order], vectors
+
+
+class TestBitIdentity:
+    """The lag-vector blocks and the sorted in-place lift change no bit."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 60, 61, 301])
+    @pytest.mark.parametrize("W", [0.01, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_spectrum_matches_full_size_construction(self, N, W, method):
+        params = DiscreteParams(N, W)
+        values, vectors = _reference_spectrum(params, method)
+        disc = spectrum(params, method)
+        assert np.array_equal(disc.values, values)
+        assert np.array_equal(disc.dpss, vectors)
+        assert disc.dpss.flags.f_contiguous
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 60, 61])
+    def test_blocks_from_lag_vector(self, N):
+        params = DiscreteParams(N, 0.3)
+        for new, old in zip(discrete._prolate_blocks(params),
+                            parity_blocks(prolate_matrix(params))):
+            assert new.flags.c_contiguous and np.array_equal(new, old)
+
+    @pytest.mark.parametrize("c,M", [(5.0, None), (18.85, 99)])
+    def test_nystrom_matches_full_size_construction(self, c, M):
+        order = M or default_order(c)
+        rule = gauss_legendre(order)
+        even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
+        se, so = eig_sym(even), eig_sym(odd)
+        values = np.concatenate([se.values, so.values])
+        perm = np.argsort(values, kind="stable")[::-1]
+        cont = nystrom_spectrum(c, M, check_convergence=False)
+        assert np.array_equal(cont.values, values[perm])
+        assert np.array_equal(cont.grid_vectors,
+                              _reference_lift(se.vectors, so.vectors, order)[:, perm])
+
+
+class TestMemory:
+    @pytest.mark.parametrize("N", [400, 401])
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_full_spectrum_peak(self, N, method):
+        # about N^2 doubles for the result and N^2 / 2 for the block vectors
+        params = DiscreteParams(N, 0.3)
+        spectrum(params, method)
+        tracemalloc.start()
+        try:
+            spectrum(params, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * N * N * 8
+
+
+class TestValidateChecks:
+    """Each corruption of one column, past the first chunk, is caught."""
+
+    N = 300
+
+    @pytest.fixture
+    def corrupted(self, get_spectrum):
+        disc = get_spectrum(self.N, 0.3)
+        V = disc.dpss.copy(order="F")
+        assert discrete._validate(disc.params, disc.values, V) is not None
+        return disc, V
+
+    @pytest.mark.parametrize("half", ["top", "bottom"])
+    def test_symmetry_defect_in_last_column(self, corrupted, half):
+        disc, V = corrupted
+        col = V[:, self.N - 1]
+        i = int(np.argmax(np.abs(col[:self.N // 2])))
+        col[i if half == "top" else self.N - 1 - i] *= 1.0 + 1e-8
+        col /= np.linalg.norm(col)   # only the symmetry check may fire
+        with pytest.raises(NumericalFailure, match="component symmetry"):
+            discrete._validate(disc.params, disc.values, V)
+
+    def test_norm_defect(self, corrupted):
+        disc, V = corrupted
+        V[:, self.N - 1] *= 1.0 + 1e-12
+        with pytest.raises(NumericalFailure, match="unit norm"):
+            discrete._validate(disc.params, disc.values, V)

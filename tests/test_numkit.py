@@ -255,8 +255,11 @@ class TestParitySplit:
         even, odd = parity_blocks(S)
         se = eig_sym(even)
         Uo = eig_sym(odd).vectors if n > 1 else np.zeros((0, 0))
-        V = parity_vectors(se.vectors, Uo, n)
-        assert V.shape == (n, n)
+        reversed_order = parity_vectors(se.vectors.copy(), Uo.copy(), n,
+                                        np.arange(n)[::-1])
+        V = parity_vectors(se.vectors, Uo, n, np.arange(n))
+        assert V.shape == (n, n) and V.flags.f_contiguous
+        assert np.array_equal(reversed_order, V[:, ::-1])
         assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-13
         h = (n + 1) // 2
         assert (V[::-1, :h] == V[:, :h]).all()
