@@ -25,7 +25,8 @@ import numpy as np
 
 from .config import TOL
 from .discrete import DiscreteSpectrum, dpswf_matrix, prolate_matrix
-from .numkit import IllConditionedError, NumericalFailure, gauss_legendre, snapped_floor
+from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
+                     gauss_legendre, snapped_floor)
 
 INTERVALS = {"native": 0.5, "dilated": 1.0}
 WEIERSTRASS_TOL = 1e-12
@@ -52,8 +53,8 @@ class TestFunction:
     @classmethod
     def sinc_bandlimited(cls, alpha: float) -> "TestFunction":
         """f(x) = sin(alpha x) / (alpha x), bandlimited to [-alpha, alpha]."""
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         return cls(kind="sinc_bandlimited", params={"alpha": float(alpha)},
                    evaluator=lambda x: np.sinc(alpha * x / np.pi))
 
@@ -89,8 +90,8 @@ class TestFunction:
 def weierstrass_terms(s: float):
     """(amplitudes 2^(-k s), frequencies 2^k) for k <= K_s, where K_s is
     minimal with 2^(-K_s s) <= WEIERSTRASS_TOL."""
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     n_terms = 0
     while 2.0 ** (-n_terms * s) > WEIERSTRASS_TOL:
         n_terms += 1
@@ -253,8 +254,14 @@ def _sup_grid(T: float) -> np.ndarray:
 
 
 def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
-    """Valid truncation range for the Sobolev approximation inequality."""
+    """Valid truncation range for the Sobolev approximation inequality.
+
+    Raises OutOfRangeError below c = pi N W = 1, where the inequality does
+    not apply at any K.
+    """
     c = math.pi * N * W
+    if not c >= 1.0:
+        raise OutOfRangeError(f"c=pi N W={c:g} below 1")
     lo = snapped_floor(2.0 * N * W) + math.log(c) + 6.0
     return math.ceil(lo - 1e-12), N - 1
 
@@ -310,8 +317,15 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     f_sup = np.asarray(f(xs), dtype=complex)
 
     s = f.params.get("s")
-    if s is not None:
-        k_lo, k_hi = sobolev_k_range(N, W)
+
+    def out_of_range(K: int) -> str:
+        """Why the Sobolev inequality does not apply at K, or ''."""
+        try:
+            k_lo, k_hi = sobolev_k_range(N, W)
+        except OutOfRangeError as exc:
+            return str(exc)
+        return "" if k_lo <= K <= k_hi else \
+            f"K={K} outside the inequality range [{k_lo}, {k_hi}]"
 
     @functools.cache
     def sobolev():
@@ -326,15 +340,14 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         sobolev_rhs = sobolev_ok = None
         note = ""
         if s is not None:
-            if k_lo <= K <= k_hi and spec.params.bandwidth >= 1.0:
+            note = out_of_range(K)
+            if not note:
                 hs, note = sobolev()
                 if hs is not None:
                     sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (s / 2.0) * hs
                                    + math.sqrt(max(float(spec.values[K]), 0.0))
                                    * math.sqrt(f_half_sq))
                     sobolev_ok = res_l2 <= sobolev_rhs
-            else:
-                note = f"K={K} outside the inequality range [{k_lo}, {k_hi}]"
         return ProjectionResult(
             K=K, interval="native", residual_l2=res_l2,
             residual_sup=residual_sup, coefficients=beta[:K].copy(),
@@ -367,6 +380,8 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
     every trusted mode. The fit selects the column prefix (or the modes above
     ``lambda_floor``) and solves the weighted least-squares problem.
     """
+    if lambda_floor is not None and not math.isfinite(lambda_floor):
+        raise ValueError(f"lambda_floor must be finite, got {lambda_floor}")
     N, W = spec.N, spec.W
     rule = gauss_legendre(max(4 * N, 256))
     x, w = rule.nodes, rule.weights

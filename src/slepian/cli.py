@@ -1,26 +1,32 @@
 """Command-line front end.
 
 Subcommands: eigs, table1, bounds, project, count, symmetry,
-projector-distance, turan. Exit codes: 0 success, 1 usage or validation
-error, 2 numerical failure, 3 verification failure under --strict. Floats
-are written in scientific notation with 17 significant digits and JSON keys
-are sorted, so output files are byte-deterministic for fixed inputs, version
-and BLAS thread count; the last digits can change with the thread count.
+projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
+parsed arguments alone; ``main`` loads the config, writes the output to
+``--out`` or stdout, and maps the outcome to an exit code: 0 success, 1 usage
+or validation error, 2 numerical failure, 3 verification failure under
+--strict (or config ``strict``), reported as ``<command>: <failure>`` on
+stderr after the output is written. Floats are written in scientific
+notation with 17 significant digits and JSON keys are sorted, so output files
+are byte-deterministic for fixed inputs, version and BLAS thread count; the
+last digits can change with the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds as bnd
 from .approximation import (TestFunction, project_dilated, project_native,
                             projection_sweep)
-from .config import install_tolerances, load_config
+from .config import TOL, install_tolerances, load_config
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
 from .numkit import NumericalFailure
@@ -46,34 +52,28 @@ def fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+class Output(NamedTuple):
+    lines: list[str]                # for --out or stdout
+    failure: str | None = None      # the verdict --strict turns into exit 3
+    sweep: list[str] | None = None  # project --out: the CSV next to the JSON
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+def _list_of(kind, name: str):
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in raw.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {name}: {raw}") from exc
+    return parse
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {raw}") from exc
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {raw}") from exc
-
-
-def cmd_eigs(args, cfg) -> int:
+def cmd_eigs(args) -> Output:
     params = DiscreteParams(args.N, args.W)
     disc = spectrum(params, method=args.method)
     lines = ["k,lambda_discrete,method,N,W"]
@@ -84,11 +84,10 @@ def cmd_eigs(args, cfg) -> int:
         classical = f",{fmt(cont[k])}" if args.with_classical else ""
         lines.append(f"{k},{fmt(disc.values[k])},{args.method},{args.N},"
                      f"{fmt(args.W)}{classical}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return Output(lines)
 
 
-def cmd_table1(args, cfg) -> int:
+def cmd_table1(args) -> Output:
     lines = ["W,c,l2_diff"]
     worst_rel = 0.0
     for W in TABLE1_W:
@@ -99,24 +98,16 @@ def cmd_table1(args, cfg) -> int:
         lines.append(f"{fmt(W)},{fmt(cmp_.c)},{fmt(cmp_.l2_diff)}")
         worst_rel = max(worst_rel,
                         abs(cmp_.l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if (args.strict or cfg.strict) and worst_rel > cfg.tolerances.table1_rel:
-        sys.stderr.write(f"table1: worst relative deviation {worst_rel:.3e} "
-                         f"exceeds {cfg.tolerances.table1_rel}\n")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    failure = f"worst relative deviation {worst_rel:.3e} exceeds {TOL.table1_rel}"
+    return Output(lines, failure if worst_rel > TOL.table1_rel else None)
 
 
-def cmd_bounds(args, cfg) -> int:
-    report = bnd.verify_all(args.N or cfg.n_grid, args.W or cfg.w_grid,
-                            args.eps or cfg.eps_grid, method=args.method)
-    _write_text(args.out, report.to_json() + "\n")
-    if (args.strict or cfg.strict) and not report.passed:
-        failed = [c.name for c in report.checks
-                  if not c.satisfied and not c.informational and not c.skipped]
-        sys.stderr.write(f"bounds: failing checks: {sorted(set(failed))}\n")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+def cmd_bounds(args) -> Output:
+    report = bnd.verify_all(args.N, args.W, args.eps, method=args.method)
+    failed = sorted({c.name for c in report.checks
+                     if not (c.satisfied or c.informational or c.skipped)})
+    return Output([report.to_json()],
+                  None if report.passed else f"failing checks: {failed}")
 
 
 def _build_target(args) -> TestFunction:
@@ -124,129 +115,93 @@ def _build_target(args) -> TestFunction:
         return TestFunction.sinc_bandlimited(args.alpha)
     if args.target == "weierstrass":
         return TestFunction.weierstrass(args.s)
-    if args.target == "samples":
-        if not args.samples_file:
-            raise ValueError("--samples-file is required for --target samples")
-        rows = []
-        text = Path(args.samples_file).read_text(encoding="utf-8").strip().splitlines()
-        for line in text:
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("x,"):
-                continue
-            cells = line.split(",")
-            rows.append((float(cells[0]), float(cells[1])))
-        if not rows:
-            raise ValueError(f"no sample rows in {args.samples_file}")
-        arr = np.array(rows)
-        return TestFunction.from_samples(arr[:, 0], arr[:, 1])
-    raise ValueError(f"unknown target {args.target!r}")
+    if not args.samples_file:
+        raise ValueError("--samples-file is required for --target samples")
+    rows, path = [], args.samples_file
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("x,"):
+            continue
+        try:
+            x, y = line.split(",")[:2]   # columns past the second are ignored
+            rows.append((float(x), float(y)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'x,f' with two numbers, "
+                             f"got {line!r}") from None
+    if not rows:
+        raise ValueError(f"no sample rows in {path}")
+    return TestFunction.from_samples(*np.array(rows).T)
 
 
-def _projection_payload(result) -> dict:
-    return {
-        "K": result.K,
-        "interval": result.interval,
-        "residual_l2": result.residual_l2,
-        "residual_sup": result.residual_sup,
-        "coefficients": [[float(z.real), float(z.imag)]
-                         for z in np.asarray(result.coefficients)],
-        "coefficient_indices": list(result.coefficient_indices),
-        "excluded": list(result.excluded),
-        "untrusted": list(result.untrusted),
-        "rank": result.rank,
-        "lambda_floor": result.lambda_floor,
-        "sobolev_rhs": result.sobolev_rhs,
-        "sobolev_ok": result.sobolev_ok,
-        "note": result.note,
-    }
-
-
-def cmd_project(args, cfg) -> int:
-    if args.preset:
-        preset = PRESETS[args.preset]
-        for key, value in preset.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+def cmd_project(args) -> Output:
+    defaults = {"N": 60, "W": 0.3, "alpha": 56.0, "s": 1.0, "basis": "dilated",
+                **PRESETS.get(args.preset, {})}
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
     if args.target is None:
         raise ValueError("--target (or --preset) is required")
-    for key, default in (("N", 60), ("W", 0.3), ("K", None), ("alpha", 56.0),
-                         ("s", 1.0), ("basis", "dilated")):
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
     if args.K is None:
         args.K = args.N
     if args.basis == "native" and args.lambda_floor is not None:
         raise ValueError("--lambda-floor applies to the dilated basis only")
     f = _build_target(args)
     disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
-    if args.out:
-        # the JSON result is the sweep's last row
-        sweep = projection_sweep(f, disc, args.K, args.basis, args.lambda_floor)
-        result = sweep[-1]
+    sweep = None
+    if args.out:   # the JSON result is the sweep's last row
+        rows = projection_sweep(f, disc, args.K, args.basis, args.lambda_floor)
+        result = rows[-1]
+        sweep = ["K,residual_l2,residual_sup"] + [
+            f"{rk.K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}" for rk in rows]
     elif args.basis == "dilated":
         result = project_dilated(f, disc, args.K, lambda_floor=args.lambda_floor)
     else:
         result = project_native(f, disc, args.K)
-    payload = _projection_payload(result)
-    payload["target"] = args.target
-    payload["N"], payload["W"] = args.N, args.W
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.out:
-        lines = ["K,residual_l2,residual_sup"]
-        lines += [f"{rk.K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}"
-                  for rk in sweep]
-        Path(args.out).with_suffix(".csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="")
-    if (args.strict or cfg.strict) and args.preset == "example2" \
-            and result.residual_sup > cfg.tolerances.example2_sup:
-        sys.stderr.write(f"project: sup residual {result.residual_sup:.3e} "
-                         f"exceeds {cfg.tolerances.example2_sup}\n")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    payload = dataclasses.asdict(result)
+    payload.update(coefficients=[[float(z.real), float(z.imag)]
+                                 for z in np.asarray(result.coefficients)],
+                   target=args.target, N=args.N, W=args.W)
+    failure = None
+    if args.preset == "example2" and result.residual_sup > TOL.example2_sup:
+        failure = f"sup residual {result.residual_sup:.3e} exceeds {TOL.example2_sup}"
+    return Output([json.dumps(payload, indent=2, sort_keys=True)], failure, sweep)
 
 
-def cmd_count(args, cfg) -> int:
+def cmd_count(args) -> Output:
     params = DiscreteParams(args.N, args.W)
     bound = bnd.plunge_count_bound(args.N, args.W, args.eps)
     coarse = bnd.plunge_count_bound_coarse(args.N, args.eps)
     estimate = bnd.plunge_count_estimate(args.N, args.eps)
     disc = spectrum(params, method=args.method)
-    out = [f"measured_count={bnd.plunge_count(disc.values, args.eps)}",
-           f"count_bound={fmt(bound)}",
-           f"coarse_bound={fmt(coarse)}",
-           f"asymptotic_estimate={fmt(estimate)}"]
-    _write_text(args.out, "\n".join(out) + "\n")
-    return EXIT_OK
+    return Output([f"measured_count={bnd.plunge_count(disc.values, args.eps)}",
+                   f"count_bound={fmt(bound)}",
+                   f"coarse_bound={fmt(coarse)}",
+                   f"asymptotic_estimate={fmt(estimate)}"])
 
 
-def cmd_symmetry(args, cfg) -> int:
+def cmd_symmetry(args) -> Output:
     defect = symmetry_defect(
         spectrum(DiscreteParams(args.N, args.W), method=args.method))
-    _write_text(args.out, f"symmetry_defect={fmt(defect)}\n")
-    return EXIT_OK
+    return Output([f"symmetry_defect={fmt(defect)}"])
 
 
-def cmd_projector_distance(args, cfg) -> int:
+def cmd_projector_distance(args) -> Output:
     disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
     distance = projector_distance(disc, args.K)
     lines = [f"distance={fmt(distance)}"]
     if args.b is not None:
         bound, condition_ok = eigenspace_bound(args.N, args.W, args.b)
-        lines.append(f"bound={fmt(bound)}")
-        lines.append(f"condition_ok={str(condition_ok).lower()}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+        lines += [f"bound={fmt(bound)}", f"condition_ok={str(condition_ok).lower()}"]
+    return Output(lines)
 
 
-def cmd_turan(args, cfg) -> int:
+def cmd_turan(args) -> Output:
     result = bnd.concentration_inequality_constant(args.W, args.N_list)
     lines = [f"formula_value={fmt(result['formula_value'])}",
              f"empirical={fmt(result['empirical'])}",
              f"empirical_sq_convention={fmt(result['empirical_sq'])}"]
-    for N, value in sorted(result["per_n"].items()):
-        lines.append(f"empirical_N{N}={fmt(value)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines += [f"empirical_N{N}={fmt(v)}" for N, v in sorted(result["per_n"].items())]
+    return Output(lines)
 
 
 def build_parser() -> _Parser:
@@ -258,37 +213,33 @@ def build_parser() -> _Parser:
                              "(default: $SLEPIAN_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def common(p, n_default=None, w_default=None):
         p.add_argument("--N", type=int, default=n_default)
         p.add_argument("--W", type=float, default=w_default)
         p.add_argument("--method", choices=METHODS, default="tridiag")
-        p.add_argument("--out", default=None)
-        p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("eigs", help="discrete spectrum as CSV")
+    p = add("eigs", cmd_eigs, "discrete spectrum as CSV")
     common(p, 60, 0.3)
     p.add_argument("--with-classical", action="store_true",
                    help="add the sinc-kernel eigenvalues at c = pi N W (Legendre route)")
-    p.set_defaults(func=cmd_eigs)
 
-    p = sub.add_parser("table1", help="l2 spectrum-comparison table for N=60")
-    p.add_argument("--out", default=None)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_table1)
+    add("table1", cmd_table1, "l2 spectrum-comparison table for N=60")
 
-    p = sub.add_parser("bounds", help="run all bound checks, emit JSON report")
-    p.add_argument("--N", type=_int_list, default=None,
+    p = add("bounds", cmd_bounds, "run all bound checks, emit JSON report")
+    p.add_argument("--N", type=_list_of(int, "integers"), default=None,
                    help="comma-separated sequence lengths")
-    p.add_argument("--W", type=_float_list, default=None,
+    p.add_argument("--W", type=_list_of(float, "floats"), default=None,
                    help="comma-separated bandwidths")
-    p.add_argument("--eps", type=_float_list, default=None,
+    p.add_argument("--eps", type=_list_of(float, "floats"), default=None,
                    help="comma-separated epsilon levels")
     p.add_argument("--method", choices=METHODS, default="tridiag")
-    p.add_argument("--out", default=None)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("project", help="project a test function onto the basis")
+    p = add("project", cmd_project, "project a test function onto the basis")
     common(p)
     p.add_argument("--target", choices=("sinc", "weierstrass", "samples"),
                    default=None)
@@ -301,46 +252,60 @@ def build_parser() -> _Parser:
                    help="exclude modes with eigenvalue below this floor "
                         "(dilated basis only; default: keep all K modes)")
     p.add_argument("--samples-file", default=None)
-    p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("count", help="plunge count vs bounds")
+    p = add("count", cmd_count, "plunge count vs bounds")
     common(p, 60, 0.3)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("symmetry", help="reflection-identity defect")
+    p = add("symmetry", cmd_symmetry, "reflection-identity defect")
     common(p, 60, 0.3)
-    p.set_defaults(func=cmd_symmetry)
 
-    p = sub.add_parser("projector-distance",
-                       help="distance between rank-K spectral projectors")
+    p = add("projector-distance", cmd_projector_distance,
+            "distance between rank-K spectral projectors")
     common(p, 60, 0.1)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--b", type=float, default=None)
-    p.set_defaults(func=cmd_projector_distance)
 
-    p = sub.add_parser("turan", help="concentration-inequality constant")
+    p = add("turan", cmd_turan, "concentration-inequality constant")
     p.add_argument("--W", type=float, default=1.0 / 6.0)
-    p.add_argument("--N-list", type=_int_list, default=(7, 9, 11))
-    p.add_argument("--out", default=None)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_turan)
+    p.add_argument("--N-list", type=_list_of(int, "integers"), default=(7, 9, 11))
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
+        p.add_argument("--strict", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    caller_tolerances = dataclasses.replace(TOL)
     try:
         cfg = load_config(args.config)
         install_tolerances(cfg.tolerances)
-        return args.func(args, cfg)
+        if args.command == "bounds":
+            args.N, args.W, args.eps = (args.N or cfg.n_grid, args.W or cfg.w_grid,
+                                        args.eps or cfg.eps_grid)
+        lines, failure, sweep = args.func(args)
+        if args.out is None:
+            sys.stdout.write("\n".join(lines) + "\n")
+        else:
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                      newline="")
+        if sweep is not None:
+            Path(args.out).with_suffix(".csv").write_text(
+                "\n".join(sweep) + "\n", encoding="utf-8", newline="")
+        if failure is not None and (args.strict or cfg.strict):
+            sys.stderr.write(f"{args.command}: {failure}\n")
+            return EXIT_VERIFICATION
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"slepian: {exc}\n")
         return EXIT_USAGE
     except NumericalFailure as exc:
         sys.stderr.write(f"slepian: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
+    finally:
+        install_tolerances(caller_tolerances)
 
 
 if __name__ == "__main__":

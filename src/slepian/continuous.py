@@ -251,6 +251,8 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
         raise ValueError(f"W must lie in (0, 0.5), got {W}")
     if not b > math.log(3.0) / math.pi:
         raise ValueError(f"b must exceed log(3)/pi = {math.log(3)/math.pi:.4f}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     c = math.pi * N * W
     denom = 1.0 - 3.0 / (1.0 + math.exp(math.pi * b))
     alpha = 3.0 / (32.0 * b * math.pi) * denom

@@ -77,23 +77,26 @@ class DiscreteSpectrum:
         return self.params.W
 
 
+def _prolate_view(params: DiscreteParams) -> np.ndarray:
+    """Read-only strided Toeplitz view ``[i, j] -> lag[|i - j|]`` of the lag
+    vector sin(2 pi W n) / (pi n), n = 0..N-1 (diagonal 2W, the sinc limit)."""
+    N, W = params.N, params.W
+    lag = sinc_kernel(2.0 * np.pi * W, np.arange(N), 2.0 * W)
+    return sliding_window_view(np.concatenate([lag[:0:-1], lag]), N)[::-1]
+
+
 def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     """Toeplitz matrix sin(2 pi W (n-m)) / (pi (n-m)), diagonal 2W.
 
     The diagonal is the sinc limit of the generic entry.
     """
-    N, W = params.N, params.W
-    idx = np.arange(N)
-    first = sinc_kernel(2.0 * np.pi * W, idx, 2.0 * W)
-    return first[np.abs(idx[:, None] - idx[None, :])]
+    return _prolate_view(params).copy()
 
 
 def _prolate_blocks(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
-    """``parity_blocks(prolate_matrix(params))`` read from a strided Toeplitz
-    view of the lag vector, so the N x N matrix is never built."""
-    N, W = params.N, params.W
-    lag = sinc_kernel(2.0 * np.pi * W, np.arange(N), 2.0 * W)
-    return parity_blocks(sliding_window_view(np.concatenate([lag[:0:-1], lag]), N)[::-1])
+    """``parity_blocks(prolate_matrix(params))`` read from the strided view,
+    so the N x N matrix is never built."""
+    return parity_blocks(_prolate_view(params))
 
 
 def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:

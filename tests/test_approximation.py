@@ -6,9 +6,11 @@ import pytest
 from slepian import approximation
 from slepian.approximation import (TestFunction, project_dilated,
                                    project_native, projection_sweep,
-                                   sobolev_norm, weierstrass, weierstrass_terms)
+                                   sobolev_k_range, sobolev_norm, weierstrass,
+                                   weierstrass_terms)
 from slepian.discrete import dpswf_matrix
-from slepian.numkit import IllConditionedError, NumericalFailure, gauss_legendre
+from slepian.numkit import (IllConditionedError, NumericalFailure,
+                            OutOfRangeError, gauss_legendre)
 
 
 class TestWeierstrass:
@@ -26,8 +28,11 @@ class TestWeierstrass:
         assert np.max(np.abs(weierstrass(1.0, xs) - weierstrass(1.0, -xs))) <= 1e-14
 
     def test_invalid_s(self):
-        with pytest.raises(ValueError):
-            weierstrass(0.0, 0.1)
+        for s in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                weierstrass(s, 0.1)
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                weierstrass_terms(s)
 
     def test_overflowing_frequencies_rejected(self):
         # s = 1e-2 needs 3988 terms; frequencies past 2^1023 are not finite
@@ -49,8 +54,9 @@ class TestTestFunction:
         assert f(0.1) == pytest.approx(math.sin(5.6) / 5.6, rel=1e-14)
 
     def test_sinc_validation(self):
-        with pytest.raises(ValueError):
-            TestFunction.sinc_bandlimited(-2.0)
+        for alpha in (-2.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                TestFunction.sinc_bandlimited(alpha)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +222,16 @@ class TestProjectNative:
         result = project_native(f, spec60_03, 20)
         assert result.sobolev_ok is None
         assert "outside" in result.note
+
+    def test_sobolev_bound_skipped_below_unit_bandwidth(self, get_spectrum):
+        # K = 10 lies in [5, 59], but the inequality needs c = pi N W >= 1
+        result = project_native(TestFunction.weierstrass(1.0),
+                                get_spectrum(60, 0.001), 10)
+        assert (result.sobolev_ok, result.sobolev_rhs, result.note) == (
+            None, None, "c=pi N W=0.188496 below 1")
+        with pytest.raises(OutOfRangeError, match="below 1"):
+            sobolev_k_range(60, 0.001)
+        assert sobolev_k_range(60, 0.3) == (47, 59)
 
     def test_bessel_inequality(self, spec60_03):
         f = TestFunction.weierstrass(1.0)
@@ -399,3 +415,11 @@ class TestProjectionSweep:
             projection_sweep(f, spec60_03, 10, "native", lambda_floor=1e-13)
         with pytest.raises(IllConditionedError):
             projection_sweep(f, spec60_03, 10, lambda_floor=2.0)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_floor(self, spec60_03, floor):
+        f = TestFunction.sinc_bandlimited(56.0)
+        with pytest.raises(ValueError, match="lambda_floor must be finite"):
+            project_dilated(f, spec60_03, 10, lambda_floor=floor)
+        with pytest.raises(ValueError, match="lambda_floor must be finite"):
+            projection_sweep(f, spec60_03, 10, lambda_floor=floor)

@@ -204,6 +204,29 @@ class TestProject:
         assert len(cp.stderr.splitlines()) == 1 and "overflow" in cp.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--target", "samples", "--samples-file", "{samples}"],
+         "slepian: {samples}:3: expected 'x,f' with two numbers, got '0.1'"),
+        (["--target", "sinc", "--alpha", "inf"],
+         "slepian: alpha must be positive and finite, got inf"),
+        (["--target", "weierstrass", "--s", "inf"],
+         "slepian: s must be positive and finite, got inf"),
+        (["--target", "sinc", "--lambda-floor", "nan"],
+         "slepian: lambda_floor must be finite, got nan"),
+        (["--target", "sinc", "--lambda-floor", "inf"],
+         "slepian: lambda_floor must be finite, got inf")])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bad_input_is_one_line(self, tmp_path, argv, message, to_file):
+        samples = tmp_path / "rows.csv"
+        samples.write_text("x,f\n-1.0,0.0\n0.1\n1.0,1.0\n")
+        out = tmp_path / "proj.json"
+        argv = [a.format(samples=samples) for a in argv]
+        cp = run_cli("project", "--N", "16", "--W", "0.2", *argv,
+                     *(["--out", str(out)] if to_file else []))
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr.splitlines() == [message.format(samples=samples)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
     def test_samples_projection(self, tmp_path):
         samples = tmp_path / "data.csv"
         rows = ["x,f"] + [f"{x},{x * x}" for x in
@@ -267,6 +290,15 @@ class TestOtherCommands:
         assert 0.0 <= float(data["distance"]) <= 1.0
         assert data["condition_ok"] == "true"
 
+    @pytest.mark.parametrize("b,message", [
+        ("inf", "slepian: b must be finite, got inf"),
+        ("0.1", "slepian: b must exceed log(3)/pi = 0.3497")])
+    def test_projector_distance_bad_b(self, b, message):
+        cp = run_cli("projector-distance", "--N", "60", "--W", "0.1",
+                     "--K", "6", "--b", b)
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr.splitlines() == [message]
+
     def test_turan(self, tmp_path):
         out = tmp_path / "turan.txt"
         cp = run_cli("turan", "--out", str(out))
@@ -328,6 +360,54 @@ class TestConfigAndExitCodes:
         failing = [c for c in payload["checks"]
                    if c["name"] == "symmetry_identity"]
         assert failing and not failing[0]["satisfied"]
+
+    @pytest.mark.parametrize("strict_by", ["flag", "config"])
+    @pytest.mark.parametrize("argv,tolerance,stderr,files", [
+        (["table1", "--out", "t1.csv"], "table1_rel",
+         "table1: worst relative deviation 8.840e-04 exceeds 1e-30\n",
+         ["t1.csv"]),
+        (["project", "--preset", "example2", "--out", "e2.json"],
+         "example2_sup", "project: sup residual 2.146e-09 exceeds 1e-30\n",
+         ["e2.csv", "e2.json"]),
+        (["bounds", "--out", "sy.json"], "symmetry_identity",
+         "bounds: failing checks: ['symmetry_identity']\n", ["sy.json"])])
+    def test_strict_verdicts(self, tmp_path, argv, tolerance, stderr, files,
+                             strict_by):
+        # the output is written first, then the verdict goes to stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_grid = 30\nw_grid = 0.1\neps_grid = 0.05\n"
+                       f"tol_{tolerance} = 1e-30\n"
+                       + ("strict = true\n" if strict_by == "config" else ""))
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        cp = run_cli("--config", str(cfg), *argv,
+                     *(["--strict"] if strict_by == "flag" else []))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (3, "", stderr)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            files + ["run.cfg"])
+        # without --strict the same failure is only recorded in the output
+        if strict_by == "flag":
+            cp = run_cli("--config", str(cfg), *argv)
+            assert (cp.returncode, cp.stderr) == (0, "")
+
+    def test_main_restores_tolerances(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+        from slepian.config import TOL, Tolerances, install_tolerances
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_trace_rel = 1e-10\n")
+        before = dataclasses.replace(TOL)
+        argv = ["symmetry", "--N", "8", "--W", "0.2"]
+        # a config override does not outlive the call
+        assert cli.main(["--config", str(cfg), *argv]) == 0
+        assert TOL == before
+        # and a plain call does not reset the caller's own values
+        install_tolerances(Tolerances(trace_rel=5e-11))
+        try:
+            assert cli.main(argv) == 0
+            assert TOL == Tolerances(trace_rel=5e-11)
+        finally:
+            install_tolerances(before)
+        assert capsys.readouterr().out.count("symmetry_defect=") == 2
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -203,7 +203,7 @@ class TestLagIntegrals:
         S = _sinc_kernel_matrix(c, rule.nodes, rule.weights)
         two_d = float(np.vdot(S, S))
         one_d = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
-        assert one_d == pytest.approx(two_d, rel=1e-13)
+        assert one_d == pytest.approx(two_d, rel=1e-13, abs=0)
 
     @staticmethod
     def two_d_distance(N, W):
@@ -224,7 +224,7 @@ class TestLagIntegrals:
 
     def test_kernel_distance_at_small_band(self):
         assert kernel_hs_distance(10, 1e-3) == pytest.approx(
-            3.3965720962501456e-08, rel=1e-10)
+            3.3965720962501456e-08, rel=1e-10, abs=0)
 
     @staticmethod
     def mp_distance(N, W, dps=20):
@@ -369,5 +369,8 @@ class TestEigenspaceBound:
         assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_b_range(self):
-        with pytest.raises(ValueError):
-            eigenspace_bound(60, 0.1, 0.3)   # log(3)/pi ~ 0.3497
+        for b, message in ((0.3, "must exceed log"),   # log(3)/pi ~ 0.3497
+                           (math.nan, "must exceed log"),
+                           (math.inf, "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                eigenspace_bound(60, 0.1, b)

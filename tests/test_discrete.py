@@ -13,7 +13,7 @@ from slepian.discrete import (DiscreteParams, commutation_defect,
                               spectrum, symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, SymTridiag,
                             eig_sym, eig_symtridiag, gauss_legendre,
-                            parity_blocks, tridiag_parity_blocks)
+                            parity_blocks, sinc_kernel, tridiag_parity_blocks)
 
 
 class TestParams:
@@ -54,6 +54,27 @@ class TestProlateMatrix:
     def test_exact_symmetry(self):
         A = prolate_matrix(DiscreteParams(41, 0.123))
         assert (A == A.T).all()
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 60, 61, 500, 2001])
+    @pytest.mark.parametrize("W", [0.01, 0.3, 0.45])
+    def test_matches_indexed_lag_vector(self, N, W):
+        idx = np.arange(N)
+        lag = sinc_kernel(2.0 * np.pi * W, idx, 2.0 * W)
+        rho = prolate_matrix(DiscreteParams(N, W))
+        assert np.array_equal(rho, lag[np.abs(idx[:, None] - idx[None, :])])
+        assert rho.flags.c_contiguous and rho.flags.writeable
+
+    def test_peak(self):
+        # one N x N result; no N x N index array beside it
+        N = 2000
+        params = DiscreteParams(N, 0.3)
+        tracemalloc.start()
+        try:
+            prolate_matrix(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * N * N * 8
 
 
 class TestCommutingTridiagonal:
@@ -302,7 +323,8 @@ class TestCommutation:
         dense = (np.linalg.norm(rho @ sig - sig @ rho)
                  / (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
         assert dense > 1e-4
-        assert commutation_defect(params, rho) == pytest.approx(dense, rel=1e-12)
+        assert commutation_defect(params, rho) == pytest.approx(dense, rel=1e-12,
+                                                                abs=0)
 
 
 class TestExtend:
