@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from slepian import cli
+from slepian.config import Tolerances
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -364,13 +366,17 @@ class TestConfigAndExitCodes:
     @pytest.mark.parametrize("strict_by", ["flag", "config"])
     @pytest.mark.parametrize("argv,tolerance,stderr,files", [
         (["table1", "--out", "t1.csv"], "table1_rel",
-         "table1: worst relative deviation 8.840e-04 exceeds 1e-30\n",
+         r"table1: worst relative deviation 8\.840e-04 exceeds 1e-30\n",
          ["t1.csv"]),
+        # the example 2 residual is rounding noise (its digits follow the
+        # BLAS thread count), so only its size below the default is pinned
         (["project", "--preset", "example2", "--out", "e2.json"],
-         "example2_sup", "project: sup residual 2.146e-09 exceeds 1e-30\n",
+         "example2_sup",
+         r"project: sup residual (?P<value>\S+) exceeds 1e-30\n",
          ["e2.csv", "e2.json"]),
         (["bounds", "--out", "sy.json"], "symmetry_identity",
-         "bounds: failing checks: ['symmetry_identity']\n", ["sy.json"])])
+         r"bounds: failing checks: \['symmetry_identity'\]\n",
+         ["sy.json"])], ids=["table1", "project", "bounds"])
     def test_strict_verdicts(self, tmp_path, argv, tolerance, stderr, files,
                              strict_by):
         # the output is written first, then the verdict goes to stderr
@@ -381,7 +387,11 @@ class TestConfigAndExitCodes:
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
         cp = run_cli("--config", str(cfg), *argv,
                      *(["--strict"] if strict_by == "flag" else []))
-        assert (cp.returncode, cp.stdout, cp.stderr) == (3, "", stderr)
+        assert (cp.returncode, cp.stdout) == (3, "")
+        verdict = re.fullmatch(stderr, cp.stderr)
+        assert verdict, cp.stderr
+        if "value" in verdict.groupdict():
+            assert 0 < float(verdict["value"]) < Tolerances().example2_sup
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             files + ["run.cfg"])
         # without --strict the same failure is only recorded in the output
