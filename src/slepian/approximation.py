@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
+from .config import current_tolerances
 from .discrete import DiscreteSpectrum, dpswf_matrix, prolate_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      gauss_legendre, snapped_floor)
@@ -199,11 +199,12 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
                            norm=math.sqrt(norm_sq),
                            note="closed-form cosine-sum path")
     grids = [2 ** m for m in range(8, 25)]
+    rel = current_tolerances().sobolev_rel
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
         slopes = amps * freqs
         jump = 2.0 * float(np.sum(slopes * np.sin(freqs * T)))
-        if s >= 1.5 and abs(jump) > TOL.sobolev_rel * float(np.sum(np.abs(slopes))):
+        if s >= 1.5 and abs(jump) > rel * float(np.sum(np.abs(slopes))):
             raise NumericalFailure(
                 f"the periodised derivative jumps by {jump:.3e} at x = +-{T}; "
                 f"the H^{s} norm diverges for s >= 3/2")
@@ -221,7 +222,7 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
         coeff = np.sqrt(2.0 * T) * np.fft.fft(fx) / G
         n = np.fft.fftfreq(G, d=1.0 / G)
         norm_sq = float(np.sum((1.0 + n ** 2) ** s * np.abs(coeff) ** 2))
-        if prev is not None and abs(norm_sq - prev) <= TOL.sobolev_rel * norm_sq:
+        if prev is not None and abs(norm_sq - prev) <= rel * norm_sq:
             return SobolevSpec(s=float(s), interval=interval,
                                norm=math.sqrt(norm_sq))
         prev = norm_sq
@@ -394,7 +395,7 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
     raw_sup = dpswf_matrix(spec, W * xs)
     f_sup = np.asarray(f(xs), dtype=complex)
     # normalised-mode coefficients, only where the eigenvalue is trustworthy
-    is_trusted = spec.values >= TOL.floor_untrusted
+    is_trusted = spec.values >= current_tolerances().floor_untrusted
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
         raw_ip = _cosine_mode_integrals(amps, freqs, spec, W, 1.0)

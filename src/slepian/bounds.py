@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, DEFAULT_EPS_GRID, DEFAULT_N_GRID, DEFAULT_W_GRID
+from .config import (DEFAULT_EPS_GRID, DEFAULT_N_GRID, DEFAULT_W_GRID,
+                     current_tolerances)
 from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
                          kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, commutation_defect, prolate_matrix,
@@ -51,29 +52,6 @@ class BoundCheck:
     skipped: bool = False
     note: str = ""
 
-    def to_dict(self) -> dict:
-        def scalar(v):
-            if v is None or isinstance(v, (str, bool, int)):
-                return v
-            if isinstance(v, dict):
-                return {str(k): scalar(x) for k, x in v.items()}
-            if isinstance(v, np.integer):
-                return int(v)
-            return float(v)
-
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "params": scalar(self.params),
-            "bound": scalar(self.bound),
-            "measured": scalar(self.measured),
-            "satisfied": bool(self.satisfied),
-            "margin": scalar(self.margin),
-            "informational": bool(self.informational),
-            "skipped": bool(self.skipped),
-            "note": self.note,
-        }
-
 
 @dataclass
 class BoundReport:
@@ -91,9 +69,9 @@ class BoundReport:
             "version": self.version,
             "tolerances": self.tolerances,
             "pass": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [dataclasses.asdict(c) for c in self.checks],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
 
     @classmethod
     def from_json(cls, text: str) -> "BoundReport":
@@ -243,16 +221,16 @@ def concentration_inequality_constant(W: float, n_list=(7, 9, 11)) -> dict:
     """
     if not 1.0 / 6.0 <= W < 0.5:
         raise OutOfRangeError(f"W={W} outside [1/6, 1/2)")
-    per_n = {}
+    per_n, floor = {}, current_tolerances().floor_checks
     for N in n_list:
         if N < 2:
             raise OutOfRangeError(f"N={N} must be >= 2")
         last = spectrum(DiscreteParams(N, W)).values[N - 1]
-        if last >= TOL.floor_checks:
+        if last >= floor:
             per_n[N] = -math.log(last) / ((1.0 - 2.0 * W) * (N - 1.0))
     if not per_n:
         raise IllConditionedFloor(
-            f"all lambda_(N-1) below {TOL.floor_checks:.0e} for N in {tuple(n_list)}; "
+            f"all lambda_(N-1) below {floor:.0e} for N in {tuple(n_list)}; "
             "choose smaller N")
     empirical = max(per_n.values())
     return {
@@ -289,14 +267,14 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     if not c >= 1.0:
         raise OutOfRangeError(f"c=pi N W={c:g} below 1")
     lo = 2.0 * N * W + math.log(c) + 6.0
-    hi = min(c, N - 1)
+    hi, floor = min(c, N - 1), current_tolerances().floor_checks
     if lo > hi:
         raise OutOfRangeError(f"empty plunge-decay range for (N, W)=({N}, {W})")
     candidates = [n for n in range(math.ceil(lo), math.floor(hi) + 1)
-                  if values[n] >= TOL.floor_checks]
+                  if values[n] >= floor]
     if not candidates:
         raise OutOfRangeError(
-            f"no eigenvalue above {TOL.floor_checks:.0e} in the plunge-decay "
+            f"no eigenvalue above {floor:.0e} in the plunge-decay "
             f"range for (N, W)=({N}, {W})")
     scale = math.log(c) + 5.0
     etas = [-math.log(values[n] / 2.0) * scale / (n - 2.0 * N * W)
@@ -366,15 +344,17 @@ def _family(name: str, ref: str, params: dict, values: np.ndarray, indices,
             bound) -> BoundCheck:
     """values[k] <= bound(k) for every index k with values[k] above the check
     floor: the worst excess against 0, with the number of indices checked."""
+    tol = current_tolerances()
     excess = [values[k] - bound(k) for k in indices
-              if values[k] >= TOL.floor_checks]
+              if values[k] >= tol.floor_checks]
     return _le(name, ref, {**params, "checked": len(excess)},
-               max(excess, default=0.0), 0.0, TOL.check_floor)
+               max(excess, default=0.0), 0.0, tol.check_floor)
 
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                eps_grid=DEFAULT_EPS_GRID, method: str = "tridiag") -> BoundReport:
     """Run every bound/identity check over the grid, skipping out-of-range ones."""
+    tol = current_tolerances()
     w_grid = tuple(w_grid)
     eps_grid = tuple(eps_grid)
     grid = sorted({(p.N, p.W) for p in (DiscreteParams(N, W)
@@ -401,7 +381,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         gram = disc.dpss.T @ (rho @ disc.dpss)
         other = spectrum(disc.params,
                          method="toeplitz" if method == "tridiag" else "tridiag")
-        mask = lam >= TOL.floor_checks
+        mask = lam >= tol.floor_checks
         cmp_ = compare_spectra(N, W, lam, cont)
         mass = ("plunge_mass", "trace minus squared HS norm", pw)
         tail = ("eigenvalue_tail_bound", "min-max tail estimate", pw)
@@ -415,28 +395,28 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
 
         checks += [
             _le("trace_identity", "trace equals 2NW", pw,
-                abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), TOL.trace_rel),
+                abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), tol.trace_rel),
             _le("symmetry_identity", "reflection identity between W and 1/2 - W",
-                pw, symmetry_defect(disc), TOL.symmetry_identity),
+                pw, symmetry_defect(disc), tol.symmetry_identity),
             _le("commutation", "commuting tridiagonal matrix", pw,
-                commutation_defect(disc.params, rho), TOL.commutation),
+                commutation_defect(disc.params, rho), tol.commutation),
             _le("double_orthogonality",
                 "double orthogonality of the wave functions", pw,
                 float(np.max(np.abs(gram - np.diag(np.diag(gram))))),
-                TOL.double_orthogonality),
+                tol.double_orthogonality),
             _le("cross_route_agreement", "Toeplitz route vs tridiagonal route",
-                pw, float(np.max(np.abs(lam[mask] - other.values[mask]))),
-                TOL.cross_route),
+                pw, float(np.max(np.abs(lam[mask] - other.values[mask]), initial=0.0)),
+                tol.cross_route),
             _le("spectra_l2_distance",
                 "l2 spectrum comparison via Wielandt-Hoffman",
-                {**pw, "c": cmp_.c}, cmp_.l2_diff, cmp_.bound, TOL.check_floor),
+                {**pw, "c": cmp_.c}, cmp_.l2_diff, cmp_.bound, tol.check_floor),
             _le("kernel_hs_distance",
                 "HS distance between Dirichlet and sinc kernels", pw,
                 kernel_hs_distance(N, W), kernel_hs_distance_bound(W),
-                TOL.check_floor),
+                tol.check_floor),
             *verify_comparison(N, W, lam, cont),
             _gated(*mass, lambda: _le(*mass, *plunge_mass(N, W, lam),
-                                      TOL.check_floor)),
+                                      tol.check_floor)),
             _gated(*tail, lambda: _family(
                 *tail, lam, eigenvalue_tail_range(N, W),
                 lambda n: eigenvalue_tail_bound(n, N, W))),
@@ -461,7 +441,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
 
             checks += [
                 _gated(*plunge, lambda: _le(
-                    *plunge, count, plunge_count_bound(N, W, eps), TOL.check_floor)),
+                    *plunge, count, plunge_count_bound(N, W, eps), tol.check_floor)),
                 _gated(*gain, gain_check),
                 BoundCheck(name="plunge_count_estimate",
                            paper_ref="asymptotic count estimate",
@@ -477,16 +457,17 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         # the bound comes first: below c = 1 it raises before the norm is taken
         checks.append(_gated(*hs, lambda: _ge(
             *hs, bound=hs_lower_bound(c), measured=hs_norm_sq(c, cont),
-            slack=TOL.check_floor)))
+            slack=tol.check_floor)))
 
     # concentration-inequality constant (informational, fixed W = 1/6)
     turan = ("concentration_constant", "Turan-Nazarov concentration constant")
 
     def turan_check():
         tn = concentration_inequality_constant(1.0 / 6.0)
-        return _ge(*turan, {"W": 1.0 / 6.0, "per_n": tn["per_n"]},
+        per_n = {str(N): v for N, v in tn["per_n"].items()}   # JSON key order
+        return _ge(*turan, {"W": 1.0 / 6.0, "per_n": per_n},
                    tn["empirical"], tn["formula_value"], informational=True)
 
     checks.append(_gated(*turan, {"W": 1.0 / 6.0}, turan_check, informational=True))
     checks.sort(key=lambda ch: (ch.name, json.dumps(ch.params, sort_keys=True)))
-    return BoundReport(checks=checks, tolerances=dataclasses.asdict(TOL))
+    return BoundReport(checks=checks, tolerances=dataclasses.asdict(tol))

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from .approximation import (TestFunction, project_dilated, project_native,
                             projection_sweep)
-from .config import TOL, install_tolerances, load_config
+from .config import current_tolerances, load_config, using_tolerances
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
 from .numkit import NumericalFailure
@@ -98,8 +98,9 @@ def cmd_table1(args) -> Output:
         lines.append(f"{fmt(W)},{fmt(cmp_.c)},{fmt(cmp_.l2_diff)}")
         worst_rel = max(worst_rel,
                         abs(cmp_.l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
-    failure = f"worst relative deviation {worst_rel:.3e} exceeds {TOL.table1_rel}"
-    return Output(lines, failure if worst_rel > TOL.table1_rel else None)
+    rel = current_tolerances().table1_rel
+    failure = f"worst relative deviation {worst_rel:.3e} exceeds {rel}"
+    return Output(lines, failure if worst_rel > rel else None)
 
 
 def cmd_bounds(args) -> Output:
@@ -123,7 +124,7 @@ def _build_target(args) -> TestFunction:
         if not line or line.startswith("#") or line.lower().startswith("x,"):
             continue
         try:
-            x, y = line.split(",")[:2]   # columns past the second are ignored
+            x, y = line.split(",")
             rows.append((float(x), float(y)))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'x,f' with two numbers, "
@@ -161,9 +162,9 @@ def cmd_project(args) -> Output:
     payload.update(coefficients=[[float(z.real), float(z.imag)]
                                  for z in np.asarray(result.coefficients)],
                    target=args.target, N=args.N, W=args.W)
-    failure = None
-    if args.preset == "example2" and result.residual_sup > TOL.example2_sup:
-        failure = f"sup residual {result.residual_sup:.3e} exceeds {TOL.example2_sup}"
+    failure, sup = None, current_tolerances().example2_sup
+    if args.preset == "example2" and result.residual_sup > sup:
+        failure = f"sup residual {result.residual_sup:.3e} exceeds {sup}"
     return Output([json.dumps(payload, indent=2, sort_keys=True)], failure, sweep)
 
 
@@ -278,14 +279,13 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    caller_tolerances = dataclasses.replace(TOL)
     try:
         cfg = load_config(args.config)
-        install_tolerances(cfg.tolerances)
         if args.command == "bounds":
             args.N, args.W, args.eps = (args.N or cfg.n_grid, args.W or cfg.w_grid,
                                         args.eps or cfg.eps_grid)
-        lines, failure, sweep = args.func(args)
+        with using_tolerances(cfg.tolerances):
+            lines, failure, sweep = args.func(args)
         if args.out is None:
             sys.stdout.write("\n".join(lines) + "\n")
         else:
@@ -304,8 +304,6 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"slepian: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    finally:
-        install_tolerances(caller_tolerances)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,23 @@
 """Run configuration: numerical tolerances, default grids, file/env overrides.
 
-Every tolerance used by the library lives in the ``Tolerances`` record so a
-single object documents the numerical contract. ``RunConfig`` adds the default
-experiment grids and CLI-level knobs, and can be loaded from a flat
-``key = value`` text file (path given by ``--config`` or the
-``SLEPIAN_CONFIG`` environment variable).
+Every tolerance used by the library lives in the frozen ``Tolerances`` record;
+the one in effect is ``current_tolerances()``, set per thread or task only by
+``with using_tolerances(tol):``. ``RunConfig`` adds the default experiment
+grids and CLI-level knobs, and can be loaded from a flat ``key = value`` text
+file (path given by ``--config`` or the ``SLEPIAN_CONFIG`` environment variable).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     # eigensolver output contracts
     orthonormality: float = 1e-12
@@ -44,6 +47,30 @@ class Tolerances:
     example2_sup: float = 1e-8
     sobolev_rel: float = 1e-8
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"tolerance {name} must be positive and finite, got {value}")
+
+
+_TOLERANCES: ContextVar[Tolerances] = ContextVar("tolerances", default=Tolerances())
+
+
+def current_tolerances() -> Tolerances:
+    """The tolerances in effect in this context."""
+    return _TOLERANCES.get()
+
+
+@contextlib.contextmanager
+def using_tolerances(tolerances: Tolerances):
+    """Make ``tolerances`` the record in effect inside the ``with`` block."""
+    token = _TOLERANCES.set(tolerances)
+    try:
+        yield
+    finally:
+        _TOLERANCES.reset(token)
+
 
 DEFAULT_N_GRID = (30, 60)
 DEFAULT_W_GRID = (0.1, 0.2, 0.3, 0.4)
@@ -61,9 +88,6 @@ class RunConfig:
     strict: bool = False
 
     def __post_init__(self):
-        for name, value in dataclasses.asdict(self.tolerances).items():
-            if not value > 0:
-                raise ValueError(f"tolerance {name} must be positive, got {value}")
         for n in self.n_grid:
             if int(n) != n or n < 1:
                 raise ValueError(f"N grid values must be integers >= 1, got {n}")
@@ -119,17 +143,3 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         cfg_kwargs["tolerances"] = Tolerances(**tol_kwargs)
     return RunConfig(**cfg_kwargs)
-
-
-TOL = Tolerances()
-
-
-def install_tolerances(tolerances: Tolerances) -> None:
-    """Install tolerance values into the shared record.
-
-    Every module reads the shared ``TOL`` object, so overrides must be copied
-    onto it in place. The CLI calls this once at startup before dispatching;
-    it is not meant to be flipped mid-computation.
-    """
-    for f in dataclasses.fields(Tolerances):
-        setattr(TOL, f.name, getattr(tolerances, f.name))

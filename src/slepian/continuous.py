@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
+from .config import current_tolerances
 from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
@@ -75,7 +75,7 @@ def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
 def legendre_spectrum(c: float, count: int) -> np.ndarray:
     """Sinc-kernel eigenvalues mu_n on [-1, 1] in the order of the prolate
     operator's eigenvalues chi_n: at least ``count``, and always enough to
-    match the trace 2c/pi to ``TOL.trace_continuous_rel``.
+    match the trace 2c/pi to ``Tolerances.trace_continuous_rel``.
 
     The operator's eigenfunctions psi_n (parity of n) are the kernel's. Each
     parity block goes through ``eig_symtridiag`` on a basis grown until the
@@ -107,7 +107,7 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     mu[0::2] = c / math.pi * (Ve[0] / psi0) ** 2
     mu[1::2] = c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2
     defect = abs(mu.sum() - 2.0 * c / math.pi)
-    if defect > TOL.trace_continuous_rel * 2.0 * c / math.pi:
+    if defect > current_tolerances().trace_continuous_rel * 2.0 * c / math.pi:
         raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
     return mu
 
@@ -123,9 +123,9 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     trace 2 c halfwidth / pi.
 
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
-    With ``check_convergence`` each eigenvalue above ``TOL.floor_checks`` must
-    agree with ``legendre_spectrum`` at c * halfwidth to ``TOL.mesh_stability``,
-    otherwise the discretisation is declared unconverged.
+    With ``check_convergence`` each eigenvalue above the ``floor_checks``
+    tolerance must agree with ``legendre_spectrum`` at c * halfwidth to
+    ``mesh_stability``, otherwise the discretisation is declared unconverged.
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
@@ -136,7 +136,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
         M = min_order
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
-    rule = gauss_legendre(M).scaled(halfwidth)
+    rule, tol = gauss_legendre(M).scaled(halfwidth), current_tolerances()
     # S is dropped once split, which keeps it out of the solves' peak memory
     even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
     even_sys, odd_sys = eig_sym(even), eig_sym(odd)
@@ -146,14 +146,14 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     values = values[order]
     vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M, order)
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
-    if trace_defect > TOL.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
+    if trace_defect > tol.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
         raise NumericalFailure(
             f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
     if check_convergence:
-        k = int(np.count_nonzero(values >= TOL.floor_checks))
+        k = int(np.count_nonzero(values >= tol.floor_checks))
         reference = legendre_spectrum(c * halfwidth, k)
         drift = np.max(np.abs(values[:k] - reference[:k]), initial=0.0)
-        if drift > TOL.mesh_stability:
+        if drift > tol.mesh_stability:
             raise NumericalFailure(
                 f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
                 f"c={c}; increase the quadrature order")
@@ -178,7 +178,8 @@ def hs_norm_sq(c: float, values: np.ndarray) -> float:
     squared kernel (``_lag_integral``)."""
     value = float(np.sum(values ** 2))
     quad = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
-    if not abs(value - quad) <= TOL.hs_cross_rel * max(abs(quad), 1e-300):
+    rel = current_tolerances().hs_cross_rel
+    if not abs(value - quad) <= rel * max(abs(quad), 1e-300):
         raise NumericalFailure(
             f"HS norm cross-check failed at c={c}: {value} vs {quad}")
     return value
@@ -279,10 +280,11 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
         raise ValueError(f"K must lie in [0, {N}], got {K}")
     if K == 0:
         return 0.0
-    if disc.values[K - 1] < TOL.floor_untrusted:
+    floor = current_tolerances().floor_untrusted
+    if disc.values[K - 1] < floor:
         raise IllConditionedError(
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
-            f"{TOL.floor_untrusted:.0e}; the rank-K projector is not resolvable")
+            f"{floor:.0e}; the rank-K projector is not resolvable")
     c = math.pi * N * W
     cont = nystrom_spectrum(c, max(default_order(c), 4 * N),
                             check_convergence=False)

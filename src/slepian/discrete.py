@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import TOL
+from .config import current_tolerances
 from .numkit import (IllConditionedError, NumericalFailure, SymTridiag,
                      eig_sym, eig_symtridiag, parity_blocks, parity_vectors,
                      sinc_kernel, tridiag_parity_blocks)
@@ -150,6 +150,7 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
 def _validate(params: DiscreteParams, values: np.ndarray,
               vectors: np.ndarray) -> list[str]:
     N, W = params.N, params.W
+    tol = current_tolerances()
     warnings: list[str] = []
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if np.max(np.abs(norms - 1.0)) > 1e-13:
@@ -158,19 +159,19 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     sym_defect = max(np.max(np.abs(np.abs(vectors[:N // 2, j:j + 64])
                                    - np.abs(vectors[:(N - 1) // 2:-1, j:j + 64])),
                             initial=0.0) for j in range(0, N, 64))
-    if sym_defect > TOL.component_symmetry:
+    if sym_defect > tol.component_symmetry:
         raise NumericalFailure(
             f"component symmetry defect {sym_defect:.3e} exceeds "
-            f"{TOL.component_symmetry:.1e}")
+            f"{tol.component_symmetry:.1e}")
     trace_defect = abs(values.sum() - 2.0 * N * W) / (2.0 * N * W)
-    if trace_defect > TOL.trace_rel:
+    if trace_defect > tol.trace_rel:
         raise NumericalFailure(
-            f"trace identity defect {trace_defect:.3e} exceeds {TOL.trace_rel:.1e}")
-    trusted = values >= TOL.floor_untrusted
+            f"trace identity defect {trace_defect:.3e} exceeds {tol.trace_rel:.1e}")
+    trusted = values >= tol.floor_untrusted
     if trusted.any():
         tv = values[trusted]
         # the clusters at 1 and 0 collapse to the endpoints within the floor
-        if tv[0] > 1.0 + TOL.floor_untrusted or tv[-1] <= -TOL.floor_untrusted:
+        if tv[0] > 1.0 + tol.floor_untrusted or tv[-1] <= -tol.floor_untrusted:
             raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
         if tv[0] >= 1.0:
             warnings.append("leading eigenvalues reach 1 within the floor")
@@ -180,7 +181,7 @@ def _validate(params: DiscreteParams, values: np.ndarray,
                 f"non-strict ordering at trusted indices {ties.tolist()}")
     if not trusted.all():
         warnings.append(
-            f"{int((~trusted).sum())} eigenvalues below {TOL.floor_untrusted:.0e} "
+            f"{int((~trusted).sum())} eigenvalues below {tol.floor_untrusted:.0e} "
             "are reported but untrusted")
     return warnings
 
@@ -249,15 +250,15 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
-    it outside. Requires values[k] >= ``TOL.tail_floor``: division by a
+    it outside. Requires values[k] >= ``Tolerances.tail_floor``: division by a
     smaller eigenvalue amplifies double-precision noise beyond usefulness.
     """
     N, W = spec.N, spec.W
     if not 0 <= k <= N - 1:
         raise ValueError(f"mode index k={k} outside [0, {N - 1}]")
-    lam = spec.values[k]
-    if not lam >= TOL.tail_floor:
+    lam, floor = spec.values[k], current_tolerances().tail_floor
+    if not lam >= floor:
         raise IllConditionedError(
-            f"eigenvalue {lam:.3e} below extension floor {TOL.tail_floor:.1e}")
+            f"eigenvalue {lam:.3e} below extension floor {floor:.1e}")
     kernel = sinc_kernel(2.0 * np.pi * W, n - np.arange(N), 2.0 * W)
     return float(kernel @ spec.dpss[:, k] / lam)

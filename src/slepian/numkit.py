@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .config import TOL
+from .config import current_tolerances
 
 
 class NumericalFailure(RuntimeError):
@@ -99,22 +99,23 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
 def _validated_system(apply, values: np.ndarray, vectors: np.ndarray
                       ) -> EigenSystem:
     """Sort descending and check the contract; ``apply(V)`` computes A @ V."""
+    tol = current_tolerances()
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = vectors[:, order]
     gram = vectors.T @ vectors   # the buffer is reused for the residual
     gram.flat[::len(values) + 1] -= 1.0
     gram_defect = np.max(np.abs(gram, out=gram))
-    if gram_defect > TOL.orthonormality:
+    if gram_defect > tol.orthonormality:
         raise NumericalFailure(
             f"eigenvector orthonormality defect {gram_defect:.3e} exceeds "
-            f"{TOL.orthonormality:.1e}")
+            f"{tol.orthonormality:.1e}")
     R = np.subtract(apply(vectors), np.multiply(vectors, values, out=gram), out=gram)
     resid = math.sqrt(np.max(np.einsum("ij,ij->j", R, R)))
     scale = max(np.max(np.abs(values)), 1e-300)
-    if resid > TOL.eigen_residual * scale:
+    if resid > tol.eigen_residual * scale:
         raise NumericalFailure(
-            f"eigen residual {resid:.3e} exceeds {TOL.eigen_residual:.1e} * |A|")
+            f"eigen residual {resid:.3e} exceeds {tol.eigen_residual:.1e} * |A|")
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -260,13 +261,13 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """
     if int(order) != order or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order}")
-    rule = _gauss_legendre_rule(int(order))
+    rule, tol = _gauss_legendre_rule(int(order)), current_tolerances()
     nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
-    if np.max(np.abs(nodes + nodes[::-1])) > TOL.node_symmetry:
+    if np.max(np.abs(nodes + nodes[::-1])) > tol.node_symmetry:
         raise NumericalFailure("quadrature nodes are not symmetric about 0")
-    if (weights <= 0).any() or abs(weights.sum() - 2.0) > TOL.weight_sum:
+    if (weights <= 0).any() or abs(weights.sum() - 2.0) > tol.weight_sum:
         raise NumericalFailure("quadrature weights are invalid")
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
         raise NumericalFailure("quadrature nodes left (-1, 1)")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from slepian.bounds import (COMPARISON_TAIL, BoundReport, IllConditionedFloor,
                             superexponential_decay_bound,
                             superexponential_decay_range, verify_all,
                             verify_comparison)
+from slepian.config import Tolerances, using_tolerances
 from slepian.continuous import (default_order, legendre_spectrum,
                                 nystrom_spectrum)
 
@@ -317,7 +319,7 @@ class TestCompareSpectra:
         cmp_ = compare_spectra(60, W, get_spectrum(60, W, "toeplitz").values,
                                self.cont(60, W))
         assert abs(cmp_.l2_diff - self.TABLE[W]) / self.TABLE[W] <= 0.02
-        assert cmp_.l2_diff <= cmp_.bound + bounds.TOL.check_floor
+        assert cmp_.l2_diff <= cmp_.bound + Tolerances().check_floor
 
     def test_bound_value(self, get_spectrum):
         cmp_ = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values,
@@ -482,6 +484,16 @@ class TestVerifyAll:
         assert gain.skipped and gain.note == "N=1 must be >= 2"
         assert report.passed
 
+    def test_no_eigenvalue_above_the_check_floor(self):
+        # floor_checks = 1 empties every route comparison and inequality
+        tol = Tolerances(floor_checks=1.0)
+        with using_tolerances(tol):
+            report = verify_all((30,), (0.2,), (0.05,))
+        assert report.tolerances == dataclasses.asdict(tol)
+        cross, = [c for c in report.checks if c.name == "cross_route_agreement"]
+        assert (cross.measured, cross.satisfied) == (0.0, True)
+        assert report.passed
+
     def test_large_point_reports_every_check(self):
         report = verify_all((500,), (0.45,), (0.05,))
         assert len(report.checks) == 17
@@ -514,5 +526,5 @@ class TestVerifyAll:
         assert len({c.name for c in upper}) == 12
         for c in upper:
             assert c.margin == c.bound - c.measured
-            tol = slack.get(c.name, bounds.TOL.check_floor)
+            tol = slack.get(c.name, Tolerances().check_floor)
             assert c.satisfied == (c.measured <= c.bound + tol)

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import math
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from slepian import cli
-from slepian.config import Tolerances
+from slepian.config import Tolerances, current_tolerances, using_tolerances
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -121,6 +123,17 @@ class TestBounds:
                      "hs_norm_lower_bound"):
             assert skipped[name].endswith("below 1"), (name, skipped.get(name))
 
+    @pytest.mark.parametrize("N,W", [("1", "1e-13"), ("2", "1e-13"), ("30", "1e-15")])
+    def test_no_eigenvalue_above_the_check_floor(self, N, W, monkeypatch, capsys):
+        # every eigenvalue is below floor_checks, so no route comparison is made
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        assert cli.main(["bounds", "--N", N, "--W", W, "--eps", "0.05",
+                         "--strict"]) == 0
+        out, err = capsys.readouterr()
+        cross, = [c for c in json.loads(out)["checks"]
+                  if c["name"] == "cross_route_agreement"]
+        assert (cross["measured"], cross["satisfied"], err) == (0.0, True, "")
+
 
 class TestProject:
     def test_example2_preset(self, tmp_path):
@@ -228,6 +241,16 @@ class TestProject:
         assert (cp.returncode, cp.stdout) == (1, "")
         assert cp.stderr.splitlines() == [message.format(samples=samples)]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
+    def test_samples_row_with_extra_cells(self, tmp_path, monkeypatch, capsys):
+        samples = tmp_path / "rows.csv"
+        samples.write_text("x,f\n-1.0,0.0\n0.1,0.2,junk\n1.0,1.0\n")
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        assert cli.main(["project", "--target", "samples", "--samples-file",
+                         str(samples), "--N", "16", "--W", "0.2"]) == 1
+        assert capsys.readouterr() == (
+            "", f"slepian: {samples}:3: expected 'x,f' with two numbers, "
+                "got '0.1,0.2,junk'\n")
 
     def test_samples_projection(self, tmp_path):
         samples = tmp_path / "data.csv"
@@ -400,24 +423,68 @@ class TestConfigAndExitCodes:
             assert (cp.returncode, cp.stderr) == (0, "")
 
     def test_main_restores_tolerances(self, tmp_path, monkeypatch, capsys):
-        import dataclasses
-        from slepian.config import TOL, Tolerances, install_tolerances
         monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tol_trace_rel = 1e-10\n")
-        before = dataclasses.replace(TOL)
         argv = ["symmetry", "--N", "8", "--W", "0.2"]
         # a config override does not outlive the call
         assert cli.main(["--config", str(cfg), *argv]) == 0
-        assert TOL == before
+        assert current_tolerances() == Tolerances()
         # and a plain call does not reset the caller's own values
-        install_tolerances(Tolerances(trace_rel=5e-11))
-        try:
+        with using_tolerances(Tolerances(trace_rel=5e-11)):
             assert cli.main(argv) == 0
-            assert TOL == Tolerances(trace_rel=5e-11)
-        finally:
-            install_tolerances(before)
+            assert current_tolerances() == Tolerances(trace_rel=5e-11)
         assert capsys.readouterr().out.count("symmetry_defect=") == 2
+
+    def test_threads_do_not_share_tolerances(self, tmp_path, monkeypatch, capsys):
+        # two concurrent table1 calls, one under a 1e-30 tolerance; the
+        # barrier holds both inside their computation from the first
+        # comparison to the verdict, so each must decide on its own values
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("tol_table1_rel = 1e-30\n")
+        barrier = threading.Barrier(2, timeout=60)
+
+        def synced(fn):
+            def wait_then_call(*args):
+                barrier.wait()
+                return fn(*args)
+            return wait_then_call
+
+        monkeypatch.setattr(cli.bnd, "compare_spectra", synced(cli.bnd.compare_spectra))
+        monkeypatch.setattr(cli, "Output", synced(cli.Output))
+        argvs = {"tight": ["--config", str(cfg), "table1", "--strict"],
+                 "plain": ["table1", "--strict"]}
+        codes = {}
+
+        def run(key):
+            codes[key] = cli.main(argvs[key])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in argvs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert codes == {"tight": 3, "plain": 0}
+        assert capsys.readouterr().err == (
+            "table1: worst relative deviation 8.840e-04 exceeds 1e-30\n")
+
+    def test_tolerances_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Tolerances().trace_rel = 1.0
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, value,
+                                                   monkeypatch, capsys):
+        message = f"tolerance symmetry_identity must be positive and finite, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Tolerances(symmetry_identity=value)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol_symmetry_identity = {value}\n")
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        assert cli.main(["--config", str(cfg), "bounds", "--N", "30", "--W", "0.2",
+                         "--eps", "0.05", "--strict"]) == 1
+        assert capsys.readouterr() == ("", f"slepian: {message}\n")
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slepian import continuous
-from slepian.config import TOL, Tolerances
+from slepian.config import Tolerances, using_tolerances
 from slepian.continuous import (_lag_integral, _prolate_blocks,
                                 _sinc_kernel_matrix, default_order,
                                 eigenspace_bound, hs_lower_bound, hs_norm_sq,
@@ -43,7 +43,7 @@ class TestNystrom:
 
     def test_convergence_check_catches_a_mismatch(self, monkeypatch):
         def shifted(c, count=0):
-            return legendre_spectrum(c, count) + 2 * TOL.mesh_stability
+            return legendre_spectrum(c, count) + 2 * Tolerances().mesh_stability
 
         monkeypatch.setattr(continuous, "legendre_spectrum", shifted)
         with pytest.raises(NumericalFailure, match="Legendre route"):
@@ -71,9 +71,9 @@ class TestNystrom:
         dense = np.linalg.eigvalsh(S)[::-1]
         assert np.max(np.abs(cont.values - dense)) <= 1e-13
         V = cont.grid_vectors
-        assert np.max(np.abs(V.T @ V - np.eye(M))) <= TOL.orthonormality
+        assert np.max(np.abs(V.T @ V - np.eye(M))) <= Tolerances().orthonormality
         resid = np.max(np.linalg.norm(S @ V - V * cont.values, axis=0))
-        assert resid <= TOL.eigen_residual * np.max(np.abs(cont.values))
+        assert resid <= Tolerances().eigen_residual * np.max(np.abs(cont.values))
 
     def test_grid_vectors_orthonormal(self, get_nystrom):
         cont = get_nystrom(18.85)
@@ -143,7 +143,7 @@ class TestLegendreSpectrum:
         mu = legendre_spectrum(c, count)
         assert len(mu) >= count
         trace = 2 * c / math.pi
-        assert abs(mu.sum() - trace) <= TOL.trace_continuous_rel * trace
+        assert abs(mu.sum() - trace) <= Tolerances().trace_continuous_rel * trace
         assert (mu >= 0).all()
 
     # scipy's pro_cv aborts the process at c = 400 (scipy 1.17.1), so the
@@ -184,11 +184,10 @@ class TestLegendreSpectrum:
         monkeypatch.undo()
         assert np.max(np.abs(mu - legendre_spectrum(94.25, 120))) <= 1e-13
 
-    def test_trace_defect_raises(self, monkeypatch):
-        monkeypatch.setattr(continuous, "TOL",
-                            Tolerances(trace_continuous_rel=1e-300))
-        with pytest.raises(NumericalFailure, match="trace defect"):
-            legendre_spectrum(18.85, 0)
+    def test_trace_defect_raises(self):
+        with using_tolerances(Tolerances(trace_continuous_rel=1e-300)):
+            with pytest.raises(NumericalFailure, match="trace defect"):
+                legendre_spectrum(18.85, 0)
 
     @pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
     def test_invalid_bandwidth(self, c):

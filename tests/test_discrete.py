@@ -6,7 +6,7 @@ import pytest
 
 from slepian import discrete
 from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
-from slepian.config import TOL
+from slepian.config import Tolerances, using_tolerances
 from slepian.discrete import (DiscreteParams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
                               dpswf_matrix, extend_dpss, prolate_matrix,
@@ -351,13 +351,13 @@ class TestExtend:
         with pytest.raises(IllConditionedError):
             extend_dpss(disc, 29, 35)
 
-    def test_floor_read_at_call_time(self, get_spectrum, monkeypatch):
+    def test_floor_read_at_call_time(self, get_spectrum):
         disc = get_spectrum(30, 0.1)
         assert 1e-8 < disc.values[6] < 0.5
         extend_dpss(disc, 6, 35)
-        monkeypatch.setattr(TOL, "tail_floor", 0.5)
-        with pytest.raises(IllConditionedError):
-            extend_dpss(disc, 6, 35)
+        with using_tolerances(Tolerances(tail_floor=0.5)):
+            with pytest.raises(IllConditionedError):
+                extend_dpss(disc, 6, 35)
 
 
 def _mp_prolate_values(N, W, dps=40):
@@ -383,7 +383,7 @@ class TestMpmathOracle:
         reference = _mp_prolate_values(N, W)
         for method in ("toeplitz", "tridiag"):
             values = get_spectrum(N, W, method).values
-            trusted = values >= TOL.floor_untrusted
+            trusted = values >= Tolerances().floor_untrusted
             assert np.max(np.abs(values[trusted] - reference[trusted])) <= 4e-15
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from slepian import numkit
-from slepian.config import TOL
+from slepian.config import Tolerances, using_tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_blocks,
                             parity_vectors, sinc_kernel, snapped_floor,
@@ -99,13 +99,13 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
-    def test_validation_runs_on_cache_hit(self, monkeypatch):
+    def test_validation_runs_on_cache_hit(self):
         rule = gauss_legendre(2048)
         defect = abs(rule.weights.sum() - 2.0)
-        assert 0.0 < defect <= TOL.weight_sum
-        monkeypatch.setattr(TOL, "weight_sum", defect / 2)
-        with pytest.raises(NumericalFailure):
-            gauss_legendre(2048)
+        assert 0.0 < defect <= Tolerances().weight_sum
+        with using_tolerances(Tolerances(weight_sum=defect / 2)):
+            with pytest.raises(NumericalFailure):
+                gauss_legendre(2048)
 
     def test_scaled_interval(self):
         rule = gauss_legendre(5).scaled(0.25)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slepian.bounds import plunge_count_bound, plunge_mass, verify_all
-from slepian.config import TOL
+from slepian.config import Tolerances
 from slepian.discrete import METHODS, DiscreteParams, spectrum, symmetry_defect
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,14 +37,14 @@ def plunge_params(draw):
 @given(N=lengths, W=bandwidths, method=methods)
 def test_trace_identity(N, W, method):
     values = spectrum(DiscreteParams(N, W), method).values
-    assert abs(values.sum() - 2 * N * W) / (2 * N * W) <= TOL.trace_rel
+    assert abs(values.sum() - 2 * N * W) / (2 * N * W) <= Tolerances().trace_rel
 
 
 @PROPERTY
 @given(N=lengths, W=bandwidths, method=methods)
 def test_reflection_identity(N, W, method):
     assert symmetry_defect(spectrum(DiscreteParams(N, W), method)) \
-        <= TOL.symmetry_identity
+        <= Tolerances().symmetry_identity
 
 
 @PROPERTY
@@ -65,7 +65,7 @@ def test_monotone_in_bandwidth(N, W1, W2, method):
     W1, W2 = sorted((W1, W2))
     low = spectrum(DiscreteParams(N, W1), method).values
     high = spectrum(DiscreteParams(N, W2), method).values
-    resolved = low >= TOL.floor_checks
+    resolved = low >= Tolerances().floor_checks
     assert np.all(low[resolved] <= high[resolved] + 1e-13)
 
 
