@@ -2,11 +2,14 @@
 machine verification against computed spectra.
 
 Each evaluator returns the bound value and raises ``OutOfRangeError`` outside
-its validity range; ``verify_all`` runs every check over a parameter grid,
-records such a check as skipped, and assembles a serialisable ``BoundReport``.
-Checks on asymptotic statements are informational: they are reported but
-never fail the suite. Eigenvalues below 1e-12 are outside double-precision
-resolution and are excluded from all inequalities.
+its validity range. ``verify_all`` runs every check over a parameter grid into
+a serialisable ``BoundReport``, each entry through ``_check``: an upper check
+holds when measured <= bound + slack (margin bound - measured), a lower one
+when measured >= bound - slack (margin measured - bound), and an
+OutOfRangeError makes the entry a skip that notes it. Checks on asymptotic
+statements are informational: reported under the same rule, they never fail
+the suite. Eigenvalues below 1e-12 are outside double-precision resolution
+and are excluded from all inequalities.
 """
 
 from __future__ import annotations
@@ -304,51 +307,48 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray,
     """Per-eigenvalue checks lambda_k <= A(W) lambda_k(c) + 1e-12 between the
     discrete eigenvalues of (N, W) and the sinc-kernel ones at c = pi N W."""
     A = comparison_constant(W)
-    return [_family("comparison_inequality",
-                    "eigenvalue comparison with the sinc-kernel spectrum",
-                    {"N": N, "W": W, "A": A}, disc_values, range(N),
-                    lambda k: A * cont_values[k])]
+    params = {"N": N, "W": W, "A": A}
+    return [_check("comparison_inequality",
+                   "eigenvalue comparison with the sinc-kernel spectrum", params,
+                   lambda: _family(params, disc_values, range(N),
+                                   lambda k: A * cont_values[k]),
+                   current_tolerances().check_floor)]
 
 
 # ------------------------------------------------------------- verify_all
 
-def _le(name: str, ref: str, params: dict, measured: float, bound: float,
-        slack: float = 0.0) -> BoundCheck:
-    """The check measured <= bound + slack, with margin bound - measured."""
-    return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
-                      measured=measured, satisfied=measured <= bound + slack,
-                      margin=bound - measured)
+def _check(name: str, ref: str, params: dict, compute, slack: float = 0.0,
+           lower: bool = False, informational: bool = False) -> BoundCheck:
+    """The report entry for ``compute() -> (measured, bound)``.
 
-
-def _ge(name: str, ref: str, params: dict, measured: float, bound: float,
-        slack: float = 0.0, informational: bool = False) -> BoundCheck:
-    """The check measured >= bound - slack, with margin measured - bound."""
-    return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
-                      measured=measured, satisfied=measured >= bound - slack,
-                      margin=measured - bound, informational=informational)
-
-
-def _gated(name: str, ref: str, params: dict, check,
-           informational: bool = False) -> BoundCheck:
-    """check(), or a skipped check noting the OutOfRangeError it raised."""
+    An upper check is measured <= bound + slack with margin bound - measured;
+    a ``lower`` one is measured >= bound - slack with margin measured - bound.
+    An OutOfRangeError from compute() makes the entry a skip noting it.
+    """
+    measured = bound = margin = note = None
+    satisfied = True
     try:
-        return check()
+        measured, bound = compute()
     except OutOfRangeError as exc:
-        return BoundCheck(name=name, paper_ref=ref, params=params, bound=None,
-                          measured=None, satisfied=True, margin=None,
-                          informational=informational, skipped=True,
-                          note=str(exc))
+        note = str(exc)
+    else:
+        if lower:
+            satisfied, margin = measured >= bound - slack, measured - bound
+        else:
+            satisfied, margin = measured <= bound + slack, bound - measured
+    return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
+                      measured=measured, satisfied=satisfied, margin=margin,
+                      informational=informational, skipped=note is not None,
+                      note=note or "")
 
 
-def _family(name: str, ref: str, params: dict, values: np.ndarray, indices,
-            bound) -> BoundCheck:
-    """values[k] <= bound(k) for every index k with values[k] above the check
-    floor: the worst excess against 0, with the number of indices checked."""
-    tol = current_tolerances()
-    excess = [values[k] - bound(k) for k in indices
-              if values[k] >= tol.floor_checks]
-    return _le(name, ref, {**params, "checked": len(excess)},
-               max(excess, default=0.0), 0.0, tol.check_floor)
+def _family(params: dict, values: np.ndarray, indices, bound) -> tuple[float, float]:
+    """(worst excess, 0.0) of values[k] <= bound(k) over the indices k with
+    values[k] above the check floor; the number checked goes into ``params``."""
+    floor = current_tolerances().floor_checks
+    excess = [values[k] - bound(k) for k in indices if values[k] >= floor]
+    params["checked"] = len(excess)
+    return max(excess, default=0.0), 0.0
 
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
@@ -356,7 +356,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
     """Run every bound/identity check over the grid, skipping out-of-range ones."""
     tol = current_tolerances()
     w_grid = tuple(w_grid)
-    eps_grid = tuple(eps_grid)
+    eps_grid = tuple(dict.fromkeys(eps_grid))   # a repeated eps is one point
     grid = sorted({(p.N, p.W) for p in (DiscreteParams(N, W)
                                         for N in n_grid for W in w_grid)})
     if not grid or not eps_grid:
@@ -367,7 +367,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
 
     checks: list[BoundCheck] = []
     # one sinc-kernel spectrum per (N, W), long enough for compare_spectra;
-    # keyed by the rounded bandwidth for the HS checks
+    # keyed by the exact bandwidth for the HS checks
     cont_by_c: dict[float, np.ndarray] = {}
     for N, W in grid:
         disc = spectrum(DiscreteParams(N, W), method=method)
@@ -375,7 +375,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         pw = {"N": N, "W": W}
         c = disc.params.bandwidth
         cont = legendre_spectrum(c, N + COMPARISON_TAIL)
-        cont_by_c[round(c, 12)] = cont
+        cont_by_c[c] = cont
 
         rho = prolate_matrix(disc.params)
         gram = disc.dpss.T @ (rho @ disc.dpss)
@@ -383,91 +383,83 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= tol.floor_checks
         cmp_ = compare_spectra(N, W, lam, cont)
-        mass = ("plunge_mass", "trace minus squared HS norm", pw)
-        tail = ("eigenvalue_tail_bound", "min-max tail estimate", pw)
-        decay = ("superexponential_decay", "tail decay past the plunge", pw)
-        rate = ("plunge_decay_rate", "plunge-region decay rate", pw)
-
-        def rate_check():   # informational: only existence is claimed
-            eta = plunge_decay_rate(N, W, lam)
-            return BoundCheck(*rate, bound=None, measured=eta, margin=None,
-                              satisfied=eta > 0.0, informational=True)
-
+        tail, decay = dict(pw), dict(pw)   # _family adds "checked"
         checks += [
-            _le("trace_identity", "trace equals 2NW", pw,
-                abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W), tol.trace_rel),
-            _le("symmetry_identity", "reflection identity between W and 1/2 - W",
-                pw, symmetry_defect(disc), tol.symmetry_identity),
-            _le("commutation", "commuting tridiagonal matrix", pw,
-                commutation_defect(disc.params, rho), tol.commutation),
-            _le("double_orthogonality",
-                "double orthogonality of the wave functions", pw,
-                float(np.max(np.abs(gram - np.diag(np.diag(gram))))),
-                tol.double_orthogonality),
-            _le("cross_route_agreement", "Toeplitz route vs tridiagonal route",
-                pw, float(np.max(np.abs(lam[mask] - other.values[mask]), initial=0.0)),
-                tol.cross_route),
-            _le("spectra_l2_distance",
-                "l2 spectrum comparison via Wielandt-Hoffman",
-                {**pw, "c": cmp_.c}, cmp_.l2_diff, cmp_.bound, tol.check_floor),
-            _le("kernel_hs_distance",
-                "HS distance between Dirichlet and sinc kernels", pw,
-                kernel_hs_distance(N, W), kernel_hs_distance_bound(W),
-                tol.check_floor),
+            _check("trace_identity", "trace equals 2NW", pw,
+                   lambda: (abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W),
+                            tol.trace_rel)),
+            _check("symmetry_identity", "reflection identity between W and 1/2 - W",
+                   pw, lambda: (symmetry_defect(disc), tol.symmetry_identity)),
+            _check("commutation", "commuting tridiagonal matrix", pw,
+                   lambda: (commutation_defect(disc.params, rho), tol.commutation)),
+            _check("double_orthogonality",
+                   "double orthogonality of the wave functions", pw,
+                   lambda: (float(np.max(np.abs(gram - np.diag(np.diag(gram))))),
+                            tol.double_orthogonality)),
+            _check("cross_route_agreement", "Toeplitz route vs tridiagonal route",
+                   pw, lambda: (float(np.max(np.abs(lam[mask] - other.values[mask]),
+                                             initial=0.0)), tol.cross_route)),
+            _check("spectra_l2_distance",
+                   "l2 spectrum comparison via Wielandt-Hoffman",
+                   {**pw, "c": cmp_.c}, lambda: (cmp_.l2_diff, cmp_.bound),
+                   tol.check_floor),
+            _check("kernel_hs_distance",
+                   "HS distance between Dirichlet and sinc kernels", pw,
+                   lambda: (kernel_hs_distance(N, W), kernel_hs_distance_bound(W)),
+                   tol.check_floor),
             *verify_comparison(N, W, lam, cont),
-            _gated(*mass, lambda: _le(*mass, *plunge_mass(N, W, lam),
-                                      tol.check_floor)),
-            _gated(*tail, lambda: _family(
-                *tail, lam, eigenvalue_tail_range(N, W),
-                lambda n: eigenvalue_tail_bound(n, N, W))),
-            _gated(*decay, lambda: _family(
-                *decay, lam, superexponential_decay_range(N, W),
-                lambda k: superexponential_decay_bound(k, N, W))),
-            _gated(*rate, rate_check, informational=True),
+            _check("plunge_mass", "trace minus squared HS norm", pw,
+                   lambda: plunge_mass(N, W, lam), tol.check_floor),
+            _check("eigenvalue_tail_bound", "min-max tail estimate", tail,
+                   lambda: _family(tail, lam, eigenvalue_tail_range(N, W),
+                                   lambda n: eigenvalue_tail_bound(n, N, W)),
+                   tol.check_floor),
+            _check("superexponential_decay", "tail decay past the plunge", decay,
+                   lambda: _family(decay, lam, superexponential_decay_range(N, W),
+                                   lambda k: superexponential_decay_bound(k, N, W)),
+                   tol.check_floor),
+            # informational: only the existence of a positive rate is claimed
+            _check("plunge_decay_rate", "plunge-region decay rate", pw,
+                   lambda: (plunge_decay_rate(N, W, lam), 0.0), lower=True,
+                   informational=True),
         ]
 
         for eps in eps_grid:
             peps = {**pw, "eps": eps}
             count = float(plunge_count(lam, eps))
-            plunge = ("plunge_count", "eigenvalue count bound", peps)
-            gain = ("plunge_count_improvement",
-                    "count bound improves the log(N-1) bound", peps)
-
-            def gain_check():
-                bound = plunge_count_bound(N, W, eps)
-                coarse = plunge_count_bound_coarse(N, eps)
-                return BoundCheck(*gain, bound=coarse, measured=bound,
-                                  satisfied=bound < coarse, margin=coarse - bound)
-
             checks += [
-                _gated(*plunge, lambda: _le(
-                    *plunge, count, plunge_count_bound(N, W, eps), tol.check_floor)),
-                _gated(*gain, gain_check),
-                BoundCheck(name="plunge_count_estimate",
-                           paper_ref="asymptotic count estimate",
-                           params=peps, bound=plunge_count_estimate(N, eps),
-                           measured=count, satisfied=True, margin=None,
-                           informational=True),
+                _check("plunge_count", "eigenvalue count bound", peps,
+                       lambda: (count, plunge_count_bound(N, W, eps)),
+                       tol.check_floor),
+                _check("plunge_count_improvement",
+                       "count bound improves the log(N-1) bound", peps,
+                       lambda: (plunge_count_bound(N, W, eps),
+                                plunge_count_bound_coarse(N, eps))),
+                _check("plunge_count_estimate", "asymptotic count estimate", peps,
+                       lambda: (count, plunge_count_estimate(N, eps)),
+                       informational=True),
             ]
 
     # continuous-side HS lower bound at the grid bandwidths
     for c, cont in sorted(cont_by_c.items()):
-        hs = ("hs_norm_lower_bound", "HS norm lower bound for the sinc kernel",
-              {"c": c})
-        # the bound comes first: below c = 1 it raises before the norm is taken
-        checks.append(_gated(*hs, lambda: _ge(
-            *hs, bound=hs_lower_bound(c), measured=hs_norm_sq(c, cont),
-            slack=tol.check_floor)))
+        def hs_norm():
+            bound = hs_lower_bound(c)   # raises below c = 1 before the norm is taken
+            return hs_norm_sq(c, cont), bound
+
+        checks.append(_check("hs_norm_lower_bound",
+                             "HS norm lower bound for the sinc kernel", {"c": c},
+                             hs_norm, tol.check_floor, lower=True))
 
     # concentration-inequality constant (informational, fixed W = 1/6)
-    turan = ("concentration_constant", "Turan-Nazarov concentration constant")
+    turan = {"W": 1.0 / 6.0}
 
-    def turan_check():
+    def turan_constant():
         tn = concentration_inequality_constant(1.0 / 6.0)
-        per_n = {str(N): v for N, v in tn["per_n"].items()}   # JSON key order
-        return _ge(*turan, {"W": 1.0 / 6.0, "per_n": per_n},
-                   tn["empirical"], tn["formula_value"], informational=True)
+        turan["per_n"] = {str(N): v for N, v in tn["per_n"].items()}   # JSON key order
+        return tn["empirical"], tn["formula_value"]
 
-    checks.append(_gated(*turan, {"W": 1.0 / 6.0}, turan_check, informational=True))
+    checks.append(_check("concentration_constant",
+                         "Turan-Nazarov concentration constant", turan,
+                         turan_constant, lower=True, informational=True))
     checks.sort(key=lambda ch: (ch.name, json.dumps(ch.params, sort_keys=True)))
     return BoundReport(checks=checks, tolerances=dataclasses.asdict(tol))

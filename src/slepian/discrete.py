@@ -221,8 +221,7 @@ def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
     N = spec.N
     if not (0 <= j < N and 0 <= k < N):
         raise ValueError(f"mode indices ({j}, {k}) outside [0, {N - 1}]")
-    rho = prolate_matrix(spec.params)
-    return float(spec.dpss[:, j] @ (rho @ spec.dpss[:, k]))
+    return float(spec.dpss[:, j] @ (_prolate_view(spec.params) @ spec.dpss[:, k]))
 
 
 def symmetry_defect(spec: DiscreteSpectrum) -> float:

@@ -20,7 +20,7 @@ from slepian.bounds import (COMPARISON_TAIL, BoundReport, IllConditionedFloor,
                             superexponential_decay_range, verify_all,
                             verify_comparison)
 from slepian.config import Tolerances, using_tolerances
-from slepian.continuous import (default_order, legendre_spectrum,
+from slepian.continuous import (default_order, hs_norm_sq, legendre_spectrum,
                                 nystrom_spectrum)
 
 E = math.e
@@ -513,18 +513,50 @@ class TestVerifyAll:
         tail, = [c for c in report.checks if c.name == "eigenvalue_tail_bound"]
         assert tail.skipped and tail.note == note
 
+    def test_hs_check_keyed_by_exact_bandwidth(self):
+        # two grid points a rounding apart keep their own HS entries, each
+        # with the norm of its own spectrum, and a bandwidth below 1e-12 is
+        # reported as itself, not as 0
+        w_grid = (0.2, 0.2000000000000001)
+        report = verify_all((30,), w_grid, (0.05,))
+        hs = {ch.params["c"]: ch.measured for ch in report.checks
+              if ch.name == "hs_norm_lower_bound"}
+        assert sorted(hs) == sorted(PI * 30 * W for W in w_grid)
+        for c, measured in hs.items():
+            assert measured == hs_norm_sq(c, legendre_spectrum(c, 60))
+        tiny, = [c for c in verify_all((30,), (1e-15,), (0.05,)).checks
+                 if c.name == "hs_norm_lower_bound"]
+        assert tiny.skipped and tiny.params["c"] == PI * 30 * 1e-15
+        assert tiny.note == f"c={PI * 30 * 1e-15:g} below 1"
+
+    def test_repeated_eps_is_one_point(self):
+        once = verify_all((30,), (0.2,), (0.05,))
+        assert len(once.checks) == 17
+        assert verify_all((30,), (0.2,), (0.05, 0.05)).to_json() == once.to_json()
+
     def test_upper_bound_checks_share_one_rule(self, report):
-        # every "measured <= bound + slack" check reports margin = bound -
-        # measured and a verdict consistent with its slack
-        slack = {"trace_identity": 0.0, "symmetry_identity": 0.0,
-                 "commutation": 0.0, "double_orthogonality": 0.0,
-                 "cross_route_agreement": 0.0}
-        upper = [c for c in report.checks if not c.skipped and c.name in {
-            *slack, "plunge_mass", "spectra_l2_distance", "kernel_hs_distance",
-            "plunge_count", "comparison_inequality", "eigenvalue_tail_bound",
-            "superexponential_decay"}]
-        assert len({c.name for c in upper}) == 12
-        for c in upper:
-            assert c.margin == c.bound - c.measured
+        # every entry that ran obeys the one rule: an upper check reports
+        # margin = bound - measured and measured <= bound + slack, a lower
+        # check margin = measured - bound and measured >= bound - slack; a
+        # skipped entry has no numbers and never fails
+        slack = dict.fromkeys(
+            ("trace_identity", "symmetry_identity", "commutation",
+             "double_orthogonality", "cross_route_agreement",
+             "plunge_count_improvement", "plunge_count_estimate",
+             "plunge_decay_rate", "concentration_constant"), 0.0)
+        lower = {"hs_norm_lower_bound", "concentration_constant",
+                 "plunge_decay_rate"}
+        ran = [c for c in report.checks if not c.skipped]
+        assert len({c.name for c in ran}) == 17
+        for c in ran:
             tol = slack.get(c.name, Tolerances().check_floor)
-            assert c.satisfied == (c.measured <= c.bound + tol)
+            if c.name in lower:
+                assert c.margin == c.measured - c.bound
+                assert c.satisfied == (c.measured >= c.bound - tol)
+            else:
+                assert c.margin == c.bound - c.measured
+                assert c.satisfied == (c.measured <= c.bound + tol)
+        for c in report.checks:
+            if c.skipped:
+                assert (c.bound, c.measured, c.margin, c.satisfied) == (
+                    None, None, None, True)

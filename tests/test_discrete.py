@@ -257,6 +257,18 @@ class TestConcentration:
         for j, k in ((0, 1), (3, 10), (7, 40), (0, 59)):
             assert abs(concentration(spec60_03, j, k)) <= 1e-10
 
+    def test_peak(self):
+        # one scalar from the strided view; no N x N copy of the matrix
+        N = 400
+        spec = spectrum(DiscreteParams(N, 0.3))
+        tracemalloc.start()
+        try:
+            concentration(spec, 5, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * N * N * 8
+
     def test_full_double_orthogonality(self, spec60_03):
         from slepian.discrete import prolate_matrix
         rho = prolate_matrix(spec60_03.params)
