@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (DEFAULT_EPS_GRID, DEFAULT_N_GRID, DEFAULT_W_GRID,
-                     current_tolerances)
+from .config import current_tolerances
 from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
                          kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, commutation_defect, prolate_matrix,
@@ -33,6 +32,11 @@ VERSION = "0.1.0"
 
 # sinc-kernel eigenvalues past N that the l2 spectrum comparison includes
 COMPARISON_TAIL = 30
+
+# the (N, W, eps) grid of verify_all and `slepian bounds`
+DEFAULT_N_GRID = (30, 60)
+DEFAULT_W_GRID = (0.1, 0.2, 0.3, 0.4)
+DEFAULT_EPS_GRID = (0.01, 0.05, 0.2)
 
 E = math.e
 PI = math.pi

@@ -2,14 +2,14 @@
 
 Subcommands: eigs, table1, bounds, project, count, symmetry,
 projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
-parsed arguments alone; ``main`` loads the config, writes the output to
-``--out`` or stdout, and maps the outcome to an exit code: 0 success, 1 usage
-or validation error, 2 numerical failure, 3 verification failure under
---strict (or config ``strict``), reported as ``<command>: <failure>`` on
-stderr after the output is written. Floats are written in scientific
-notation with 17 significant digits and JSON keys are sorted, so output files
-are byte-deterministic for fixed inputs, version and BLAS thread count; the
-last digits can change with the thread count.
+parsed arguments alone; ``main`` runs it under the config file's tolerances
+(the file sets nothing else), writes the output to ``--out`` or stdout, and
+maps the outcome to an exit code: 0 success, 1 usage or validation error, 2
+numerical failure, 3 verification failure under --strict, reported as
+``<command>: <failure>`` on stderr after the output is written. Floats are
+written in scientific notation with 17 significant digits and JSON keys are
+sorted, so output files are byte-deterministic for fixed inputs, version and
+BLAS thread count; the last digits can change with the thread count.
 """
 
 from __future__ import annotations
@@ -232,12 +232,12 @@ def build_parser() -> _Parser:
     add("table1", cmd_table1, "l2 spectrum-comparison table for N=60")
 
     p = add("bounds", cmd_bounds, "run all bound checks, emit JSON report")
-    p.add_argument("--N", type=_list_of(int, "integers"), default=None,
+    p.add_argument("--N", type=_list_of(int, "integers"), default=bnd.DEFAULT_N_GRID,
                    help="comma-separated sequence lengths")
-    p.add_argument("--W", type=_list_of(float, "floats"), default=None,
+    p.add_argument("--W", type=_list_of(float, "floats"), default=bnd.DEFAULT_W_GRID,
                    help="comma-separated bandwidths")
-    p.add_argument("--eps", type=_list_of(float, "floats"), default=None,
-                   help="comma-separated epsilon levels")
+    p.add_argument("--eps", type=_list_of(float, "floats"),
+                   default=bnd.DEFAULT_EPS_GRID, help="comma-separated epsilon levels")
     p.add_argument("--method", choices=METHODS, default="tridiag")
 
     p = add("project", cmd_project, "project a test function onto the basis")
@@ -280,11 +280,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "bounds":
-            args.N, args.W, args.eps = (args.N or cfg.n_grid, args.W or cfg.w_grid,
-                                        args.eps or cfg.eps_grid)
-        with using_tolerances(cfg.tolerances):
+        with using_tolerances(load_config(args.config)):
             lines, failure, sweep = args.func(args)
         if args.out is None:
             sys.stdout.write("\n".join(lines) + "\n")
@@ -294,7 +290,7 @@ def main(argv=None) -> int:
         if sweep is not None:
             Path(args.out).with_suffix(".csv").write_text(
                 "\n".join(sweep) + "\n", encoding="utf-8", newline="")
-        if failure is not None and (args.strict or cfg.strict):
+        if failure is not None and args.strict:
             sys.stderr.write(f"{args.command}: {failure}\n")
             return EXIT_VERIFICATION
         return EXIT_OK

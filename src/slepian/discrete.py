@@ -17,7 +17,7 @@ Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
 ``dpss[:, k]`` are the unit-norm sequences. The wave functions are the
 trigonometric polynomials obtained from the sequences (``dpswf``). A full
 spectrum peaks at about two N x N float64 arrays (the result, the blocks and
-their vectors); partial spectra are ROADMAP item 2.
+their vectors); partial spectra are ROADMAP item 3.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from slepian import cli
-from slepian.config import Tolerances, current_tolerances, using_tolerances
+from slepian.bounds import verify_all
+from slepian.config import (Tolerances, current_tolerances, load_config,
+                            using_tolerances)
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -344,10 +346,10 @@ class TestOtherCommands:
 class TestConfigAndExitCodes:
     def test_config_file_grids(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_grid = 30\nw_grid = 0.1\neps_grid = 0.05\n"
-                       "# comment line\ntol_trace_rel = 1e-10\n")
+        cfg.write_text("# comment line\n\ntol_trace_rel = 1e-10  # trailing\n")
         out = tmp_path / "report.json"
-        cp = run_cli("--config", str(cfg), "bounds", "--out", str(out))
+        cp = run_cli("--config", str(cfg), "bounds", "--N", "30", "--W", "0.1",
+                     "--eps", "0.05", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         payload = json.loads(out.read_text())
         params = {(c["params"]["N"], c["params"]["W"])
@@ -360,25 +362,27 @@ class TestConfigAndExitCodes:
     def test_config_env_var(self, tmp_path):
         import os
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("w_grid = 0.2\nn_grid = 30\neps_grid = 0.2\n")
+        cfg.write_text("tol_commutation = 1e-11\n")
         out = tmp_path / "report.json"
         env = dict(os.environ, SLEPIAN_CONFIG=str(cfg))
-        cp = run_cli("bounds", "--out", str(out), env=env)
+        cp = run_cli("bounds", "--N", "30", "--W", "0.2", "--eps", "0.2",
+                     "--out", str(out), env=env)
         assert cp.returncode == 0, cp.stderr
         payload = json.loads(out.read_text())
         ws = {c["params"]["W"] for c in payload["checks"]
               if c["name"] == "trace_identity"}
         assert ws == {0.2}
+        assert payload["tolerances"] == dataclasses.asdict(
+            Tolerances(commutation=1e-11))
 
     def test_tolerance_override_drives_strict_failure(self, tmp_path):
         # an absurdly tight identity tolerance must fail the check and, under
         # --strict, surface as exit code 3
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_grid = 30\nw_grid = 0.1\neps_grid = 0.05\n"
-                       "tol_symmetry_identity = 1e-30\n")
+        cfg.write_text("tol_symmetry_identity = 1e-30\n")
         out = tmp_path / "report.json"
-        cp = run_cli("--config", str(cfg), "bounds", "--out", str(out),
-                     "--strict")
+        cp = run_cli("--config", str(cfg), "bounds", "--N", "30", "--W", "0.1",
+                     "--eps", "0.05", "--out", str(out), "--strict")
         assert cp.returncode == 3
         payload = json.loads(out.read_text())
         assert payload["pass"] is False
@@ -386,7 +390,6 @@ class TestConfigAndExitCodes:
                    if c["name"] == "symmetry_identity"]
         assert failing and not failing[0]["satisfied"]
 
-    @pytest.mark.parametrize("strict_by", ["flag", "config"])
     @pytest.mark.parametrize("argv,tolerance,stderr,files", [
         (["table1", "--out", "t1.csv"], "table1_rel",
          r"table1: worst relative deviation 8\.840e-04 exceeds 1e-30\n",
@@ -397,19 +400,16 @@ class TestConfigAndExitCodes:
          "example2_sup",
          r"project: sup residual (?P<value>\S+) exceeds 1e-30\n",
          ["e2.csv", "e2.json"]),
-        (["bounds", "--out", "sy.json"], "symmetry_identity",
+        (["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05", "--out", "sy.json"],
+         "symmetry_identity",
          r"bounds: failing checks: \['symmetry_identity'\]\n",
-         ["sy.json"])], ids=["table1", "project", "bounds"])
-    def test_strict_verdicts(self, tmp_path, argv, tolerance, stderr, files,
-                             strict_by):
+         ["sy.json"])], ids=["table1-flag", "project-flag", "bounds-flag"])
+    def test_strict_verdicts(self, tmp_path, argv, tolerance, stderr, files):
         # the output is written first, then the verdict goes to stderr
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_grid = 30\nw_grid = 0.1\neps_grid = 0.05\n"
-                       f"tol_{tolerance} = 1e-30\n"
-                       + ("strict = true\n" if strict_by == "config" else ""))
+        cfg.write_text(f"tol_{tolerance} = 1e-30\n")
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
-        cp = run_cli("--config", str(cfg), *argv,
-                     *(["--strict"] if strict_by == "flag" else []))
+        cp = run_cli("--config", str(cfg), *argv, "--strict")
         assert (cp.returncode, cp.stdout) == (3, "")
         verdict = re.fullmatch(stderr, cp.stderr)
         assert verdict, cp.stderr
@@ -418,9 +418,8 @@ class TestConfigAndExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             files + ["run.cfg"])
         # without --strict the same failure is only recorded in the output
-        if strict_by == "flag":
-            cp = run_cli("--config", str(cfg), *argv)
-            assert (cp.returncode, cp.stderr) == (0, "")
+        cp = run_cli("--config", str(cfg), *argv)
+        assert (cp.returncode, cp.stderr) == (0, "")
 
     def test_main_restores_tolerances(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
@@ -484,7 +483,7 @@ class TestConfigAndExitCodes:
         monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
         assert cli.main(["--config", str(cfg), "bounds", "--N", "30", "--W", "0.2",
                          "--eps", "0.05", "--strict"]) == 1
-        assert capsys.readouterr() == ("", f"slepian: {message}\n")
+        assert capsys.readouterr() == ("", f"slepian: {cfg}:1: {message}\n")
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -493,13 +492,42 @@ class TestConfigAndExitCodes:
         assert cp.returncode == 1
 
     @pytest.mark.parametrize("key", ["nystrom_order", "projection_order",
-                                     "out_dir"])
+                                     "out_dir", "n_grid", "w_grid", "eps_grid",
+                                     "strict", "tol_nope"])
     def test_order_keys_rejected(self, tmp_path, key):
+        # the file sets tolerances only: the grid and the verdict are flags
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 200\n")
+        cfg.write_text(f"tol_trace_rel = 1e-10\n# comment\n{key} = 200\n")
         cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
-        assert cp.returncode == 1
-        assert f"unknown config key: {key}" in cp.stderr
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == f"slepian: {cfg}:3: unknown config key: {key}\n"
+
+    @pytest.mark.parametrize("line,reason", [
+        ("tol_trace_rel = abc", "could not convert string to float: 'abc'"),
+        ("tol_trace_rel =", "could not convert string to float: ''"),
+        ("tol_trace_rel 1e-10", "expected 'key = value'")])
+    def test_bad_config_line(self, tmp_path, line, reason, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"\n{line}\n")
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        assert cli.main(["--config", str(cfg), "symmetry", "--N", "4",
+                         "--W", "0.1"]) == 1
+        assert capsys.readouterr() == ("", f"slepian: {cfg}:2: {reason}\n")
+
+    def test_load_config_returns_tolerances(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_trace_rel = 1e-10\ntol_table1_rel = 0.5\n")
+        assert load_config(str(cfg)) == Tolerances(trace_rel=1e-10, table1_rel=0.5)
+        monkeypatch.setenv("SLEPIAN_CONFIG", str(cfg))
+        assert load_config() == Tolerances(trace_rel=1e-10, table1_rel=0.5)
+        monkeypatch.delenv("SLEPIAN_CONFIG")
+        assert load_config() == Tolerances()
+
+    def test_bounds_default_grid_is_verify_all_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds", "--out", str(out)]) == 0
+        assert out.read_text() == verify_all().to_json() + "\n"
 
     def test_numerical_failure_maps_to_exit_2(self, monkeypatch):
         from slepian.numkit import NumericalFailure
