@@ -6,13 +6,12 @@ operator and Nystrom), machine verification of the closed-form bounds relating
 the two, and spectral approximation in the wave-function bases.
 """
 
-from .approximation import (ProjectionResult, SobolevSpec, TestFunction,
-                            project_dilated, project_native, projection_sweep,
-                            sobolev_norm, weierstrass)
+from .approximation import (ProjectionResult, TestFunction, project_dilated,
+                            project_native, projection_sweep, sobolev_norm,
+                            weierstrass)
 from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
-                     SpectrumComparison, asymptotic_decay_constants,
-                     comparison_constant, compare_spectra,
-                     concentration_inequality_constant,
+                     asymptotic_decay_constants, comparison_constant,
+                     compare_spectra, concentration_inequality_constant,
                      eigenvalue_tail_bound, plunge_count_bound,
                      plunge_count_bound_coarse, plunge_count_estimate,
                      plunge_decay_rate, plunge_mass,
@@ -20,8 +19,8 @@ from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
                      verify_comparison)
 from .config import (Tolerances, current_tolerances, load_config,
                      using_tolerances)
-from .continuous import (ContinuousSpectrum, PlungeIndex, default_order,
-                         eigenspace_bound, hs_lower_bound, hs_norm_sq,
+from .continuous import (ContinuousSpectrum, default_order, eigenspace_bound,
+                         hs_lower_bound, hs_norm_sq,
                          kernel_hs_distance, kernel_hs_distance_bound,
                          legendre_spectrum, nystrom_spectrum, plunge_index,
                          projector_distance)

@@ -5,14 +5,17 @@ Two bases are supported: the native orthonormal family U_k on [-1/2, 1/2]
 (residuals measured on [-W, W]) and the dilated family
 sqrt(W) U_k(W x) / sqrt(lambda_k), orthonormal on [-1, 1].
 
+A ``TestFunction`` is an evaluator plus what the projections read of it.
 Functions that are finite cosine sums (the truncated Weierstrass function)
 carry their terms explicitly: their inner products against the trigonometric
 basis have closed forms, which sidesteps quadrature for frequencies far above
-any resolvable grid. Projections onto the dilated family are computed as a
-least-squares fit on the span of the selected modes in the quadrature metric:
-dividing by sqrt(lambda_k) is meaningless once lambda_k drops to the
-double-precision noise floor, but the span itself stays numerically usable
-well past that point.
+any resolvable grid. A function with a smoothness ``s`` has the Sobolev
+approximation inequality evaluated in native projections, with the norm that
+``sobolev_norm`` returns as a float. Projections onto the dilated family are
+computed as a least-squares fit on the span of the selected modes in the
+quadrature metric: dividing by sqrt(lambda_k) is meaningless once lambda_k
+drops to the double-precision noise floor, but the span itself stays
+numerically usable well past that point.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ class TestFunction:
 
     ``cosine_terms`` is (amplitudes, frequencies) when f(x) equals
     sum_j a_j cos(omega_j x) exactly; inner products then use closed forms.
+    ``s`` is the Sobolev smoothness at which native projections evaluate the
+    approximation inequality (None: not evaluated).
     """
 
-    kind: str
-    params: dict
     evaluator: object
     cosine_terms: tuple[np.ndarray, np.ndarray] | None = None
+    s: float | None = None
 
     __test__ = False   # keep pytest from collecting this as a test class
 
@@ -55,16 +59,14 @@ class TestFunction:
         """f(x) = sin(alpha x) / (alpha x), bandlimited to [-alpha, alpha]."""
         if not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        return cls(kind="sinc_bandlimited", params={"alpha": float(alpha)},
-                   evaluator=lambda x: np.sinc(alpha * x / np.pi))
+        return cls(evaluator=lambda x: np.sinc(alpha * x / np.pi))
 
     @classmethod
     def weierstrass(cls, s: float) -> "TestFunction":
         """Truncated Weierstrass sum cos(2^k x) / 2^(k s) (``weierstrass_terms``)."""
         amps, freqs = weierstrass_terms(s)
-        return cls(kind="weierstrass", params={"s": float(s)},
-                   evaluator=lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
-                   cosine_terms=(amps, freqs))
+        return cls(evaluator=lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
+                   cosine_terms=(amps, freqs), s=float(s))
 
     @classmethod
     def from_samples(cls, x: np.ndarray, y: np.ndarray) -> "TestFunction":
@@ -79,12 +81,11 @@ class TestFunction:
             raise ValueError("samples must be finite")
         order = np.argsort(x)
         x, y = x[order], y[order]
-        return cls(kind="user_samples", params={"n_samples": int(x.size)},
-                   evaluator=lambda t: np.interp(t, x, y))
+        return cls(evaluator=lambda t: np.interp(t, x, y))
 
     @classmethod
     def from_callable(cls, fn) -> "TestFunction":
-        return cls(kind="callable", params={}, evaluator=fn)
+        return cls(evaluator=fn)
 
 
 def weierstrass_terms(s: float):
@@ -154,22 +155,11 @@ def _cosine_mode_integrals(amps: np.ndarray, freqs: np.ndarray,
     return np.conj(eps) * per_mode
 
 
-@dataclass(frozen=True)
-class SobolevSpec:
-    """Periodic Sobolev data: sum over the lattice of (1+n^2)^s |c_n|^2.
-
-    Coefficients are in the orthonormal-basis convention, so the s = 0 norm
-    is the L2 norm of the interval.
-    """
-
-    s: float
-    interval: str
-    norm: float
-    note: str = ""
-
-
-def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> SobolevSpec:
-    """Periodic Sobolev norm of f on the stated interval.
+def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
+    """Periodic Sobolev norm of f on the stated interval: the square root of
+    the lattice sum of (1+n^2)^s |c_n|^2, with coefficients c_n in the
+    orthonormal-basis convention, so the s = 0 norm is the L2 norm of the
+    interval.
 
     Cosine sums with s in {0, 1} use exact pairwise integrals of f and f'
     (the even periodisation is continuous at the seam, so the derivative
@@ -195,9 +185,7 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
             deriv_sq = float((amps * freqs) @ Gp @ (amps * freqs))
             kappa = 2.0 * np.pi / (2.0 * T)   # lattice frequency step
             norm_sq = l2_sq + deriv_sq / kappa ** 2
-        return SobolevSpec(s=float(s), interval=interval,
-                           norm=math.sqrt(norm_sq),
-                           note="closed-form cosine-sum path")
+        return math.sqrt(norm_sq)
     grids = [2 ** m for m in range(8, 25)]
     rel = current_tolerances().sobolev_rel
     if f.cosine_terms is not None:
@@ -223,8 +211,7 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> Sobolev
         n = np.fft.fftfreq(G, d=1.0 / G)
         norm_sq = float(np.sum((1.0 + n ** 2) ** s * np.abs(coeff) ** 2))
         if prev is not None and abs(norm_sq - prev) <= rel * norm_sq:
-            return SobolevSpec(s=float(s), interval=interval,
-                               norm=math.sqrt(norm_sq))
+            return math.sqrt(norm_sq)
         prev = norm_sq
     raise NumericalFailure(
         f"Sobolev norm did not stabilise under grid doubling (s={s}, "
@@ -317,7 +304,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     U_sup = dpswf_matrix(spec, xs)
     f_sup = np.asarray(f(xs), dtype=complex)
 
-    s = f.params.get("s")
+    s = f.s
 
     def out_of_range(K: int) -> str:
         """Why the Sobolev inequality does not apply at K, or ''."""
@@ -331,7 +318,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     @functools.cache
     def sobolev():
         try:
-            return sobolev_norm(f, s, "native").norm, ""
+            return sobolev_norm(f, s, "native"), ""
         except NumericalFailure as exc:
             return None, f"Sobolev norm unavailable: {exc}"
 
@@ -362,7 +349,7 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int) -> Projectio
 
     Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
     Gauss-Legendre of order >= 4N otherwise). When f has a smoothness
-    ``f.params["s"]`` and K falls in the admissible range, the Sobolev
+    ``f.s`` and K falls in the admissible range, the Sobolev
     approximation inequality
     residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
     is evaluated alongside.

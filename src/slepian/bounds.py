@@ -38,12 +38,12 @@ DEFAULT_N_GRID = (30, 60)
 DEFAULT_W_GRID = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_EPS_GRID = (0.01, 0.05, 0.2)
 
+# the W and N list of concentration_inequality_constant and `slepian turan`
+TURAN_W = 1.0 / 6.0
+TURAN_N_LIST = (7, 9, 11)
+
 E = math.e
 PI = math.pi
-
-
-class IllConditionedFloor(OutOfRangeError):
-    """All candidate eigenvalues fell below the double-precision floor."""
 
 
 @dataclass
@@ -86,18 +86,6 @@ class BoundReport:
         checks = [BoundCheck(**item) for item in payload["checks"]]
         return cls(checks=checks, version=payload["version"],
                    tolerances=payload["tolerances"])
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """l2 distance between the discrete spectrum and the sinc-kernel spectrum."""
-
-    N: int
-    W: float
-    c: float
-    l2_diff: float
-    bound: float
-    tail_index: int
 
 
 # ----------------------------------------------------------------- formulas
@@ -216,7 +204,7 @@ def asymptotic_decay_constants(W: float, eps: float) -> tuple[float, float]:
     return 2.0, c2
 
 
-def concentration_inequality_constant(W: float, n_list=(7, 9, 11)) -> dict:
+def concentration_inequality_constant(W: float, n_list=TURAN_N_LIST) -> dict:
     """Lower estimate of the constant in the Turan-Nazarov concentration
     inequality for trigonometric polynomials, plus empirical values.
 
@@ -236,7 +224,7 @@ def concentration_inequality_constant(W: float, n_list=(7, 9, 11)) -> dict:
         if last >= floor:
             per_n[N] = -math.log(last) / ((1.0 - 2.0 * W) * (N - 1.0))
     if not per_n:
-        raise IllConditionedFloor(
+        raise OutOfRangeError(
             f"all lambda_(N-1) below {floor:.0e} for N in {tuple(n_list)}; "
             "choose smaller N")
     empirical = max(per_n.values())
@@ -290,33 +278,33 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
 
 
 def compare_spectra(N: int, W: float, values: np.ndarray,
-                    cont_values: np.ndarray) -> SpectrumComparison:
-    """l2 distance between the discrete eigenvalues ``values`` of (N, W),
-    zero-padded past N, and the first N + COMPARISON_TAIL sinc-kernel
-    eigenvalues ``cont_values`` at c = pi N W, with its bound."""
-    params = DiscreteParams(N, W)
+                    cont_values: np.ndarray) -> tuple[float, float]:
+    """(measured, bound) for the l2 distance between the discrete eigenvalues
+    ``values`` of (N, W), zero-padded past N, and the first N +
+    COMPARISON_TAIL sinc-kernel eigenvalues ``cont_values`` at c = pi N W;
+    the bound is kernel_hs_distance_bound(W)."""
+    DiscreteParams(N, W)   # validates (N, W)
     n = N + COMPARISON_TAIL
     if len(cont_values) < n:
         raise ValueError(f"need {n} sinc-kernel eigenvalues, "
                          f"got {len(cont_values)}")
     padded = np.zeros(n)
     padded[:N] = values
-    diff = float(np.linalg.norm(padded - cont_values[:n]))
-    return SpectrumComparison(N=N, W=W, c=params.bandwidth, l2_diff=diff,
-                              bound=kernel_hs_distance_bound(W), tail_index=n)
+    return (float(np.linalg.norm(padded - cont_values[:n])),
+            kernel_hs_distance_bound(W))
 
 
 def verify_comparison(N: int, W: float, disc_values: np.ndarray,
-                      cont_values: np.ndarray) -> list[BoundCheck]:
-    """Per-eigenvalue checks lambda_k <= A(W) lambda_k(c) + 1e-12 between the
-    discrete eigenvalues of (N, W) and the sinc-kernel ones at c = pi N W."""
+                      cont_values: np.ndarray) -> BoundCheck:
+    """The check lambda_k <= A(W) lambda_k(c) + 1e-12 of every discrete
+    eigenvalue of (N, W) against the sinc-kernel one at c = pi N W."""
     A = comparison_constant(W)
     params = {"N": N, "W": W, "A": A}
-    return [_check("comparison_inequality",
-                   "eigenvalue comparison with the sinc-kernel spectrum", params,
-                   lambda: _family(params, disc_values, range(N),
-                                   lambda k: A * cont_values[k]),
-                   current_tolerances().check_floor)]
+    return _check("comparison_inequality",
+                  "eigenvalue comparison with the sinc-kernel spectrum", params,
+                  lambda: _family(params, disc_values, range(N),
+                                  lambda k: A * cont_values[k]),
+                  current_tolerances().check_floor)
 
 
 # ------------------------------------------------------------- verify_all
@@ -386,7 +374,6 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         other = spectrum(disc.params,
                          method="toeplitz" if method == "tridiag" else "tridiag")
         mask = lam >= tol.floor_checks
-        cmp_ = compare_spectra(N, W, lam, cont)
         tail, decay = dict(pw), dict(pw)   # _family adds "checked"
         checks += [
             _check("trace_identity", "trace equals 2NW", pw,
@@ -405,13 +392,13 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                                              initial=0.0)), tol.cross_route)),
             _check("spectra_l2_distance",
                    "l2 spectrum comparison via Wielandt-Hoffman",
-                   {**pw, "c": cmp_.c}, lambda: (cmp_.l2_diff, cmp_.bound),
+                   {**pw, "c": c}, lambda: compare_spectra(N, W, lam, cont),
                    tol.check_floor),
             _check("kernel_hs_distance",
                    "HS distance between Dirichlet and sinc kernels", pw,
                    lambda: (kernel_hs_distance(N, W), kernel_hs_distance_bound(W)),
                    tol.check_floor),
-            *verify_comparison(N, W, lam, cont),
+            verify_comparison(N, W, lam, cont),
             _check("plunge_mass", "trace minus squared HS norm", pw,
                    lambda: plunge_mass(N, W, lam), tol.check_floor),
             _check("eigenvalue_tail_bound", "min-max tail estimate", tail,
@@ -454,11 +441,11 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                              "HS norm lower bound for the sinc kernel", {"c": c},
                              hs_norm, tol.check_floor, lower=True))
 
-    # concentration-inequality constant (informational, fixed W = 1/6)
-    turan = {"W": 1.0 / 6.0}
+    # concentration-inequality constant (informational, fixed W = TURAN_W)
+    turan = {"W": TURAN_W}
 
     def turan_constant():
-        tn = concentration_inequality_constant(1.0 / 6.0)
+        tn = concentration_inequality_constant(TURAN_W)
         turan["per_n"] = {str(N): v for N, v in tn["per_n"].items()}   # JSON key order
         return tn["empirical"], tn["formula_value"]
 

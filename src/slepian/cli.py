@@ -40,12 +40,8 @@ TABLE1_N = 60
 TABLE1_W = (0.1, 0.2, 0.3, 0.4)
 TABLE1_REFERENCE = {0.1: 4.15e-3, 0.2: 1.65e-2, 0.3: 3.98e-2, 0.4: 8.51e-2}
 
-PRESETS = {
-    "example2": {"target": "sinc", "alpha": 56.0, "N": 60, "W": 0.3, "K": 60,
-                 "basis": "dilated"},
-    "example3": {"target": "weierstrass", "s": 1.0, "N": 60, "W": 0.3, "K": 60,
-                 "basis": "dilated"},
-}
+# each paper example names its target; N, W, K and the basis keep their defaults
+PRESETS = {"example2": "sinc", "example3": "weierstrass"}
 
 
 def fmt(x: float) -> str:
@@ -92,12 +88,12 @@ def cmd_table1(args) -> Output:
     worst_rel = 0.0
     for W in TABLE1_W:
         params = DiscreteParams(TABLE1_N, W)
-        cmp_ = bnd.compare_spectra(
+        l2_diff, _ = bnd.compare_spectra(
             TABLE1_N, W, spectrum(params).values,
             legendre_spectrum(params.bandwidth, TABLE1_N + bnd.COMPARISON_TAIL))
-        lines.append(f"{fmt(W)},{fmt(cmp_.c)},{fmt(cmp_.l2_diff)}")
+        lines.append(f"{fmt(W)},{fmt(params.bandwidth)},{fmt(l2_diff)}")
         worst_rel = max(worst_rel,
-                        abs(cmp_.l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
+                        abs(l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
     rel = current_tolerances().table1_rel
     failure = f"worst relative deviation {worst_rel:.3e} exceeds {rel}"
     return Output(lines, failure if worst_rel > rel else None)
@@ -135,29 +131,24 @@ def _build_target(args) -> TestFunction:
 
 
 def cmd_project(args) -> Output:
-    defaults = {"N": 60, "W": 0.3, "alpha": 56.0, "s": 1.0, "basis": "dilated",
-                **PRESETS.get(args.preset, {})}
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    args.target = args.target or PRESETS.get(args.preset)
     if args.target is None:
         raise ValueError("--target (or --preset) is required")
-    if args.K is None:
-        args.K = args.N
+    K = args.N if args.K is None else args.K
     if args.basis == "native" and args.lambda_floor is not None:
         raise ValueError("--lambda-floor applies to the dilated basis only")
     f = _build_target(args)
     disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
     sweep = None
     if args.out:   # the JSON result is the sweep's last row
-        rows = projection_sweep(f, disc, args.K, args.basis, args.lambda_floor)
+        rows = projection_sweep(f, disc, K, args.basis, args.lambda_floor)
         result = rows[-1]
         sweep = ["K,residual_l2,residual_sup"] + [
             f"{rk.K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}" for rk in rows]
     elif args.basis == "dilated":
-        result = project_dilated(f, disc, args.K, lambda_floor=args.lambda_floor)
+        result = project_dilated(f, disc, K, lambda_floor=args.lambda_floor)
     else:
-        result = project_native(f, disc, args.K)
+        result = project_native(f, disc, K)
     payload = dataclasses.asdict(result)
     payload.update(coefficients=[[float(z.real), float(z.imag)]
                                  for z in np.asarray(result.coefficients)],
@@ -241,14 +232,14 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=METHODS, default="tridiag")
 
     p = add("project", cmd_project, "project a test function onto the basis")
-    common(p)
+    common(p, 60, 0.3)
     p.add_argument("--target", choices=("sinc", "weierstrass", "samples"),
                    default=None)
     p.add_argument("--preset", choices=tuple(PRESETS), default=None)
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--basis", choices=("native", "dilated"), default=None)
+    p.add_argument("--alpha", type=float, default=56.0)
+    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--basis", choices=("native", "dilated"), default="dilated")
     p.add_argument("--lambda-floor", type=float, default=None,
                    help="exclude modes with eigenvalue below this floor "
                         "(dilated basis only; default: keep all K modes)")
@@ -268,8 +259,9 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=float, default=None)
 
     p = add("turan", cmd_turan, "concentration-inequality constant")
-    p.add_argument("--W", type=float, default=1.0 / 6.0)
-    p.add_argument("--N-list", type=_list_of(int, "integers"), default=(7, 9, 11))
+    p.add_argument("--W", type=float, default=bnd.TURAN_W)
+    p.add_argument("--N-list", type=_list_of(int, "integers"),
+                   default=bnd.TURAN_N_LIST)
 
     for p in sub.choices.values():
         p.add_argument("--out", default=None)

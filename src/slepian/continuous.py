@@ -38,15 +38,6 @@ class ContinuousSpectrum:
     halfwidth: float = 1.0
 
 
-@dataclass(frozen=True)
-class PlungeIndex:
-    """Index around which the sinc-kernel eigenvalues cross a fixed level."""
-
-    c: float
-    b: float
-    index: int
-
-
 def default_order(c: float) -> int:
     """Quadrature size resolving the kernel's oscillation with margin."""
     return max(64, math.ceil(2.0 * c) + 60)
@@ -222,8 +213,9 @@ def kernel_hs_distance_bound(W: float) -> float:
     return 4.0 * math.pi ** 2 * W ** 3 / (3.0 * math.sin(2.0 * math.pi * W))
 
 
-def plunge_index(c: float, b: float) -> PlungeIndex:
-    """Index n(c, b) = floor(2c/pi + (2b/pi) log 2 + (b/pi) log c).
+def plunge_index(c: float, b: float) -> int:
+    """Index n(c, b) = floor(2c/pi + (2b/pi) log 2 + (b/pi) log c) around
+    which the sinc-kernel eigenvalues cross a fixed level.
 
     At this index the eigenvalue tends to 1/(1 + e^{pi b}) as c grows; b = 0
     gives the centre of the plunge region floor(2c/pi).
@@ -237,7 +229,7 @@ def plunge_index(c: float, b: float) -> PlungeIndex:
         raise ValueError(f"b must be nonnegative, got {b}")
     x = 2.0 * c / math.pi + (2.0 * b / math.pi) * math.log(2.0) \
         + (b / math.pi) * math.log(c)
-    return PlungeIndex(c=float(c), b=float(b), index=snapped_floor(x))
+    return snapped_floor(x)
 
 
 def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
@@ -269,7 +261,8 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     """Spectral-norm distance between two rank-K spectral projectors.
 
     On a shared Gauss-Legendre grid over [-1, 1]: the projector onto the
-    first K Nystrom eigenvectors of the sinc kernel at c = pi N W, versus the
+    first K Nystrom eigenvectors of the sinc kernel at c = pi N W (whose
+    eigenvalues are certified against ``legendre_spectrum``), versus the
     projector onto the span of the first K dilated wave functions
     sqrt(W) U_k(W x) / sqrt(lambda_k) of the spectrum ``disc`` of (N, W).
     Quadrature weighting makes the discrete norm approximate the L2 operator
@@ -286,8 +279,7 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
             f"{floor:.0e}; the rank-K projector is not resolvable")
     c = math.pi * N * W
-    cont = nystrom_spectrum(c, max(default_order(c), 4 * N),
-                            check_convergence=False)
+    cont = nystrom_spectrum(c, max(default_order(c), 4 * N))
     x = cont.rule.nodes
     sw = np.sqrt(cont.rule.weights)
     P1 = cont.grid_vectors[:, :K] @ cont.grid_vectors[:, :K].T

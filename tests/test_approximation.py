@@ -85,33 +85,34 @@ class TestSobolevNorm:
     def test_single_fourier_mode(self):
         f = TestFunction.from_callable(lambda x: np.exp(2j * np.pi * x))
         for s in (0.5, 1.0, 2.0):
-            spec = sobolev_norm(f, s, "native")
-            assert spec.norm ** 2 == pytest.approx(2.0 ** s, rel=1e-8)
+            norm = sobolev_norm(f, s, "native")
+            assert norm ** 2 == pytest.approx(2.0 ** s, rel=1e-8)
 
     def test_constant(self):
         f = TestFunction.from_callable(lambda x: np.ones_like(x))
-        assert sobolev_norm(f, 1.7, "native").norm == pytest.approx(1.0, rel=1e-10)
+        assert sobolev_norm(f, 1.7, "native") == pytest.approx(1.0, rel=1e-10)
 
     def test_h0_is_l2(self):
         f = TestFunction.from_callable(lambda x: np.cos(2 * np.pi * x))
-        spec = sobolev_norm(f, 0.0, "native")
-        assert spec.norm == pytest.approx(math.sqrt(0.5), rel=1e-10)
+        norm = sobolev_norm(f, 0.0, "native")
+        assert norm == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
     def test_weierstrass_closed_form_h1(self):
         f = TestFunction.weierstrass(1.0)
-        spec = sobolev_norm(f, 1.0, "native")
+        norm = sobolev_norm(f, 1.0, "native")
         # frozen from exact pairwise integrals, cross-checked against an FFT
         # of a short truncation that a grid can actually resolve
-        assert spec.norm == pytest.approx(1.68368412919908, rel=1e-12)
+        assert type(norm) is float
+        assert norm == pytest.approx(1.68368412919908, rel=1e-12)
 
     def test_weierstrass_h0_matches_l2(self):
         f = TestFunction.weierstrass(1.0)
-        spec = sobolev_norm(f, 0.0, "native")
+        norm = sobolev_norm(f, 0.0, "native")
         rule = gauss_legendre(2048).scaled(0.5)
         l2 = math.sqrt(np.sum(rule.weights * f(rule.nodes) ** 2))
         # the grid reference itself misses the terms beyond its resolution,
         # so it only confirms the closed form to ~5e-6
-        assert spec.norm == pytest.approx(l2, rel=2e-5)
+        assert norm == pytest.approx(l2, rel=2e-5)
 
     def test_unresolvable_frequency_raises(self):
         # a pure cosine far above any admissible grid aliases differently at
@@ -130,8 +131,7 @@ class TestSobolevNorm:
             calls.append(np.shape(x))
             raise AssertionError("the evaluator must not be called")
 
-        f = TestFunction(kind="weierstrass", params={"s": 0.5},
-                         evaluator=recording, cosine_terms=(amps, freqs))
+        f = TestFunction(recording, cosine_terms=(amps, freqs), s=0.5)
         with pytest.raises(NumericalFailure, match="Nyquist"):
             sobolev_norm(f, 0.5, "native")
         assert calls == []
@@ -146,44 +146,40 @@ class TestSobolevNorm:
             calls.append(np.shape(x))
             raise AssertionError("the evaluator must not be called")
 
-        f = TestFunction(kind="weierstrass", params={"s": 2.0},
-                         evaluator=recording, cosine_terms=(amps, freqs))
+        f = TestFunction(recording, cosine_terms=(amps, freqs), s=2.0)
         with pytest.raises(NumericalFailure, match="jumps by 2.204e"):
             sobolev_norm(f, 2.0, "native")
-        assert sobolev_norm(f, 1.0, "native").norm > 0   # closed form, s < 3/2
+        assert sobolev_norm(f, 1.0, "native") > 0   # closed form, s < 3/2
         assert calls == []
 
     def test_lattice_cosine_has_no_seam_jump(self):
         # cos(2 pi x) is periodic on [-1/2, 1/2]: (1/4 + 1/4) (1 + 1)^2
-        f = TestFunction(kind="cosine", params={},
-                         evaluator=lambda x: np.cos(2 * np.pi * x),
+        f = TestFunction(lambda x: np.cos(2 * np.pi * x),
                          cosine_terms=(np.array([1.0]), np.array([2 * np.pi])))
-        assert sobolev_norm(f, 2.0, "native").norm == pytest.approx(
+        assert sobolev_norm(f, 2.0, "native") == pytest.approx(
             math.sqrt(2.0), rel=1e-10)
 
     def test_closed_form_agrees_with_fft_on_resolvable_sum(self):
         terms = 10   # frequencies up to 2^9, resolvable on a modest grid
         amps = 2.0 ** -np.arange(terms)
         freqs = 2.0 ** np.arange(terms)
-        f = TestFunction(kind="weierstrass", params={"s": 1.0},
-                         evaluator=lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
-                         cosine_terms=(amps, freqs))
-        closed = sobolev_norm(f, 1.0, "native").norm
+        f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
+                         cosine_terms=(amps, freqs), s=1.0)
+        closed = sobolev_norm(f, 1.0, "native")
         grid = TestFunction.from_callable(f.evaluator)
-        fft = sobolev_norm(grid, 1.0, "native").norm
+        fft = sobolev_norm(grid, 1.0, "native")
         assert closed == pytest.approx(fft, rel=1e-6)
 
     def test_dilated_interval_lattice_mode(self):
         # cos(pi x) is the n = +-1 lattice mode on (-1, 1): H^1 norm^2 = 2
         amps, freqs = np.array([1.0]), np.array([math.pi])
-        f = TestFunction(kind="cosine", params={"s": 1.0},
-                         evaluator=lambda x: np.cos(math.pi * x),
-                         cosine_terms=(amps, freqs))
+        f = TestFunction(lambda x: np.cos(math.pi * x),
+                         cosine_terms=(amps, freqs), s=1.0)
         closed = sobolev_norm(f, 1.0, "dilated")
-        assert closed.norm ** 2 == pytest.approx(2.0, rel=1e-13)
+        assert closed ** 2 == pytest.approx(2.0, rel=1e-13)
         fft = sobolev_norm(TestFunction.from_callable(f.evaluator), 1.0,
                            "dilated")
-        assert fft.norm ** 2 == pytest.approx(2.0, rel=1e-8)
+        assert fft ** 2 == pytest.approx(2.0, rel=1e-8)
 
     def test_invalid_arguments(self):
         f = TestFunction.weierstrass(1.0)
@@ -264,8 +260,7 @@ class TestProjectNative:
             assert np.size(x) <= 2001, "Sobolev grid built"
             return np.cos(np.multiply.outer(x, freqs)) @ amps
 
-        f = TestFunction(kind="weierstrass", params={"s": 0.5},
-                         evaluator=small_grids_only, cosine_terms=(amps, freqs))
+        f = TestFunction(small_grids_only, cosine_terms=(amps, freqs), s=0.5)
         result = project_native(f, get_spectrum(30, 0.2), 25)
         assert result.sobolev_ok is None
         assert result.note.startswith("Sobolev norm unavailable")

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from slepian import bounds, continuous, discrete
-from slepian.bounds import (COMPARISON_TAIL, BoundReport, IllConditionedFloor,
-                            OutOfRangeError,
+from slepian.bounds import (COMPARISON_TAIL, BoundReport, OutOfRangeError,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
                             concentration_inequality_constant, decay_formula,
@@ -155,8 +154,8 @@ class TestComparisonConstant:
         lam = get_spectrum(N, W).values
         c = PI * N * W
         cont = get_nystrom(c, max(default_order(c), N + 10))
-        checks = verify_comparison(N, W, lam, cont.values)
-        assert all(c_.satisfied for c_ in checks)
+        check = verify_comparison(N, W, lam, cont.values)
+        assert check.name == "comparison_inequality" and check.satisfied
 
     def test_scalar_case(self):
         lam = 0.4   # N = 1, W = 0.2
@@ -299,7 +298,9 @@ class TestConcentrationConstant:
             assert lam >= math.exp(-A * (1 - 2 / 6) * (N - 1)) * (1 - 1e-9)
 
     def test_floor_error_for_large_n(self):
-        with pytest.raises(IllConditionedFloor):
+        with pytest.raises(OutOfRangeError,
+                           match=r"^all lambda_\(N-1\) below 1e-12 for N in "
+                                 r"\(15, 20, 25\); choose smaller N$"):
             concentration_inequality_constant(1 / 6, n_list=(15, 20, 25))
 
     def test_w_range(self):
@@ -316,25 +317,24 @@ class TestCompareSpectra:
 
     @pytest.mark.parametrize("W", [0.1, 0.2, 0.3, 0.4])
     def test_reproduces_reference_table(self, get_spectrum, W):
-        cmp_ = compare_spectra(60, W, get_spectrum(60, W, "toeplitz").values,
-                               self.cont(60, W))
-        assert abs(cmp_.l2_diff - self.TABLE[W]) / self.TABLE[W] <= 0.02
-        assert cmp_.l2_diff <= cmp_.bound + Tolerances().check_floor
+        l2_diff, bound = compare_spectra(
+            60, W, get_spectrum(60, W, "toeplitz").values, self.cont(60, W))
+        assert abs(l2_diff - self.TABLE[W]) / self.TABLE[W] <= 0.02
+        assert l2_diff <= bound + Tolerances().check_floor
 
     def test_bound_value(self, get_spectrum):
-        cmp_ = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values,
-                               self.cont(60, 0.1))
-        assert cmp_.bound == pytest.approx(0.0223882, rel=1e-5)
-        assert cmp_.l2_diff <= cmp_.bound
+        l2_diff, bound = compare_spectra(60, 0.1, get_spectrum(60, 0.1).values,
+                                         self.cont(60, 0.1))
+        assert bound == pytest.approx(0.0223882, rel=1e-5)
+        assert l2_diff <= bound
 
     def test_tail_extension_invariance(self, get_spectrum):
         # the sinc-kernel values past N + COMPARISON_TAIL change nothing
         lam = get_spectrum(60, 0.1).values
         cont = self.cont(60, 0.1, 120)
-        a = compare_spectra(60, 0.1, lam, cont)
+        a, _ = compare_spectra(60, 0.1, lam, cont)
         b = float(np.linalg.norm(np.append(lam, np.zeros(60)) - cont[:120]))
-        assert a.tail_index == 90
-        assert abs(a.l2_diff - b) <= 1e-12
+        assert abs(a - b) <= 1e-12
 
     def test_precomputed_continuous_values(self, get_spectrum):
         lam = get_spectrum(60, 0.1).values
@@ -385,6 +385,19 @@ class TestVerifyAll:
         assert len(payload["checks"]) == 175
         assert self.digest(payload) == (
             "56566f88582ec73b252c223a3438a6a5fc333263166493bb3faae9b9e04681be")
+
+    def test_l2_entry_is_compare_spectra(self, report):
+        entries = [c for c in report.checks if c.name == "spectra_l2_distance"]
+        assert len(entries) == 8
+        for entry in entries:
+            N, W = entry.params["N"], entry.params["W"]
+            c = discrete.DiscreteParams(N, W).bandwidth
+            assert entry.params["c"] == c
+            measured, bound = compare_spectra(
+                N, W, discrete.spectrum(discrete.DiscreteParams(N, W)).values,
+                legendre_spectrum(c, N + COMPARISON_TAIL))
+            assert (entry.measured, entry.bound) == (measured, bound)
+            assert entry.margin == bound - measured
 
     def test_digest_tracks_verdicts_not_noise(self, report):
         payload = json.loads(report.to_json())

@@ -155,6 +155,23 @@ class TestProject:
         payload = json.loads(out.read_text())
         assert abs(payload["residual_l2"] - 2.43e-2) / 2.43e-2 <= 0.10
 
+    @pytest.mark.parametrize("preset,target", sorted(cli.PRESETS.items()))
+    def test_preset_sets_only_the_target(self, preset, target, tmp_path,
+                                         monkeypatch):
+        # N, W, K and the basis keep their defaults, so K follows --N
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        by_preset, by_target = tmp_path / "preset.json", tmp_path / "target.json"
+        assert cli.main(["project", "--preset", preset, "--N", "30",
+                         "--out", str(by_preset)]) == 0
+        assert cli.main(["project", "--target", target, "--N", "30",
+                         "--out", str(by_target)]) == 0
+        payload = json.loads(by_preset.read_text())
+        assert (payload["K"], payload["N"], payload["target"]) == (30, 30, target)
+        assert by_preset.read_text() == by_target.read_text()
+        csv = by_preset.with_suffix(".csv").read_text().splitlines()
+        assert len(csv) == 31
+        assert csv == by_target.with_suffix(".csv").read_text().splitlines()
+
     def test_sweep_csv_matches_standalone_projections(self, tmp_path,
                                                       get_spectrum):
         from slepian.approximation import TestFunction, project_dilated
@@ -334,6 +351,15 @@ class TestOtherCommands:
                     out.read_text().strip().splitlines())
         assert float(data["formula_value"]) == pytest.approx(1.0206, abs=1e-3)
         assert float(data["empirical"]) > 0
+
+    def test_turan_defaults_are_the_library_defaults(self):
+        from slepian import bounds
+        args = cli.build_parser().parse_args(["turan"])
+        assert (args.W, args.N_list) == (bounds.TURAN_W, bounds.TURAN_N_LIST)
+        turan, = [c for c in verify_all((30,), (0.1,), (0.05,)).checks
+                  if c.name == "concentration_constant"]
+        assert turan.params["W"] == bounds.TURAN_W
+        assert sorted(map(int, turan.params["per_n"])) == list(bounds.TURAN_N_LIST)
 
     def test_help(self):
         cp = run_cli("--help")
