@@ -42,6 +42,8 @@ TABLE1_REFERENCE = {0.1: 4.15e-3, 0.2: 1.65e-2, 0.3: 3.98e-2, 0.4: 8.51e-2}
 
 # each paper example names its target; N, W, K and the basis keep their defaults
 PRESETS = {"example2": "sinc", "example3": "weierstrass"}
+# (alpha, N, W, K, basis, lambda floor) of example 2, the run example2_sup holds
+EXAMPLE2 = (56.0, 60, 0.3, 60, "dilated", None)
 
 
 def fmt(x: float) -> str:
@@ -131,9 +133,9 @@ def _build_target(args) -> TestFunction:
 
 
 def cmd_project(args) -> Output:
-    args.target = args.target or PRESETS.get(args.preset)
-    if args.target is None:
-        raise ValueError("--target (or --preset) is required")
+    if (args.preset is None) == (args.target is None):
+        raise ValueError("give exactly one of --target and --preset")
+    args.target = args.target or PRESETS[args.preset]
     K = args.N if args.K is None else args.K
     if args.basis == "native" and args.lambda_floor is not None:
         raise ValueError("--lambda-floor applies to the dilated basis only")
@@ -154,7 +156,8 @@ def cmd_project(args) -> Output:
                                  for z in np.asarray(result.coefficients)],
                    target=args.target, N=args.N, W=args.W)
     failure, sup = None, current_tolerances().example2_sup
-    if args.preset == "example2" and result.residual_sup > sup:
+    example2 = (args.alpha, args.N, args.W, K, args.basis, args.lambda_floor)
+    if args.preset == "example2" and example2 == EXAMPLE2 and result.residual_sup > sup:
         failure = f"sup residual {result.residual_sup:.3e} exceeds {sup}"
     return Output([json.dumps(payload, indent=2, sort_keys=True)], failure, sweep)
 

@@ -18,7 +18,7 @@ from .config import current_tolerances
 from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
-                     gauss_legendre, parity_blocks, parity_vectors,
+                     gauss_legendre, parity_block, parity_spectrum,
                      sinc_kernel, snapped_floor)
 
 
@@ -43,11 +43,12 @@ def default_order(c: float) -> int:
     return max(64, math.ceil(2.0 * c) + 60)
 
 
-def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    K = sinc_kernel(c, x[:, None] - x[None, :], c / np.pi)
+def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray,
+                       rows: slice = slice(None)) -> np.ndarray:
+    K = sinc_kernel(c, x[rows, None] - x[None, :], c / np.pi)
     # outer(sw, sw) is exactly symmetric, so S inherits exact symmetry from K
     sw = np.sqrt(w)
-    return np.outer(sw, sw) * K
+    return np.outer(sw[rows], sw) * K
 
 
 def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
@@ -82,8 +83,9 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     M = max(n, math.ceil(c + 14.0 * c ** (1.0 / 3.0))) + 40
     for _ in range(3):
         blocks = _prolate_blocks(c, M)
-        # ascending chi; the even block holds n = 0, 2, ..., the odd n = 1, 3, ...
-        Ve, Vo = (eig_symtridiag(T).vectors[:, ::-1][:, :m]
+        # descending chi as solved (n = ..., 2, 0 and ..., 3, 1); an ascending view
+        # would send psi0 to BLAS and move its last bits; mu is reversed below
+        Ve, Vo = (eig_symtridiag(T).vectors[:, -m:]
                   for T, m in zip(blocks, ((n + 1) // 2, n // 2)))
         if max(np.max(np.abs(Ve[-2:])), np.max(np.abs(Vo[-2:]))) <= np.finfo(float).eps:
             break
@@ -95,8 +97,8 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     psi0 = (np.sqrt(k + 0.5) * p0)[:blocks[0].order] @ Ve
     dpsi0 = ((k + 1) * np.sqrt(k + 1.5) * p0)[:blocks[1].order] @ Vo   # P'_{k+1}(0)
     mu = np.empty(n)
-    mu[0::2] = c / math.pi * (Ve[0] / psi0) ** 2
-    mu[1::2] = c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2
+    mu[0::2] = (c / math.pi * (Ve[0] / psi0) ** 2)[::-1]
+    mu[1::2] = (c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2)[::-1]
     defect = abs(mu.sum() - 2.0 * c / math.pi)
     if defect > current_tolerances().trace_continuous_rel * 2.0 * c / math.pi:
         raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
@@ -109,9 +111,10 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
 
     The kernel is sampled on the memoised Newton Gauss-Legendre rule of order
     ``M``. The rule is mirror-symmetric, so the scaled kernel matrix splits
-    into even and odd index-reversal blocks, each diagonalised by the
-    contract-checked ``eig_sym``; eigenvalues must also sum to the operator
-    trace 2 c halfwidth / pi.
+    into even and odd index-reversal blocks, each built from kernel rows (the
+    M x M matrix never is) and diagonalised by the contract-checked
+    ``eig_sym`` before the next is built; eigenvalues must also sum to the
+    operator trace 2 c halfwidth / pi.
 
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
     With ``check_convergence`` each eigenvalue above the ``floor_checks``
@@ -128,14 +131,9 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
     rule, tol = gauss_legendre(M).scaled(halfwidth), current_tolerances()
-    # S is dropped once split, which keeps it out of the solves' peak memory
-    even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
-    even_sys, odd_sys = eig_sym(even), eig_sym(odd)
-    del even, odd
-    values = np.concatenate([even_sys.values, odd_sys.values])
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    vectors = parity_vectors(even_sys.vectors, odd_sys.vectors, M, order)
+    values, vectors = parity_spectrum(M, lambda odd: eig_sym(parity_block(
+        lambda i, j: _sinc_kernel_matrix(c, rule.nodes, rule.weights, slice(i, j)),
+        M, odd)))
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
     if trace_defect > tol.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
         raise NumericalFailure(

@@ -16,8 +16,9 @@ spectrum clusters at 0 and 1 beyond double-precision resolution:
 Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
 ``dpss[:, k]`` are the unit-norm sequences. The wave functions are the
 trigonometric polynomials obtained from the sequences (``dpswf``). A full
-spectrum peaks at about two N x N float64 arrays (the result, the blocks and
-their vectors); partial spectra are ROADMAP item 3.
+spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
+half-order block vector arrays lifted into it; one prolate block at a time
+lives beside them); partial spectra are ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import current_tolerances
-from .numkit import (IllConditionedError, NumericalFailure, SymTridiag,
-                     eig_sym, eig_symtridiag, parity_blocks, parity_vectors,
-                     sinc_kernel, tridiag_parity_blocks)
+from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
+                     SymTridiag, eig_sym, eig_symtridiag, parity_block,
+                     parity_spectrum, sinc_kernel, tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
 
@@ -93,10 +94,11 @@ def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     return _prolate_view(params).copy()
 
 
-def _prolate_blocks(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
-    """``parity_blocks(prolate_matrix(params))`` read from the strided view,
-    so the N x N matrix is never built."""
-    return parity_blocks(_prolate_view(params))
+def _prolate_blocks(params: DiscreteParams):
+    """The even, then the odd block of ``prolate_matrix(params)``, each read
+    from the strided view only when asked for (the N x N matrix never is)."""
+    view = _prolate_view(params)
+    return (parity_block(lambda i, j: view[i:j], params.N, odd) for odd in (0, 1))
 
 
 def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
@@ -124,24 +126,17 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     N = params.N
-    has_odd = N > 1   # the odd blocks are empty when N == 1
-    rho_blocks = _prolate_blocks(params)[:1 + has_odd]
-    if method == "toeplitz":
-        systems = [eig_sym(B) for B in rho_blocks]
-        values = np.concatenate([s.values for s in systems])
-    else:
-        T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
-        systems = [eig_symtridiag(T) for T in T_blocks[:1 + has_odd]]
-        # u^T B u = v^T rho v for the lifted sequence v of block vector u
-        values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
-                                 for s, B in zip(systems, rho_blocks)])
-    blocks = [_sign_convention(s.vectors, N // 2) for s in systems]
-    del rho_blocks, systems
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    vectors = parity_vectors(blocks[0], blocks[-1] if has_odd else np.zeros((0, 0)),
-                             N, order)
-    del blocks
+    rho_blocks = _prolate_blocks(params)   # each dropped once solved or used
+    T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
+
+    def solve(odd: bool) -> EigenSystem:
+        if method == "toeplitz":
+            values, U = eig_sym(next(rho_blocks))
+        else:   # u^T B u = v^T rho v for the lifted sequence v of block vector u
+            U = eig_symtridiag(T_blocks[odd]).vectors
+            values = np.einsum("ij,ij->j", U, next(rho_blocks) @ U)
+        return EigenSystem(values, _sign_convention(U, N // 2))
+    values, vectors = parity_spectrum(N, solve)
     warnings = _validate(params, values, vectors)
     return DiscreteSpectrum(params=params, values=values, dpss=vectors,
                             method=method, warnings=tuple(warnings))

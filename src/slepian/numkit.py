@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -74,35 +75,23 @@ class SymTridiag:
         return out
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full spectral decomposition, eigenvalues descending.
-
-    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
-    """
+class EigenSystem(NamedTuple):
+    """Full spectral decomposition: ``values`` descending, and ``vectors[:, i]``
+    the orthonormal eigenvector for ``values[i]``."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
-def check_symmetric(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if A.shape[0] < 1:
-        raise ValueError("matrix order must be >= 1")
-    if not (A == A.T).all():
-        raise ValueError("matrix must be exactly symmetric")
-    return A
-
-
-def _validated_system(apply, values: np.ndarray, vectors: np.ndarray
-                      ) -> EigenSystem:
-    """Sort descending and check the contract; ``apply(V)`` computes A @ V."""
+def _validated_system(kind: str, solve, apply) -> EigenSystem:
+    """Run LAPACK's ``solve()``, check the contract in its ascending order and
+    free the check's buffer; return a descending view of LAPACK's arrays (a
+    permuted copy if the values do not ascend). ``apply(V)`` is A @ V."""
+    try:
+        values, vectors = solve()
+    except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
+        raise NumericalFailure(f"{kind} eigensolver failed: {exc}") from exc
     tol = current_tolerances()
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
     gram = vectors.T @ vectors   # the buffer is reused for the residual
     gram.flat[::len(values) + 1] -= 1.0
     gram_defect = np.max(np.abs(gram, out=gram))
@@ -112,50 +101,65 @@ def _validated_system(apply, values: np.ndarray, vectors: np.ndarray
             f"{tol.orthonormality:.1e}")
     R = np.subtract(apply(vectors), np.multiply(vectors, values, out=gram), out=gram)
     resid = math.sqrt(np.max(np.einsum("ij,ij->j", R, R)))
-    scale = max(np.max(np.abs(values)), 1e-300)
-    if resid > tol.eigen_residual * scale:
+    del gram, R
+    if resid > tol.eigen_residual * max(np.max(np.abs(values)), 1e-300):
         raise NumericalFailure(
             f"eigen residual {resid:.3e} exceeds {tol.eigen_residual:.1e} * |A|")
-    return EigenSystem(values=values, vectors=vectors)
+    if (np.diff(values) >= 0).all():   # the stable sort below is then this reversal
+        return EigenSystem(values=values[::-1], vectors=vectors[:, ::-1])
+    order = np.argsort(values, kind="stable")[::-1]
+    return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
 def eig_sym(A: np.ndarray) -> EigenSystem:
     """Spectral decomposition of a real symmetric matrix, descending order."""
-    A = check_symmetric(A)
-    try:
-        values, vectors = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
-        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return _validated_system(A.__matmul__, values, vectors)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or not A.shape[0] == A.shape[1] >= 1 or not (A == A.T).all():
+        raise ValueError("matrix must be square, of order >= 1 and exactly symmetric")
+    return _validated_system("symmetric", lambda: np.linalg.eigh(A), A.__matmul__)
 
 
 def eig_symtridiag(T: SymTridiag) -> EigenSystem:
     """Spectral decomposition of a symmetric tridiagonal matrix."""
-    try:
-        values, vectors = eigh_tridiagonal(T.diagonal, T.offdiag)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _validated_system(T.apply, values, vectors)
+    return _validated_system(
+        "tridiagonal", lambda: eigh_tridiagonal(T.diagonal, T.offdiag), T.apply)
 
 
-def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a centrosymmetric symmetric matrix S (JSJ = S).
+def parity_block(rows, n: int, odd: bool) -> np.ndarray:
+    """Even or odd block of a centrosymmetric symmetric n x n matrix S (JSJ = S)
+    whose rows S[i:j] are ``rows(i, j)``, read about 2^16 entries at a time.
 
     With h = n // 2, A = S[:h, :h] and BJ = S[:h, n-h:][:, ::-1], they are
     A + BJ and A - BJ: S in the orthonormal bases of ``parity_vectors``. For
     odd n the even block gains the sqrt(2)-weighted middle row and column.
-    S may be any strided view; only the blocks are allocated.
     """
-    n = S.shape[0]
-    h = n // 2
-    A = S[:h, :h]
-    BJ = S[:h, n - h:][:, ::-1]
-    even = np.empty((n - h, n - h))
-    np.add(A, BJ, out=even[:h, :h])
-    if n % 2:
-        even[:h, h] = even[h, :h] = math.sqrt(2.0) * S[:h, h]
-        even[h, h] = S[h, h]
-    return even, np.subtract(A, BJ, out=np.empty((h, h)))
+    h, step = n // 2, max(1, 2 ** 16 // n)
+    m = h if odd else n - h
+    out = np.empty((m, m))
+    for i in range(0, h, step):
+        R = rows(i, min(i + step, h))
+        (np.subtract if odd else np.add)(R[:, :h], R[:, n - h:][:, ::-1],
+                                          out=out[i:i + len(R), :h])
+        out[i:i + len(R), h:] = math.sqrt(2.0) * R[:, h:m]
+    out[h:, :h] = out[:h, h:].T
+    out[h:, h:] = rows(h, m)[:, h:m]
+    return out
+
+
+def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both ``parity_block``s of S, which may be any strided view."""
+    return tuple(parity_block(lambda i, j: S[i:j], len(S), odd) for odd in (0, 1))
+
+
+def parity_spectrum(n: int, solve) -> EigenSystem:
+    """Descending system of an n x n centrosymmetric operator, sorted stably
+    and lifted by ``parity_vectors`` from ``solve(odd)``, the system of the
+    even block, then (n > 1) the odd: a block built in ``solve`` dies there."""
+    systems = [solve(odd) for odd in (False, True)[:1 + (n > 1)]]
+    values = np.concatenate([s.values for s in systems])
+    order = np.argsort(values, kind="stable")[::-1]
+    Uo = systems[1].vectors if n > 1 else np.zeros((0, 0))
+    return EigenSystem(values[order], parity_vectors(systems[0].vectors, Uo, n, order))
 
 
 def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int,

@@ -172,6 +172,24 @@ class TestProject:
         assert len(csv) == 31
         assert csv == by_target.with_suffix(".csv").read_text().splitlines()
 
+    def test_preset_with_target_is_one_line(self, tmp_path):
+        out = tmp_path / "proj.json"
+        cp = run_cli("project", "--preset", "example2", "--target",
+                     "weierstrass", "--strict", "--out", str(out))
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == "slepian: give exactly one of --target and --preset\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--alpha", "200"], ["--N", "30"]],
+                             ids=["alpha200", "N30"])
+    def test_example2_verdict_only_for_the_paper_example(self, tmp_path, argv):
+        # a run that is not the paper's example 2 is not held to its tolerance
+        out = tmp_path / "proj.json"
+        cp = run_cli("project", "--preset", "example2", *argv, "--strict",
+                     "--out", str(out))
+        assert (cp.returncode, cp.stderr) == (0, "")
+        assert json.loads(out.read_text())["residual_sup"] > Tolerances().example2_sup
+
     def test_sweep_csv_matches_standalone_projections(self, tmp_path,
                                                       get_spectrum):
         from slepian.approximation import TestFunction, project_dilated

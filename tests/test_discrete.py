@@ -465,20 +465,32 @@ class TestBitIdentity:
                               _reference_lift(se.vectors, so.vectors, order)[:, perm])
 
 
+def _traced_peak(call):
+    """tracemalloc peak of a second call; the first fills the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     @pytest.mark.parametrize("N", [400, 401])
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_full_spectrum_peak(self, N, method):
-        # about N^2 doubles for the result and N^2 / 2 for the block vectors
+        # about N^2 doubles for the result and N^2 / 2 for the block vectors;
+        # one prolate block at a time lives next to them
         params = DiscreteParams(N, 0.3)
-        spectrum(params, method)
-        tracemalloc.start()
-        try:
-            spectrum(params, method)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * N * N * 8
+        assert _traced_peak(lambda: spectrum(params, method)) <= 1.7 * N * N * 8
+
+    def test_nystrom_peak(self):
+        # the M x M kernel is never built: the result, the two block vector
+        # arrays and one block at a time
+        M = 1001
+        peak = _traced_peak(lambda: nystrom_spectrum(300.0, M, check_convergence=False))
+        assert peak <= 1.6 * M * M * 8
 
 
 class TestValidateChecks:
