@@ -24,10 +24,10 @@ from .continuous import (ContinuousSpectrum, default_order, eigenspace_bound,
                          kernel_hs_distance, kernel_hs_distance_bound,
                          legendre_spectrum, nystrom_spectrum, plunge_index,
                          projector_distance)
-from .discrete import (DiscreteParams, DiscreteSpectrum, commutation_defect,
-                       commuting_tridiagonal, concentration, dpswf,
-                       dpswf_matrix, extend_dpss, prolate_matrix, spectrum,
-                       symmetry_defect)
+from .discrete import (DiscreteParams, DiscreteSpectrum, band_grams,
+                       commutation_defect, commuting_tridiagonal, concentration,
+                       dpswf, dpswf_matrix, extend_dpss, prolate_matrix,
+                       spectrum, symmetry_defect)
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
                      QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
                      gauss_legendre, snapped_floor)

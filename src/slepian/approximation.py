@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import current_tolerances
-from .discrete import DiscreteSpectrum, dpswf_matrix, prolate_matrix
+from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      gauss_legendre, snapped_floor)
 
@@ -276,15 +276,13 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         gamma = _cosine_mode_integrals(amps, freqs, spec, 1.0, W)
         f_band_sq = _cosine_l2_sq(amps, freqs, W)
         f_half_sq = _cosine_l2_sq(amps, freqs, 0.5)
-        n_idx = np.arange(N)
-        eps = np.where(n_idx % 2 == 0, 1.0 + 0.0j, 1.0j)
-        band_gram = (np.outer(eps, np.conj(eps))
-                     * (spec.dpss.T @ prolate_matrix(spec.params) @ spec.dpss))
+        grams = band_grams(spec)   # U_j conj(U_k) integrates to 0 across parities
 
         def residual_l2(K):
             b = beta[:K]
-            res_sq = (f_band_sq - 2.0 * np.real(np.conj(b) @ gamma[:K])
-                      + np.real(np.conj(b) @ band_gram[:K, :K] @ b))
+            res_sq = f_band_sq - 2.0 * np.real(np.conj(b) @ gamma[:K])
+            for G, bp in zip(grams, (b[0::2], b[1::2])):
+                res_sq += np.real(np.conj(bp) @ G[:len(bp), :len(bp)] @ bp)
             return math.sqrt(max(res_sq, 0.0))
     else:
         rule = gauss_legendre(max(4 * N, 256))

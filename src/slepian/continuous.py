@@ -24,7 +24,7 @@ from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
 
 @dataclass(frozen=True)
 class ContinuousSpectrum:
-    """Nystrom eigenvalues (descending) of the sinc kernel on [-h, h].
+    """Nystrom eigenvalues of the sinc kernel on [-h, h]; mode n has parity (-1)^n.
 
     ``grid_vectors`` columns are l2-orthonormal eigenvectors of the
     sqrt(w)-scaled matrix, i.e. samples of sqrt(w_i) * psi_n(x_i).
@@ -112,9 +112,9 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     The kernel is sampled on the memoised Newton Gauss-Legendre rule of order
     ``M``. The rule is mirror-symmetric, so the scaled kernel matrix splits
     into even and odd index-reversal blocks, each built from kernel rows (the
-    M x M matrix never is) and diagonalised by the contract-checked
-    ``eig_sym`` before the next is built; eigenvalues must also sum to the
-    operator trace 2 c halfwidth / pi.
+    M x M matrix never is) and diagonalised by the checked ``eig_sym`` before
+    the next is built; even modes fill columns 0::2, odd ones 1::2. The
+    eigenvalues must also sum to the operator trace 2 c halfwidth / pi.
 
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
     With ``check_convergence`` each eigenvalue above the ``floor_checks``
@@ -278,6 +278,11 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
             f"{floor:.0e}; the rank-K projector is not resolvable")
     c = math.pi * N * W
     cont = nystrom_spectrum(c, max(default_order(c), 4 * N))
+    gap = cont.values[K - 1] - cont.values[K]
+    if gap < floor:   # the cut splits a cluster: the rank-K subspace is arbitrary
+        raise IllConditionedError(
+            f"sinc-kernel eigenvalue gap {gap:.3e} after mode {K - 1} below "
+            f"{floor:.0e}; the rank-K projector is not resolvable")
     x = cont.rule.nodes
     sw = np.sqrt(cont.rule.weights)
     P1 = cont.grid_vectors[:, :K] @ cont.grid_vectors[:, :K].T

@@ -10,15 +10,17 @@ spectrum clusters at 0 and 1 beyond double-precision resolution:
 * ``tridiag`` route: eigenvectors of the blocks of Slepian's commuting
   tridiagonal matrix, with eigenvalues recovered as Rayleigh quotients
   against the matching prolate block (the tridiagonal spectrum itself says
-  nothing about the concentration values, so the Rayleigh quotient is what
-  orders the modes).
+  nothing about the concentration values).
 
 Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
-``dpss[:, k]`` are the unit-norm sequences. The wave functions are the
+``dpss[:, k]`` are the unit-norm sequences. Mode k has parity (-1)^k and, on
+the tridiag route, is Slepian's mode k (ordered by the tridiagonal's well
+separated eigenvalues) also in the clusters at 1 and 0, where the values are
+rounding noise; they descend wherever resolved. The wave functions are the
 trigonometric polynomials obtained from the sequences (``dpswf``). A full
 spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
 half-order block vector arrays lifted into it; one prolate block at a time
-lives beside them); partial spectra are ROADMAP item 3.
+lives beside them); partial spectra are ROADMAP item 6.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class DiscreteParams:
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """Concentration eigenvalues (descending) and DPSS vectors for (N, W)."""
+    """Concentration eigenvalues and DPSS vectors for (N, W); mode k has
+    parity (-1)^k, and the values descend wherever they are resolved."""
 
     params: DiscreteParams
     values: np.ndarray
@@ -87,10 +90,7 @@ def _prolate_view(params: DiscreteParams) -> np.ndarray:
 
 
 def prolate_matrix(params: DiscreteParams) -> np.ndarray:
-    """Toeplitz matrix sin(2 pi W (n-m)) / (pi (n-m)), diagonal 2W.
-
-    The diagonal is the sinc limit of the generic entry.
-    """
+    """Toeplitz matrix sin(2 pi W (n-m)) / (pi (n-m)), diagonal 2W (its limit)."""
     return _prolate_view(params).copy()
 
 
@@ -162,18 +162,15 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     if trace_defect > tol.trace_rel:
         raise NumericalFailure(
             f"trace identity defect {trace_defect:.3e} exceeds {tol.trace_rel:.1e}")
-    trusted = values >= tol.floor_untrusted
-    if trusted.any():
-        tv = values[trusted]
-        # the clusters at 1 and 0 collapse to the endpoints within the floor
-        if tv[0] > 1.0 + tol.floor_untrusted or tv[-1] <= -tol.floor_untrusted:
-            raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
-        if tv[0] >= 1.0:
-            warnings.append("leading eigenvalues reach 1 within the floor")
-        ties = np.flatnonzero(np.diff(tv) >= 0)
-        if ties.size:
-            warnings.append(
-                f"non-strict ordering at trusted indices {ties.tolist()}")
+    trusted, top = values >= tol.floor_untrusted, values.max()
+    # the cluster at 1 reaches 1 within the floor; the largest need not come first
+    if top > 1.0 + tol.floor_untrusted:
+        raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
+    if top >= 1.0:
+        warnings.append("leading eigenvalues reach 1 within the floor")
+    ties = np.flatnonzero(np.diff(values[trusted]) >= 0)
+    if ties.size:
+        warnings.append(f"non-strict ordering at trusted indices {ties.tolist()}")
     if not trusted.all():
         warnings.append(
             f"{int((~trusted).sum())} eigenvalues below {tol.floor_untrusted:.0e} "
@@ -189,10 +186,7 @@ def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
     even k and i for odd k (making U_k real-valued up to roundoff).
     """
     N = spec.N
-    if k is None:
-        k = np.arange(N)
-    else:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
+    k = np.arange(N) if k is None else np.atleast_1d(np.asarray(k, dtype=int))
     n = np.arange(N)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phases = np.exp(-1j * np.pi * np.outer(x, N - 1 - 2 * n))
@@ -219,6 +213,19 @@ def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
     return float(spec.dpss[:, j] @ (_prolate_view(spec.params) @ spec.dpss[:, k]))
 
 
+def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """V^T rho V for the even columns V = dpss[:, 0::2], then the odd 1::2, as
+    U^T B U over the half-order prolate blocks B and block vectors U; entries
+    between modes of opposite parity vanish by construction."""
+    N, h = spec.N, spec.N // 2
+    grams = []
+    for odd, B in enumerate(_prolate_blocks(spec.params)):
+        U = spec.dpss[:h if odd else N - h, odd::2].copy()   # the block vectors
+        U[:h] *= math.sqrt(2.0)
+        grams.append(U.T @ (B @ U))
+    return tuple(grams)
+
+
 def symmetry_defect(spec: DiscreteSpectrum) -> float:
     """Max defect of the reflection identity between spectra at W and 1/2 - W.
 
@@ -229,10 +236,9 @@ def symmetry_defect(spec: DiscreteSpectrum) -> float:
     return float(np.max(np.abs(b - (1.0 - spec.values[::-1]))))
 
 
-def commutation_defect(params: DiscreteParams, rho: np.ndarray) -> float:
-    """Normalised Frobenius norm of the commutator of the two matrices;
-    ``rho`` is ``prolate_matrix(params)``."""
-    T = commuting_tridiagonal(params)
+def commutation_defect(params: DiscreteParams) -> float:
+    """Normalised Frobenius norm of [commuting_tridiagonal, prolate_matrix]."""
+    rho, T = _prolate_view(params), commuting_tridiagonal(params)
     X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
     d, e = T.diagonal, T.offdiag
     return float(np.linalg.norm(X.T - X) /

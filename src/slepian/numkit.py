@@ -76,8 +76,8 @@ class SymTridiag:
 
 
 class EigenSystem(NamedTuple):
-    """Full spectral decomposition: ``values`` descending, and ``vectors[:, i]``
-    the orthonormal eigenvector for ``values[i]``."""
+    """Full spectral decomposition: ``vectors[:, i]`` is the orthonormal
+    eigenvector for ``values[i]``; descending unless from ``parity_spectrum``."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -146,46 +146,39 @@ def parity_block(rows, n: int, odd: bool) -> np.ndarray:
     return out
 
 
-def parity_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both ``parity_block``s of S, which may be any strided view."""
-    return tuple(parity_block(lambda i, j: S[i:j], len(S), odd) for odd in (0, 1))
-
-
 def parity_spectrum(n: int, solve) -> EigenSystem:
-    """Descending system of an n x n centrosymmetric operator, sorted stably
-    and lifted by ``parity_vectors`` from ``solve(odd)``, the system of the
-    even block, then (n > 1) the odd: a block built in ``solve`` dies there."""
-    systems = [solve(odd) for odd in (False, True)[:1 + (n > 1)]]
-    values = np.concatenate([s.values for s in systems])
-    order = np.argsort(values, kind="stable")[::-1]
-    Uo = systems[1].vectors if n > 1 else np.zeros((0, 0))
-    return EigenSystem(values[order], parity_vectors(systems[0].vectors, Uo, n, order))
+    """System of an n x n centrosymmetric operator from ``solve(odd)``, the
+    even block's system, then (n > 1) the odd's: a block built in ``solve``
+    dies there. ``parity_vectors`` lifts each block, in ``solve``'s order, into
+    the columns of its parity, 0::2 and 1::2, so column k has parity (-1)^k."""
+    even = solve(False)
+    odd = solve(True) if n > 1 else EigenSystem(np.zeros(0), np.zeros((0, 0)))
+    values = np.empty(n)
+    values[0::2], values[1::2] = even.values, odd.values
+    return EigenSystem(values, parity_vectors(even.vectors, odd.vectors, n))
 
 
-def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int,
-                   order: np.ndarray) -> np.ndarray:
-    """Lift column order[k] of [Ue, Uo] to column k of an F-ordered n x n
-    array as [u; +-Ju] / sqrt(2), writing each entry once; Ue and Uo are
-    overwritten (first n // 2 rows scaled, Uo negated). For odd n the last
-    row of ``Ue`` is the middle entry, taken unscaled. The columns are exactly
-    symmetric, then antisymmetric, under index reversal."""
+def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int) -> np.ndarray:
+    """Lift the columns of Ue to columns 0::2 and those of Uo to 1::2 of an
+    F-ordered n x n array as [u; +-Ju] / sqrt(2), writing each entry once; Ue
+    and Uo are overwritten (first n // 2 rows scaled, Uo negated). For odd n
+    the last row of ``Ue`` is the middle entry, taken unscaled. Column k is
+    exactly symmetric (k even) or antisymmetric (k odd) under index reversal."""
     h = n // 2
     r = 1.0 / math.sqrt(2.0)
-    positions = np.argsort(order)   # the inverse permutation
-    even, odd = positions[:Ue.shape[1]], positions[Ue.shape[1]:]
     out = np.empty((n, n), order="F")
     Ue[:h] *= r
-    out[:n - h, even] = Ue
-    out[n - h:, even] = Ue[:h][::-1]
+    out[:n - h, 0::2] = Ue
+    out[n - h:, 0::2] = Ue[:h][::-1]
     Uo *= r
-    out[:h, odd] = Uo
-    out[h:n - h, odd] = 0.0
-    out[n - h:, odd] = np.negative(Uo, out=Uo)[::-1]
+    out[:h, 1::2] = Uo
+    out[h:n - h, 1::2] = 0.0
+    out[n - h:, 1::2] = np.negative(Uo, out=Uo)[::-1]
     return out
 
 
 def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:
-    """``parity_blocks`` of a persymmetric tridiagonal matrix, kept banded.
+    """``parity_block``s of a persymmetric tridiagonal matrix, kept banded.
 
     For n = 2h the last diagonal entry becomes d[h-1] +- e[h-1]; for
     n = 2h + 1 the even block keeps the middle entry, coupled by sqrt(2) e[h-1].

@@ -155,7 +155,7 @@ def test_criterion_06_identities(get_spectrum):
                                  abs(disc.values.sum() - 2 * N * W) / (2 * N * W))
             worst["symmetry"] = max(worst["symmetry"], symmetry_defect(disc))
             worst["commutation"] = max(worst["commutation"],
-                                       commutation_defect(disc.params, rho))
+                                       commutation_defect(disc.params))
             gram = disc.dpss.T @ rho @ disc.dpss
             off = gram - np.diag(np.diag(gram))
             worst["orthogonality"] = max(worst["orthogonality"],

@@ -246,6 +246,17 @@ class TestProjectNative:
         assert b.residual_l2 == pytest.approx(a.residual_l2, rel=5e-2)
         assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-2
 
+    def test_band_gram_residual_agrees_with_quadrature(self, spec60_03):
+        # a cosine sum the band rule resolves: the closed-form residual, from
+        # the two parity blocks' band Grams, against the quadrature residual
+        amps, freqs = np.array([1.0, 0.5]), np.array([3.0, 40.0])
+        f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
+                         cosine_terms=(amps, freqs))
+        g = TestFunction.from_callable(f.evaluator)
+        for K in (1, 2, 5, 12, 20):
+            a, b = project_native(f, spec60_03, K), project_native(g, spec60_03, K)
+            assert a.residual_l2 == pytest.approx(b.residual_l2, rel=1e-12)
+
     def test_k_range(self, spec60_03):
         f = TestFunction.weierstrass(1.0)
         for K in (0, 61):

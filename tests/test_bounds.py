@@ -399,6 +399,15 @@ class TestVerifyAll:
             assert (entry.measured, entry.bound) == (measured, bound)
             assert entry.margin == bound - measured
 
+    def test_double_orthogonality_reads_the_band_grams(self, report):
+        entries = [c for c in report.checks if c.name == "double_orthogonality"]
+        assert len(entries) == 8
+        for entry in entries:
+            disc = discrete.spectrum(discrete.DiscreteParams(entry.params["N"],
+                                                             entry.params["W"]))
+            assert entry.measured == max(np.max(np.abs(G - np.diag(np.diag(G))))
+                                         for G in discrete.band_grams(disc))
+
     def test_digest_tracks_verdicts_not_noise(self, report):
         payload = json.loads(report.to_json())
         reference = self.digest(payload)

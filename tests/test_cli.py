@@ -7,8 +7,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import assert_mode_order
 from slepian import cli
 from slepian.bounds import verify_all
 from slepian.config import (Tolerances, current_tolerances, load_config,
@@ -37,14 +39,17 @@ class TestEigs:
         assert len(rows) == 1
         assert float(rows[0][1]) == pytest.approx(0.4, abs=1e-15)
 
-    def test_descending_and_trace(self, tmp_path):
+    def test_descending_and_trace(self, tmp_path, spec60_03):
+        # mode k has parity (-1)^k; the values descend where they are resolved
         out = tmp_path / "eigs.csv"
         cp = run_cli("eigs", "--N", "60", "--W", "0.3", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         _, rows = read_csv(out)
-        values = [float(r[1]) for r in rows]
+        values = np.array([float(r[1]) for r in rows])
         assert len(values) == 60
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert np.max(np.abs(values - spec60_03.values)) <= 1e-15
+        assert_mode_order(values)
+        assert_mode_order(spec60_03.values, spec60_03.dpss)
         assert abs(sum(values) - 36.0) <= 1e-9
 
     def test_invalid_bandwidth_no_file(self, tmp_path):
@@ -351,6 +356,13 @@ class TestOtherCommands:
                     out.read_text().strip().splitlines())
         assert 0.0 <= float(data["distance"]) <= 1.0
         assert data["condition_ok"] == "true"
+
+    def test_projector_distance_cut_inside_a_cluster(self):
+        # at (60, 0.3) the sinc-kernel modes 10 and 11 are both 1 to rounding
+        cp = run_cli("projector-distance", "--N", "60", "--W", "0.3", "--K", "11")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert len(cp.stderr.splitlines()) == 1
+        assert "eigenvalue gap" in cp.stderr and "Traceback" not in cp.stderr
 
     @pytest.mark.parametrize("b,message", [
         ("inf", "slepian: b must be finite, got inf"),

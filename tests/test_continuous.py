@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_mode_order
 from slepian import continuous
 from slepian.config import Tolerances, using_tolerances
 from slepian.continuous import (_lag_integral, _prolate_blocks,
@@ -24,7 +25,7 @@ class TestNystrom:
 
     def test_descending_and_range(self, get_nystrom):
         cont = get_nystrom(18.85)
-        assert (np.diff(cont.values) <= 0).all()
+        assert_mode_order(cont.values, cont.grid_vectors)
         trusted = cont.values[cont.values >= 1e-13]
         # the top of the spectrum saturates at 1 within the numerical floor
         assert (trusted > 0).all() and trusted[0] < 1.0 + 1e-13
@@ -350,6 +351,12 @@ class TestProjectorDistance:
         assert disc.values[39] < 1e-13
         with pytest.raises(IllConditionedError):
             projector_distance(disc, 40)
+
+    def test_cut_inside_a_cluster_rejected(self, get_spectrum):
+        # at c = 18 pi the sinc-kernel values of modes 10 and 11 are both 1 to
+        # rounding, so which rank-11 subspace is "the" projector is arbitrary
+        with pytest.raises(IllConditionedError, match="eigenvalue gap"):
+            projector_distance(get_spectrum(60, 0.3), 11)
 
     def test_rank_bounds(self, get_spectrum):
         disc = get_spectrum(60, 0.1)

@@ -7,13 +7,15 @@ import pytest
 from slepian import discrete
 from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
 from slepian.config import Tolerances, using_tolerances
-from slepian.discrete import (DiscreteParams, commutation_defect,
+from slepian.discrete import (DiscreteParams, band_grams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
                               dpswf_matrix, extend_dpss, prolate_matrix,
                               spectrum, symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, SymTridiag,
                             eig_sym, eig_symtridiag, gauss_legendre,
-                            parity_blocks, sinc_kernel, tridiag_parity_blocks)
+                            sinc_kernel, tridiag_parity_blocks)
+
+from conftest import assert_mode_order, parity_blocks
 
 
 class TestParams:
@@ -173,6 +175,56 @@ class TestSpectrum:
             spectrum(DiscreteParams(4, 0.1), method="fft")
 
 
+class TestModeOrder:
+    """Column k is Slepian's mode k: parity (-1)^k on every route, and on the
+    tridiag route the column of scipy's dpss at index k."""
+
+    POINTS = [(60, 0.3), (61, 0.25), (200, 0.1)]
+
+    @pytest.mark.parametrize("N,W", POINTS)
+    def test_tridiag_columns_match_scipy_dpss(self, get_spectrum, N, W):
+        from scipy.signal.windows import dpss
+        V = get_spectrum(N, W).dpss
+        overlap = np.abs(np.einsum("kn,nk->k", dpss(N, N * W, Kmax=N), V))
+        assert np.min(overlap) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("N,W", POINTS)
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_parity_and_descent(self, get_spectrum, N, W, method):
+        disc = get_spectrum(N, W, method)
+        assert_mode_order(disc.values, disc.dpss)
+
+    @pytest.mark.parametrize("c", [5.0, 18.85, 56.55])
+    def test_nystrom_parity_and_descent(self, get_nystrom, c):
+        cont = get_nystrom(c)
+        assert_mode_order(cont.values, cont.grid_vectors)
+
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_wave_functions_are_real(self, get_spectrum, method):
+        U = dpswf_matrix(get_spectrum(60, 0.3, method), np.linspace(-0.5, 0.5, 201))
+        peak = np.max(np.abs(U), axis=0)
+        assert (np.max(np.abs(U.imag), axis=0) <= 1e-12 * peak).all()
+
+
+class TestBandGrams:
+    @pytest.mark.parametrize("N", [1, 2, 7, 60, 61])
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_blocks_of_the_full_size_gram(self, get_spectrum, N, method):
+        disc = get_spectrum(N, 0.3, method)
+        full = disc.dpss.T @ prolate_matrix(disc.params) @ disc.dpss
+        even, odd = band_grams(disc)
+        assert even.shape == ((N + 1) // 2,) * 2 and odd.shape == (N // 2,) * 2
+        assert np.max(np.abs(even - full[0::2, 0::2])) <= 1e-14
+        assert np.max(np.abs(odd - full[1::2, 1::2]), initial=0.0) <= 1e-14
+        # the entries between parities are zero but for rounding
+        assert np.max(np.abs(full[0::2, 1::2]), initial=0.0) <= 1e-14
+
+    def test_diagonal_is_the_spectrum(self, spec60_03):
+        even, odd = band_grams(spec60_03)
+        assert np.max(np.abs(np.diag(even) - spec60_03.values[0::2])) <= 1e-14
+        assert np.max(np.abs(np.diag(odd) - spec60_03.values[1::2])) <= 1e-14
+
+
 def _random_cases(seed=90125, count=8):
     rng = np.random.default_rng(seed)
     return [(int(rng.integers(2, 150)), float(rng.uniform(0.01, 0.49)))
@@ -314,7 +366,7 @@ class TestSymmetry:
 class TestCommutation:
     @staticmethod
     def defect(params):
-        return commutation_defect(params, prolate_matrix(params))
+        return commutation_defect(params)
 
     def test_scalar_commutes(self):
         assert self.defect(DiscreteParams(1, 0.3)) == 0.0
@@ -335,8 +387,7 @@ class TestCommutation:
         dense = (np.linalg.norm(rho @ sig - sig @ rho)
                  / (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
         assert dense > 1e-4
-        assert commutation_defect(params, rho) == pytest.approx(dense, rel=1e-12,
-                                                                abs=0)
+        assert commutation_defect(params) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 class TestExtend:
@@ -408,9 +459,19 @@ def _reference_lift(Ue, Uo, n):
         np.vstack([Uo * r, np.zeros((n % 2, Uo.shape[1])), -Uo[::-1] * r])])
 
 
+def _interleaved(values, vectors):
+    """Block-ordered values and columns (even block, then odd) moved to the
+    parity order: the even block to 0::2, the odd block to 1::2."""
+    n = len(values)
+    slots = np.r_[0:n:2, 1:n:2]   # block column j goes to column slots[j]
+    out_values, out_vectors = np.empty(n), np.empty_like(vectors)
+    out_values[slots], out_vectors[:, slots] = values, vectors
+    return out_values, out_vectors
+
+
 def _reference_spectrum(params, method):
     """The full-size construction: blocks of the N x N prolate matrix, lift,
-    stable descending sort, then the sign convention on the lifted vectors."""
+    interleave, then the sign convention on the lifted vectors."""
     N = params.N
     rho_blocks = parity_blocks(prolate_matrix(params))[:1 + (N > 1)]
     if method == "toeplitz":
@@ -422,16 +483,15 @@ def _reference_spectrum(params, method):
         values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
                                  for s, B in zip(systems, rho_blocks)])
     Uo = systems[1].vectors if N > 1 else np.zeros((0, 0))
-    order = np.argsort(values, kind="stable")[::-1]
-    vectors = _reference_lift(systems[0].vectors, Uo, N)[:, order]
+    values, vectors = _interleaved(values, _reference_lift(systems[0].vectors, Uo, N))
     top = vectors[:(N + 1) // 2]
     lead = np.argmax(np.abs(top), axis=0)
     vectors[:, top[lead, np.arange(N)] < 0] *= -1.0
-    return values[order], vectors
+    return values, vectors
 
 
 class TestBitIdentity:
-    """The lag-vector blocks and the sorted in-place lift change no bit."""
+    """The lag-vector blocks and the interleaved in-place lift change no bit."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 60, 61, 301])
     @pytest.mark.parametrize("W", [0.01, 0.1, 0.3, 0.45])
@@ -457,12 +517,11 @@ class TestBitIdentity:
         rule = gauss_legendre(order)
         even, odd = parity_blocks(_sinc_kernel_matrix(c, rule.nodes, rule.weights))
         se, so = eig_sym(even), eig_sym(odd)
-        values = np.concatenate([se.values, so.values])
-        perm = np.argsort(values, kind="stable")[::-1]
+        values, vectors = _interleaved(np.concatenate([se.values, so.values]),
+                                       _reference_lift(se.vectors, so.vectors, order))
         cont = nystrom_spectrum(c, M, check_convergence=False)
-        assert np.array_equal(cont.values, values[perm])
-        assert np.array_equal(cont.grid_vectors,
-                              _reference_lift(se.vectors, so.vectors, order)[:, perm])
+        assert np.array_equal(cont.values, values)
+        assert np.array_equal(cont.grid_vectors, vectors)
 
 
 def _traced_peak(call):
@@ -514,6 +573,16 @@ class TestValidateChecks:
         col /= np.linalg.norm(col)   # only the symmetry check may fire
         with pytest.raises(NumericalFailure, match="component symmetry"):
             discrete._validate(disc.params, disc.values, V)
+
+    def test_value_above_one_past_the_first(self, corrupted):
+        # the values are not sorted: the largest may sit at any index
+        disc, V = corrupted
+        floor = Tolerances().floor_untrusted
+        values = disc.values.copy()
+        values[3] = 1.0 + 2.0 * floor
+        assert values[0] <= 1.0 + floor
+        with pytest.raises(NumericalFailure, match="interval"):
+            discrete._validate(disc.params, values, V)
 
     def test_norm_defect(self, corrupted):
         disc, V = corrupted
