@@ -51,8 +51,9 @@ class TestFunction:
 
     __test__ = False   # keep pytest from collecting this as a test class
 
-    def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+    def __call__(self, x):   # a float array, or a complex one for a complex f
+        values = np.asarray(self.evaluator(np.asarray(x, dtype=float)))
+        return values.astype(np.result_type(values, 1.0), copy=False)
 
     @classmethod
     def sinc_bandlimited(cls, alpha: float) -> "TestFunction":
@@ -141,18 +142,17 @@ def _cosine_mode_integrals(amps: np.ndarray, freqs: np.ndarray,
                            ) -> np.ndarray:
     """<f, U_k(scale .)> over [-T, T] for all modes k, f a cosine sum.
 
-    U_k(scale x) has frequencies nu_n = pi (N-1-2n) scale; the cross terms
-    with cos(omega x) integrate in closed form, so arbitrarily large omega
-    (Weierstrass terms up to 2^40) cost nothing in accuracy.
+    An even mode U_k(scale x) is the half-length cosine sum over nu_n =
+    pi (N-1-2n) scale of ``dpswf_matrix``, whose cross terms with cos(omega x)
+    integrate in closed form, so arbitrarily large omega (Weierstrass terms up
+    to 2^40) cost nothing in accuracy. An odd mode is a sine sum: exactly 0.0.
     """
-    N = spec.N
-    n = np.arange(N)
-    nu = np.pi * (N - 1 - 2 * n) * scale
-    eps = np.where(n % 2 == 0, 1.0 + 0.0j, 1.0j)
-    # integral cos(omega x) e^{+i nu x} = integral cos(omega x) cos(nu x)
-    cross = cos_pair_integral(freqs[:, None], nu[None, :], T)   # (J, N)
-    per_mode = (amps @ cross) @ spec.dpss                        # (N,)
-    return np.conj(eps) * per_mode
+    N, h = spec.N, spec.N // 2
+    n = np.arange(N - h)   # the middle term of odd N (nu = 0) counts once
+    cross = cos_pair_integral(freqs[:, None], np.pi * (N - 1 - 2 * n) * scale, T)
+    out = np.zeros(N)
+    out[0::2] = (amps @ cross * np.where(n < h, 2.0, 1.0)) @ spec.dpss[:N - h, 0::2]
+    return out
 
 
 def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
@@ -276,23 +276,23 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         gamma = _cosine_mode_integrals(amps, freqs, spec, 1.0, W)
         f_band_sq = _cosine_l2_sq(amps, freqs, W)
         f_half_sq = _cosine_l2_sq(amps, freqs, 0.5)
-        grams = band_grams(spec)   # U_j conj(U_k) integrates to 0 across parities
+        grams = band_grams(spec)   # U_j U_k integrates to 0 across parities
 
         def residual_l2(K):
             b = beta[:K]
-            res_sq = f_band_sq - 2.0 * np.real(np.conj(b) @ gamma[:K])
+            res_sq = f_band_sq - 2.0 * (b @ gamma[:K])
             for G, bp in zip(grams, (b[0::2], b[1::2])):
-                res_sq += np.real(np.conj(bp) @ G[:len(bp), :len(bp)] @ bp)
+                res_sq += bp @ G[:len(bp), :len(bp)] @ bp
             return math.sqrt(max(res_sq, 0.0))
     else:
         rule = gauss_legendre(max(4 * N, 256))
         rule_half, rule_band = rule.scaled(0.5), rule.scaled(W)
         U_half = dpswf_matrix(spec, rule_half.nodes)
-        f_half = np.asarray(f(rule_half.nodes), dtype=complex)
-        beta = (U_half.conj().T * rule_half.weights[None, :]) @ f_half
+        f_half = f(rule_half.nodes)
+        beta = (U_half.T * rule_half.weights[None, :]) @ f_half
         f_half_sq = float(np.sum(rule_half.weights * np.abs(f_half) ** 2))
         U_band = dpswf_matrix(spec, rule_band.nodes)
-        f_band = np.asarray(f(rule_band.nodes), dtype=complex)
+        f_band = f(rule_band.nodes)
 
         def residual_l2(K):
             r_band = f_band - U_band[:, :K] @ beta[:K]
@@ -300,7 +300,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
                 np.sum(rule_band.weights * np.abs(r_band) ** 2))))
     xs = _sup_grid(W)
     U_sup = dpswf_matrix(spec, xs)
-    f_sup = np.asarray(f(xs), dtype=complex)
+    f_sup = f(xs)
 
     s = f.s
 
@@ -364,7 +364,9 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
     The frame holds every mode U_k(W x) and f on the Gauss-Legendre rule of
     [-1, 1] and on the sup grid, and the normalised-mode inner products of
     every trusted mode. The fit selects the column prefix (or the modes above
-    ``lambda_floor``) and solves the weighted least-squares problem.
+    ``lambda_floor``) and solves the weighted least-squares problem. The modes
+    are real, so a real target is fitted in real arithmetic; a complex one
+    keeps its imaginary part.
     """
     if lambda_floor is not None and not math.isfinite(lambda_floor):
         raise ValueError(f"lambda_floor must be finite, got {lambda_floor}")
@@ -374,18 +376,18 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
     sw = np.sqrt(w)
     raw = dpswf_matrix(spec, W * x)                 # U_k(W x), every mode
     A = raw * sw[:, None]
-    fx = np.asarray(f(x), dtype=complex)
+    fx = f(x)
     rhs = fx * sw
     xs = _sup_grid(1.0)
     raw_sup = dpswf_matrix(spec, W * xs)
-    f_sup = np.asarray(f(xs), dtype=complex)
+    f_sup = f(xs)
     # normalised-mode coefficients, only where the eigenvalue is trustworthy
     is_trusted = spec.values >= current_tolerances().floor_untrusted
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
         raw_ip = _cosine_mode_integrals(amps, freqs, spec, W, 1.0)
     else:
-        raw_ip = (raw.conj().T * w[None, :]) @ fx
+        raw_ip = (raw.T * w[None, :]) @ fx
     scale = np.sqrt(W) / np.sqrt(np.where(is_trusted, spec.values, 1.0))
     normalised = raw_ip * scale
 

@@ -288,7 +288,7 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     P1 = cont.grid_vectors[:, :K] @ cont.grid_vectors[:, :K].T
     dilated = dpswf_matrix(disc, W * x, np.arange(K)) * sw[:, None]
     Q, _ = np.linalg.qr(dilated)
-    P2 = (Q @ Q.conj().T).real
+    P2 = Q @ Q.T
     D = P1 - P2
     D = 0.5 * (D + D.T)
     return float(np.max(np.abs(np.linalg.eigvalsh(D))))

@@ -168,9 +168,11 @@ def _validate(params: DiscreteParams, values: np.ndarray,
         raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
     if top >= 1.0:
         warnings.append("leading eigenvalues reach 1 within the floor")
-    ties = np.flatnonzero(np.diff(values[trusted]) >= 0)
+    modes = np.flatnonzero(trusted)
+    ties = np.flatnonzero(np.diff(values[modes]) >= 0)
     if ties.size:
-        warnings.append(f"non-strict ordering at trusted indices {ties.tolist()}")
+        warnings.append(f"non-strict ordering at {ties.size} trusted positions "
+                        f"between modes {modes[ties[0]]} and {modes[ties[-1] + 1]}")
     if not trusted.all():
         warnings.append(
             f"{int((~trusted).sum())} eigenvalues below {tol.floor_untrusted:.0e} "
@@ -180,29 +182,36 @@ def _validate(params: DiscreteParams, values: np.ndarray,
 
 def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
                  k: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate wave functions on points ``x``; column j is mode k[j].
+    """Evaluate wave functions on points ``x`` as float64; column j is mode k[j].
 
-    U_k(x) = eps_k * sum_n v_n^(k) exp(-i pi (N-1-2n) x) with eps_k = 1 for
-    even k and i for odd k (making U_k real-valued up to roundoff).
+    U_k(x) = eps_k sum_n v_n^(k) exp(-i pi m_n x), m_n = N-1-2n, eps_k = 1 for
+    even k and i for odd k, folds by the parity of v^(k) onto its first half:
+    2 sum_{n<N/2} v_n cos(pi m_n x) (plus the middle v_n of odd N) for even k,
+    2 sum_{n<N/2} v_n sin(pi m_n x) for odd k.
     """
-    N = spec.N
-    k = np.arange(N) if k is None else np.atleast_1d(np.asarray(k, dtype=int))
-    n = np.arange(N)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(-1j * np.pi * np.outer(x, N - 1 - 2 * n))
-    eps = np.where(k % 2 == 0, 1.0 + 0.0j, 1.0j)
-    return (phases @ spec.dpss[:, k]) * eps[None, :]
+    N, h = spec.N, spec.N // 2
+    k = np.atleast_1d(np.arange(N) if k is None else k)
+    outside = k[(k < 0) | (k > N - 1)]   # before the cast, which maps -0.5 to 0
+    if outside.size:
+        raise ValueError(f"mode index k={outside[0]} outside [0, {N - 1}]")
+    k = k.astype(int)
+    n = np.arange(N - h)   # the middle term of odd N (m = 0) counts once
+    t = np.multiply.outer(np.asarray(x, dtype=float).ravel(), np.pi * (N - 1 - 2 * n))
+    V = spec.dpss[:N - h, k] * np.where(n < h, 2.0, 1.0)[:, None]
+    U = np.empty((len(t), k.size))
+    for odd, trig in enumerate((np.cos, np.sin)):
+        cols = np.flatnonzero(k % 2 == odd)
+        U[:, cols] = trig(t) @ V[:, cols]
+    return U
 
 
-def dpswf(spec: DiscreteSpectrum, k: int, x: float) -> complex:
-    """Evaluate the k-th discrete prolate spheroidal wave function at x."""
-    if not 0 <= k <= spec.N - 1:
-        raise ValueError(f"mode index k={k} outside [0, {spec.N - 1}]")
-    return complex(dpswf_matrix(spec, np.array([x]), np.array([k]))[0, 0])
+def dpswf(spec: DiscreteSpectrum, k: int, x: float) -> float:
+    """The k-th discrete prolate spheroidal wave function at x, a real number."""
+    return float(dpswf_matrix(spec, [x], [k])[0, 0])
 
 
 def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
-    """Band inner product (v_j)^T rho v_k = integral of U_j conj(U_k) on [-W, W].
+    """Band inner product (v_j)^T rho v_k = integral of U_j U_k on [-W, W].
 
     Equals values[j] when j == k and vanishes otherwise (double
     orthogonality of the wave functions).

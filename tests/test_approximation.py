@@ -429,3 +429,35 @@ class TestProjectionSweep:
             project_dilated(f, spec60_03, 10, lambda_floor=floor)
         with pytest.raises(ValueError, match="lambda_floor must be finite"):
             projection_sweep(f, spec60_03, 10, lambda_floor=floor)
+
+
+class TestRealModes:
+    @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.25)])
+    def test_cosine_mode_integrals(self, get_spectrum, N, W):
+        # odd modes are sine sums: exactly 0.0 against a cosine sum; even
+        # modes agree with Gauss-Legendre quadrature of f U_k
+        disc = get_spectrum(N, W)
+        amps, freqs = np.array([1.0, -0.5, 0.25]), np.array([0.0, 3.0, 17.0])
+        for scale, T in ((1.0, 0.5), (1.0, W), (W, 1.0)):
+            ip = approximation._cosine_mode_integrals(amps, freqs, disc, scale, T)
+            assert ip.dtype == np.float64 and (ip[1::2] == 0.0).all()
+            rule = gauss_legendre(512).scaled(T)
+            f = np.cos(np.outer(rule.nodes, freqs)) @ amps
+            quad = (dpswf_matrix(disc, scale * rule.nodes).T * rule.weights) @ f
+            assert np.max(np.abs(ip[0::2] - quad[0::2])) <= 1e-12
+
+    @pytest.mark.parametrize("basis", ["dilated", "native"])
+    def test_complex_target_is_its_real_and_imaginary_parts(self, spec60_03,
+                                                            basis):
+        # f = g + i h: coefficients add and squared residuals add, at every K
+        f, g, h = (TestFunction.from_callable(fn) for fn in (
+            lambda x: np.exp(3j * x), lambda x: np.cos(3.0 * x),
+            lambda x: np.sin(3.0 * x)))
+        rows = [projection_sweep(t, spec60_03, 60, basis) for t in (f, g, h)]
+        for rf, rg, rh in zip(*rows):
+            assert rf.coefficient_indices == rg.coefficient_indices
+            assert rg.coefficients.dtype == np.float64
+            assert np.max(np.abs(rf.coefficients - rg.coefficients
+                                 - 1j * rh.coefficients)) <= 1e-12
+            assert rf.residual_l2 ** 2 == pytest.approx(
+                rg.residual_l2 ** 2 + rh.residual_l2 ** 2, rel=0, abs=1e-12)

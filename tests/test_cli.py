@@ -214,6 +214,8 @@ class TestProject:
         payload = json.loads(out.read_text())
         assert rows[-1][1:] == [cli.fmt(payload["residual_l2"]),
                                 cli.fmt(payload["residual_sup"])]
+        # a real target on real modes: every imaginary entry is exactly 0.0
+        assert {im for _, im in payload["coefficients"]} == {0.0}
 
     def test_lambda_floor_rejected_on_native_basis(self, tmp_path):
         out = tmp_path / "native.json"

@@ -201,9 +201,19 @@ class TestModeOrder:
 
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_wave_functions_are_real(self, get_spectrum, method):
-        U = dpswf_matrix(get_spectrum(60, 0.3, method), np.linspace(-0.5, 0.5, 201))
-        peak = np.max(np.abs(U), axis=0)
-        assert (np.max(np.abs(U.imag), axis=0) <= 1e-12 * peak).all()
+        disc = get_spectrum(60, 0.3, method)
+        assert dpswf_matrix(disc, np.linspace(-0.5, 0.5, 201)).dtype == np.float64
+        assert type(dpswf(disc, 1, 0.1)) is float
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_ordering_warning_is_one_short_line(self, method):
+        # hundreds of rounding-level ascents in the cluster at 1 at (2000, 0.3)
+        disc = spectrum(DiscreteParams(2000, 0.3), method=method)
+        ordering = [w for w in disc.warnings if w.startswith("non-strict ordering")]
+        assert len(ordering) == 1
+        assert "\n" not in ordering[0] and len(ordering[0]) < 200
 
 
 class TestBandGrams:
@@ -286,6 +296,32 @@ class TestDpswf:
     def test_index_range(self, spec60_03):
         with pytest.raises(ValueError):
             dpswf(spec60_03, 60, 0.0)
+
+    @pytest.mark.parametrize("k", [-1, 61])
+    def test_matrix_index_range(self, get_spectrum, k):
+        # a negative k would otherwise pick the other parity's sum
+        with pytest.raises(ValueError, match=rf"mode index k={k} outside \[0, 60\]"):
+            dpswf_matrix(get_spectrum(61, 0.25), [0.0, 0.1], [0, k])
+
+    @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.25)])
+    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    def test_half_length_sums_match_complex_definition(self, get_spectrum,
+                                                       N, W, method):
+        # U_k(x) = eps_k sum_n v_n exp(-i pi (N-1-2n) x), eps_k = 1 or i
+        disc = get_spectrum(N, W, method)
+        xs = np.concatenate([np.random.default_rng(7).uniform(-0.5, 0.5, 300),
+                             [0.0, -0.5, 0.5]])
+        phases = np.exp(-1j * np.pi * np.outer(xs, N - 1 - 2 * np.arange(N)))
+        eps = np.where(np.arange(N) % 2 == 0, 1.0, 1.0j)
+        reference = (phases @ disc.dpss) * eps
+        U = dpswf_matrix(disc, xs)
+        assert U.dtype == np.float64
+        peak = np.max(np.abs(U), axis=0)
+        assert (np.max(np.abs(U - reference), axis=0) <= 1e-13 * peak).all()
+        # a column subset in any order evaluates the same columns
+        k = np.array([N - 1, 0, 3, 2])
+        subset = dpswf_matrix(disc, xs, k)
+        assert np.max(np.abs(subset - U[:, k])) <= 1e-15 * peak.max()
 
     def test_unit_norm_over_period(self, spec60_03):
         # orthonormality on [-1/2, 1/2] via quadrature
