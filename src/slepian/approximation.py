@@ -29,7 +29,7 @@ import numpy as np
 from .config import current_tolerances
 from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
-                     gauss_legendre, snapped_floor)
+                     checked_index, gauss_legendre, snapped_floor)
 
 INTERVALS = {"native": 0.5, "dilated": 1.0}
 WEIERSTRASS_TOL = 1e-12
@@ -254,11 +254,6 @@ def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
     return math.ceil(lo - 1e-12), N - 1
 
 
-def _check_truncation(spec: DiscreteSpectrum, K: int) -> None:
-    if not 1 <= K <= spec.N:
-        raise ValueError(f"K={K} outside [1, {spec.N}]")
-
-
 def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     """Build everything of a native projection that does not depend on K and
     return the per-K fit.
@@ -352,7 +347,7 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int) -> Projectio
     residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
     is evaluated alongside.
     """
-    _check_truncation(spec, K)
+    K = checked_index(K, 1, spec.N, "K")
     return _native_frame(f, spec)(K)
 
 
@@ -429,7 +424,7 @@ def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
     given for modes above the trust floor 1e-13; deeper in-span modes are
     listed as untrusted.
     """
-    _check_truncation(spec, K)
+    K = checked_index(K, 1, spec.N, "K")
     return _dilated_frame(f, spec, lambda_floor)(K)
 
 
@@ -447,7 +442,7 @@ def projection_sweep(f: TestFunction, spec: DiscreteSpectrum, K: int,
         raise ValueError(f"basis must be one of {tuple(INTERVALS)}, got {basis!r}")
     if basis == "native" and lambda_floor is not None:
         raise ValueError("lambda_floor applies to the dilated basis only")
-    _check_truncation(spec, K)
+    K = checked_index(K, 1, spec.N, "K")
     fit = (_dilated_frame(f, spec, lambda_floor) if basis == "dilated"
            else _native_frame(f, spec))
     return [fit(k) for k in range(1, K + 1)]

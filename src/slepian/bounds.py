@@ -335,12 +335,14 @@ def _check(name: str, ref: str, params: dict, compute, slack: float = 0.0,
 
 
 def _family(params: dict, values: np.ndarray, indices, bound) -> tuple[float, float]:
-    """(worst excess, 0.0) of values[k] <= bound(k) over the indices k with
-    values[k] above the check floor; the number checked goes into ``params``."""
+    """(worst excess, 0.0) of values[k] <= bound(k) over the indices k with values[k]
+    above the check floor, counted in ``params``; none is an OutOfRangeError."""
     floor = current_tolerances().floor_checks
     excess = [values[k] - bound(k) for k in indices if values[k] >= floor]
     params["checked"] = len(excess)
-    return max(excess, default=0.0), 0.0
+    if not excess:
+        raise OutOfRangeError(f"no eigenvalue above {floor:.0e} in range")
+    return max(excess), 0.0
 
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,

@@ -17,9 +17,9 @@ import numpy as np
 from .config import current_tolerances
 from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
-                     QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
-                     gauss_legendre, parity_block, parity_spectrum,
-                     sinc_kernel, snapped_floor)
+                     QuadratureRule, SymTridiag, checked_index, eig_sym,
+                     eig_symtridiag, gauss_legendre, parity_block,
+                     parity_spectrum, sinc_kernel, snapped_floor)
 
 
 @dataclass(frozen=True)
@@ -258,17 +258,18 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
 def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     """Spectral-norm distance between two rank-K spectral projectors.
 
-    On a shared Gauss-Legendre grid over [-1, 1]: the projector onto the
-    first K Nystrom eigenvectors of the sinc kernel at c = pi N W (whose
-    eigenvalues are certified against ``legendre_spectrum``), versus the
-    projector onto the span of the first K dilated wave functions
-    sqrt(W) U_k(W x) / sqrt(lambda_k) of the spectrum ``disc`` of (N, W).
-    Quadrature weighting makes the discrete norm approximate the L2 operator
-    norm.
+    On the Gauss-Legendre grid of ``nystrom_spectrum(c)``, c = pi N W, at its
+    default order M (the dilated modes are trigonometric polynomials of
+    frequency below c, which it resolves): the span A of the first K Nystrom
+    eigenvectors (certified against ``legendre_spectrum``) versus the first K
+    dilated wave functions U_k(W x) of ``disc``, orthonormalised (Q) under the
+    quadrature weights, so the norm approximates the L2 one. It is the sine of
+    the largest principal angle, ||A A^T - Q Q^T||_2 = ||(I - A A^T) Q||_2
+    (Bjorck & Golub, Math. Comp. 27, 1973): O(M K^2) after the Nystrom solve,
+    and no M x M array.
     """
     N, W = disc.N, disc.W
-    if not 0 <= K <= N:
-        raise ValueError(f"K must lie in [0, {N}], got {K}")
+    K = checked_index(K, 0, N, "K")
     if K == 0:
         return 0.0
     floor = current_tolerances().floor_untrusted
@@ -276,19 +277,13 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
         raise IllConditionedError(
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
             f"{floor:.0e}; the rank-K projector is not resolvable")
-    c = math.pi * N * W
-    cont = nystrom_spectrum(c, max(default_order(c), 4 * N))
+    cont = nystrom_spectrum(math.pi * N * W)
     gap = cont.values[K - 1] - cont.values[K]
     if gap < floor:   # the cut splits a cluster: the rank-K subspace is arbitrary
         raise IllConditionedError(
             f"sinc-kernel eigenvalue gap {gap:.3e} after mode {K - 1} below "
             f"{floor:.0e}; the rank-K projector is not resolvable")
-    x = cont.rule.nodes
-    sw = np.sqrt(cont.rule.weights)
-    P1 = cont.grid_vectors[:, :K] @ cont.grid_vectors[:, :K].T
-    dilated = dpswf_matrix(disc, W * x, np.arange(K)) * sw[:, None]
-    Q, _ = np.linalg.qr(dilated)
-    P2 = Q @ Q.T
-    D = P1 - P2
-    D = 0.5 * (D + D.T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(D))))
+    A = cont.grid_vectors[:, :K]
+    dilated = dpswf_matrix(disc, W * cont.rule.nodes, np.arange(K))
+    Q, _ = np.linalg.qr(dilated * np.sqrt(cont.rule.weights)[:, None])
+    return float(np.linalg.norm(Q - A @ (A.T @ Q), 2))

@@ -34,8 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import current_tolerances
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
-                     SymTridiag, eig_sym, eig_symtridiag, parity_block,
-                     parity_spectrum, sinc_kernel, tridiag_parity_blocks)
+                     SymTridiag, checked_index, eig_sym, eig_symtridiag,
+                     parity_block, parity_spectrum, sinc_kernel, tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
 
@@ -48,12 +48,10 @@ class DiscreteParams:
     W: float
 
     def __post_init__(self):
-        N, W = self.N, self.W
-        if isinstance(N, bool) or not isinstance(N, numbers.Real) or not N >= 1 or N % 1:
-            raise ValueError(f"N must be an integer >= 1, got {N!r}")
+        W = self.W
         if isinstance(W, bool) or not isinstance(W, numbers.Real) or not 0.0 < W < 0.5:
             raise ValueError(f"W must lie strictly in (0, 0.5), got {W!r}")
-        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "N", checked_index(self.N, 1, math.inf, "N"))
 
     @property
     def bandwidth(self) -> float:
@@ -190,11 +188,9 @@ def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
     2 sum_{n<N/2} v_n sin(pi m_n x) for odd k.
     """
     N, h = spec.N, spec.N // 2
-    k = np.atleast_1d(np.arange(N) if k is None else k)
-    outside = k[(k < 0) | (k > N - 1)]   # before the cast, which maps -0.5 to 0
-    if outside.size:
-        raise ValueError(f"mode index k={outside[0]} outside [0, {N - 1}]")
-    k = k.astype(int)
+    k = np.arange(N) if k is None else np.array(   # as objects, True stays a bool
+        [checked_index(kj, 0, N - 1, "mode index k")
+         for kj in np.atleast_1d(np.asarray(k, dtype=object))], dtype=int)
     n = np.arange(N - h)   # the middle term of odd N (m = 0) counts once
     t = np.multiply.outer(np.asarray(x, dtype=float).ravel(), np.pi * (N - 1 - 2 * n))
     V = spec.dpss[:N - h, k] * np.where(n < h, 2.0, 1.0)[:, None]
@@ -216,9 +212,8 @@ def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
     Equals values[j] when j == k and vanishes otherwise (double
     orthogonality of the wave functions).
     """
-    N = spec.N
-    if not (0 <= j < N and 0 <= k < N):
-        raise ValueError(f"mode indices ({j}, {k}) outside [0, {N - 1}]")
+    j, k = (checked_index(i, 0, spec.N - 1, f"mode index {name}")
+            for i, name in ((j, "j"), (k, "k")))
     return float(spec.dpss[:, j] @ (_prolate_view(spec.params) @ spec.dpss[:, k]))
 
 
@@ -263,8 +258,8 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     smaller eigenvalue amplifies double-precision noise beyond usefulness.
     """
     N, W = spec.N, spec.W
-    if not 0 <= k <= N - 1:
-        raise ValueError(f"mode index k={k} outside [0, {N - 1}]")
+    k = checked_index(k, 0, N - 1, "mode index k")
+    n = checked_index(n, -math.inf, math.inf, "sequence index n")
     lam, floor = spec.values[k], current_tolerances().tail_floor
     if not lam >= floor:
         raise IllConditionedError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -256,9 +257,8 @@ def gauss_legendre(order: int) -> QuadratureRule:
     to 2) is checked on every call, cache hits included, against the current
     tolerances.
     """
-    if int(order) != order or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order}")
-    rule, tol = _gauss_legendre_rule(int(order)), current_tolerances()
+    order = checked_index(order, 1, math.inf, "order")
+    rule, tol = _gauss_legendre_rule(order), current_tolerances()
     nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
@@ -283,3 +283,13 @@ def snapped_floor(x: float) -> int:
     if abs(x - r) <= 1e-9:
         return int(r)
     return int(np.floor(x))
+
+
+def checked_index(value, lo: float, hi: float, name: str) -> int:
+    """``value`` as an int: an integer (Python or numpy, or an integral float;
+    never a bool) in [lo, hi], else ValueError naming ``name`` and the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{name}={value} is not an integer in [{lo}, {hi}]")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+    return int(value)

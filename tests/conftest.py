@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def assert_mode_order(values, vectors=None):
     resolved = (floor < values) & (values < 1.0 - floor)
     assert (step[resolved[:-1] | resolved[1:]] < 0).all()
     assert (step <= floor).all()
+
+
+def traced_peak(call):
+    """tracemalloc peak of a second call; the first fills the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @functools.lru_cache(maxsize=None)

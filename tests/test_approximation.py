@@ -461,3 +461,15 @@ class TestRealModes:
                                  - 1j * rh.coefficients)) <= 1e-12
             assert rf.residual_l2 ** 2 == pytest.approx(
                 rg.residual_l2 ** 2 + rh.residual_l2 ** 2, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K,message", [(2.5, "K=2.5 is not an integer in [1, 60]"),
+                                       (True, "K=True is not an integer in [1, 60]"),
+                                       (0, "K=0 outside [1, 60]")])
+@pytest.mark.parametrize("project", [
+    project_native, project_dilated, projection_sweep,
+    lambda f, spec, K: projection_sweep(f, spec, K, "native")])
+def test_rank_must_be_an_integer(spec60_03, project, K, message):
+    with pytest.raises(ValueError) as info:
+        project(TestFunction.sinc_bandlimited(56.0), spec60_03, K)
+    assert str(info.value) == message

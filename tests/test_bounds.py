@@ -384,7 +384,20 @@ class TestVerifyAll:
         payload = json.loads(report.to_json())
         assert len(payload["checks"]) == 175
         assert self.digest(payload) == (
-            "56566f88582ec73b252c223a3438a6a5fc333263166493bb3faae9b9e04681be")
+            "67907609ad07f2c1f0b48daf11c0b877f535d24c901bf6b30d635401aee1faa2")
+
+    def test_family_checking_no_index_is_a_skip(self, report):
+        # six tail/decay entries of the default grid have no eigenvalue above
+        # the 1e-12 floor in range: skips, not passes on numbers never computed
+        families = [c for c in report.checks if "checked" in c.params]
+        empty = [c for c in families if c.params["checked"] == 0]
+        assert sorted((c.name, c.params["N"], c.params["W"]) for c in empty) == [
+            (name, N, W) for name in ("eigenvalue_tail_bound", "superexponential_decay")
+            for N, W in ((30, 0.2), (60, 0.1), (60, 0.2))]
+        for c in empty:
+            assert c.skipped and c.note == "no eigenvalue above 1e-12 in range"
+            assert c.measured is None and c.margin is None
+        assert not any(c.skipped for c in families if c.params["checked"])
 
     def test_l2_entry_is_compare_spectra(self, report):
         entries = [c for c in report.checks if c.name == "spectra_l2_distance"]
@@ -514,6 +527,11 @@ class TestVerifyAll:
         assert report.tolerances == dataclasses.asdict(tol)
         cross, = [c for c in report.checks if c.name == "cross_route_agreement"]
         assert (cross.measured, cross.satisfied) == (0.0, True)
+        for name in ("eigenvalue_tail_bound", "superexponential_decay",
+                     "comparison_inequality"):
+            family, = [c for c in report.checks if c.name == name]
+            assert family.skipped and family.params["checked"] == 0
+            assert family.note == "no eigenvalue above 1e+00 in range"
         assert report.passed
 
     def test_large_point_reports_every_check(self):

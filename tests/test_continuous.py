@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_mode_order
+from conftest import assert_mode_order, traced_peak
 from slepian import continuous
 from slepian.config import Tolerances, using_tolerances
 from slepian.continuous import (_lag_integral, _prolate_blocks,
@@ -12,6 +12,7 @@ from slepian.continuous import (_lag_integral, _prolate_blocks,
                                 kernel_hs_distance, kernel_hs_distance_bound,
                                 legendre_spectrum, nystrom_spectrum,
                                 plunge_index, projector_distance)
+from slepian.discrete import dpswf_matrix
 from slepian.numkit import (IllConditionedError, NumericalFailure,
                             OutOfRangeError, eig_symtridiag, gauss_legendre, sinc_kernel)
 
@@ -362,6 +363,38 @@ class TestProjectorDistance:
         disc = get_spectrum(60, 0.1)
         with pytest.raises(ValueError):
             projector_distance(disc, 61)
+
+    @pytest.mark.parametrize("K,message", [
+        (2.5, "K=2.5 is not an integer in [0, 60]"),
+        (True, "K=True is not an integer in [0, 60]"),
+        (-1, "K=-1 outside [0, 60]")])
+    def test_rank_must_be_an_integer(self, get_spectrum, K, message):
+        with pytest.raises(ValueError) as info:
+            projector_distance(get_spectrum(60, 0.1), K)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("method", ["tridiag", "toeplitz"])
+    @pytest.mark.parametrize("N,W,K", [(60, 0.1, 6), (250, 0.1, 51),
+                                       (61, 0.37, 39), (150, 0.45, 128)])
+    def test_matches_projector_difference(self, get_spectrum, N, W, K, method):
+        # the former construction: Nystrom at max(default, 4N), both M x M
+        # projectors and their eigenvalues; the subspaces agree to eps / gap
+        disc, c = get_spectrum(N, W, method), math.pi * N * W
+        cont = nystrom_spectrum(c, max(default_order(c), 4 * N))
+        A, sw = cont.grid_vectors[:, :K], np.sqrt(cont.rule.weights)
+        Q, _ = np.linalg.qr(dpswf_matrix(disc, W * cont.rule.nodes, np.arange(K))
+                            * sw[:, None])
+        D = A @ A.T - Q @ Q.T
+        reference = np.max(np.abs(np.linalg.eigvalsh(0.5 * (D + D.T))))
+        mu = legendre_spectrum(c, K + 1)
+        assert (abs(projector_distance(disc, K) - reference)
+                <= 1e-14 / (mu[K - 1] - mu[K]))
+
+    def test_peak(self, get_spectrum):
+        # principal angles of two 102-column bases; the M x M projector
+        # form at M = 4N = 2000 peaked at 156 MB
+        disc = get_spectrum(500, 0.1)
+        assert traced_peak(lambda: projector_distance(disc, 102)) <= 10e6
 
     def test_nystrom_basis_is_certified(self, get_spectrum, monkeypatch):
         def shifted(c, count=0):

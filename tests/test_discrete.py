@@ -15,7 +15,7 @@ from slepian.numkit import (IllConditionedError, NumericalFailure, SymTridiag,
                             eig_sym, eig_symtridiag, gauss_legendre,
                             sinc_kernel, tridiag_parity_blocks)
 
-from conftest import assert_mode_order, parity_blocks
+from conftest import assert_mode_order, parity_blocks, traced_peak
 
 
 class TestParams:
@@ -303,6 +303,16 @@ class TestDpswf:
         with pytest.raises(ValueError, match=rf"mode index k={k} outside \[0, 60\]"):
             dpswf_matrix(get_spectrum(61, 0.25), [0.0, 0.1], [0, k])
 
+    @pytest.mark.parametrize("k", [0.5, True])
+    def test_index_must_be_an_integer(self, get_spectrum, k):
+        # 0.5 would otherwise be truncated to mode 0, True taken as mode 1
+        message = rf"mode index k={k} is not an integer in \[0, 60\]"
+        spec = get_spectrum(61, 0.25)
+        with pytest.raises(ValueError, match=message):
+            dpswf(spec, k, 0.1)
+        with pytest.raises(ValueError, match=message):
+            dpswf_matrix(spec, [0.0, 0.1], [0, k])
+
     @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.25)])
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_half_length_sums_match_complex_definition(self, get_spectrum,
@@ -344,6 +354,15 @@ class TestConcentration:
                        - spec60_03.values[j]) <= 1e-10
         for j, k in ((0, 1), (3, 10), (7, 40), (0, 59)):
             assert abs(concentration(spec60_03, j, k)) <= 1e-10
+
+    @pytest.mark.parametrize("j,k,message", [
+        (0.5, 0, "mode index j=0.5 is not an integer in [0, 59]"),
+        (0, True, "mode index k=True is not an integer in [0, 59]"),
+        (0, 60, "mode index k=60 outside [0, 59]")])
+    def test_index_checks(self, get_spectrum, j, k, message):
+        with pytest.raises(ValueError) as info:
+            concentration(get_spectrum(60, 0.1), j, k)
+        assert str(info.value) == message
 
     def test_peak(self):
         # one scalar from the strided view; no N x N copy of the matrix
@@ -443,6 +462,16 @@ class TestExtend:
         for k in (0, 1, 2):
             assert abs(extend_dpss(disc, k, 200)) <= abs(extend_dpss(disc, k, 20))
             assert abs(extend_dpss(disc, k, -181)) <= abs(extend_dpss(disc, k, -1))
+
+    @pytest.mark.parametrize("k,n,message", [
+        (0.5, 3, "mode index k=0.5 is not an integer in [0, 59]"),
+        (60, 3, "mode index k=60 outside [0, 59]"),
+        (2, 3.5, "sequence index n=3.5 is not an integer in [-inf, inf]"),
+        (2, False, "sequence index n=False is not an integer in [-inf, inf]")])
+    def test_index_checks(self, get_spectrum, k, n, message):
+        with pytest.raises(ValueError) as info:
+            extend_dpss(get_spectrum(60, 0.1), k, n)
+        assert str(info.value) == message
 
     def test_floor_error(self, get_spectrum):
         disc = get_spectrum(30, 0.1)
@@ -560,17 +589,6 @@ class TestBitIdentity:
         assert np.array_equal(cont.grid_vectors, vectors)
 
 
-def _traced_peak(call):
-    """tracemalloc peak of a second call; the first fills the caches."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     @pytest.mark.parametrize("N", [400, 401])
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
@@ -578,13 +596,13 @@ class TestMemory:
         # about N^2 doubles for the result and N^2 / 2 for the block vectors;
         # one prolate block at a time lives next to them
         params = DiscreteParams(N, 0.3)
-        assert _traced_peak(lambda: spectrum(params, method)) <= 1.7 * N * N * 8
+        assert traced_peak(lambda: spectrum(params, method)) <= 1.7 * N * N * 8
 
     def test_nystrom_peak(self):
         # the M x M kernel is never built: the result, the two block vector
         # arrays and one block at a time
         M = 1001
-        peak = _traced_peak(lambda: nystrom_spectrum(300.0, M, check_convergence=False))
+        peak = traced_peak(lambda: nystrom_spectrum(300.0, M, check_convergence=False))
         assert peak <= 1.6 * M * M * 8
 
 

@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from slepian import numkit
 from slepian.config import Tolerances, using_tolerances
-from slepian.numkit import (NumericalFailure, SymTridiag, eig_sym,
+from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_vectors,
                             sinc_kernel, snapped_floor, tridiag_parity_blocks)
 
@@ -300,3 +300,23 @@ def test_snapped_floor():
 def test_snapped_floor_rejects_non_finite(x):
     with pytest.raises(ValueError, match=f"non-finite {x}"):
         snapped_floor(x)
+
+
+class TestCheckedIndex:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0])
+    def test_integers_accepted(self, value):
+        k = checked_index(value, 0, 5, "k")
+        assert (k, type(k)) == (3, int)
+
+    @pytest.mark.parametrize("value", [0.5, True, np.bool_(False), math.nan,
+                                       math.inf, "3", None, 1j])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError) as info:
+            checked_index(value, 0, 5, "mode index k")
+        assert str(info.value) == f"mode index k={value} is not an integer in [0, 5]"
+
+    @pytest.mark.parametrize("value", [-1, 6, np.int64(6)])
+    def test_out_of_range_rejected(self, value):
+        with pytest.raises(ValueError) as info:
+            checked_index(value, 0, 5, "K")
+        assert str(info.value) == f"K={value} outside [0, 5]"
