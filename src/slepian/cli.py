@@ -5,11 +5,11 @@ projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
 parsed arguments alone; ``main`` runs it under the config file's tolerances
 (the file sets nothing else), writes the output to ``--out`` or stdout, and
 maps the outcome to an exit code: 0 success, 1 usage or validation error, 2
-numerical failure, 3 verification failure under --strict, reported as
-``<command>: <failure>`` on stderr after the output is written. Floats are
-written in scientific notation with 17 significant digits and JSON keys are
-sorted, so output files are byte-deterministic for fixed inputs, version and
-BLAS thread count; the last digits can change with the thread count.
+numerical failure or out of memory, 3 verification failure under --strict,
+reported as ``<command>: <failure>`` on stderr after the output is written.
+Floats are written in scientific notation to 17 significant digits and JSON
+keys are sorted: output files are byte-deterministic for fixed inputs, version
+and BLAS thread count, and another thread count can change the last digits.
 """
 
 from __future__ import annotations
@@ -292,8 +292,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"slepian: {exc}\n")
         return EXIT_USAGE
-    except NumericalFailure as exc:
-        sys.stderr.write(f"slepian: numerical failure: {exc}\n")
+    except (NumericalFailure, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        sys.stderr.write(f"slepian: {kind}: {exc}\n")
         return EXIT_NUMERICAL
 
 

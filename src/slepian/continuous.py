@@ -46,9 +46,8 @@ def default_order(c: float) -> int:
 def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray,
                        rows: slice = slice(None)) -> np.ndarray:
     K = sinc_kernel(c, x[rows, None] - x[None, :], c / np.pi)
-    # outer(sw, sw) is exactly symmetric, so S inherits exact symmetry from K
-    sw = np.sqrt(w)
-    return np.outer(sw[rows], sw) * K
+    # outer(sqrt(w), sqrt(w)) is exactly symmetric, so S inherits exact symmetry from K
+    return np.outer(np.sqrt(w[rows]), np.sqrt(w)) * K
 
 
 def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
@@ -69,38 +68,37 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     operator's eigenvalues chi_n: at least ``count``, and always enough to
     match the trace 2c/pi to ``Tolerances.trace_continuous_rel``.
 
-    The operator's eigenfunctions psi_n (parity of n) are the kernel's. Each
-    parity block goes through ``eig_symtridiag`` on a basis grown until the
-    last two Legendre coefficients beta of every returned psi_n are below
-    machine epsilon. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n =
-    sqrt(2) beta_0 / psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0)
-    for odd n (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 2001).
+    The operator's eigenfunctions psi_n (parity of n) are the kernel's. Both
+    parity blocks go through ``eig_symtridiag`` once, and the last two Legendre
+    coefficients beta of psi_n must be below machine epsilon for each n below
+    the plunge bound n0. Values from n0 on, below 1e-17, are untrusted and may
+    be 0.0. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n = sqrt(2) beta_0 /
+    psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0) for odd n (Xiao,
+    Rokhlin & Yarvin, Inverse Problems 17, 2001).
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
-    # mu_n < 1e-17 beyond the plunge; psi_n needs degrees to ~max(n, c + 14 c^(1/3))
-    n = max(int(count), math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24)
+    # mu_n < 1e-17 from plunge bound n0 on; psi_n needs degrees ~max(n, c + 14 c^(1/3))
+    n0 = math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24
+    n = max(int(count), n0)
     M = max(n, math.ceil(c + 14.0 * c ** (1.0 / 3.0))) + 40
-    for _ in range(3):
-        blocks = _prolate_blocks(c, M)
-        # descending chi as solved (n = ..., 2, 0 and ..., 3, 1); an ascending view
-        # would send psi0 to BLAS and move its last bits; mu is reversed below
-        Ve, Vo = (eig_symtridiag(T).vectors[:, -m:]
-                  for T, m in zip(blocks, ((n + 1) // 2, n // 2)))
-        if max(np.max(np.abs(Ve[-2:])), np.max(np.abs(Vo[-2:]))) <= np.finfo(float).eps:
-            break
-        M *= 2
-    else:
+    blocks = _prolate_blocks(c, M)
+    # descending chi as solved (n = ..., 2, 0 and ..., 3, 1); an ascending view
+    # would send psi0 to BLAS and move its last bits; mu is reversed below
+    Ve, Vo = (eig_symtridiag(T).vectors[:, -m:]
+              for T, m in zip(blocks, ((n + 1) // 2, n // 2)))
+    tails = (Ve[-2:, -((n0 + 1) // 2):], Vo[-2:, -(n0 // 2):])
+    if not max(np.max(np.abs(t)) for t in tails) <= np.finfo(float).eps:
         raise NumericalFailure(f"Legendre expansion unresolved at c={c}, M={M}")
-    k = np.arange(0, M, 2)
+    k = 2 * np.arange(blocks[0].order)
     p0 = np.cumprod(np.append(1.0, (1.0 - k[1:]) / k[1:]))   # P_k(0), k even
-    psi0 = (np.sqrt(k + 0.5) * p0)[:blocks[0].order] @ Ve
+    psi0 = (np.sqrt(k + 0.5) * p0) @ Ve
     dpsi0 = ((k + 1) * np.sqrt(k + 1.5) * p0)[:blocks[1].order] @ Vo   # P'_{k+1}(0)
     mu = np.empty(n)
     mu[0::2] = (c / math.pi * (Ve[0] / psi0) ** 2)[::-1]
     mu[1::2] = (c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2)[::-1]
     defect = abs(mu.sum() - 2.0 * c / math.pi)
-    if defect > current_tolerances().trace_continuous_rel * 2.0 * c / math.pi:
+    if not defect <= current_tolerances().trace_continuous_rel * 2.0 * c / math.pi:
         raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
     return mu
 
@@ -126,8 +124,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     if not (halfwidth > 0 and math.isfinite(halfwidth)):
         raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
     min_order = default_order(c * halfwidth)
-    if M is None:
-        M = min_order
+    M = min_order if M is None else M
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
     rule, tol = gauss_legendre(M).scaled(halfwidth), current_tolerances()
@@ -135,14 +132,13 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
         lambda i, j: _sinc_kernel_matrix(c, rule.nodes, rule.weights, slice(i, j)),
         M, odd)))
     trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
-    if trace_defect > tol.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
-        raise NumericalFailure(
-            f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
+    if not trace_defect <= tol.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
+        raise NumericalFailure(f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
     if check_convergence:
         k = int(np.count_nonzero(values >= tol.floor_checks))
         reference = legendre_spectrum(c * halfwidth, k)
         drift = np.max(np.abs(values[:k] - reference[:k]), initial=0.0)
-        if drift > tol.mesh_stability:
+        if not drift <= tol.mesh_stability:
             raise NumericalFailure(
                 f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
                 f"c={c}; increase the quadrature order")
@@ -185,10 +181,12 @@ def hs_lower_bound(c: float) -> float:
 
 def _csc_minus_inverse(x: np.ndarray) -> np.ndarray:
     """1/sin(x) - 1/x = (x - sin x) / (x sin x) for 0 < x < pi; below x = 2
-    x - sin x = x^3 sum_{k<=10} (-1)^k x^(2k) / (2k + 3)!, which does not cancel."""
+    x - sin x = x^3 sum_{k<=10} (-1)^k x^(2k) / (2k + 3)!, which does not cancel;
+    below x = 1e-100, where x sin x underflows, it is x/6 to double precision."""
     s, y = np.sin(x), x * x
     coefficients = [(-1) ** k / math.factorial(2 * k + 3) for k in range(10, -1, -1)]
-    return np.where(x < 2.0, x * y * np.polyval(coefficients, y), x - s) / (x * s)
+    return np.divide(np.where(x < 2.0, x * y * np.polyval(coefficients, y), x - s),
+                     x * s, out=x / 6.0, where=x > 1e-100)
 
 
 def kernel_hs_distance(N: int, W: float) -> float:
@@ -245,13 +243,15 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
     c = math.pi * N * W
-    denom = 1.0 - 3.0 / (1.0 + math.exp(math.pi * b))
+    denom = 1.0 - 3.0 / (1.0 + math.exp(min(math.pi * b, 700.0)))   # e^700 < max float
     alpha = 3.0 / (32.0 * b * math.pi) * denom
     ceiling_log = alpha * math.sin(2.0 * math.pi * W) / W ** 3 \
         - 2.0 * math.log(2.0) - math.pi / b
     condition_ok = math.log(c) <= ceiling_log
     bound = (W ** 3 * (4.0 * b * math.pi / (3.0 * math.sin(2.0 * math.pi * W)))
              * (math.log(c) + 2.0 * math.log(2.0) + math.pi / b) / denom)
+    if not math.isfinite(bound):
+        raise ValueError(f"b={b:g} gives a non-finite bound")
     return bound, condition_ok
 
 
@@ -273,13 +273,13 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     if K == 0:
         return 0.0
     floor = current_tolerances().floor_untrusted
-    if disc.values[K - 1] < floor:
+    if not disc.values[K - 1] >= floor:
         raise IllConditionedError(
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
             f"{floor:.0e}; the rank-K projector is not resolvable")
     cont = nystrom_spectrum(math.pi * N * W)
     gap = cont.values[K - 1] - cont.values[K]
-    if gap < floor:   # the cut splits a cluster: the rank-K subspace is arbitrary
+    if not gap >= floor:   # the cut splits a cluster: the rank-K subspace is arbitrary
         raise IllConditionedError(
             f"sinc-kernel eigenvalue gap {gap:.3e} after mode {K - 1} below "
             f"{floor:.0e}; the rank-K projector is not resolvable")

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import current_tolerances
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
-                     SymTridiag, checked_index, eig_sym, eig_symtridiag,
+                     OutOfRangeError, SymTridiag, checked_index, eig_sym, eig_symtridiag,
                      parity_block, parity_spectrum, sinc_kernel, tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
@@ -146,23 +146,23 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     tol = current_tolerances()
     warnings: list[str] = []
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
-    if np.max(np.abs(norms - 1.0)) > 1e-13:
+    if not np.max(np.abs(norms - 1.0)) <= 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
     # rows i and N-1-i give the same difference; 64-column chunks bound temporaries
     sym_defect = max(np.max(np.abs(np.abs(vectors[:N // 2, j:j + 64])
                                    - np.abs(vectors[:(N - 1) // 2:-1, j:j + 64])),
                             initial=0.0) for j in range(0, N, 64))
-    if sym_defect > tol.component_symmetry:
+    if not sym_defect <= tol.component_symmetry:
         raise NumericalFailure(
             f"component symmetry defect {sym_defect:.3e} exceeds "
             f"{tol.component_symmetry:.1e}")
     trace_defect = abs(values.sum() - 2.0 * N * W) / (2.0 * N * W)
-    if trace_defect > tol.trace_rel:
+    if not trace_defect <= tol.trace_rel:
         raise NumericalFailure(
             f"trace identity defect {trace_defect:.3e} exceeds {tol.trace_rel:.1e}")
     trusted, top = values >= tol.floor_untrusted, values.max()
     # the cluster at 1 reaches 1 within the floor; the largest need not come first
-    if top > 1.0 + tol.floor_untrusted:
+    if not top <= 1.0 + tol.floor_untrusted:
         raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
     if top >= 1.0:
         warnings.append("leading eigenvalues reach 1 within the floor")
@@ -236,6 +236,8 @@ def symmetry_defect(spec: DiscreteSpectrum) -> float:
     The eigenvalues satisfy lambda_k(1/2 - W) = 1 - lambda_{N-1-k}(W); the
     spectrum at 1/2 - W is computed by ``spec.method``.
     """
+    if not 0.5 - spec.W < 0.5:
+        raise OutOfRangeError(f"1/2 - W rounds to 1/2 at W={spec.W:g}")
     b = spectrum(DiscreteParams(spec.N, 0.5 - spec.W), method=spec.method).values
     return float(np.max(np.abs(b - (1.0 - spec.values[::-1]))))
 

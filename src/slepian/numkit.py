@@ -86,8 +86,8 @@ class EigenSystem(NamedTuple):
 
 def _validated_system(kind: str, solve, apply) -> EigenSystem:
     """Run LAPACK's ``solve()``, check the contract in its ascending order and
-    free the check's buffer; return a descending view of LAPACK's arrays (a
-    permuted copy if the values do not ascend). ``apply(V)`` is A @ V."""
+    free the check's buffer; return a descending view of LAPACK's arrays.
+    ``apply(V)`` is A @ V. A NaN anywhere fails the contract."""
     try:
         values, vectors = solve()
     except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
@@ -96,20 +96,19 @@ def _validated_system(kind: str, solve, apply) -> EigenSystem:
     gram = vectors.T @ vectors   # the buffer is reused for the residual
     gram.flat[::len(values) + 1] -= 1.0
     gram_defect = np.max(np.abs(gram, out=gram))
-    if gram_defect > tol.orthonormality:
+    if not gram_defect <= tol.orthonormality:
         raise NumericalFailure(
             f"eigenvector orthonormality defect {gram_defect:.3e} exceeds "
             f"{tol.orthonormality:.1e}")
     R = np.subtract(apply(vectors), np.multiply(vectors, values, out=gram), out=gram)
     resid = math.sqrt(np.max(np.einsum("ij,ij->j", R, R)))
     del gram, R
-    if resid > tol.eigen_residual * max(np.max(np.abs(values)), 1e-300):
+    if not resid <= tol.eigen_residual * max(np.max(np.abs(values)), 1e-300):
         raise NumericalFailure(
             f"eigen residual {resid:.3e} exceeds {tol.eigen_residual:.1e} * |A|")
-    if (np.diff(values) >= 0).all():   # the stable sort below is then this reversal
-        return EigenSystem(values=values[::-1], vectors=vectors[:, ::-1])
-    order = np.argsort(values, kind="stable")[::-1]
-    return EigenSystem(values=values[order], vectors=vectors[:, order])
+    if not (np.diff(values) >= 0).all():
+        raise NumericalFailure(f"{kind} eigenvalues are not ascending")
+    return EigenSystem(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def eig_sym(A: np.ndarray) -> EigenSystem:
@@ -262,9 +261,9 @@ def gauss_legendre(order: int) -> QuadratureRule:
     nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
-    if np.max(np.abs(nodes + nodes[::-1])) > tol.node_symmetry:
+    if not np.max(np.abs(nodes + nodes[::-1])) <= tol.node_symmetry:
         raise NumericalFailure("quadrature nodes are not symmetric about 0")
-    if (weights <= 0).any() or abs(weights.sum() - 2.0) > tol.weight_sum:
+    if not ((weights > 0).all() and abs(weights.sum() - 2.0) <= tol.weight_sum):
         raise NumericalFailure("quadrature weights are invalid")
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
         raise NumericalFailure("quadrature nodes left (-1, 1)")
@@ -280,9 +279,7 @@ def snapped_floor(x: float) -> int:
     if not math.isfinite(x):
         raise ValueError(f"cannot take the floor of non-finite {x}")
     r = round(x)
-    if abs(x - r) <= 1e-9:
-        return int(r)
-    return int(np.floor(x))
+    return int(r) if abs(x - r) <= 1e-9 else math.floor(x)
 
 
 def checked_index(value, lo: float, hi: float, name: str) -> int:

@@ -130,6 +130,17 @@ class TestBounds:
                      "hs_norm_lower_bound"):
             assert skipped[name].endswith("below 1"), (name, skipped.get(name))
 
+    @pytest.mark.parametrize("N", ["2", "30"])
+    def test_reflection_rounding_to_half_is_skipped(self, N, monkeypatch, capsys):
+        # 1/2 - 1e-300 is 1/2 in double precision
+        monkeypatch.delenv("SLEPIAN_CONFIG", raising=False)
+        assert cli.main(["bounds", "--N", N, "--W", "1e-300", "--eps", "0.05",
+                         "--strict"]) == 0
+        out, err = capsys.readouterr()
+        sym, = [c for c in json.loads(out)["checks"] if c["name"] == "symmetry_identity"]
+        assert (sym["skipped"], sym["note"], err) == (
+            True, "1/2 - W rounds to 1/2 at W=1e-300", "")
+
     @pytest.mark.parametrize("N,W", [("1", "1e-13"), ("2", "1e-13"), ("30", "1e-15")])
     def test_no_eigenvalue_above_the_check_floor(self, N, W, monkeypatch, capsys):
         # every eigenvalue is below floor_checks, so no route comparison is made
@@ -366,6 +377,33 @@ class TestOtherCommands:
         assert len(cp.stderr.splitlines()) == 1
         assert "eigenvalue gap" in cp.stderr and "Traceback" not in cp.stderr
 
+    def test_projector_distance_large_b(self):
+        cp = run_cli("projector-distance", "--N", "60", "--W", "0.1",
+                     "--K", "6", "--b", "300", "--strict")
+        assert (cp.returncode, cp.stderr) == (0, ""), cp.stderr
+        data = dict(line.split("=") for line in cp.stdout.strip().splitlines())
+        assert math.isfinite(float(data["bound"]))
+        assert data["condition_ok"] == "false"
+
+    def test_readme_bound_bits(self):
+        # b = 1.0: the capped exponential leaves e^pi as it was
+        cp = run_cli("projector-distance", "--N", "60", "--W", "0.1",
+                     "--K", "6", "--b", "1.0")
+        assert "bound=6.0742682593283789e-02" in cp.stdout.splitlines()
+
+    def test_projector_distance_non_finite_bound(self):
+        cp = run_cli("projector-distance", "--N", "60", "--W", "0.1",
+                     "--K", "6", "--b", "1e308")
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr.splitlines() == ["slepian: b=1e+308 gives a non-finite bound"]
+
+    @pytest.mark.parametrize("W", ["1e-300", "1e-17"])
+    def test_symmetry_rounding_to_half_is_one_line(self, W):
+        cp = run_cli("symmetry", "--N", "30", "--W", W)
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr.splitlines() == [
+            f"slepian: 1/2 - W rounds to 1/2 at W={float(W):g}"]
+
     @pytest.mark.parametrize("b,message", [
         ("inf", "slepian: b must be finite, got inf"),
         ("0.1", "slepian: b must exceed log(3)/pi = 0.3497")])
@@ -596,6 +634,17 @@ class TestConfigAndExitCodes:
         monkeypatch.setattr(cli, "spectrum", boom)
         code = cli.main(["eigs", "--N", "8", "--W", "0.2"])
         assert code == 2
+
+    def test_out_of_memory_maps_to_exit_2(self, monkeypatch, capsys):
+        # raised, never allocated: a real huge request may reach the OOM killer
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "spectrum", exhausted)
+        assert cli.main(["eigs", "--N", "8", "--W", "0.2"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", "slepian: out of memory: Unable to allocate 745. GiB for an array\n")
 
     def test_missing_subcommand_usage(self):
         cp = run_cli()

@@ -172,19 +172,42 @@ class TestLegendreSpectrum:
         assert np.max(np.abs(mu[mask] - ref[mask]) / ref[mask]) <= 1e-12
         assert np.max(np.abs(mu[~mask] - ref[~mask])) <= 1e-29
 
-    def test_short_basis_is_enlarged(self, monkeypatch):
+    @staticmethod
+    def _plunge_bound(c):
+        return math.ceil(2 * c / math.pi + 4 * math.log1p(c)) + 24
+
+    def test_short_basis_raises(self, monkeypatch):
+        # n + 2 degrees give every returned column, but too few to resolve
+        # psi_n below the plunge bound (n0 = 103 here)
+        real = continuous._prolate_blocks
+        monkeypatch.setattr(continuous, "_prolate_blocks",
+                            lambda c, M: real(c, 120 + 2))
+        with pytest.raises(NumericalFailure, match="Legendre expansion unresolved"):
+            legendre_spectrum(94.25, 120)
+
+    @pytest.mark.parametrize("c, count", [(565.5, 630), (1885.0, 2030)])
+    def test_one_basis_per_call(self, monkeypatch, c, count):
         sizes = []
         real = continuous._prolate_blocks
 
-        def short_first(c, M):
+        def spy(c, M):
             sizes.append(M)
-            return real(c, M if len(sizes) > 1 else M // 8)
+            return real(c, M)
 
-        monkeypatch.setattr(continuous, "_prolate_blocks", short_first)
-        mu = legendre_spectrum(94.25, 120)
-        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
-        monkeypatch.undo()
-        assert np.max(np.abs(mu - legendre_spectrum(94.25, 120))) <= 1e-13
+        monkeypatch.setattr(continuous, "_prolate_blocks", spy)
+        assert len(legendre_spectrum(c, count)) == count
+        assert len(sizes) == 1
+
+    def test_doubled_basis_reference(self, monkeypatch):
+        c, count = 565.5, 630
+        mu = legendre_spectrum(c, count)
+        real = continuous._prolate_blocks
+        monkeypatch.setattr(continuous, "_prolate_blocks",
+                            lambda c, M: real(c, 2 * M))
+        reference = legendre_spectrum(c, count)
+        # measured 2.6e-13 against a basis twice the size
+        assert np.max(np.abs(mu - reference)) <= 1e-12
+        assert np.max(mu[self._plunge_bound(c):]) <= 1e-17
 
     def test_trace_defect_raises(self):
         with using_tolerances(Tolerances(trace_continuous_rel=1e-300)):
@@ -421,3 +444,17 @@ class TestEigenspaceBound:
                            (math.inf, "must be finite")):
             with pytest.raises(ValueError, match=message):
                 eigenspace_bound(60, 0.1, b)
+
+    @pytest.mark.parametrize("b", [225.9, 300.0, 1e300])
+    def test_large_b_is_finite(self, b):
+        # e^(pi b) overflows past b = 225.9; 1 - 3/(1 + e^(pi b)) is 1 there
+        bound, ok = eigenspace_bound(60, 0.1, b)
+        assert math.isfinite(bound) and not ok
+        c = math.pi * 6
+        expected = 1e-3 * (4 * b * math.pi / (3 * math.sin(0.2 * math.pi))) \
+            * (math.log(c) + 2 * math.log(2) + math.pi / b)
+        assert bound == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValueError, match="gives a non-finite bound"):
+            eigenspace_bound(60, 0.1, 1e308)

@@ -11,8 +11,8 @@ from slepian.discrete import (DiscreteParams, band_grams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
                               dpswf_matrix, extend_dpss, prolate_matrix,
                               spectrum, symmetry_defect)
-from slepian.numkit import (IllConditionedError, NumericalFailure, SymTridiag,
-                            eig_sym, eig_symtridiag, gauss_legendre,
+from slepian.numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
+                            SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
                             sinc_kernel, tridiag_parity_blocks)
 
 from conftest import assert_mode_order, parity_blocks, traced_peak
@@ -417,6 +417,16 @@ class TestSymmetry:
         symmetry_defect(spec)
         assert calls == [(30, 0.5 - 0.2, method)]
 
+    @pytest.mark.parametrize("W", [1e-300, 1e-17])
+    def test_reflection_that_rounds_to_half_is_out_of_range(self, W):
+        # 1/2 - W rounds to 1/2 for W <= 2^-55
+        with pytest.raises(OutOfRangeError, match=f"rounds to 1/2 at W={W:g}"):
+            symmetry_defect(spectrum(DiscreteParams(30, W)))
+
+    def test_smallest_resolvable_reflection_runs(self):
+        assert 0.5 - 3e-17 < 0.5
+        assert symmetry_defect(spectrum(DiscreteParams(30, 3e-17))) <= 1e-10
+
 
 class TestCommutation:
     @staticmethod
@@ -636,6 +646,18 @@ class TestValidateChecks:
         values[3] = 1.0 + 2.0 * floor
         assert values[0] <= 1.0 + floor
         with pytest.raises(NumericalFailure, match="interval"):
+            discrete._validate(disc.params, values, V)
+
+    @pytest.mark.parametrize("where, message", [
+        ("value", "trace identity"), ("vector", "unit norm")])
+    def test_nan_fails(self, corrupted, where, message):
+        disc, V = corrupted
+        values = disc.values.copy()
+        if where == "value":
+            values[self.N - 1] = math.nan
+        else:
+            V[0, self.N - 1] = math.nan
+        with pytest.raises(NumericalFailure, match=message):
             discrete._validate(disc.params, values, V)
 
     def test_norm_defect(self, corrupted):

@@ -209,6 +209,41 @@ class TestEigSymTridiag:
             eig_symtridiag(T)
 
 
+
+class TestContractRejectsNaN:
+    """A NaN from LAPACK, in a value or a vector, fails the contract, and so do
+    values that do not ascend; nothing is re-sorted."""
+
+    @staticmethod
+    def _corrupt(values, vectors, where):
+        if where == "value":
+            values[1] = math.nan
+        elif where == "vector":
+            vectors[0, 1] = math.nan
+        else:   # descending: consistent pairs in the wrong order
+            values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+        return values, vectors
+
+    @pytest.mark.parametrize("where, message", [
+        ("value", "residual"), ("vector", "orthonormality"),
+        ("descending", "not ascending")])
+    def test_eig_sym(self, monkeypatch, where, message):
+        real = np.linalg.eigh
+        monkeypatch.setattr(numkit.np.linalg, "eigh",
+                            lambda A: self._corrupt(*real(A), where))
+        with pytest.raises(NumericalFailure, match=message):
+            eig_sym(np.diag([0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("where, message", [
+        ("value", "residual"), ("vector", "orthonormality"),
+        ("descending", "not ascending")])
+    def test_eig_symtridiag(self, monkeypatch, where, message):
+        monkeypatch.setattr(numkit, "eigh_tridiagonal",
+                            lambda d, e: self._corrupt(*eigh_tridiagonal(d, e), where))
+        with pytest.raises(NumericalFailure, match=message):
+            eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)))
+
+
 def _dense(T):
     """Reference dense form, independent of SymTridiag.apply."""
     return (np.diag(T.diagonal) + np.diag(T.offdiag, 1)
