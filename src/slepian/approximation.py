@@ -84,10 +84,6 @@ class TestFunction:
         x, y = x[order], y[order]
         return cls(evaluator=lambda t: np.interp(t, x, y))
 
-    @classmethod
-    def from_callable(cls, fn) -> "TestFunction":
-        return cls(evaluator=fn)
-
 
 def weierstrass_terms(s: float):
     """(amplitudes 2^(-k s), frequencies 2^k) for k <= K_s, where K_s is

@@ -80,13 +80,6 @@ class BoundReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BoundReport":
-        payload = json.loads(text)
-        checks = [BoundCheck(**item) for item in payload["checks"]]
-        return cls(checks=checks, version=payload["version"],
-                   tolerances=payload["tolerances"])
-
 
 # ----------------------------------------------------------------- formulas
 
@@ -304,7 +297,7 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray,
                   "eigenvalue comparison with the sinc-kernel spectrum", params,
                   lambda: _family(params, disc_values, range(N),
                                   lambda k: A * cont_values[k]),
-                  current_tolerances().check_floor)
+                  current_tolerances().floor_checks)
 
 
 # ------------------------------------------------------------- verify_all
@@ -346,8 +339,9 @@ def _family(params: dict, values: np.ndarray, indices, bound) -> tuple[float, fl
 
 
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
-               eps_grid=DEFAULT_EPS_GRID, method: str = "tridiag") -> BoundReport:
-    """Run every bound/identity check over the grid, skipping out-of-range ones."""
+               eps_grid=DEFAULT_EPS_GRID) -> BoundReport:
+    """Run every bound/identity check over the grid, skipping out-of-range ones,
+    on the tridiag route; the Toeplitz route is the cross-route oracle."""
     tol = current_tolerances()
     w_grid = tuple(w_grid)
     eps_grid = tuple(dict.fromkeys(eps_grid))   # a repeated eps is one point
@@ -364,15 +358,14 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
     # keyed by the exact bandwidth for the HS checks
     cont_by_c: dict[float, np.ndarray] = {}
     for N, W in grid:
-        disc = spectrum(DiscreteParams(N, W), method=method)
+        disc = spectrum(DiscreteParams(N, W))
         lam = disc.values
         pw = {"N": N, "W": W}
         c = disc.params.bandwidth
         cont = legendre_spectrum(c, N + COMPARISON_TAIL)
         cont_by_c[c] = cont
 
-        other = spectrum(disc.params,
-                         method="toeplitz" if method == "tridiag" else "tridiag")
+        other = spectrum(disc.params, "toeplitz")
         mask = lam >= tol.floor_checks
         tail, decay = dict(pw), dict(pw)   # _family adds "checked"
         checks += [
@@ -393,22 +386,22 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             _check("spectra_l2_distance",
                    "l2 spectrum comparison via Wielandt-Hoffman",
                    {**pw, "c": c}, lambda: compare_spectra(N, W, lam, cont),
-                   tol.check_floor),
+                   tol.floor_checks),
             _check("kernel_hs_distance",
                    "HS distance between Dirichlet and sinc kernels", pw,
                    lambda: (kernel_hs_distance(N, W), kernel_hs_distance_bound(W)),
-                   tol.check_floor),
+                   tol.floor_checks),
             verify_comparison(N, W, lam, cont),
             _check("plunge_mass", "trace minus squared HS norm", pw,
-                   lambda: plunge_mass(N, W, lam), tol.check_floor),
+                   lambda: plunge_mass(N, W, lam), tol.floor_checks),
             _check("eigenvalue_tail_bound", "min-max tail estimate", tail,
                    lambda: _family(tail, lam, eigenvalue_tail_range(N, W),
                                    lambda n: eigenvalue_tail_bound(n, N, W)),
-                   tol.check_floor),
+                   tol.floor_checks),
             _check("superexponential_decay", "tail decay past the plunge", decay,
                    lambda: _family(decay, lam, superexponential_decay_range(N, W),
                                    lambda k: superexponential_decay_bound(k, N, W)),
-                   tol.check_floor),
+                   tol.floor_checks),
             # informational: only the existence of a positive rate is claimed
             _check("plunge_decay_rate", "plunge-region decay rate", pw,
                    lambda: (plunge_decay_rate(N, W, lam), 0.0), lower=True,
@@ -421,7 +414,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
             checks += [
                 _check("plunge_count", "eigenvalue count bound", peps,
                        lambda: (count, plunge_count_bound(N, W, eps)),
-                       tol.check_floor),
+                       tol.floor_checks),
                 _check("plunge_count_improvement",
                        "count bound improves the log(N-1) bound", peps,
                        lambda: (plunge_count_bound(N, W, eps),
@@ -439,7 +432,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
 
         checks.append(_check("hs_norm_lower_bound",
                              "HS norm lower bound for the sinc kernel", {"c": c},
-                             hs_norm, tol.check_floor, lower=True))
+                             hs_norm, tol.floor_checks, lower=True))
 
     # concentration-inequality constant (informational, fixed W = TURAN_W)
     turan = {"W": TURAN_W}

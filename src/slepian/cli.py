@@ -102,7 +102,7 @@ def cmd_table1(args) -> Output:
 
 
 def cmd_bounds(args) -> Output:
-    report = bnd.verify_all(args.N, args.W, args.eps, method=args.method)
+    report = bnd.verify_all(args.N, args.W, args.eps)
     failed = sorted({c.name for c in report.checks
                      if not (c.satisfied or c.informational or c.skipped)})
     return Output([report.to_json()],
@@ -140,7 +140,7 @@ def cmd_project(args) -> Output:
     if args.basis == "native" and args.lambda_floor is not None:
         raise ValueError("--lambda-floor applies to the dilated basis only")
     f = _build_target(args)
-    disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
+    disc = spectrum(DiscreteParams(args.N, args.W))
     sweep = None
     if args.out:   # the JSON result is the sweep's last row
         rows = projection_sweep(f, disc, K, args.basis, args.lambda_floor)
@@ -167,7 +167,7 @@ def cmd_count(args) -> Output:
     bound = bnd.plunge_count_bound(args.N, args.W, args.eps)
     coarse = bnd.plunge_count_bound_coarse(args.N, args.eps)
     estimate = bnd.plunge_count_estimate(args.N, args.eps)
-    disc = spectrum(params, method=args.method)
+    disc = spectrum(params)
     return Output([f"measured_count={bnd.plunge_count(disc.values, args.eps)}",
                    f"count_bound={fmt(bound)}",
                    f"coarse_bound={fmt(coarse)}",
@@ -175,13 +175,12 @@ def cmd_count(args) -> Output:
 
 
 def cmd_symmetry(args) -> Output:
-    defect = symmetry_defect(
-        spectrum(DiscreteParams(args.N, args.W), method=args.method))
+    defect = symmetry_defect(spectrum(DiscreteParams(args.N, args.W)))
     return Output([f"symmetry_defect={fmt(defect)}"])
 
 
 def cmd_projector_distance(args) -> Output:
-    disc = spectrum(DiscreteParams(args.N, args.W), method=args.method)
+    disc = spectrum(DiscreteParams(args.N, args.W))
     distance = projector_distance(disc, args.K)
     lines = [f"distance={fmt(distance)}"]
     if args.b is not None:
@@ -216,10 +215,10 @@ def build_parser() -> _Parser:
     def common(p, n_default=None, w_default=None):
         p.add_argument("--N", type=int, default=n_default)
         p.add_argument("--W", type=float, default=w_default)
-        p.add_argument("--method", choices=METHODS, default="tridiag")
 
     p = add("eigs", cmd_eigs, "discrete spectrum as CSV")
     common(p, 60, 0.3)
+    p.add_argument("--method", choices=METHODS, default="tridiag")
     p.add_argument("--with-classical", action="store_true",
                    help="add the sinc-kernel eigenvalues at c = pi N W (Legendre route)")
 
@@ -232,7 +231,6 @@ def build_parser() -> _Parser:
                    help="comma-separated bandwidths")
     p.add_argument("--eps", type=_list_of(float, "floats"),
                    default=bnd.DEFAULT_EPS_GRID, help="comma-separated epsilon levels")
-    p.add_argument("--method", choices=METHODS, default="tridiag")
 
     p = add("project", cmd_project, "project a test function onto the basis")
     common(p, 60, 0.3)

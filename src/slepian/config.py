@@ -23,25 +23,21 @@ class Tolerances:
     orthonormality: float = 1e-12
     eigen_residual: float = 1e-11
     # quadrature rule contracts
-    node_symmetry: float = 1e-14
     weight_sum: float = 1e-13
     # discrete spectrum identities
     trace_rel: float = 1e-11
-    component_symmetry: float = 1e-10
     cross_route: float = 1e-10
     double_orthogonality: float = 1e-10
     symmetry_identity: float = 1e-10
     commutation: float = 1e-12
     # eigenvalue floors
     floor_untrusted: float = 1e-13
-    floor_checks: float = 1e-12
+    floor_checks: float = 1e-12   # also the slack of the bound checks
     tail_floor: float = 1e-8
     # continuous spectrum
     trace_continuous_rel: float = 1e-9
     mesh_stability: float = 1e-10
     hs_cross_rel: float = 1e-8
-    # bound bookkeeping
-    check_floor: float = 1e-12
     # approximation experiments
     table1_rel: float = 0.02
     example2_sup: float = 1e-8

@@ -232,9 +232,10 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     """Projector-distance bound and whether its validity condition holds.
 
     Returns ``(bound, condition_ok)``. ``condition_ok`` requires
-    b > log(3)/pi and pi N W below the admissible ceiling
-    exp(alpha_b sin(2 pi W)/W^3 - 2 log 2 - pi/b); the unspecified lower
-    threshold on pi N W cannot be checked and is not enforced.
+    b > log(3)/pi, c = pi N W below the admissible ceiling
+    exp(alpha_b sin(2 pi W)/W^3 - 2 log 2 - pi/b), and
+    log c + 2 log 2 + pi/b > 0, that is a positive bound; the unspecified
+    lower threshold on c cannot be checked and is not enforced.
     """
     if not 0.0 < W < 0.5:
         raise ValueError(f"W must lie in (0, 0.5), got {W}")
@@ -245,11 +246,13 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     c = math.pi * N * W
     denom = 1.0 - 3.0 / (1.0 + math.exp(min(math.pi * b, 700.0)))   # e^700 < max float
     alpha = 3.0 / (32.0 * b * math.pi) * denom
-    ceiling_log = alpha * math.sin(2.0 * math.pi * W) / W ** 3 \
+    # W^3 underflows at tiny W; dividing by W three times gives +inf instead
+    ceiling_log = alpha * (math.sin(2.0 * math.pi * W) / W) / W / W \
         - 2.0 * math.log(2.0) - math.pi / b
-    condition_ok = math.log(c) <= ceiling_log
+    gap = math.log(c) + 2.0 * math.log(2.0) + math.pi / b   # the bound's sign
+    condition_ok = 0.0 < gap and math.log(c) <= ceiling_log
     bound = (W ** 3 * (4.0 * b * math.pi / (3.0 * math.sin(2.0 * math.pi * W)))
-             * (math.log(c) + 2.0 * math.log(2.0) + math.pi / b) / denom)
+             * gap / denom)
     if not math.isfinite(bound):
         raise ValueError(f"b={b:g} gives a non-finite bound")
     return bound, condition_ok

@@ -64,11 +64,8 @@ class SymTridiag:
     def order(self) -> int:
         return len(self.diagonal)
 
-    def dense(self) -> np.ndarray:
-        return self.apply(np.eye(self.order))
-
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """Banded product ``dense() @ V`` for an n x k array, in O(n k) flops."""
+        """Banded product of the matrix with an n x k array, in O(n k) flops."""
         e = self.offdiag[:, None]
         out = self.diagonal[:, None] * V
         out[:-1] += e * V[1:]
@@ -252,16 +249,16 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1.
 
     Rules are memoised by order and their arrays are read-only. The contract
-    (ordered nodes inside (-1, 1), mirror symmetry, positive weights summing
-    to 2) is checked on every call, cache hits included, against the current
-    tolerances.
+    (ordered nodes inside (-1, 1), exact mirror symmetry, positive weights
+    summing to 2) is checked on every call, cache hits included, against the
+    current tolerances.
     """
     order = checked_index(order, 1, math.inf, "order")
     rule, tol = _gauss_legendre_rule(order), current_tolerances()
     nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
-    if not np.max(np.abs(nodes + nodes[::-1])) <= tol.node_symmetry:
+    if not (nodes == -nodes[::-1]).all():
         raise NumericalFailure("quadrature nodes are not symmetric about 0")
     if not ((weights > 0).all() and abs(weights.sum() - 2.0) <= tol.weight_sum):
         raise NumericalFailure("quadrature weights are invalid")

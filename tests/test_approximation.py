@@ -83,17 +83,17 @@ class TestTestFunction:
 
 class TestSobolevNorm:
     def test_single_fourier_mode(self):
-        f = TestFunction.from_callable(lambda x: np.exp(2j * np.pi * x))
+        f = TestFunction(lambda x: np.exp(2j * np.pi * x))
         for s in (0.5, 1.0, 2.0):
             norm = sobolev_norm(f, s, "native")
             assert norm ** 2 == pytest.approx(2.0 ** s, rel=1e-8)
 
     def test_constant(self):
-        f = TestFunction.from_callable(lambda x: np.ones_like(x))
+        f = TestFunction(lambda x: np.ones_like(x))
         assert sobolev_norm(f, 1.7, "native") == pytest.approx(1.0, rel=1e-10)
 
     def test_h0_is_l2(self):
-        f = TestFunction.from_callable(lambda x: np.cos(2 * np.pi * x))
+        f = TestFunction(lambda x: np.cos(2 * np.pi * x))
         norm = sobolev_norm(f, 0.0, "native")
         assert norm == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
@@ -117,7 +117,7 @@ class TestSobolevNorm:
     def test_unresolvable_frequency_raises(self):
         # a pure cosine far above any admissible grid aliases differently at
         # every doubling, so the norm never stabilises
-        f = TestFunction.from_callable(lambda x: np.cos(2.0 ** 30 * x))
+        f = TestFunction(lambda x: np.cos(2.0 ** 30 * x))
         with pytest.raises(NumericalFailure):
             sobolev_norm(f, 1.0, "native")
 
@@ -166,7 +166,7 @@ class TestSobolevNorm:
         f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
                          cosine_terms=(amps, freqs), s=1.0)
         closed = sobolev_norm(f, 1.0, "native")
-        grid = TestFunction.from_callable(f.evaluator)
+        grid = TestFunction(f.evaluator)
         fft = sobolev_norm(grid, 1.0, "native")
         assert closed == pytest.approx(fft, rel=1e-6)
 
@@ -177,8 +177,7 @@ class TestSobolevNorm:
                          cosine_terms=(amps, freqs), s=1.0)
         closed = sobolev_norm(f, 1.0, "dilated")
         assert closed ** 2 == pytest.approx(2.0, rel=1e-13)
-        fft = sobolev_norm(TestFunction.from_callable(f.evaluator), 1.0,
-                           "dilated")
+        fft = sobolev_norm(TestFunction(f.evaluator), 1.0, "dilated")
         assert fft ** 2 == pytest.approx(2.0, rel=1e-8)
 
     def test_invalid_arguments(self):
@@ -191,7 +190,7 @@ class TestSobolevNorm:
 
 class TestProjectNative:
     def test_basis_reproduction(self, spec60_03):
-        f = TestFunction.from_callable(
+        f = TestFunction(
             lambda x: dpswf_matrix(spec60_03, x, np.array([0]))[:, 0])
         result = project_native(f, spec60_03, 1)
         assert result.residual_l2 <= 1e-11
@@ -201,7 +200,7 @@ class TestProjectNative:
 
     def test_constant_residual_decreases(self, get_spectrum):
         disc = get_spectrum(61, 0.3)
-        f = TestFunction.from_callable(lambda x: np.ones_like(x))
+        f = TestFunction(lambda x: np.ones_like(x))
         residuals = [project_native(f, disc, K).residual_l2
                      for K in range(1, 30, 4)]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -240,7 +239,7 @@ class TestProjectNative:
         # drop the cosine structure to force the grid path; the unresolvable
         # Weierstrass tail limits agreement to the grid's resolution
         f = TestFunction.weierstrass(1.0)
-        g = TestFunction.from_callable(f.evaluator)
+        g = TestFunction(f.evaluator)
         a = project_native(f, spec60_03, 50)
         b = project_native(g, spec60_03, 50)
         assert b.residual_l2 == pytest.approx(a.residual_l2, rel=5e-2)
@@ -252,7 +251,7 @@ class TestProjectNative:
         amps, freqs = np.array([1.0, 0.5]), np.array([3.0, 40.0])
         f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
                          cosine_terms=(amps, freqs))
-        g = TestFunction.from_callable(f.evaluator)
+        g = TestFunction(f.evaluator)
         for K in (1, 2, 5, 12, 20):
             a, b = project_native(f, spec60_03, K), project_native(g, spec60_03, K)
             assert a.residual_l2 == pytest.approx(b.residual_l2, rel=1e-12)
@@ -450,7 +449,7 @@ class TestRealModes:
     def test_complex_target_is_its_real_and_imaginary_parts(self, spec60_03,
                                                             basis):
         # f = g + i h: coefficients add and squared residuals add, at every K
-        f, g, h = (TestFunction.from_callable(fn) for fn in (
+        f, g, h = (TestFunction(fn) for fn in (
             lambda x: np.exp(3j * x), lambda x: np.cos(3.0 * x),
             lambda x: np.sin(3.0 * x)))
         rows = [projection_sweep(t, spec60_03, 60, basis) for t in (f, g, h)]

@@ -397,6 +397,16 @@ class TestOtherCommands:
         assert (cp.returncode, cp.stdout) == (1, "")
         assert cp.stderr.splitlines() == ["slepian: b=1e+308 gives a non-finite bound"]
 
+    @pytest.mark.parametrize("W,K,bound", [
+        ("1e-5", "1", "bound=-1.3291516692353687e-10"),   # log c + 2 log 2 + pi < 0
+        ("1e-110", "0", "bound=-0.0000000000000000e+00")])   # W^3 underflows
+    def test_projector_distance_non_positive_bound(self, W, K, bound):
+        cp = run_cli("projector-distance", "--N", "60", "--W", W, "--K", K,
+                     "--b", "1", "--strict")
+        assert (cp.returncode, cp.stderr) == (0, ""), cp.stderr
+        lines = cp.stdout.splitlines()
+        assert lines[1:] == [bound, "condition_ok=false"]
+
     @pytest.mark.parametrize("W", ["1e-300", "1e-17"])
     def test_symmetry_rounding_to_half_is_one_line(self, W):
         cp = run_cli("symmetry", "--N", "30", "--W", W)
@@ -589,7 +599,9 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("key", ["nystrom_order", "projection_order",
                                      "out_dir", "n_grid", "w_grid", "eps_grid",
-                                     "strict", "tol_nope"])
+                                     "strict", "tol_nope", "tol_check_floor",
+                                     "tol_node_symmetry",
+                                     "tol_component_symmetry"])
     def test_order_keys_rejected(self, tmp_path, key):
         # the file sets tolerances only: the grid and the verdict are flags
         cfg = tmp_path / "run.cfg"
@@ -645,6 +657,27 @@ class TestConfigAndExitCodes:
         out, err = capsys.readouterr()
         assert (out, err) == (
             "", "slepian: out of memory: Unable to allocate 745. GiB for an array\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--N", "30", "--W", "0.2", "--eps", "0.05"],
+        ["project", "--preset", "example2"],
+        ["count", "--N", "60", "--W", "0.3", "--eps", "0.05"],
+        ["symmetry", "--N", "60", "--W", "0.3"],
+        ["projector-distance", "--N", "60", "--W", "0.1", "--K", "6"]])
+    def test_method_only_on_eigs(self, argv, capsys):
+        # every other command runs on the tridiag route
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--method", "toeplitz"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert "unrecognized arguments: --method toeplitz" in err
+
+    def test_eigs_keeps_method(self, capsys):
+        assert cli.main(["eigs", "--N", "8", "--W", "0.2",
+                         "--method", "toeplitz"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 8
+        assert {row.split(",")[2] for row in rows} == {"toeplitz"}
 
     def test_missing_subcommand_usage(self):
         cp = run_cli()

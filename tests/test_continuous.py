@@ -455,6 +455,17 @@ class TestEigenspaceBound:
             * (math.log(c) + 2 * math.log(2) + math.pi / b)
         assert bound == pytest.approx(expected, rel=1e-12)
 
+    def test_negative_bound_is_not_valid(self):
+        # c = 60 pi 1e-5 is below exp(-2 log 2 - pi): the bound is negative
+        bound, ok = eigenspace_bound(60, 1e-5, 1.0)
+        assert bound < 0 and not ok
+
+    @pytest.mark.parametrize("W", [1e-110, 1e-200, 1e-300])
+    def test_tiny_w_gives_a_verdict(self, W):
+        # W^3 underflows to 0; the ceiling is finite or +inf, never 1/0
+        bound, ok = eigenspace_bound(60, W, 1.0)
+        assert bound <= 0 and not ok
+
     def test_non_finite_bound_rejected(self):
         with pytest.raises(ValueError, match="gives a non-finite bound"):
             eigenspace_bound(60, 0.1, 1e308)

@@ -448,7 +448,7 @@ class TestCommutation:
         T = commuting_tridiagonal(params)
         bent = SymTridiag(T.diagonal + np.linspace(0.0, 1.0, 30), T.offdiag)
         monkeypatch.setattr(discrete, "commuting_tridiagonal", lambda p: bent)
-        rho, sig = prolate_matrix(params), bent.dense()
+        rho, sig = prolate_matrix(params), bent.apply(np.eye(30))
         dense = (np.linalg.norm(rho @ sig - sig @ rho)
                  / (1.0 + np.linalg.norm(rho) * np.linalg.norm(sig)))
         assert dense > 1e-4
@@ -635,6 +635,14 @@ class TestValidateChecks:
         i = int(np.argmax(np.abs(col[:self.N // 2])))
         col[i if half == "top" else self.N - 1 - i] *= 1.0 + 1e-8
         col /= np.linalg.norm(col)   # only the symmetry check may fire
+        with pytest.raises(NumericalFailure, match="component symmetry"):
+            discrete._validate(disc.params, disc.values, V)
+
+    def test_one_ulp_breaks_component_symmetry(self, corrupted):
+        # parity_vectors writes +-Ju, so the check is exact
+        disc, V = corrupted
+        i = int(np.argmax(np.abs(V[:self.N // 2, self.N - 1])))
+        V[i, self.N - 1] = np.nextafter(V[i, self.N - 1], 0.0)
         with pytest.raises(NumericalFailure, match="component symmetry"):
             discrete._validate(disc.params, disc.values, V)
 
