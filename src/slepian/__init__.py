@@ -7,8 +7,7 @@ the two, and spectral approximation in the wave-function bases.
 """
 
 from .approximation import (ProjectionResult, TestFunction, project_dilated,
-                            project_native, projection_sweep, sobolev_norm,
-                            weierstrass)
+                            project_native, projection_sweep, sobolev_norm)
 from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
                      asymptotic_decay_constants, comparison_constant,
                      compare_spectra, concentration_inequality_constant,

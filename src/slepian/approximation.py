@@ -31,7 +31,7 @@ from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      checked_index, gauss_legendre, snapped_floor)
 
-INTERVALS = {"native": 0.5, "dilated": 1.0}
+BASES = ("native", "dilated")
 WEIERSTRASS_TOL = 1e-12
 
 
@@ -100,13 +100,6 @@ def weierstrass_terms(s: float):
     return 2.0 ** (-k * s), 2.0 ** k
 
 
-def weierstrass(s: float, x) -> np.ndarray | float:
-    """Truncated Weierstrass function sum_k cos(2^k x)/2^(k s), k <= K_s,
-    where K_s is minimal with 2^(-K_s s) <= WEIERSTRASS_TOL."""
-    values = TestFunction.weierstrass(s)(x)
-    return float(values) if np.isscalar(x) else values
-
-
 # ------------------------------------------------------ closed-form integrals
 
 def _sin_over(t: np.ndarray, T: float) -> np.ndarray:
@@ -151,11 +144,11 @@ def _cosine_mode_integrals(amps: np.ndarray, freqs: np.ndarray,
     return out
 
 
-def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
-    """Periodic Sobolev norm of f on the stated interval: the square root of
-    the lattice sum of (1+n^2)^s |c_n|^2, with coefficients c_n in the
-    orthonormal-basis convention, so the s = 0 norm is the L2 norm of the
-    interval.
+def sobolev_norm(f: TestFunction, s: float) -> float:
+    """Periodic Sobolev norm of f on [-1/2, 1/2], the native interval: the
+    square root of the lattice sum of (1+n^2)^s |c_n|^2, with coefficients
+    c_n in the orthonormal-basis convention, so the s = 0 norm is the L2 norm
+    of the interval.
 
     Cosine sums with s in {0, 1} use exact pairwise integrals of f and f'
     (the even periodisation is continuous at the seam, so the derivative
@@ -168,9 +161,7 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    if interval not in INTERVALS:
-        raise ValueError(f"interval must be one of {tuple(INTERVALS)}")
-    T = INTERVALS[interval]
+    T = 0.5
     if f.cosine_terms is not None and float(s) in (0.0, 1.0):
         amps, freqs = f.cosine_terms
         l2_sq = _cosine_l2_sq(amps, freqs, T)
@@ -179,8 +170,7 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
         else:
             Gp = sin_pair_integral(freqs[:, None], freqs[None, :], T)
             deriv_sq = float((amps * freqs) @ Gp @ (amps * freqs))
-            kappa = 2.0 * np.pi / (2.0 * T)   # lattice frequency step
-            norm_sq = l2_sq + deriv_sq / kappa ** 2
+            norm_sq = l2_sq + deriv_sq / (2.0 * np.pi) ** 2   # lattice step 2 pi
         return math.sqrt(norm_sq)
     grids = [2 ** m for m in range(8, 25)]
     rel = current_tolerances().sobolev_rel
@@ -210,8 +200,8 @@ def sobolev_norm(f: TestFunction, s: float, interval: str = "native") -> float:
             return math.sqrt(norm_sq)
         prev = norm_sq
     raise NumericalFailure(
-        f"Sobolev norm did not stabilise under grid doubling (s={s}, "
-        f"interval={interval}); the function's spectrum is not resolvable")
+        f"Sobolev norm did not stabilise under grid doubling (s={s}); the "
+        f"function's spectrum is not resolvable")
 
 
 @dataclass(frozen=True)
@@ -307,7 +297,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     @functools.cache
     def sobolev():
         try:
-            return sobolev_norm(f, s, "native"), ""
+            return sobolev_norm(f, s), ""
         except NumericalFailure as exc:
             return None, f"Sobolev norm unavailable: {exc}"
 
@@ -434,8 +424,8 @@ def projection_sweep(f: TestFunction, spec: DiscreteSpectrum, K: int,
     ``project_native(f, spec, k)``. ``lambda_floor`` applies to the dilated
     basis only.
     """
-    if basis not in INTERVALS:
-        raise ValueError(f"basis must be one of {tuple(INTERVALS)}, got {basis!r}")
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     if basis == "native" and lambda_floor is not None:
         raise ValueError("lambda_floor applies to the dilated basis only")
     K = checked_index(K, 1, spec.N, "K")

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
-from .approximation import (TestFunction, project_dilated, project_native,
-                            projection_sweep)
+from .approximation import (BASES, TestFunction, project_dilated,
+                            project_native, projection_sweep)
 from .config import current_tolerances, load_config, using_tolerances
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
@@ -203,8 +203,7 @@ def build_parser() -> _Parser:
                      description="Discrete prolate spheroidal spectra, "
                                  "bound verification, and projections")
     parser.add_argument("--config", default=None,
-                        help="path to a flat key=value config file "
-                             "(default: $SLEPIAN_CONFIG)")
+                        help="path to a flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):
@@ -240,7 +239,7 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--alpha", type=float, default=56.0)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--basis", choices=("native", "dilated"), default="dilated")
+    p.add_argument("--basis", choices=BASES, default="dilated")
     p.add_argument("--lambda-floor", type=float, default=None,
                    help="exclude modes with eigenvalue below this floor "
                         "(dilated basis only; default: keep all K modes)")

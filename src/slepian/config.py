@@ -3,8 +3,8 @@
 Every tolerance used by the library lives in the frozen ``Tolerances`` record;
 the one in effect is ``current_tolerances()``, set per thread or task only by
 ``with using_tolerances(tol):``. ``load_config`` reads a record from a flat
-text file of ``tol_<field> = value`` lines (path given by ``--config`` or the
-``SLEPIAN_CONFIG`` environment variable); the file sets nothing else.
+text file of ``tol_<field> = value`` lines (path given by ``--config``); the
+file sets nothing else.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import os
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ class Tolerances:
     weight_sum: float = 1e-13
     # discrete spectrum identities
     trace_rel: float = 1e-11
-    cross_route: float = 1e-10
+    cross_route: float = 1e-10   # Toeplitz vs tridiag, and Nystrom vs Legendre
     double_orthogonality: float = 1e-10
     symmetry_identity: float = 1e-10
     commutation: float = 1e-12
@@ -36,7 +35,6 @@ class Tolerances:
     tail_floor: float = 1e-8
     # continuous spectrum
     trace_continuous_rel: float = 1e-9
-    mesh_stability: float = 1e-10
     hs_cross_rel: float = 1e-8
     # approximation experiments
     table1_rel: float = 0.02
@@ -68,20 +66,16 @@ def using_tolerances(tolerances: Tolerances):
         _TOLERANCES.reset(token)
 
 
-CONFIG_ENV_VAR = "SLEPIAN_CONFIG"
-
 _KEYS = {f"tol_{f.name}" for f in dataclasses.fields(Tolerances)}
 
 
 def load_config(path: str | None = None) -> Tolerances:
-    """Read tolerance overrides from a config file (default: $SLEPIAN_CONFIG).
+    """Read tolerance overrides from a config file (None: the defaults).
 
     The file format is flat ``tol_<field> = value`` lines, one per
     ``Tolerances`` field to override; ``#`` starts a comment. Any other line
     is a ValueError that names the file and the line.
     """
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
     tolerances = Tolerances()
     if not path:
         return tolerances

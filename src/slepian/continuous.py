@@ -26,16 +26,15 @@ from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
 class ContinuousSpectrum:
     """Nystrom eigenvalues of the sinc kernel on [-h, h]; mode n has parity (-1)^n.
 
-    ``grid_vectors`` columns are l2-orthonormal eigenvectors of the
-    sqrt(w)-scaled matrix, i.e. samples of sqrt(w_i) * psi_n(x_i).
+    ``rule`` is the Gauss-Legendre rule of [-h, h]; ``grid_vectors`` columns
+    are l2-orthonormal eigenvectors of the sqrt(w)-scaled matrix, i.e.
+    samples of sqrt(w_i) * psi_n(x_i).
     """
 
     c: float
     values: np.ndarray
     grid_vectors: np.ndarray
     rule: QuadratureRule
-    order: int
-    halfwidth: float = 1.0
 
 
 def default_order(c: float) -> int:
@@ -117,7 +116,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
     With ``check_convergence`` each eigenvalue above the ``floor_checks``
     tolerance must agree with ``legendre_spectrum`` at c * halfwidth to
-    ``mesh_stability``, otherwise the discretisation is declared unconverged.
+    ``cross_route``, otherwise the discretisation is declared unconverged.
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
@@ -138,13 +137,12 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
         k = int(np.count_nonzero(values >= tol.floor_checks))
         reference = legendre_spectrum(c * halfwidth, k)
         drift = np.max(np.abs(values[:k] - reference[:k]), initial=0.0)
-        if not drift <= tol.mesh_stability:
+        if not drift <= tol.cross_route:
             raise NumericalFailure(
                 f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
                 f"c={c}; increase the quadrature order")
-    return ContinuousSpectrum(c=float(c), values=values,
-                              grid_vectors=vectors, rule=rule,
-                              order=M, halfwidth=float(halfwidth))
+    return ContinuousSpectrum(c=float(c), values=values, grid_vectors=vectors,
+                              rule=rule)
 
 
 def _lag_integral(kernel, length: float, c: float) -> float:
@@ -237,8 +235,7 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     log c + 2 log 2 + pi/b > 0, that is a positive bound; the unspecified
     lower threshold on c cannot be checked and is not enforced.
     """
-    if not 0.0 < W < 0.5:
-        raise ValueError(f"W must lie in (0, 0.5), got {W}")
+    N = DiscreteParams(N, W).N
     if not b > math.log(3.0) / math.pi:
         raise ValueError(f"b must exceed log(3)/pi = {math.log(3)/math.pi:.4f}")
     if not math.isfinite(b):

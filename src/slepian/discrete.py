@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +43,18 @@ METHODS = ("toeplitz", "tridiag")
 
 @dataclass(frozen=True)
 class DiscreteParams:
-    """Sequence length N >= 1 and half-bandwidth 0 < W < 1/2."""
+    """Sequence length N >= 1 and half-bandwidth 0 < W < 1/2, a normal double
+    (a subnormal W leaves the trace 2NW and the prolate diagonal 2W inexact)."""
 
     N: int
     W: float
 
     def __post_init__(self):
         W = self.W
-        if isinstance(W, bool) or not isinstance(W, numbers.Real) or not 0.0 < W < 0.5:
-            raise ValueError(f"W must lie strictly in (0, 0.5), got {W!r}")
+        if (isinstance(W, bool) or not isinstance(W, numbers.Real)
+                or not sys.float_info.min <= W < 0.5):
+            raise ValueError(
+                f"W must lie strictly in (0, 0.5) and be a normal double, got {W!r}")
         object.__setattr__(self, "N", checked_index(self.N, 1, math.inf, "N"))
 
     @property

@@ -6,7 +6,7 @@ import pytest
 from slepian import approximation
 from slepian.approximation import (TestFunction, project_dilated,
                                    project_native, projection_sweep,
-                                   sobolev_k_range, sobolev_norm, weierstrass,
+                                   sobolev_k_range, sobolev_norm,
                                    weierstrass_terms)
 from slepian.discrete import dpswf_matrix
 from slepian.numkit import (IllConditionedError, NumericalFailure,
@@ -15,22 +15,24 @@ from slepian.numkit import (IllConditionedError, NumericalFailure,
 
 class TestWeierstrass:
     def test_value_at_zero(self):
-        assert weierstrass(1.0, 0.0) == pytest.approx(2.0, abs=2e-12)
-        assert weierstrass(2.0, 0.0) == pytest.approx(1 / (1 - 0.25), abs=2e-12)
+        assert TestFunction.weierstrass(1.0)(0.0) == pytest.approx(2.0, abs=2e-12)
+        assert TestFunction.weierstrass(2.0)(0.0) == pytest.approx(
+            1 / (1 - 0.25), abs=2e-12)
 
     def test_uniform_bound(self):
         xs = np.linspace(-1, 1, 1001)
-        values = weierstrass(1.0, xs)
+        values = TestFunction.weierstrass(1.0)(xs)
         assert np.max(np.abs(values)) <= 1 / (1 - 0.5) + 1e-12
 
     def test_even(self):
         xs = np.linspace(0, 1, 257)
-        assert np.max(np.abs(weierstrass(1.0, xs) - weierstrass(1.0, -xs))) <= 1e-14
+        f = TestFunction.weierstrass(1.0)
+        assert np.max(np.abs(f(xs) - f(-xs))) <= 1e-14
 
     def test_invalid_s(self):
         for s in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="must be positive and finite"):
-                weierstrass(s, 0.1)
+                TestFunction.weierstrass(s)
             with pytest.raises(ValueError, match="must be positive and finite"):
                 weierstrass_terms(s)
 
@@ -85,21 +87,21 @@ class TestSobolevNorm:
     def test_single_fourier_mode(self):
         f = TestFunction(lambda x: np.exp(2j * np.pi * x))
         for s in (0.5, 1.0, 2.0):
-            norm = sobolev_norm(f, s, "native")
+            norm = sobolev_norm(f, s)
             assert norm ** 2 == pytest.approx(2.0 ** s, rel=1e-8)
 
     def test_constant(self):
         f = TestFunction(lambda x: np.ones_like(x))
-        assert sobolev_norm(f, 1.7, "native") == pytest.approx(1.0, rel=1e-10)
+        assert sobolev_norm(f, 1.7) == pytest.approx(1.0, rel=1e-10)
 
     def test_h0_is_l2(self):
         f = TestFunction(lambda x: np.cos(2 * np.pi * x))
-        norm = sobolev_norm(f, 0.0, "native")
+        norm = sobolev_norm(f, 0.0)
         assert norm == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
     def test_weierstrass_closed_form_h1(self):
         f = TestFunction.weierstrass(1.0)
-        norm = sobolev_norm(f, 1.0, "native")
+        norm = sobolev_norm(f, 1.0)
         # frozen from exact pairwise integrals, cross-checked against an FFT
         # of a short truncation that a grid can actually resolve
         assert type(norm) is float
@@ -107,7 +109,7 @@ class TestSobolevNorm:
 
     def test_weierstrass_h0_matches_l2(self):
         f = TestFunction.weierstrass(1.0)
-        norm = sobolev_norm(f, 0.0, "native")
+        norm = sobolev_norm(f, 0.0)
         rule = gauss_legendre(2048).scaled(0.5)
         l2 = math.sqrt(np.sum(rule.weights * f(rule.nodes) ** 2))
         # the grid reference itself misses the terms beyond its resolution,
@@ -119,7 +121,7 @@ class TestSobolevNorm:
         # every doubling, so the norm never stabilises
         f = TestFunction(lambda x: np.cos(2.0 ** 30 * x))
         with pytest.raises(NumericalFailure):
-            sobolev_norm(f, 1.0, "native")
+            sobolev_norm(f, 1.0)
 
     def test_unresolvable_cosine_sum_refused_before_any_grid(self):
         # Weierstrass at s = 0.5 reaches 2^80, far above the Nyquist frequency
@@ -133,7 +135,7 @@ class TestSobolevNorm:
 
         f = TestFunction(recording, cosine_terms=(amps, freqs), s=0.5)
         with pytest.raises(NumericalFailure, match="Nyquist"):
-            sobolev_norm(f, 0.5, "native")
+            sobolev_norm(f, 0.5)
         assert calls == []
 
     def test_divergent_cosine_sum_refused_before_any_grid(self):
@@ -148,15 +150,15 @@ class TestSobolevNorm:
 
         f = TestFunction(recording, cosine_terms=(amps, freqs), s=2.0)
         with pytest.raises(NumericalFailure, match="jumps by 2.204e"):
-            sobolev_norm(f, 2.0, "native")
-        assert sobolev_norm(f, 1.0, "native") > 0   # closed form, s < 3/2
+            sobolev_norm(f, 2.0)
+        assert sobolev_norm(f, 1.0) > 0   # closed form, s < 3/2
         assert calls == []
 
     def test_lattice_cosine_has_no_seam_jump(self):
         # cos(2 pi x) is periodic on [-1/2, 1/2]: (1/4 + 1/4) (1 + 1)^2
         f = TestFunction(lambda x: np.cos(2 * np.pi * x),
                          cosine_terms=(np.array([1.0]), np.array([2 * np.pi])))
-        assert sobolev_norm(f, 2.0, "native") == pytest.approx(
+        assert sobolev_norm(f, 2.0) == pytest.approx(
             math.sqrt(2.0), rel=1e-10)
 
     def test_closed_form_agrees_with_fft_on_resolvable_sum(self):
@@ -165,27 +167,15 @@ class TestSobolevNorm:
         freqs = 2.0 ** np.arange(terms)
         f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
                          cosine_terms=(amps, freqs), s=1.0)
-        closed = sobolev_norm(f, 1.0, "native")
+        closed = sobolev_norm(f, 1.0)
         grid = TestFunction(f.evaluator)
-        fft = sobolev_norm(grid, 1.0, "native")
+        fft = sobolev_norm(grid, 1.0)
         assert closed == pytest.approx(fft, rel=1e-6)
-
-    def test_dilated_interval_lattice_mode(self):
-        # cos(pi x) is the n = +-1 lattice mode on (-1, 1): H^1 norm^2 = 2
-        amps, freqs = np.array([1.0]), np.array([math.pi])
-        f = TestFunction(lambda x: np.cos(math.pi * x),
-                         cosine_terms=(amps, freqs), s=1.0)
-        closed = sobolev_norm(f, 1.0, "dilated")
-        assert closed ** 2 == pytest.approx(2.0, rel=1e-13)
-        fft = sobolev_norm(TestFunction(f.evaluator), 1.0, "dilated")
-        assert fft ** 2 == pytest.approx(2.0, rel=1e-8)
 
     def test_invalid_arguments(self):
         f = TestFunction.weierstrass(1.0)
         with pytest.raises(ValueError):
-            sobolev_norm(f, -1.0, "native")
-        with pytest.raises(ValueError):
-            sobolev_norm(f, 1.0, "half")
+            sobolev_norm(f, -1.0)
 
 
 class TestProjectNative:

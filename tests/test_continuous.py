@@ -45,7 +45,7 @@ class TestNystrom:
 
     def test_convergence_check_catches_a_mismatch(self, monkeypatch):
         def shifted(c, count=0):
-            return legendre_spectrum(c, count) + 2 * Tolerances().mesh_stability
+            return legendre_spectrum(c, count) + 2 * Tolerances().cross_route
 
         monkeypatch.setattr(continuous, "legendre_spectrum", shifted)
         with pytest.raises(NumericalFailure, match="Legendre route"):
@@ -80,7 +80,7 @@ class TestNystrom:
     def test_grid_vectors_orthonormal(self, get_nystrom):
         cont = get_nystrom(18.85)
         gram = cont.grid_vectors.T @ cont.grid_vectors
-        assert np.max(np.abs(gram - np.eye(cont.order))) <= 1e-12
+        assert np.max(np.abs(gram - np.eye(len(cont.rule.nodes)))) <= 1e-12
 
     @pytest.mark.parametrize("N,W", [(60, 0.3), (30, 0.1)])
     def test_dilation_invariance(self, N, W):
@@ -421,7 +421,7 @@ class TestProjectorDistance:
 
     def test_nystrom_basis_is_certified(self, get_spectrum, monkeypatch):
         def shifted(c, count=0):
-            return legendre_spectrum(c, count) + 2 * Tolerances().mesh_stability
+            return legendre_spectrum(c, count) + 2 * Tolerances().cross_route
 
         monkeypatch.setattr(continuous, "legendre_spectrum", shifted)
         with pytest.raises(NumericalFailure, match="Legendre route"):
@@ -460,7 +460,7 @@ class TestEigenspaceBound:
         bound, ok = eigenspace_bound(60, 1e-5, 1.0)
         assert bound < 0 and not ok
 
-    @pytest.mark.parametrize("W", [1e-110, 1e-200, 1e-300])
+    @pytest.mark.parametrize("W", [1e-110, 1e-200, 1e-300, 2.2250738585072014e-308])
     def test_tiny_w_gives_a_verdict(self, W):
         # W^3 underflows to 0; the ceiling is finite or +inf, never 1/0
         bound, ok = eigenspace_bound(60, W, 1.0)
@@ -469,3 +469,11 @@ class TestEigenspaceBound:
     def test_non_finite_bound_rejected(self):
         with pytest.raises(ValueError, match="gives a non-finite bound"):
             eigenspace_bound(60, 0.1, 1e308)
+
+    @pytest.mark.parametrize("N,W,message", [
+        (60, 5e-324, "W must lie strictly in"),   # subnormal: was blamed on b
+        (0, 0.1, r"N=0 outside \[1, inf\]"),      # was a math domain error
+        (2.5, 0.1, "N=2.5 is not an integer")])
+    def test_bad_n_or_w_named(self, N, W, message):
+        with pytest.raises(ValueError, match=message):
+            eigenspace_bound(N, W, 1.0)

@@ -23,7 +23,8 @@ class TestParams:
                                      (3, 0.0), (3, 0.5), (3, 0.7), (3, -0.1),
                                      (True, 0.2), (math.nan, 0.2),
                                      (math.inf, 0.2), ("10", 0.2),
-                                     (3, math.nan), (3, True), (3, "0.2")])
+                                     (3, math.nan), (3, True), (3, "0.2"),
+                                     (3, 5e-324), (3, 1e-320), (3, 2.2e-308)])
     def test_invalid(self, N, W):
         with pytest.raises(ValueError):
             DiscreteParams(N, W)
