@@ -20,7 +20,7 @@ rounding noise; they descend wherever resolved. The wave functions are the
 trigonometric polynomials obtained from the sequences (``dpswf``). A full
 spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
 half-order block vector arrays lifted into it; one prolate block at a time
-lives beside them); partial spectra are ROADMAP item 6.
+lives beside them); partial spectra are ROADMAP item 3.
 """
 
 from __future__ import annotations

@@ -1,26 +1,38 @@
 """Numerical kernels: symmetric eigensolvers, parity splits, the sinc kernel
 and quadrature.
 
-Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``,
-``scipy.linalg.eigh_tridiagonal``), index-reversal parity splits, and a
-Gauss-Legendre rule computed by Newton's method on the Legendre three-term
-recurrence and memoised by order.
+Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``, and
+``dstevd`` for symmetric tridiagonal matrices), index-reversal parity splits,
+and a Gauss-Legendre rule computed by Newton's method on the Legendre
+three-term recurrence and memoised by order.
 Every decomposition and every rule is validated against its output contract
 (descending eigenvalues, orthonormal columns, small residual; ordered,
 symmetric nodes and positive weights summing to 2) before it is returned, so
 a silent defect cannot propagate into downstream verification.
+
+``dstevd`` is the routine ``scipy.linalg.eigh_tridiagonal(d, e)`` runs for a
+full spectrum. It is called on scipy's f2py LAPACK extension, loaded from its
+file in the scipy package: importing ``scipy.linalg`` would run its package
+``__init__``, whose array-API layer imports ``numpy.f2py``, ``numpy.testing``
+and more, and triple the start-up time of every command. ``scipy.linalg``
+must stay off the import path of ``slepian``; a test in ``test_numkit`` and
+a CI step check that it does.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy   # runs scipy's shared-library setup, not its subpackages
 
 from .config import current_tolerances
 
@@ -79,6 +91,41 @@ class EigenSystem(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module, without importing ``scipy.linalg``.
+
+    One instance per process: one that ``scipy.linalg`` already loaded is
+    reused, and a new one, loaded under its own name, lands in ``sys.modules``
+    where a later ``import scipy.linalg`` finds it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(scipy.__path__[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the float64
+    symmetric tridiagonal matrix with diagonal d and off-diagonal e, by LAPACK
+    ``dstevd``: what ``scipy.linalg.eigh_tridiagonal(d, e)`` returns, with its
+    ValueError for a non-finite entry and LinAlgError for a nonzero info."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if len(d) == 1:   # the f2py wrapper wants len(e) >= 1
+        return d.astype(float), np.ones((1, 1))
+    values, vectors, info = _flapack.dstevd(d, e)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return values, vectors
 
 
 def _validated_system(kind: str, solve, apply) -> EigenSystem:

@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
-from slepian import numkit
+from slepian import DiscreteParams, numkit
+from slepian.discrete import commuting_tridiagonal
 from slepian.config import Tolerances, using_tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_vectors,
@@ -251,6 +255,59 @@ class TestContractRejectsNaN:
                             lambda d, e: self._corrupt(*eigh_tridiagonal(d, e), where))
         with pytest.raises(NumericalFailure, match=message):
             eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)))
+
+
+class TestDstevd:
+    """``numkit.eigh_tridiagonal`` is LAPACK dstevd reached without
+    ``scipy.linalg``, with ``scipy.linalg.eigh_tridiagonal``'s input checks."""
+
+    @staticmethod
+    def _assert_same_as_public(d, e):
+        # the public wrapper wants len(e) >= 1; a 1 x 1 matrix has no e
+        want = dstevd(d, e if len(e) else np.zeros(1))
+        assert want[2] == 0
+        got = numkit.eigh_tridiagonal(d, e)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_matches_public_dstevd(self, n):
+        rng = np.random.default_rng(n)
+        self._assert_same_as_public(rng.normal(size=n), rng.normal(size=n - 1))
+
+    def test_matches_public_dstevd_on_a_dpss_block(self):
+        even, _ = tridiag_parity_blocks(commuting_tridiagonal(DiscreteParams(2000, 0.3)))
+        assert even.order == 1000
+        self._assert_same_as_public(even.diagonal, even.offdiag)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["d", "e"])
+    def test_non_finite_input_raises_scipys_error(self, bad, which):
+        d, e = np.arange(4.0), np.ones(3)
+        (d if which == "d" else e)[1] = bad
+        with pytest.raises(ValueError) as scipys:
+            eigh_tridiagonal(d, e)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs") as ours:
+            numkit.eigh_tridiagonal(d, e)
+        assert str(ours.value) == str(scipys.value)
+
+    def test_nonzero_info_is_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(numkit._flapack, "dstevd",
+                            lambda d, e: (d.copy(), np.eye(len(d)), 3))
+        with pytest.raises(NumericalFailure, match="info=3"):
+            eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)))
+
+
+def test_import_keeps_scipy_linalg_out():
+    """``import slepian`` costs numpy and bare scipy only: a module-level
+    import of ``scipy.linalg`` pulls in ``numpy.f2py`` and ``numpy.testing``
+    through scipy's array-API layer, about 0.3 s per process."""
+    code = ("import sys, slepian, slepian.cli; print(*sorted({'scipy.linalg', "
+            "'numpy.f2py', 'numpy.testing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == []
 
 
 def _dense(T):
