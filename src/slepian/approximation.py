@@ -11,7 +11,8 @@ carry their terms explicitly: their inner products against the trigonometric
 basis have closed forms, which sidesteps quadrature for frequencies far above
 any resolvable grid. A function with a smoothness ``s`` has the Sobolev
 approximation inequality evaluated in native projections, with the norm that
-``sobolev_norm`` returns as a float. Projections onto the dilated family are
+``sobolev_norm`` computes in closed form for a cosine sum at s in {0, 1} (any
+other target or s gets a note instead). Projections onto the dilated family are
 computed as a least-squares fit on the span of the selected modes in the
 quadrature metric: dividing by sqrt(lambda_k) is meaningless once lambda_k
 drops to the double-precision noise floor, but the span itself stays
@@ -42,7 +43,8 @@ class TestFunction:
     ``cosine_terms`` is (amplitudes, frequencies) when f(x) equals
     sum_j a_j cos(omega_j x) exactly; inner products then use closed forms.
     ``s`` is the Sobolev smoothness at which native projections evaluate the
-    approximation inequality (None: not evaluated).
+    approximation inequality (None: not evaluated); the norm it needs exists
+    for a cosine sum at s in {0, 1} only, and other values give a note.
     """
 
     evaluator: object
@@ -150,58 +152,24 @@ def sobolev_norm(f: TestFunction, s: float) -> float:
     c_n in the orthonormal-basis convention, so the s = 0 norm is the L2 norm
     of the interval.
 
-    Cosine sums with s in {0, 1} use exact pairwise integrals of f and f'
-    (the even periodisation is continuous at the seam, so the derivative
-    Parseval identity applies). Everything else goes through trapezoidal
-    Fourier coefficients on a doubling grid; failure to stabilise to
-    1e-8 relative raises NumericalFailure. So does, before any grid is built,
-    a cosine sum with a frequency above the largest grid's Nyquist frequency,
-    or one whose periodisation has a derivative jump at the seam when
-    s >= 3/2: there the norm diverges.
+    Computed exactly, for a cosine sum at s in {0, 1} only, from pairwise
+    integrals of f and f' (the even periodisation is continuous at the seam,
+    so the derivative Parseval identity applies). Any other f or s raises
+    NumericalFailure without evaluating f.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
+    if f.cosine_terms is None or float(s) not in (0.0, 1.0):
+        raise NumericalFailure(f"the H^{s} norm is computed only for a cosine "
+                               f"sum at s in {{0, 1}}")
     T = 0.5
-    if f.cosine_terms is not None and float(s) in (0.0, 1.0):
-        amps, freqs = f.cosine_terms
-        l2_sq = _cosine_l2_sq(amps, freqs, T)
-        if s == 0.0:
-            norm_sq = l2_sq
-        else:
-            Gp = sin_pair_integral(freqs[:, None], freqs[None, :], T)
-            deriv_sq = float((amps * freqs) @ Gp @ (amps * freqs))
-            norm_sq = l2_sq + deriv_sq / (2.0 * np.pi) ** 2   # lattice step 2 pi
-        return math.sqrt(norm_sq)
-    grids = [2 ** m for m in range(8, 25)]
-    rel = current_tolerances().sobolev_rel
-    if f.cosine_terms is not None:
-        amps, freqs = f.cosine_terms
-        slopes = amps * freqs
-        jump = 2.0 * float(np.sum(slopes * np.sin(freqs * T)))
-        if s >= 1.5 and abs(jump) > rel * float(np.sum(np.abs(slopes))):
-            raise NumericalFailure(
-                f"the periodised derivative jumps by {jump:.3e} at x = +-{T}; "
-                f"the H^{s} norm diverges for s >= 3/2")
-        nyquist = math.pi * grids[-1] / (2.0 * T)
-        top = float(np.max(np.abs(freqs), initial=0.0))
-        if top > nyquist:
-            raise NumericalFailure(
-                f"cosine frequency {top:.3e} exceeds the Nyquist frequency "
-                f"{nyquist:.3e} of the largest grid ({grids[-1]} points); the "
-                f"H^{s} norm is not resolvable")
-    prev = None
-    for G in grids:
-        x = -T + 2.0 * T * np.arange(G) / G
-        fx = np.asarray(f(x), dtype=complex)
-        coeff = np.sqrt(2.0 * T) * np.fft.fft(fx) / G
-        n = np.fft.fftfreq(G, d=1.0 / G)
-        norm_sq = float(np.sum((1.0 + n ** 2) ** s * np.abs(coeff) ** 2))
-        if prev is not None and abs(norm_sq - prev) <= rel * norm_sq:
-            return math.sqrt(norm_sq)
-        prev = norm_sq
-    raise NumericalFailure(
-        f"Sobolev norm did not stabilise under grid doubling (s={s}); the "
-        f"function's spectrum is not resolvable")
+    amps, freqs = f.cosine_terms
+    norm_sq = _cosine_l2_sq(amps, freqs, T)
+    if s == 1.0:
+        Gp = sin_pair_integral(freqs[:, None], freqs[None, :], T)
+        deriv_sq = float((amps * freqs) @ Gp @ (amps * freqs))
+        norm_sq += deriv_sq / (2.0 * np.pi) ** 2   # lattice step 2 pi
+    return math.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,13 @@ def _build_target(args) -> TestFunction:
                              f"got {line!r}") from None
     if not rows:
         raise ValueError(f"no sample rows in {path}")
-    return TestFunction.from_samples(*np.array(rows).T)
+    f = TestFunction.from_samples(*np.array(rows).T)
+    lo, hi = min(rows)[0], max(rows)[0]   # np.interp holds the end values beyond
+    T = 0.5 if args.basis == "native" else 1.0
+    if lo > -T or hi < T:
+        raise ValueError(f"{path}: samples span x in [{lo}, {hi}], which does "
+                         f"not cover the fitted interval [{-T}, {T}]")
+    return f
 
 
 def cmd_project(args) -> Output:
@@ -238,7 +244,9 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=tuple(PRESETS), default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--alpha", type=float, default=56.0)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=float, default=1.0,
+                   help="smoothness of the weierstrass target; the native basis "
+                        "checks the Sobolev inequality at s = 1 only")
     p.add_argument("--basis", choices=BASES, default="dilated")
     p.add_argument("--lambda-floor", type=float, default=None,
                    help="exclude modes with eigenvalue below this floor "

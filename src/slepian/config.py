@@ -39,7 +39,6 @@ class Tolerances:
     # approximation experiments
     table1_rel: float = 0.02
     example2_sup: float = 1e-8
-    sobolev_rel: float = 1e-8
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():

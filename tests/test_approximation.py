@@ -83,21 +83,78 @@ class TestTestFunction:
         assert freqs[-1] == 2.0 ** (len(amps) - 1)
 
 
+def _recording(calls):
+    def evaluator(x):
+        calls.append(np.shape(x))
+        raise AssertionError("the evaluator must not be called")
+    return evaluator
+
+
+def _doubling_sum(terms=10):
+    """sum_k 2^-k cos(2^k x), k < terms, with its derivative."""
+    amps, freqs = 2.0 ** -np.arange(terms), 2.0 ** np.arange(terms)
+    f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
+                     cosine_terms=(amps, freqs), s=1.0)
+    return f, lambda x: -np.sin(np.multiply.outer(x, freqs)) @ (amps * freqs)
+
+
 class TestSobolevNorm:
     def test_single_fourier_mode(self):
-        f = TestFunction(lambda x: np.exp(2j * np.pi * x))
-        for s in (0.5, 1.0, 2.0):
-            norm = sobolev_norm(f, s)
-            assert norm ** 2 == pytest.approx(2.0 ** s, rel=1e-8)
+        # cos(2 pi x) = (e_1 + e_-1)/2: (1/4 + 1/4) (1 + 1)^s
+        f = TestFunction(lambda x: np.cos(2 * np.pi * x),
+                         cosine_terms=(np.array([1.0]), np.array([2 * np.pi])))
+        for s in (0.0, 1.0):
+            assert sobolev_norm(f, s) ** 2 == pytest.approx(2.0 ** s / 2, rel=1e-14)
 
     def test_constant(self):
-        f = TestFunction(lambda x: np.ones_like(x))
-        assert sobolev_norm(f, 1.7) == pytest.approx(1.0, rel=1e-10)
+        f = TestFunction(lambda x: np.ones_like(x),
+                         cosine_terms=(np.array([1.0]), np.array([0.0])))
+        for s in (0.0, 1.0):
+            assert sobolev_norm(f, s) == pytest.approx(1.0, rel=1e-15)
 
     def test_h0_is_l2(self):
-        f = TestFunction(lambda x: np.cos(2 * np.pi * x))
-        norm = sobolev_norm(f, 0.0)
-        assert norm == pytest.approx(math.sqrt(0.5), rel=1e-10)
+        f, _ = _doubling_sum()
+        rule = gauss_legendre(1024).scaled(0.5)
+        l2_sq = np.sum(rule.weights * f(rule.nodes) ** 2)
+        assert sobolev_norm(f, 0.0) == pytest.approx(math.sqrt(l2_sq), rel=1e-13)
+
+    def test_closed_form_agrees_with_quadrature_on_resolvable_sum(self):
+        # frequencies up to 2^9: Gauss-Legendre of order 1024 integrates
+        # f^2 and f'^2 to rounding on [-1/2, 1/2]
+        f, df = _doubling_sum()
+        rule = gauss_legendre(1024).scaled(0.5)
+        w, x = rule.weights, rule.nodes
+        h1_sq = np.sum(w * f(x) ** 2) + np.sum(w * df(x) ** 2) / (2 * np.pi) ** 2
+        assert sobolev_norm(f, 1.0) == pytest.approx(math.sqrt(h1_sq), rel=1e-13)
+
+    def test_plain_callable_refused_without_evaluation(self):
+        # only a cosine sum has the closed form, even at s in {0, 1}
+        calls = []
+        for s in (0.0, 1.0, 0.5):
+            with pytest.raises(NumericalFailure, match=f"H\\^{s} norm is "
+                               f"computed only for a cosine sum"):
+                sobolev_norm(TestFunction(_recording(calls)), s)
+        assert calls == []
+
+    def test_unresolvable_cosine_sum_refused_before_any_grid(self):
+        # Weierstrass at s = 0.5 reaches 2^80; no grid resolves it
+        calls = []
+        f = TestFunction(_recording(calls), cosine_terms=weierstrass_terms(0.5),
+                         s=0.5)
+        with pytest.raises(NumericalFailure, match=r"H\^0\.5 norm .* s in \{0, 1\}"):
+            sobolev_norm(f, 0.5)
+        assert calls == []
+
+    def test_divergent_cosine_sum_refused_before_any_grid(self):
+        # the periodised derivative of the s = 2 sum jumps at the seam, so
+        # its H^2 norm diverges; its H^1 norm has the closed form
+        calls = []
+        f = TestFunction(_recording(calls), cosine_terms=weierstrass_terms(2.0),
+                         s=2.0)
+        with pytest.raises(NumericalFailure, match=r"H\^2\.0 norm .* s in \{0, 1\}"):
+            sobolev_norm(f, 2.0)
+        assert sobolev_norm(f, 1.0) > 0
+        assert calls == []
 
     def test_weierstrass_closed_form_h1(self):
         f = TestFunction.weierstrass(1.0)
@@ -117,60 +174,10 @@ class TestSobolevNorm:
         assert norm == pytest.approx(l2, rel=2e-5)
 
     def test_unresolvable_frequency_raises(self):
-        # a pure cosine far above any admissible grid aliases differently at
-        # every doubling, so the norm never stabilises
+        # a plain callable: its spectrum is unknown, here far above any grid
         f = TestFunction(lambda x: np.cos(2.0 ** 30 * x))
         with pytest.raises(NumericalFailure):
             sobolev_norm(f, 1.0)
-
-    def test_unresolvable_cosine_sum_refused_before_any_grid(self):
-        # Weierstrass at s = 0.5 reaches 2^80, far above the Nyquist frequency
-        # of the largest grid; evaluating it there would take about 11 GB
-        amps, freqs = weierstrass_terms(0.5)
-        calls = []
-
-        def recording(x):
-            calls.append(np.shape(x))
-            raise AssertionError("the evaluator must not be called")
-
-        f = TestFunction(recording, cosine_terms=(amps, freqs), s=0.5)
-        with pytest.raises(NumericalFailure, match="Nyquist"):
-            sobolev_norm(f, 0.5)
-        assert calls == []
-
-    def test_divergent_cosine_sum_refused_before_any_grid(self):
-        # the even periodisation is continuous, but its derivative jumps by
-        # 2 sum a_j w_j sin(w_j / 2) = 2.2 at the seam: H^2 diverges
-        amps, freqs = weierstrass_terms(2.0)
-        calls = []
-
-        def recording(x):
-            calls.append(np.shape(x))
-            raise AssertionError("the evaluator must not be called")
-
-        f = TestFunction(recording, cosine_terms=(amps, freqs), s=2.0)
-        with pytest.raises(NumericalFailure, match="jumps by 2.204e"):
-            sobolev_norm(f, 2.0)
-        assert sobolev_norm(f, 1.0) > 0   # closed form, s < 3/2
-        assert calls == []
-
-    def test_lattice_cosine_has_no_seam_jump(self):
-        # cos(2 pi x) is periodic on [-1/2, 1/2]: (1/4 + 1/4) (1 + 1)^2
-        f = TestFunction(lambda x: np.cos(2 * np.pi * x),
-                         cosine_terms=(np.array([1.0]), np.array([2 * np.pi])))
-        assert sobolev_norm(f, 2.0) == pytest.approx(
-            math.sqrt(2.0), rel=1e-10)
-
-    def test_closed_form_agrees_with_fft_on_resolvable_sum(self):
-        terms = 10   # frequencies up to 2^9, resolvable on a modest grid
-        amps = 2.0 ** -np.arange(terms)
-        freqs = 2.0 ** np.arange(terms)
-        f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
-                         cosine_terms=(amps, freqs), s=1.0)
-        closed = sobolev_norm(f, 1.0)
-        grid = TestFunction(f.evaluator)
-        fft = sobolev_norm(grid, 1.0)
-        assert closed == pytest.approx(fft, rel=1e-6)
 
     def test_invalid_arguments(self):
         f = TestFunction.weierstrass(1.0)

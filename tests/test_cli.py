@@ -244,6 +244,19 @@ class TestProject:
         assert payload["interval"] == "native"
         assert payload["sobolev_ok"] is True
 
+    @pytest.mark.parametrize("s", ["0.5", "2"])
+    def test_native_basis_notes_unavailable_sobolev_norm(self, tmp_path, s):
+        out = tmp_path / "native.json"
+        cp = run_cli("project", "--target", "weierstrass", "--s", s,
+                     "--N", "60", "--W", "0.3", "--K", "50",
+                     "--basis", "native", "--strict", "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        payload = json.loads(out.read_text())
+        assert (payload["sobolev_ok"], payload["sobolev_rhs"]) == (None, None)
+        assert payload["note"] == (
+            f"Sobolev norm unavailable: the H^{float(s)} norm is computed only "
+            f"for a cosine sum at s in {{0, 1}}")
+
     def test_empty_samples_file(self, tmp_path):
         samples = tmp_path / "empty.csv"
         samples.write_text("x,f\n")
@@ -301,6 +314,34 @@ class TestProject:
         assert capsys.readouterr() == (
             "", f"slepian: {samples}:3: expected 'x,f' with two numbers, "
                 "got '0.1,0.2,junk'\n")
+
+    @pytest.mark.parametrize("basis,rows,interval", [
+        ("dilated", "0.0,1.0\n0.5,2.0", "[-1.0, 1.0]"),
+        ("dilated", "-1.0,1.0\n0.999,2.0", "[-1.0, 1.0]"),
+        ("native", "-0.4,1.0\n0.5,2.0", "[-0.5, 0.5]")],
+        ids=["right-half", "short-of-one", "native"])
+    def test_samples_must_cover_fitted_interval(self, tmp_path, capsys, basis,
+                                                rows, interval):
+        # np.interp would extend the end values as constants past the samples
+        samples = tmp_path / "part.csv"
+        samples.write_text(f"x,f\n{rows}\n")
+        out = tmp_path / "proj.json"
+        assert cli.main(["project", "--target", "samples", "--samples-file",
+                         str(samples), "--N", "16", "--W", "0.2", "--basis",
+                         basis, "--out", str(out)]) == 1
+        lo, hi = (float(r.split(",")[0]) for r in rows.split("\n"))
+        assert capsys.readouterr() == (
+            "", f"slepian: {samples}: samples span x in [{lo}, {hi}], which "
+                f"does not cover the fitted interval {interval}\n")
+        assert not out.exists()
+
+    def test_samples_on_native_interval_accepted(self, tmp_path, capsys):
+        samples = tmp_path / "half.csv"
+        samples.write_text("x,f\n-0.5,1.0\n0.0,0.0\n0.5,1.0\n")
+        assert cli.main(["project", "--target", "samples", "--samples-file",
+                         str(samples), "--N", "16", "--W", "0.2", "--basis",
+                         "native"]) == 0
+        assert json.loads(capsys.readouterr().out)["interval"] == "native"
 
     def test_samples_projection(self, tmp_path):
         samples = tmp_path / "data.csv"
@@ -602,7 +643,8 @@ class TestConfigAndExitCodes:
                                      "strict", "tol_nope", "tol_check_floor",
                                      "tol_node_symmetry",
                                      "tol_component_symmetry",
-                                     "tol_mesh_stability"])
+                                     "tol_mesh_stability",
+                                     "tol_sobolev_rel"])
     def test_order_keys_rejected(self, tmp_path, key):
         # the file sets tolerances only: the grid and the verdict are flags
         cfg = tmp_path / "run.cfg"
