@@ -13,7 +13,7 @@ any resolvable grid. A function with a smoothness ``s`` has the Sobolev
 approximation inequality evaluated in native projections, with the norm that
 ``sobolev_norm`` computes in closed form for a cosine sum at s in {0, 1} (any
 other target or s gets a note instead). Projections onto the dilated family are
-computed as a least-squares fit on the span of the selected modes in the
+computed as a least-squares fit on the span of the first K modes in the
 quadrature metric: dividing by sqrt(lambda_k) is meaningless once lambda_k
 drops to the double-precision noise floor, but the span itself stays
 numerically usable well past that point.
@@ -29,8 +29,8 @@ import numpy as np
 
 from .config import current_tolerances
 from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix
-from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
-                     checked_index, gauss_legendre, snapped_floor)
+from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
+                     gauss_legendre, snapped_floor)
 
 BASES = ("native", "dilated")
 WEIERSTRASS_TOL = 1e-12
@@ -45,11 +45,14 @@ class TestFunction:
     ``s`` is the Sobolev smoothness at which native projections evaluate the
     approximation inequality (None: not evaluated); the norm it needs exists
     for a cosine sum at s in {0, 1} only, and other values give a note.
+    ``span`` is the x range of a sampled f (``from_samples``), which both
+    projections require to cover their interval.
     """
 
     evaluator: object
     cosine_terms: tuple[np.ndarray, np.ndarray] | None = None
     s: float | None = None
+    span: tuple[float, float] | None = None
 
     __test__ = False   # keep pytest from collecting this as a test class
 
@@ -73,7 +76,7 @@ class TestFunction:
 
     @classmethod
     def from_samples(cls, x: np.ndarray, y: np.ndarray) -> "TestFunction":
-        """Piecewise-linear interpolant of sample pairs."""
+        """Piecewise-linear interpolant of sample pairs, over their x span."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.size == 0:
@@ -84,7 +87,8 @@ class TestFunction:
             raise ValueError("samples must be finite")
         order = np.argsort(x)
         x, y = x[order], y[order]
-        return cls(evaluator=lambda t: np.interp(t, x, y))
+        return cls(evaluator=lambda t: np.interp(t, x, y),
+                   span=(float(x[0]), float(x[-1])))
 
 
 def weierstrass_terms(s: float):
@@ -182,10 +186,8 @@ class ProjectionResult:
     residual_sup: float
     coefficients: np.ndarray
     coefficient_indices: tuple[int, ...]
-    excluded: tuple[int, ...] = ()
     untrusted: tuple[int, ...] = ()
     rank: int | None = None
-    lambda_floor: float | None = None
     sobolev_rhs: float | None = None
     sobolev_ok: bool | None = None
     note: str = ""
@@ -208,6 +210,14 @@ def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
     return math.ceil(lo - 1e-12), N - 1
 
 
+def _require_span(f: TestFunction, T: float) -> None:
+    """Reject samples short of [-T, T]; np.interp would extend them as constants."""
+    lo, hi = f.span or (-T, T)
+    if lo > -T or hi < T:
+        raise ValueError(f"samples span x in [{lo}, {hi}], which does not "
+                         f"cover the fitted interval [{-T}, {T}]")
+
+
 def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     """Build everything of a native projection that does not depend on K and
     return the per-K fit.
@@ -218,6 +228,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     on the sup grid, and the Sobolev norm, computed at the first K that needs
     it.
     """
+    _require_span(f, 0.5)
     N, W = spec.N, spec.W
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
@@ -295,30 +306,29 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int) -> Projectio
     """Project f onto the first K native modes; residuals on [-W, W].
 
     Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
-    Gauss-Legendre of order >= 4N otherwise). When f has a smoothness
-    ``f.s`` and K falls in the admissible range, the Sobolev
-    approximation inequality
+    Gauss-Legendre of order >= 4N otherwise). For a cosine sum residual_l2 is
+    sqrt(|f|^2 - 2 beta^T gamma + beta^T G beta) on [-W, W], whose absolute
+    error is about eps |f|^2 / residual_l2: 1.9e-10 relative for cos 3x at
+    N = 60, W = 0.3, K = 50. When f has a smoothness ``f.s`` and K falls in
+    the admissible range, the Sobolev approximation inequality
     residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
-    is evaluated alongside.
+    is evaluated alongside. A sampled f must span [-1/2, 1/2].
     """
     K = checked_index(K, 1, spec.N, "K")
     return _native_frame(f, spec)(K)
 
 
-def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
-                   lambda_floor: float | None):
+def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum):
     """Build everything of a dilated projection that does not depend on K and
     return the per-K fit.
 
     The frame holds every mode U_k(W x) and f on the Gauss-Legendre rule of
     [-1, 1] and on the sup grid, and the normalised-mode inner products of
-    every trusted mode. The fit selects the column prefix (or the modes above
-    ``lambda_floor``) and solves the weighted least-squares problem. The modes
-    are real, so a real target is fitted in real arithmetic; a complex one
-    keeps its imaginary part.
+    every trusted mode. The fit solves the weighted least-squares problem on
+    the first K columns. The modes are real, so a real target is fitted in
+    real arithmetic; a complex one keeps its imaginary part.
     """
-    if lambda_floor is not None and not math.isfinite(lambda_floor):
-        raise ValueError(f"lambda_floor must be finite, got {lambda_floor}")
+    _require_span(f, 1.0)
     N, W = spec.N, spec.W
     rule = gauss_legendre(max(4 * N, 256))
     x, w = rule.nodes, rule.weights
@@ -341,63 +351,44 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum,
     normalised = raw_ip * scale
 
     def fit(K: int) -> ProjectionResult:
-        if lambda_floor is None:
-            included, cols = list(range(K)), slice(0, K)
-        else:
-            included = [k for k in range(K) if spec.values[k] >= lambda_floor]
-            cols = np.array(included, dtype=int)
-        if not included:
-            raise IllConditionedError(
-                f"all {K} modes fall below the floor {lambda_floor:.1e}")
-        excluded = tuple(k for k in range(K) if k not in included)
-        coef, _, rank, _ = np.linalg.lstsq(A[:, cols], rhs, rcond=None)
-        r = fx - raw[:, cols] @ coef
+        coef, _, rank, _ = np.linalg.lstsq(A[:, :K], rhs, rcond=None)
+        r = fx - raw[:, :K] @ coef
         residual_l2 = math.sqrt(abs(float(np.sum(w * np.abs(r) ** 2))))
-        residual_sup = float(np.max(np.abs(f_sup - raw_sup[:, cols] @ coef)))
-        trusted = [k for k in included if is_trusted[k]]
-        untrusted = tuple(k for k in included if not is_trusted[k])
+        residual_sup = float(np.max(np.abs(f_sup - raw_sup[:, :K] @ coef)))
+        trusted = [k for k in range(K) if is_trusted[k]]
+        untrusted = tuple(k for k in range(K) if not is_trusted[k])
         return ProjectionResult(
             K=K, interval="dilated", residual_l2=residual_l2,
             residual_sup=residual_sup, coefficients=normalised[trusted],
-            coefficient_indices=tuple(trusted), excluded=excluded,
-            untrusted=untrusted, rank=int(rank), lambda_floor=lambda_floor)
+            coefficient_indices=tuple(trusted), untrusted=untrusted,
+            rank=int(rank))
     return fit
 
 
-def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                    lambda_floor: float | None = None) -> ProjectionResult:
+def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int) -> ProjectionResult:
     """Project f onto the span of the first K dilated modes on [-1, 1].
 
     The projection is a least-squares fit on the mode span in the quadrature
     metric, which stays stable even for modes whose eigenvalue sits at the
-    double-precision noise floor and cannot be normalised individually; by
-    default all K modes span (the reference experiments use the full basis).
-    Passing ``lambda_floor`` excludes modes with lambda_k below it
-    (recorded in the result). Reported coefficients <f, u_k> use the
-    orthonormal convention u_k = sqrt(W) U_k(W x)/sqrt(lambda_k) and are
-    given for modes above the trust floor 1e-13; deeper in-span modes are
-    listed as untrusted.
+    double-precision noise floor and cannot be normalised individually; all
+    K modes span, as in the reference experiments. Reported coefficients
+    <f, u_k> use the orthonormal convention u_k = sqrt(W) U_k(W x) /
+    sqrt(lambda_k) and are given for modes above the trust floor 1e-13;
+    deeper in-span modes are listed as untrusted. A sampled f must span [-1, 1].
     """
     K = checked_index(K, 1, spec.N, "K")
-    return _dilated_frame(f, spec, lambda_floor)(K)
+    return _dilated_frame(f, spec)(K)
 
 
 def projection_sweep(f: TestFunction, spec: DiscreteSpectrum, K: int,
-                     basis: str = "dilated", lambda_floor: float | None = None
-                     ) -> list[ProjectionResult]:
+                     basis: str = "dilated") -> list[ProjectionResult]:
     """Projections onto the first k modes for every k = 1..K.
 
     Builds the K-independent frame once and fits each k on it; row k - 1
-    equals ``project_dilated(f, spec, k, lambda_floor)`` or
-    ``project_native(f, spec, k)``. ``lambda_floor`` applies to the dilated
-    basis only.
+    equals ``project_dilated(f, spec, k)`` or ``project_native(f, spec, k)``.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    if basis == "native" and lambda_floor is not None:
-        raise ValueError("lambda_floor applies to the dilated basis only")
     K = checked_index(K, 1, spec.N, "K")
-    fit = (_dilated_frame(f, spec, lambda_floor) if basis == "dilated"
-           else _native_frame(f, spec))
+    fit = _dilated_frame(f, spec) if basis == "dilated" else _native_frame(f, spec)
     return [fit(k) for k in range(1, K + 1)]
-

@@ -42,8 +42,8 @@ TABLE1_REFERENCE = {0.1: 4.15e-3, 0.2: 1.65e-2, 0.3: 3.98e-2, 0.4: 8.51e-2}
 
 # each paper example names its target; N, W, K and the basis keep their defaults
 PRESETS = {"example2": "sinc", "example3": "weierstrass"}
-# (alpha, N, W, K, basis, lambda floor) of example 2, the run example2_sup holds
-EXAMPLE2 = (56.0, 60, 0.3, 60, "dilated", None)
+# (alpha, N, W, K, basis) of example 2, the run example2_sup holds
+EXAMPLE2 = (56.0, 60, 0.3, 60, "dilated")
 
 
 def fmt(x: float) -> str:
@@ -129,13 +129,7 @@ def _build_target(args) -> TestFunction:
                              f"got {line!r}") from None
     if not rows:
         raise ValueError(f"no sample rows in {path}")
-    f = TestFunction.from_samples(*np.array(rows).T)
-    lo, hi = min(rows)[0], max(rows)[0]   # np.interp holds the end values beyond
-    T = 0.5 if args.basis == "native" else 1.0
-    if lo > -T or hi < T:
-        raise ValueError(f"{path}: samples span x in [{lo}, {hi}], which does "
-                         f"not cover the fitted interval [{-T}, {T}]")
-    return f
+    return TestFunction.from_samples(*np.array(rows).T)
 
 
 def cmd_project(args) -> Output:
@@ -143,18 +137,16 @@ def cmd_project(args) -> Output:
         raise ValueError("give exactly one of --target and --preset")
     args.target = args.target or PRESETS[args.preset]
     K = args.N if args.K is None else args.K
-    if args.basis == "native" and args.lambda_floor is not None:
-        raise ValueError("--lambda-floor applies to the dilated basis only")
     f = _build_target(args)
     disc = spectrum(DiscreteParams(args.N, args.W))
     sweep = None
     if args.out:   # the JSON result is the sweep's last row
-        rows = projection_sweep(f, disc, K, args.basis, args.lambda_floor)
+        rows = projection_sweep(f, disc, K, args.basis)
         result = rows[-1]
         sweep = ["K,residual_l2,residual_sup"] + [
             f"{rk.K},{fmt(rk.residual_l2)},{fmt(rk.residual_sup)}" for rk in rows]
     elif args.basis == "dilated":
-        result = project_dilated(f, disc, K, lambda_floor=args.lambda_floor)
+        result = project_dilated(f, disc, K)
     else:
         result = project_native(f, disc, K)
     payload = dataclasses.asdict(result)
@@ -162,7 +154,7 @@ def cmd_project(args) -> Output:
                                  for z in np.asarray(result.coefficients)],
                    target=args.target, N=args.N, W=args.W)
     failure, sup = None, current_tolerances().example2_sup
-    example2 = (args.alpha, args.N, args.W, K, args.basis, args.lambda_floor)
+    example2 = (args.alpha, args.N, args.W, K, args.basis)
     if args.preset == "example2" and example2 == EXAMPLE2 and result.residual_sup > sup:
         failure = f"sup residual {result.residual_sup:.3e} exceeds {sup}"
     return Output([json.dumps(payload, indent=2, sort_keys=True)], failure, sweep)
@@ -248,9 +240,6 @@ def build_parser() -> _Parser:
                    help="smoothness of the weierstrass target; the native basis "
                         "checks the Sobolev inequality at s = 1 only")
     p.add_argument("--basis", choices=BASES, default="dilated")
-    p.add_argument("--lambda-floor", type=float, default=None,
-                   help="exclude modes with eigenvalue below this floor "
-                        "(dilated basis only; default: keep all K modes)")
     p.add_argument("--samples-file", default=None)
 
     p = add("count", cmd_count, "plunge count vs bounds")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ from slepian.approximation import (TestFunction, project_dilated,
                                    sobolev_k_range, sobolev_norm,
                                    weierstrass_terms)
 from slepian.discrete import dpswf_matrix
-from slepian.numkit import (IllConditionedError, NumericalFailure,
-                            OutOfRangeError, gauss_legendre)
+from slepian.numkit import NumericalFailure, OutOfRangeError, gauss_legendre
 
 
 class TestWeierstrass:
@@ -75,6 +76,12 @@ class TestTestFunction:
     def test_samples_interpolate(self):
         f = TestFunction.from_samples(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         assert f(0.5) == pytest.approx(1.0)
+
+    def test_only_samples_record_a_span(self):
+        f = TestFunction.from_samples([0.5, -1.0, 1.0], [1.0, 2.0, 3.0])
+        assert f.span == (-1.0, 1.0)
+        assert TestFunction.sinc_bandlimited(56.0).span is None
+        assert TestFunction.weierstrass(1.0).span is None
 
     def test_weierstrass_terms_cover_tolerance(self):
         f = TestFunction.weierstrass(1.0)
@@ -297,18 +304,6 @@ class TestProjectDilated:
                      for K in range(1, k_max + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
-    def test_floor_exclusion_recorded(self, spec60_03):
-        f = TestFunction.sinc_bandlimited(56.0)
-        result = project_dilated(f, spec60_03, 60, lambda_floor=1e-13)
-        assert result.excluded
-        assert all(spec60_03.values[k] < 1e-13 for k in result.excluded)
-        assert result.residual_sup <= 1e-6   # floor cutoff costs accuracy
-
-    def test_all_modes_excluded(self, spec60_03):
-        f = TestFunction.sinc_bandlimited(56.0)
-        with pytest.raises(IllConditionedError):
-            project_dilated(f, spec60_03, 10, lambda_floor=2.0)
-
     def test_untrusted_modes_have_no_coefficients(self, spec60_03):
         f = TestFunction.weierstrass(1.0)
         result = project_dilated(f, spec60_03, 60)
@@ -350,37 +345,28 @@ def _sample_target():
 
 
 SWEEP_CASES = {
-    "example2": (lambda: TestFunction.sinc_bandlimited(56.0), 60, "dilated", None),
-    "example3": (lambda: TestFunction.weierstrass(1.0), 36, "dilated", None),
-    "samples": (_sample_target, 30, "dilated", None),
-    "lambda_floor": (lambda: TestFunction.sinc_bandlimited(56.0), 60, "dilated",
-                     1e-10),
-    "native_cosine": (lambda: TestFunction.weierstrass(1.0), 60, "native", None),
-    "native_grid": (lambda: TestFunction.sinc_bandlimited(40.0), 60, "native",
-                    None),
+    "example2": (lambda: TestFunction.sinc_bandlimited(56.0), 60, "dilated"),
+    "example3": (lambda: TestFunction.weierstrass(1.0), 36, "dilated"),
+    "samples": (_sample_target, 30, "dilated"),
+    "native_cosine": (lambda: TestFunction.weierstrass(1.0), 60, "native"),
+    "native_grid": (lambda: TestFunction.sinc_bandlimited(40.0), 60, "native"),
 }
 
 
 class TestProjectionSweep:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_rows_equal_standalone_projections(self, spec60_03, case):
-        make, K, basis, floor = SWEEP_CASES[case]
+        # the same frame and the same per-K arithmetic: equal to the last bit
+        make, K, basis = SWEEP_CASES[case]
         f = make()
-        sweep = projection_sweep(f, spec60_03, K, basis, floor)
+        sweep = projection_sweep(f, spec60_03, K, basis)
         assert [row.K for row in sweep] == list(range(1, K + 1))
+        project = project_dilated if basis == "dilated" else project_native
         for k, row in enumerate(sweep, start=1):
-            alone = (project_dilated(f, spec60_03, k, lambda_floor=floor)
-                     if basis == "dilated" else project_native(f, spec60_03, k))
-            assert row.residual_l2 == pytest.approx(alone.residual_l2, abs=1e-12)
-            assert row.residual_sup == pytest.approx(alone.residual_sup, abs=1e-12)
-            assert row.coefficient_indices == alone.coefficient_indices
-            assert np.max(np.abs(row.coefficients - alone.coefficients),
-                          initial=0.0) <= 1e-12
-            assert (row.rank, row.excluded, row.untrusted) == \
-                (alone.rank, alone.excluded, alone.untrusted)
-            assert (row.sobolev_ok, row.note) == (alone.sobolev_ok, alone.note)
-        if floor is not None:
-            assert sweep[-1].excluded
+            alone = project(f, spec60_03, k)
+            assert np.array_equal(row.coefficients, alone.coefficients)
+            assert dataclasses.replace(row, coefficients=None) == \
+                dataclasses.replace(alone, coefficients=None)
 
     @pytest.mark.parametrize("basis", ["dilated", "native"])
     def test_mode_evaluations_do_not_grow_with_k(self, spec60_03, monkeypatch,
@@ -413,18 +399,31 @@ class TestProjectionSweep:
                 projection_sweep(f, spec60_03, K)
         with pytest.raises(ValueError):
             projection_sweep(f, spec60_03, 10, "half")
-        with pytest.raises(ValueError, match="dilated basis only"):
-            projection_sweep(f, spec60_03, 10, "native", lambda_floor=1e-13)
-        with pytest.raises(IllConditionedError):
-            projection_sweep(f, spec60_03, 10, lambda_floor=2.0)
 
-    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
-    def test_non_finite_lambda_floor(self, spec60_03, floor):
-        f = TestFunction.sinc_bandlimited(56.0)
-        with pytest.raises(ValueError, match="lambda_floor must be finite"):
-            project_dilated(f, spec60_03, 10, lambda_floor=floor)
-        with pytest.raises(ValueError, match="lambda_floor must be finite"):
-            projection_sweep(f, spec60_03, 10, lambda_floor=floor)
+
+class TestSampleSpan:
+    @pytest.mark.parametrize("basis,x,interval", [
+        ("dilated", [0.0, 0.5], "[-1.0, 1.0]"),
+        ("dilated", [-1.0, 0.999], "[-1.0, 1.0]"),
+        ("dilated", [-0.5, 0.5], "[-1.0, 1.0]"),
+        ("native", [-0.4, 0.5], "[-0.5, 0.5]")],
+        ids=["right-half", "short-of-one", "native-span", "native"])
+    def test_samples_must_cover_fitted_interval(self, get_spectrum, basis, x,
+                                                interval):
+        # np.interp would hold the end values as constants past the samples;
+        # the span is checked before f is evaluated
+        calls = []
+        f = dataclasses.replace(TestFunction.from_samples(x, [1.0, 2.0]),
+                                evaluator=_recording(calls))
+        spec = get_spectrum(16, 0.2)
+        project = project_dilated if basis == "dilated" else project_native
+        message = re.escape(f"samples span x in [{x[0]}, {x[1]}], which does "
+                            f"not cover the fitted interval {interval}")
+        with pytest.raises(ValueError, match=message):
+            project(f, spec, 16)
+        with pytest.raises(ValueError, match=message):
+            projection_sweep(f, spec, 16, basis)
+        assert calls == []
 
 
 class TestRealModes:

@@ -224,15 +224,25 @@ class TestProject:
         # a real target on real modes: every imaginary entry is exactly 0.0
         assert {im for _, im in payload["coefficients"]} == {0.0}
 
-    def test_lambda_floor_rejected_on_native_basis(self, tmp_path):
-        out = tmp_path / "native.json"
-        cp = run_cli("project", "--target", "weierstrass", "--N", "16",
-                     "--W", "0.2", "--basis", "native", "--lambda-floor",
-                     "1e-13", "--out", str(out))
-        assert cp.returncode == 1
-        assert cp.stderr == ("slepian: --lambda-floor applies to the dilated "
-                             "basis only\n")
-        assert not out.exists()
+    def test_no_lambda_floor_option(self, tmp_path, capsys):
+        # the dilated fit always spans the first K modes
+        out = tmp_path / "proj.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["project", "--target", "sinc", "--N", "16", "--W", "0.2",
+                      "--lambda-floor", "1e-13", "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert (exc.value.code, stdout) == (1, "")
+        assert "unrecognized arguments: --lambda-floor" in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("basis", ["dilated", "native"])
+    def test_json_has_no_floor_keys(self, tmp_path, basis):
+        out = tmp_path / "proj.json"
+        assert cli.main(["project", "--target", "weierstrass", "--N", "16",
+                         "--W", "0.2", "--basis", basis, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["interval"] == basis
+        assert "excluded" not in payload and "lambda_floor" not in payload
 
     def test_native_basis_reports_sobolev_check(self, tmp_path):
         out = tmp_path / "native.json"
@@ -289,11 +299,7 @@ class TestProject:
         (["--target", "sinc", "--alpha", "inf"],
          "slepian: alpha must be positive and finite, got inf"),
         (["--target", "weierstrass", "--s", "inf"],
-         "slepian: s must be positive and finite, got inf"),
-        (["--target", "sinc", "--lambda-floor", "nan"],
-         "slepian: lambda_floor must be finite, got nan"),
-        (["--target", "sinc", "--lambda-floor", "inf"],
-         "slepian: lambda_floor must be finite, got inf")])
+         "slepian: s must be positive and finite, got inf")])
     @pytest.mark.parametrize("to_file", [False, True])
     def test_bad_input_is_one_line(self, tmp_path, argv, message, to_file):
         samples = tmp_path / "rows.csv"
@@ -331,8 +337,8 @@ class TestProject:
                          basis, "--out", str(out)]) == 1
         lo, hi = (float(r.split(",")[0]) for r in rows.split("\n"))
         assert capsys.readouterr() == (
-            "", f"slepian: {samples}: samples span x in [{lo}, {hi}], which "
-                f"does not cover the fitted interval {interval}\n")
+            "", f"slepian: samples span x in [{lo}, {hi}], which does not "
+                f"cover the fitted interval {interval}\n")
         assert not out.exists()
 
     def test_samples_on_native_interval_accepted(self, tmp_path, capsys):
