@@ -16,8 +16,7 @@ from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
                      plunge_decay_rate, plunge_mass,
                      superexponential_decay_bound, verify_all,
                      verify_comparison)
-from .config import (Tolerances, current_tolerances, load_config,
-                     using_tolerances)
+from .config import Tolerances, current_tolerances, using_tolerances
 from .continuous import (ContinuousSpectrum, default_order, eigenspace_bound,
                          hs_lower_bound, hs_norm_sq,
                          kernel_hs_distance, kernel_hs_distance_bound,

@@ -270,17 +270,23 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     return float(min(etas))
 
 
+def _check_lengths(N: int, W: float, values, cont_values, n: int) -> None:
+    """Validate (N, W), N discrete eigenvalues and at least n sinc-kernel ones."""
+    DiscreteParams(N, W)
+    if len(values) != N:
+        raise ValueError(f"need {N} discrete eigenvalues, got {len(values)}")
+    if len(cont_values) < n:
+        raise ValueError(f"need {n} sinc-kernel eigenvalues, got {len(cont_values)}")
+
+
 def compare_spectra(N: int, W: float, values: np.ndarray,
                     cont_values: np.ndarray) -> tuple[float, float]:
     """(measured, bound) for the l2 distance between the discrete eigenvalues
     ``values`` of (N, W), zero-padded past N, and the first N +
     COMPARISON_TAIL sinc-kernel eigenvalues ``cont_values`` at c = pi N W;
     the bound is kernel_hs_distance_bound(W)."""
-    DiscreteParams(N, W)   # validates (N, W)
     n = N + COMPARISON_TAIL
-    if len(cont_values) < n:
-        raise ValueError(f"need {n} sinc-kernel eigenvalues, "
-                         f"got {len(cont_values)}")
+    _check_lengths(N, W, values, cont_values, n)
     padded = np.zeros(n)
     padded[:N] = values
     return (float(np.linalg.norm(padded - cont_values[:n])),
@@ -291,6 +297,7 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray,
                       cont_values: np.ndarray) -> BoundCheck:
     """The check lambda_k <= A(W) lambda_k(c) + 1e-12 of every discrete
     eigenvalue of (N, W) against the sinc-kernel one at c = pi N W."""
+    _check_lengths(N, W, disc_values, cont_values, N)
     A = comparison_constant(W)
     params = {"N": N, "W": W, "A": A}
     return _check("comparison_inequality",

@@ -2,11 +2,12 @@
 
 Subcommands: eigs, table1, bounds, project, count, symmetry,
 projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
-parsed arguments alone; ``main`` runs it under the config file's tolerances
-(the file sets nothing else), writes the output to ``--out`` or stdout, and
-maps the outcome to an exit code: 0 success, 1 usage or validation error, 2
-numerical failure or out of memory, 3 verification failure under --strict,
-reported as ``<command>: <failure>`` on stderr after the output is written.
+parsed arguments and the tolerances in effect: the ``Tolerances()`` defaults,
+unless a library caller wraps ``main`` in ``using_tolerances``. ``main``
+writes the output to ``--out`` or stdout and maps the outcome to an exit
+code: 0 success, 1 usage or validation error, 2 numerical failure or out of
+memory, 3 verification failure under --strict, reported as
+``<command>: <failure>`` on stderr after the output is written.
 Floats are written in scientific notation to 17 significant digits and JSON
 keys are sorted: output files are byte-deterministic for fixed inputs, version
 and BLAS thread count, and another thread count can change the last digits.
@@ -26,7 +27,7 @@ import numpy as np
 from . import bounds as bnd
 from .approximation import (BASES, TestFunction, project_dilated,
                             project_native, projection_sweep)
-from .config import current_tolerances, load_config, using_tolerances
+from .config import current_tolerances
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
 from .numkit import NumericalFailure
@@ -200,8 +201,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="slepian",
                      description="Discrete prolate spheroidal spectra, "
                                  "bound verification, and projections")
-    parser.add_argument("--config", default=None,
-                        help="path to a flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):
@@ -269,8 +268,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with using_tolerances(load_config(args.config)):
-            lines, failure, sweep = args.func(args)
+        lines, failure, sweep = args.func(args)
         if args.out is None:
             sys.stdout.write("\n".join(lines) + "\n")
         else:

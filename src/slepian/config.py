@@ -1,10 +1,9 @@
-"""Numerical tolerances and the config file that overrides them.
+"""Numerical tolerances.
 
 Every tolerance used by the library lives in the frozen ``Tolerances`` record;
 the one in effect is ``current_tolerances()``, set per thread or task only by
-``with using_tolerances(tol):``. ``load_config`` reads a record from a flat
-text file of ``tol_<field> = value`` lines (path given by ``--config``); the
-file sets nothing else.
+``with using_tolerances(tol):``. The CLI sets none, so it runs at the
+``Tolerances()`` defaults.
 """
 
 from __future__ import annotations
@@ -63,33 +62,3 @@ def using_tolerances(tolerances: Tolerances):
         yield
     finally:
         _TOLERANCES.reset(token)
-
-
-_KEYS = {f"tol_{f.name}" for f in dataclasses.fields(Tolerances)}
-
-
-def load_config(path: str | None = None) -> Tolerances:
-    """Read tolerance overrides from a config file (None: the defaults).
-
-    The file format is flat ``tol_<field> = value`` lines, one per
-    ``Tolerances`` field to override; ``#`` starts a comment. Any other line
-    is a ValueError that names the file and the line.
-    """
-    tolerances = Tolerances()
-    if not path:
-        return tolerances
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = (part.strip() for part in line.partition("="))
-            try:
-                if not sep:
-                    raise ValueError("expected 'key = value'")
-                if key not in _KEYS:
-                    raise ValueError(f"unknown config key: {key}")
-                tolerances = dataclasses.replace(tolerances, **{key[4:]: float(raw)})
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return tolerances

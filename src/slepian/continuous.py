@@ -79,7 +79,7 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
     # mu_n < 1e-17 from plunge bound n0 on; psi_n needs degrees ~max(n, c + 14 c^(1/3))
     n0 = math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24
-    n = max(int(count), n0)
+    n = max(checked_index(count, 0, math.inf, "count"), n0)
     M = max(n, math.ceil(c + 14.0 * c ** (1.0 / 3.0))) + 40
     blocks = _prolate_blocks(c, M)
     # descending chi as solved (n = ..., 2, 0 and ..., 3, 1); an ascending view

@@ -254,7 +254,8 @@ def commutation_defect(params: DiscreteParams) -> float:
 
 
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
-    """Value of the k-th sequence at an arbitrary integer index.
+    """Value of the k-th sequence at an integer index |n| <= 2**53, the range
+    in which float64 holds every integer.
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
@@ -263,7 +264,7 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     """
     N, W = spec.N, spec.W
     k = checked_index(k, 0, N - 1, "mode index k")
-    n = checked_index(n, -math.inf, math.inf, "sequence index n")
+    n = checked_index(n, -2 ** 53, 2 ** 53, "sequence index n")
     lam, floor = spec.values[k], current_tolerances().tail_floor
     if not lam >= floor:
         raise IllConditionedError(

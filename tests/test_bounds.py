@@ -343,6 +343,17 @@ class TestCompareSpectra:
         with pytest.raises(ValueError, match="need 90"):
             compare_spectra(60, 0.1, lam, cont[:89])
 
+    def test_short_continuous_values_in_comparison_check(self, get_spectrum):
+        lam = get_spectrum(30, 0.2).values
+        cont = self.cont(30, 0.2)
+        with pytest.raises(ValueError, match="need 30 sinc-kernel eigenvalues, got 5"):
+            verify_comparison(30, 0.2, lam, cont[:5])
+
+    def test_discrete_values_of_length_n(self, get_spectrum):
+        lam = get_spectrum(30, 0.2).values
+        with pytest.raises(ValueError, match="need 30 discrete eigenvalues, got 4"):
+            compare_spectra(30, 0.2, lam[:4], self.cont(30, 0.2))
+
 
 @pytest.fixture(scope="module")
 def report():

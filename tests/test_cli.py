@@ -13,8 +13,7 @@ import pytest
 from conftest import assert_mode_order
 from slepian import cli
 from slepian.bounds import verify_all
-from slepian.config import (Tolerances, current_tolerances, load_config,
-                            using_tolerances)
+from slepian.config import Tolerances, current_tolerances, using_tolerances
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -503,24 +502,9 @@ class TestOtherCommands:
 
 
 class TestConfigAndExitCodes:
-    def test_config_file_grids(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment line\n\ntol_trace_rel = 1e-10  # trailing\n")
-        out = tmp_path / "report.json"
-        cp = run_cli("--config", str(cfg), "bounds", "--N", "30", "--W", "0.1",
-                     "--eps", "0.05", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
-        payload = json.loads(out.read_text())
-        params = {(c["params"]["N"], c["params"]["W"])
-                  for c in payload["checks"]
-                  if c["name"] == "trace_identity"}
-        assert params == {(30, 0.1)}
-        # the tolerance override is installed and recorded in the report
-        assert payload["tolerances"]["trace_rel"] == pytest.approx(1e-10)
-
     def test_config_env_var(self, tmp_path):
-        # only --config names the config file: SLEPIAN_CONFIG is not read,
-        # so its 1e-30 tolerance does not fail symmetry_identity
+        # the CLI reads no tolerance from its environment: SLEPIAN_CONFIG is
+        # not read, so its 1e-30 tolerance does not fail symmetry_identity
         import os
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tol_symmetry_identity = 1e-30\n")
@@ -532,17 +516,17 @@ class TestConfigAndExitCodes:
         payload = json.loads(out.read_text())
         assert payload["tolerances"] == dataclasses.asdict(Tolerances())
 
-    def test_tolerance_override_drives_strict_failure(self, tmp_path):
+    def test_tolerance_override_drives_strict_failure(self, tmp_path, capsys):
         # an absurdly tight identity tolerance must fail the check and, under
         # --strict, surface as exit code 3
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_symmetry_identity = 1e-30\n")
         out = tmp_path / "report.json"
-        cp = run_cli("--config", str(cfg), "bounds", "--N", "30", "--W", "0.1",
-                     "--eps", "0.05", "--out", str(out), "--strict")
-        assert cp.returncode == 3
+        with using_tolerances(Tolerances(symmetry_identity=1e-30)):
+            code = cli.main(["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05",
+                             "--out", str(out), "--strict"])
+        assert code == 3
         payload = json.loads(out.read_text())
         assert payload["pass"] is False
+        assert payload["tolerances"]["symmetry_identity"] == 1e-30
         failing = [c for c in payload["checks"]
                    if c["name"] == "symmetry_identity"]
         assert failing and not failing[0]["satisfied"]
@@ -561,42 +545,35 @@ class TestConfigAndExitCodes:
          "symmetry_identity",
          r"bounds: failing checks: \['symmetry_identity'\]\n",
          ["sy.json"])], ids=["table1-flag", "project-flag", "bounds-flag"])
-    def test_strict_verdicts(self, tmp_path, argv, tolerance, stderr, files):
+    def test_strict_verdicts(self, tmp_path, capsys, argv, tolerance, stderr, files):
         # the output is written first, then the verdict goes to stderr
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"tol_{tolerance} = 1e-30\n")
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
-        cp = run_cli("--config", str(cfg), *argv, "--strict")
-        assert (cp.returncode, cp.stdout) == (3, "")
-        verdict = re.fullmatch(stderr, cp.stderr)
-        assert verdict, cp.stderr
-        if "value" in verdict.groupdict():
-            assert 0 < float(verdict["value"]) < Tolerances().example2_sup
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            files + ["run.cfg"])
-        # without --strict the same failure is only recorded in the output
-        cp = run_cli("--config", str(cfg), *argv)
-        assert (cp.returncode, cp.stderr) == (0, "")
+        with using_tolerances(Tolerances(**{tolerance: 1e-30})):
+            assert cli.main([*argv, "--strict"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            verdict = re.fullmatch(stderr, err)
+            assert verdict, err
+            if "value" in verdict.groupdict():
+                assert 0 < float(verdict["value"]) < Tolerances().example2_sup
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+            # without --strict the same failure is only recorded in the output
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == ("", "")
 
-    def test_main_restores_tolerances(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_trace_rel = 1e-10\n")
+    def test_main_restores_tolerances(self, capsys):
+        # a plain call runs under the caller's values and leaves them in place
         argv = ["symmetry", "--N", "8", "--W", "0.2"]
-        # a config override does not outlive the call
-        assert cli.main(["--config", str(cfg), *argv]) == 0
-        assert current_tolerances() == Tolerances()
-        # and a plain call does not reset the caller's own values
         with using_tolerances(Tolerances(trace_rel=5e-11)):
             assert cli.main(argv) == 0
             assert current_tolerances() == Tolerances(trace_rel=5e-11)
-        assert capsys.readouterr().out.count("symmetry_defect=") == 2
+        assert current_tolerances() == Tolerances()
+        assert capsys.readouterr().out.count("symmetry_defect=") == 1
 
-    def test_threads_do_not_share_tolerances(self, tmp_path, monkeypatch, capsys):
+    def test_threads_do_not_share_tolerances(self, monkeypatch, capsys):
         # two concurrent table1 calls, one under a 1e-30 tolerance; the
         # barrier holds both inside their computation from the first
         # comparison to the verdict, so each must decide on its own values
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("tol_table1_rel = 1e-30\n")
         barrier = threading.Barrier(2, timeout=60)
 
         def synced(fn):
@@ -607,14 +584,14 @@ class TestConfigAndExitCodes:
 
         monkeypatch.setattr(cli.bnd, "compare_spectra", synced(cli.bnd.compare_spectra))
         monkeypatch.setattr(cli, "Output", synced(cli.Output))
-        argvs = {"tight": ["--config", str(cfg), "table1", "--strict"],
-                 "plain": ["table1", "--strict"]}
+        tolerances = {"tight": Tolerances(table1_rel=1e-30), "plain": Tolerances()}
         codes = {}
 
         def run(key):
-            codes[key] = cli.main(argvs[key])
+            with using_tolerances(tolerances[key]):
+                codes[key] = cli.main(["table1", "--strict"])
 
-        threads = [threading.Thread(target=run, args=(k,)) for k in argvs]
+        threads = [threading.Thread(target=run, args=(k,)) for k in tolerances]
         for t in threads:
             t.start()
         for t in threads:
@@ -623,58 +600,26 @@ class TestConfigAndExitCodes:
         assert capsys.readouterr().err == (
             "table1: worst relative deviation 8.840e-04 exceeds 1e-30\n")
 
+    @pytest.mark.parametrize("argv", [["--config", "x.cfg", "bounds"],
+                                      ["bounds", "--config", "x.cfg"]],
+                             ids=["before", "after"])
+    def test_no_config_option(self, tmp_path, argv):
+        # every command runs at the Tolerances() defaults: no file sets them
+        out = tmp_path / "r.json"
+        cp = run_cli(*argv, "--out", str(out))
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert "Traceback" not in cp.stderr and "error:" in cp.stderr
+        assert not out.exists()
+
     def test_tolerances_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             Tolerances().trace_rel = 1.0
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_tolerance_must_be_positive_and_finite(self, tmp_path, value, capsys):
+    def test_tolerance_must_be_positive_and_finite(self, value):
         message = f"tolerance symmetry_identity must be positive and finite, got {value}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Tolerances(symmetry_identity=value)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"tol_symmetry_identity = {value}\n")
-        assert cli.main(["--config", str(cfg), "bounds", "--N", "30", "--W", "0.2",
-                         "--eps", "0.05", "--strict"]) == 1
-        assert capsys.readouterr() == ("", f"slepian: {cfg}:1: {message}\n")
-
-    def test_bad_config_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
-        assert cp.returncode == 1
-
-    @pytest.mark.parametrize("key", ["nystrom_order", "projection_order",
-                                     "out_dir", "n_grid", "w_grid", "eps_grid",
-                                     "strict", "tol_nope", "tol_check_floor",
-                                     "tol_node_symmetry",
-                                     "tol_component_symmetry",
-                                     "tol_mesh_stability",
-                                     "tol_sobolev_rel"])
-    def test_order_keys_rejected(self, tmp_path, key):
-        # the file sets tolerances only: the grid and the verdict are flags
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"tol_trace_rel = 1e-10\n# comment\n{key} = 200\n")
-        cp = run_cli("--config", str(cfg), "symmetry", "--N", "4", "--W", "0.1")
-        assert (cp.returncode, cp.stdout) == (1, "")
-        assert cp.stderr == f"slepian: {cfg}:3: unknown config key: {key}\n"
-
-    @pytest.mark.parametrize("line,reason", [
-        ("tol_trace_rel = abc", "could not convert string to float: 'abc'"),
-        ("tol_trace_rel =", "could not convert string to float: ''"),
-        ("tol_trace_rel 1e-10", "expected 'key = value'")])
-    def test_bad_config_line(self, tmp_path, line, reason, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"\n{line}\n")
-        assert cli.main(["--config", str(cfg), "symmetry", "--N", "4",
-                         "--W", "0.1"]) == 1
-        assert capsys.readouterr() == ("", f"slepian: {cfg}:2: {reason}\n")
-
-    def test_load_config_returns_tolerances(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_trace_rel = 1e-10\ntol_table1_rel = 0.5\n")
-        assert load_config(str(cfg)) == Tolerances(trace_rel=1e-10, table1_rel=0.5)
-        assert load_config() == Tolerances()
 
     def test_bounds_default_grid_is_verify_all_default(self, tmp_path):
         out = tmp_path / "report.json"

@@ -219,6 +219,15 @@ class TestLegendreSpectrum:
         with pytest.raises(ValueError):
             legendre_spectrum(c, 0)
 
+    @pytest.mark.parametrize("count,message", [
+        (2.5, "count=2.5 is not an integer in [0, inf]"),
+        (True, "count=True is not an integer in [0, inf]"),
+        (-1, "count=-1 outside [0, inf]")])
+    def test_invalid_count(self, count, message):
+        with pytest.raises(ValueError) as info:
+            legendre_spectrum(10.0, count)
+        assert str(info.value) == message
+
 
 class TestLagIntegrals:
     @pytest.mark.parametrize("c", [1e-3, 2.0, 18.85, 94.25, 707.0])

@@ -477,8 +477,13 @@ class TestExtend:
     @pytest.mark.parametrize("k,n,message", [
         (0.5, 3, "mode index k=0.5 is not an integer in [0, 59]"),
         (60, 3, "mode index k=60 outside [0, 59]"),
-        (2, 3.5, "sequence index n=3.5 is not an integer in [-inf, inf]"),
-        (2, False, "sequence index n=False is not an integer in [-inf, inf]")])
+        (2, 3.5, "sequence index n=3.5 is not an integer in "
+                 "[-9007199254740992, 9007199254740992]"),
+        (2, False, "sequence index n=False is not an integer in "
+                   "[-9007199254740992, 9007199254740992]"),
+        # past 2**53 float64 lags are not exact; 10**30 is no C long either
+        (2, 10 ** 30, f"sequence index n={10 ** 30} outside "
+                      "[-9007199254740992, 9007199254740992]")])
     def test_index_checks(self, get_spectrum, k, n, message):
         with pytest.raises(ValueError) as info:
             extend_dpss(get_spectrum(60, 0.1), k, n)
