@@ -34,6 +34,7 @@ from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
 
 BASES = ("native", "dilated")
 WEIERSTRASS_TOL = 1e-12
+SUP_POINTS = 2001   # equispaced points of the sup residual's grid
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,12 @@ def _sin_over(t: np.ndarray, T: float) -> np.ndarray:
 
 def cos_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
     """integral_{-T}^{T} cos(a x) cos(b x) dx, elementwise."""
-    return _sin_over(np.asarray(a) - np.asarray(b), T) \
-        + _sin_over(np.asarray(a) + np.asarray(b), T)
+    return _sin_over(a - b, T) + _sin_over(a + b, T)
 
 
 def sin_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
     """integral_{-T}^{T} sin(a x) sin(b x) dx, elementwise."""
-    return _sin_over(np.asarray(a) - np.asarray(b), T) \
-        - _sin_over(np.asarray(a) + np.asarray(b), T)
+    return _sin_over(a - b, T) - _sin_over(a + b, T)
 
 
 def _cosine_l2_sq(amps: np.ndarray, freqs: np.ndarray, T: float) -> float:
@@ -193,10 +192,6 @@ class ProjectionResult:
     note: str = ""
 
 
-def _sup_grid(T: float) -> np.ndarray:
-    return np.linspace(-T, T, 2001)
-
-
 def sobolev_k_range(N: int, W: float) -> tuple[int, int]:
     """Valid truncation range for the Sobolev approximation inequality.
 
@@ -258,7 +253,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
             r_band = f_band - U_band[:, :K] @ beta[:K]
             return math.sqrt(abs(float(
                 np.sum(rule_band.weights * np.abs(r_band) ** 2))))
-    xs = _sup_grid(W)
+    xs = np.linspace(-W, W, SUP_POINTS)
     U_sup = dpswf_matrix(spec, xs)
     f_sup = f(xs)
 
@@ -337,7 +332,7 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum):
     A = raw * sw[:, None]
     fx = f(x)
     rhs = fx * sw
-    xs = _sup_grid(1.0)
+    xs = np.linspace(-1.0, 1.0, SUP_POINTS)
     raw_sup = dpswf_matrix(spec, W * xs)
     f_sup = f(xs)
     # normalised-mode coefficients, only where the eigenvalue is trustworthy

@@ -3,18 +3,17 @@ machine verification against computed spectra.
 
 Each evaluator returns the bound value and raises ``OutOfRangeError`` outside
 its validity range. ``verify_all`` runs every check over a parameter grid into
-a serialisable ``BoundReport``, each entry through ``_check``: an upper check
-holds when measured <= bound + slack (margin bound - measured), a lower one
-when measured >= bound - slack (margin measured - bound), and an
-OutOfRangeError makes the entry a skip that notes it. Checks on asymptotic
-statements are informational: reported under the same rule, they never fail
-the suite. Eigenvalues below 1e-12 are outside double-precision resolution
-and are excluded from all inequalities.
+a serialisable ``BoundReport``, each entry by the one rule of ``_check``, under
+which an OutOfRangeError makes a skip. Checks on asymptotic statements are
+informational: reported under the same rule, they never fail the suite.
+Eigenvalues below 1e-12 are outside double-precision resolution and are
+excluded from all inequalities.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .config import current_tolerances
 from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
                          kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, band_grams, commutation_defect,
-                       spectrum, symmetry_defect)
+                       mirror_params, spectrum, symmetry_defect)
 from .numkit import OutOfRangeError
 
 VERSION = "0.1.0"
@@ -78,7 +77,8 @@ class BoundReport:
             "pass": self.passed,
             "checks": [dataclasses.asdict(c) for c in self.checks],
         }
-        return json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
+        return json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item,
+                          allow_nan=False)
 
 
 # ----------------------------------------------------------------- formulas
@@ -106,11 +106,19 @@ def eigenvalue_tail_bound(n: int, N: int, W: float) -> float:
 
 def plunge_count_bound(N: int, W: float, eps: float) -> float:
     """Bound on #{k: eps <= lambda_k <= 1-eps} from the trace/HS-norm gap."""
-    if not 0.0 < eps < 0.5:
-        raise OutOfRangeError(f"eps={eps} outside (0, 1/2)")
     if not 0.0 < W < 0.5 or N < 1:
         raise OutOfRangeError(f"invalid (N, W)=({N}, {W})")
-    return _plunge_mass_bound(N, W) / (eps * (1.0 - eps))
+    return _per_eps(_plunge_mass_bound(N, W), eps)
+
+
+def _per_eps(mass: float, eps: float) -> float:
+    """mass / (eps (1 - eps)) for a normal double eps in (0, 1/2), where finite."""
+    if not np.finfo(float).tiny <= eps < 0.5:
+        raise OutOfRangeError(f"eps={eps} outside (0, 1/2) or not a normal double")
+    bound = float(mass) / float(eps * (1.0 - eps))   # inf, not a numpy warning
+    if not math.isfinite(bound):
+        raise OutOfRangeError(f"eps={eps} makes the count bound overflow")
+    return bound
 
 
 def _plunge_mass_bound(N: int, W: float) -> float:
@@ -126,23 +134,21 @@ def plunge_count_bound_coarse(N: int, eps: float) -> float:
     """Single-band case of the matrix-analysis count bound in log(N-1)."""
     if N < 2:
         raise OutOfRangeError(f"N={N} must be >= 2")
-    if not 0.0 < eps < 0.5:
-        raise OutOfRangeError(f"eps={eps} outside (0, 1/2)")
-    return ((2.0 / PI ** 2) * math.log(N - 1.0)
-            + (2.0 / PI ** 2) * (2.0 * N - 1.0) / (N - 1.0)) / (eps * (1.0 - eps))
+    return _per_eps((2.0 / PI ** 2) * math.log(N - 1.0)
+                    + (2.0 / PI ** 2) * (2.0 * N - 1.0) / (N - 1.0), eps)
 
 
 def plunge_count_estimate(N: int, eps: float) -> float:
-    """Asymptotic count estimate (8/pi^2) log(8N+12) log(15/eps).
+    """Asymptotic count estimate (8/pi^2) log(8N+12) log(15/eps), taken as
+    log 15 - log eps: finite for every finite eps > 0 (0 at eps = 15).
 
-    Informational only; meaningful for small eps. Any eps > 0 is accepted
-    (the estimate degenerates to 0 at eps = 15).
+    Informational only; meaningful for small eps.
     """
     if N < 1:
         raise OutOfRangeError(f"N={N} must be >= 1")
-    if not eps > 0:
-        raise OutOfRangeError(f"eps={eps} must be positive")
-    return (8.0 / PI ** 2) * math.log(8.0 * N + 12.0) * math.log(15.0 / eps)
+    if not 0.0 < eps < math.inf:
+        raise OutOfRangeError(f"eps={eps} must be positive and finite")
+    return (8.0 / PI ** 2) * math.log(8.0 * N + 12.0) * (math.log(15) - math.log(eps))
 
 
 def comparison_constant(W: float) -> float:
@@ -315,7 +321,8 @@ def _check(name: str, ref: str, params: dict, compute, slack: float = 0.0,
 
     An upper check is measured <= bound + slack with margin bound - measured;
     a ``lower`` one is measured >= bound - slack with margin measured - bound.
-    An OutOfRangeError from compute() makes the entry a skip noting it.
+    An OutOfRangeError from compute() makes the entry a skip noting it, and a
+    non-finite measured value, bound or margin makes it unsatisfied.
     """
     measured = bound = margin = note = None
     satisfied = True
@@ -328,6 +335,7 @@ def _check(name: str, ref: str, params: dict, compute, slack: float = 0.0,
             satisfied, margin = measured >= bound - slack, measured - bound
         else:
             satisfied, margin = measured <= bound + slack, bound - measured
+        satisfied = satisfied and math.isfinite(margin)   # no verdict on inf or NaN
     return BoundCheck(name=name, paper_ref=ref, params=params, bound=bound,
                       measured=measured, satisfied=satisfied, margin=margin,
                       informational=informational, skipped=note is not None,
@@ -348,7 +356,8 @@ def _family(params: dict, values: np.ndarray, indices, bound) -> tuple[float, fl
 def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
                eps_grid=DEFAULT_EPS_GRID) -> BoundReport:
     """Run every bound/identity check over the grid, skipping out-of-range ones,
-    on the tridiag route; the Toeplitz route is the cross-route oracle."""
+    on the tridiag route; both route checks measure the reflection identity against
+    the Toeplitz route at (N, 1/2 - W), and skip where 1/2 - W rounds to 1/2."""
     tol = current_tolerances()
     w_grid = tuple(w_grid)
     eps_grid = tuple(dict.fromkeys(eps_grid))   # a repeated eps is one point
@@ -372,24 +381,26 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
         cont = legendre_spectrum(c, N + COMPARISON_TAIL)
         cont_by_c[c] = cont
 
-        other = spectrum(disc.params, "toeplitz")
+        @functools.cache   # the grid point's second spectrum, for both route checks
+        def mirror():   # mirror_params raises each check's skip below 2^-55
+            return spectrum(mirror_params(disc.params), "toeplitz")
         mask = lam >= tol.floor_checks
         tail, decay = dict(pw), dict(pw)   # _family adds "checked"
         checks += [
             _check("trace_identity", "trace equals 2NW", pw,
                    lambda: (abs(lam.sum() - 2.0 * N * W) / (2.0 * N * W),
                             tol.trace_rel)),
-            _check("symmetry_identity", "reflection identity between W and 1/2 - W",
-                   pw, lambda: (symmetry_defect(disc), tol.symmetry_identity)),
+            _check("symmetry_identity", "reflection identity between W and 1/2 - W", pw,
+                   lambda: (symmetry_defect(disc, mirror()), tol.symmetry_identity)),
             _check("commutation", "commuting tridiagonal matrix", pw,
                    lambda: (commutation_defect(disc.params), tol.commutation)),
             _check("double_orthogonality",
                    "double orthogonality of the wave functions", pw,
                    lambda: (max(np.max(np.abs(G - np.diag(np.diag(G))), initial=0.0)
                                 for G in band_grams(disc)), tol.double_orthogonality)),
-            _check("cross_route_agreement", "Toeplitz route vs tridiagonal route",
-                   pw, lambda: (float(np.max(np.abs(lam[mask] - other.values[mask]),
-                                             initial=0.0)), tol.cross_route)),
+            _check("cross_route_agreement", "Toeplitz route vs tridiagonal route", pw,
+                   lambda: (float(np.max(np.abs(mirror().values[::-1] - (1.0 - lam))
+                                         [mask], initial=0.0)), tol.cross_route)),
             _check("spectra_l2_distance",
                    "l2 spectrum comparison via Wielandt-Hoffman",
                    {**pw, "c": c}, lambda: compare_spectra(N, W, lam, cont),

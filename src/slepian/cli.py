@@ -29,7 +29,7 @@ from .approximation import (BASES, TestFunction, project_dilated,
                             project_native, projection_sweep)
 from .config import current_tolerances
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
-from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
+from .discrete import DiscreteParams, METHODS, mirror_params, spectrum, symmetry_defect
 from .numkit import NumericalFailure
 
 EXIT_OK = 0
@@ -158,7 +158,8 @@ def cmd_project(args) -> Output:
     example2 = (args.alpha, args.N, args.W, K, args.basis)
     if args.preset == "example2" and example2 == EXAMPLE2 and result.residual_sup > sup:
         failure = f"sup residual {result.residual_sup:.3e} exceeds {sup}"
-    return Output([json.dumps(payload, indent=2, sort_keys=True)], failure, sweep)
+    return Output([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)],
+                  failure, sweep)
 
 
 def cmd_count(args) -> Output:
@@ -174,8 +175,9 @@ def cmd_count(args) -> Output:
 
 
 def cmd_symmetry(args) -> Output:
-    defect = symmetry_defect(spectrum(DiscreteParams(args.N, args.W)))
-    return Output([f"symmetry_defect={fmt(defect)}"])
+    params = DiscreteParams(args.N, args.W)
+    mirror = spectrum(mirror_params(params), "toeplitz")
+    return Output([f"symmetry_defect={fmt(symmetry_defect(spectrum(params), mirror))}"])
 
 
 def cmd_projector_distance(args) -> Output:

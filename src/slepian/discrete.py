@@ -232,16 +232,19 @@ def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return tuple(grams)
 
 
-def symmetry_defect(spec: DiscreteSpectrum) -> float:
-    """Max defect of the reflection identity between spectra at W and 1/2 - W.
+def mirror_params(params: DiscreteParams) -> DiscreteParams:
+    """(N, 1/2 - W), where the reflection identity puts the mirror spectrum."""
+    if not 0.5 - params.W < 0.5:
+        raise OutOfRangeError(f"1/2 - W rounds to 1/2 at W={params.W:g}")
+    return DiscreteParams(params.N, 0.5 - params.W)
 
-    The eigenvalues satisfy lambda_k(1/2 - W) = 1 - lambda_{N-1-k}(W); the
-    spectrum at 1/2 - W is computed by ``spec.method``.
-    """
-    if not 0.5 - spec.W < 0.5:
-        raise OutOfRangeError(f"1/2 - W rounds to 1/2 at W={spec.W:g}")
-    b = spectrum(DiscreteParams(spec.N, 0.5 - spec.W), method=spec.method).values
-    return float(np.max(np.abs(b - (1.0 - spec.values[::-1]))))
+
+def symmetry_defect(spec: DiscreteSpectrum, mirror: DiscreteSpectrum) -> float:
+    """Max over all k of |mu_k - (1 - lambda_{N-1-k})|, the reflection identity
+    between the values lambda of ``spec`` and mu of ``mirror`` at (N, 1/2 - W)."""
+    if mirror_params(spec.params) != mirror.params:
+        raise ValueError(f"mirror is not at (N, 1/2 - W)=({spec.N}, {0.5 - spec.W!r})")
+    return float(np.max(np.abs(mirror.values - (1.0 - spec.values[::-1]))))
 
 
 def commutation_defect(params: DiscreteParams) -> float:

@@ -153,7 +153,8 @@ def test_criterion_06_identities(get_spectrum):
             rho = prolate_matrix(disc.params)
             worst["trace"] = max(worst["trace"],
                                  abs(disc.values.sum() - 2 * N * W) / (2 * N * W))
-            worst["symmetry"] = max(worst["symmetry"], symmetry_defect(disc))
+            worst["symmetry"] = max(worst["symmetry"], symmetry_defect(
+                disc, get_spectrum(N, 0.5 - W, "toeplitz")))
             worst["commutation"] = max(worst["commutation"],
                                        commutation_defect(disc.params))
             gram = disc.dpss.T @ rho @ disc.dpss

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from slepian import bounds, continuous, discrete
-from slepian.bounds import (COMPARISON_TAIL, OutOfRangeError,
+from slepian.bounds import (COMPARISON_TAIL, TURAN_N_LIST, TURAN_W, OutOfRangeError,
                             asymptotic_decay_constants, compare_spectra,
                             comparison_constant,
                             concentration_inequality_constant, decay_formula,
@@ -121,6 +122,39 @@ class TestCountBounds:
                 plunge_count_bound(60, 0.3, bad_eps)
         with pytest.raises(OutOfRangeError):
             plunge_count_bound_coarse(1, 0.1)
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324, float("nan")])
+    def test_subnormal_eps_is_out_of_range(self, eps):
+        # eps must be a normal double, as W must
+        for bound in (lambda: plunge_count_bound(60, 0.3, eps),
+                      lambda: plunge_count_bound_coarse(60, eps)):
+            with pytest.raises(OutOfRangeError, match="not a normal double"):
+                bound()
+
+    def test_smallest_normal_eps_gives_finite_bounds(self):
+        eps = sys.float_info.min
+        for value in (plunge_count_bound(60, 0.3, eps),
+                      plunge_count_bound_coarse(60, eps),
+                      plunge_count_estimate(60, eps)):
+            assert 0 < value < math.inf
+
+    @pytest.mark.parametrize("bound", [lambda eps: plunge_count_bound(10 ** 16, 0.3, eps),
+                                       lambda eps: plunge_count_bound_coarse(10 ** 16, eps)])
+    @pytest.mark.parametrize("eps", [sys.float_info.min, np.finfo(float).tiny])
+    def test_overflowing_bound_is_out_of_range(self, bound, eps):
+        # a numpy eps overflows without a RuntimeWarning too
+        assert bound(4 * eps) < math.inf
+        with pytest.raises(OutOfRangeError, match="makes the count bound overflow"):
+            bound(eps)
+
+    def test_estimate_takes_log_of_each_factor(self):
+        # log(15/eps) overflows inside the log below eps = 15/DBL_MAX
+        for eps in (sys.float_info.min, 5e-324, 1e-300):
+            expected = 8 / PI ** 2 * math.log(8 * 60 + 12) * (math.log(15) - math.log(eps))
+            assert plunge_count_estimate(60, eps) == expected
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(OutOfRangeError, match="positive and finite"):
+                plunge_count_estimate(60, eps)
 
     @pytest.mark.parametrize("N,W", [(1, 0.3), (5, 0.001), (3, 0.1)])
     def test_below_unit_bandwidth(self, N, W):
@@ -472,10 +506,21 @@ class TestVerifyAll:
         monkeypatch.setattr(bounds, "spectrum", counting)
         monkeypatch.setattr(discrete, "spectrum", counting)
         verify_all((30,), (0.1,), (0.05,))
-        # the reflection identity adds only the spectrum at 1/2 - W
-        assert calls.count((30, 0.1, "tridiag")) == 1
-        assert calls.count((30, 0.1, "toeplitz")) == 1
-        assert calls.count((30, 0.5 - 0.1, "tridiag")) == 1
+        # the tridiag route at W, the Toeplitz route at 1/2 - W that both
+        # route checks read, then the concentration constant's spectra
+        assert calls == [(30, 0.1, "tridiag"), (30, 0.4, "toeplitz")] + [
+            (N, TURAN_W, "tridiag") for N in TURAN_N_LIST]
+
+    def test_route_checks_compare_the_mirror_with_the_reflected_spectrum(self):
+        report = verify_all((60,), (0.3,), (0.05,))
+        lam = discrete.spectrum(discrete.DiscreteParams(60, 0.3)).values
+        mu = discrete.spectrum(discrete.DiscreteParams(60, 0.2), "toeplitz").values
+        gap = np.abs(mu - (1.0 - lam[::-1]))   # over k, against lambda_(N-1-k)
+        entry = {c.name: c for c in report.checks}
+        assert entry["symmetry_identity"].measured == np.max(gap)
+        trusted = lam[::-1] >= Tolerances().floor_checks
+        assert 0 < trusted.sum() < 60
+        assert entry["cross_route_agreement"].measured == np.max(gap[trusted])
 
     def test_check_names_sorted(self, report):
         keys = [(c.name, json.dumps(c.params, sort_keys=True))
@@ -496,6 +541,19 @@ class TestVerifyAll:
     def test_invalid_eps_rejected(self, eps_grid):
         with pytest.raises(ValueError, match="invalid eps"):
             verify_all((30,), (0.1,), eps_grid)
+
+    @pytest.mark.parametrize("measured,bound", [(math.inf, math.inf), (math.nan, 1.0),
+                                                (1.0, math.inf), (-1e308, 1e308)])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_non_finite_number_fails_its_check(self, measured, bound, lower):
+        # an infinite bound or margin, or a NaN, is no verdict
+        check = bounds._check("x", "ref", {}, lambda: (measured, bound), lower=lower)
+        assert not (check.satisfied or check.skipped)
+
+    def test_report_refuses_non_finite_json(self):
+        check = bounds._check("x", "ref", {}, lambda: (math.inf, math.inf))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            bounds.BoundReport([check]).to_json()
 
     def test_only_out_of_range_becomes_a_skip(self, monkeypatch):
         def broken(*args):

@@ -21,6 +21,10 @@ def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+def _no_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
 def read_csv(path: Path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -135,9 +139,24 @@ class TestBounds:
         assert cli.main(["bounds", "--N", N, "--W", "1e-300", "--eps", "0.05",
                          "--strict"]) == 0
         out, err = capsys.readouterr()
-        sym, = [c for c in json.loads(out)["checks"] if c["name"] == "symmetry_identity"]
-        assert (sym["skipped"], sym["note"], err) == (
-            True, "1/2 - W rounds to 1/2 at W=1e-300", "")
+        # both route checks read the Toeplitz spectrum at 1/2 - W
+        for name in ("symmetry_identity", "cross_route_agreement"):
+            check, = [c for c in json.loads(out)["checks"] if c["name"] == name]
+            assert (check["skipped"], check["note"], err) == (
+                True, "1/2 - W rounds to 1/2 at W=1e-300", "")
+
+    def test_subnormal_eps_is_a_skip_and_the_report_finite(self, capsys):
+        # 1e-320 is below the smallest normal double: both count bounds skip
+        # rather than report inf, and the file holds no Infinity or NaN token
+        assert cli.main(["bounds", "--N", "60", "--W", "0.3", "--eps", "1e-320",
+                         "--strict"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert not re.search(r"\b(inf|infinity|nan)\b", out, re.IGNORECASE)
+        checks = json.loads(out, parse_constant=_no_constant)["checks"]
+        notes = {c["name"]: c["note"] for c in checks if c["skipped"]}
+        for name in ("plunge_count", "plunge_count_improvement"):
+            assert notes[name] == "eps=1e-320 outside (0, 1/2) or not a normal double"
 
     @pytest.mark.parametrize("N,W", [("1", "1e-13"), ("2", "1e-13"), ("30", "1e-15")])
     def test_no_eigenvalue_above_the_check_floor(self, N, W, capsys):
@@ -400,6 +419,26 @@ class TestOtherCommands:
         assert cp.returncode == 0, cp.stderr
         defect = float(out.read_text().split("=")[1])
         assert defect <= 1e-10
+        # the tridiag route at W against the Toeplitz route at 1/2 - W
+        spec = cli.spectrum(cli.DiscreteParams(40, 0.15))
+        mirror = cli.spectrum(cli.DiscreteParams(40, 0.5 - 0.15), "toeplitz")
+        assert defect == cli.symmetry_defect(spec, mirror)
+
+    @pytest.mark.parametrize("eps,code", [("2.2250738585072014e-308", 0),
+                                          ("1e-320", 1)])
+    def test_count_at_tiny_eps_prints_no_infinity(self, eps, code):
+        # the smallest normal eps gives finite bounds; a subnormal one is the
+        # formula's one-line reason, never inf
+        cp = run_cli("count", "--N", "60", "--W", "0.3", "--eps", eps)
+        assert cp.returncode == code, cp.stderr
+        assert len(cp.stderr.splitlines()) <= code
+        assert not re.search(r"\b(inf|infinity|nan)\b", cp.stdout, re.IGNORECASE)
+        if code:
+            assert cp.stderr == (f"slepian: eps={float(eps)} outside (0, 1/2) "
+                                 f"or not a normal double\n")
+        else:
+            values = dict(line.split("=") for line in cp.stdout.splitlines())
+            assert all(math.isfinite(float(v)) for v in values.values())
 
     def test_projector_distance(self, tmp_path):
         out = tmp_path / "pd.txt"

@@ -7,10 +7,10 @@ import pytest
 from slepian import discrete
 from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
 from slepian.config import Tolerances, using_tolerances
-from slepian.discrete import (DiscreteParams, band_grams, commutation_defect,
+from slepian.discrete import (METHODS, DiscreteParams, band_grams, commutation_defect,
                               commuting_tridiagonal, concentration, dpswf,
-                              dpswf_matrix, extend_dpss, prolate_matrix,
-                              spectrum, symmetry_defect)
+                              dpswf_matrix, extend_dpss, mirror_params,
+                              prolate_matrix, spectrum, symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                             SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
                             sinc_kernel, tridiag_parity_blocks)
@@ -263,7 +263,7 @@ class TestRandomisedSweep:
     def test_moderate_scale(self):
         disc = spectrum(DiscreteParams(512, 0.25))
         assert abs(disc.values.sum() - 256.0) / 256.0 <= 1e-11
-        assert symmetry_defect(disc) <= 1e-10
+        assert symmetry_defect(disc, spectrum(DiscreteParams(512, 0.25), "toeplitz")) <= 1e-10
 
     @pytest.mark.parametrize("W", [1e-6, 0.499999])
     def test_extreme_bandwidths(self, W):
@@ -392,41 +392,59 @@ class TestConcentration:
 
 class TestSymmetry:
     def test_scalar(self):
-        assert symmetry_defect(spectrum(DiscreteParams(1, 0.2))) <= 1e-16
+        params = DiscreteParams(1, 0.2)
+        assert symmetry_defect(spectrum(params), spectrum(mirror_params(params))) <= 1e-16
 
     def test_self_dual_quarter(self, get_spectrum):
         disc = get_spectrum(60, 0.25)
         assert np.max(np.abs(disc.values + disc.values[::-1] - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("N,W", [(60, 0.1), (60, 0.3), (30, 0.2), (17, 0.05)])
-    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_defect(self, get_spectrum, N, W, method):
-        assert symmetry_defect(get_spectrum(N, W, method)) <= 1e-10
+        for mirror_method in METHODS:   # the spec's route x the mirror's route
+            assert symmetry_defect(get_spectrum(N, W, method),
+                                   get_spectrum(N, 0.5 - W, mirror_method)) <= 1e-10
 
-    @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_values_at_hand_are_reused(self, monkeypatch, method):
-        # one spectrum, at 1/2 - W by the method of the given spectrum
-        spec = spectrum(DiscreteParams(30, 0.2), method=method)
-        calls = []
-        real = discrete.spectrum
+        # both spectra are given: symmetry_defect solves nothing
+        spec = spectrum(DiscreteParams(30, 0.2), method)
+        mirror = spectrum(DiscreteParams(30, 0.5 - 0.2), "toeplitz")
 
-        def counting(params, method="tridiag"):
-            calls.append((params.N, params.W, method))
-            return real(params, method)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symmetry_defect made a solve")
 
-        monkeypatch.setattr(discrete, "spectrum", counting)
-        symmetry_defect(spec)
-        assert calls == [(30, 0.5 - 0.2, method)]
+        for name in ("spectrum", "eig_sym", "eig_symtridiag"):
+            monkeypatch.setattr(discrete, name, forbidden)
+        assert symmetry_defect(spec, mirror) == np.max(
+            np.abs(mirror.values - (1.0 - spec.values[::-1])))
+
+    @pytest.mark.parametrize("N,W", [(31, 0.5 - 0.2), (30, 0.2),
+                                     (30, math.nextafter(0.5 - 0.2, 1.0))])
+    def test_rejects_a_mirror_off_the_reflected_point(self, N, W):
+        spec = spectrum(DiscreteParams(30, 0.2))
+        with pytest.raises(ValueError, match=r"mirror is not at \(N, 1/2 - W\)"):
+            symmetry_defect(spec, spectrum(DiscreteParams(N, W), "toeplitz"))
+
+    def test_mirror_params(self):
+        assert mirror_params(DiscreteParams(30, 0.1)) == DiscreteParams(30, 0.4)
+        assert mirror_params(DiscreteParams(7, 0.25)) == DiscreteParams(7, 0.25)
 
     @pytest.mark.parametrize("W", [1e-300, 1e-17])
     def test_reflection_that_rounds_to_half_is_out_of_range(self, W):
-        # 1/2 - W rounds to 1/2 for W <= 2^-55
-        with pytest.raises(OutOfRangeError, match=f"rounds to 1/2 at W={W:g}"):
-            symmetry_defect(spectrum(DiscreteParams(30, W)))
+        # 1/2 - W rounds to 1/2 for W <= 2^-55: there is no mirror to compare
+        spec = spectrum(DiscreteParams(30, W))
+        for call in (lambda: mirror_params(spec.params),
+                     lambda: symmetry_defect(spec, spec)):
+            with pytest.raises(OutOfRangeError, match=f"rounds to 1/2 at W={W:g}"):
+                call()
 
     def test_smallest_resolvable_reflection_runs(self):
         assert 0.5 - 3e-17 < 0.5
-        assert symmetry_defect(spectrum(DiscreteParams(30, 3e-17))) <= 1e-10
+        params = DiscreteParams(30, 3e-17)
+        mirror = spectrum(mirror_params(params), "toeplitz")
+        assert symmetry_defect(spectrum(params), mirror) <= 1e-10
 
 
 class TestCommutation:

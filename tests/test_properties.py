@@ -9,7 +9,8 @@ import pytest
 
 from slepian.bounds import plunge_count_bound, plunge_mass, verify_all
 from slepian.config import Tolerances
-from slepian.discrete import METHODS, DiscreteParams, spectrum, symmetry_defect
+from slepian.discrete import (METHODS, DiscreteParams, mirror_params, spectrum,
+                              symmetry_defect)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -43,8 +44,11 @@ def test_trace_identity(N, W, method):
 @PROPERTY
 @given(N=lengths, W=bandwidths, method=methods)
 def test_reflection_identity(N, W, method):
-    assert symmetry_defect(spectrum(DiscreteParams(N, W), method)) \
-        <= Tolerances().symmetry_identity
+    params = DiscreteParams(N, W)
+    spec = spectrum(params, method)
+    for mirror_method in METHODS:   # the spec's route x the mirror's route
+        mirror = spectrum(mirror_params(params), mirror_method)
+        assert symmetry_defect(spec, mirror) <= Tolerances().symmetry_identity
 
 
 @PROPERTY
