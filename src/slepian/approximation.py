@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import current_tolerances
-from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix
+from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix, half_sums
 from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
                      gauss_legendre, snapped_floor)
 
@@ -86,6 +86,8 @@ class TestFunction:
             raise ValueError("x and y sample arrays differ in length")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("samples must be finite")
+        if not np.max(np.abs(y)) <= 1e150:   # the L2 residual squares f
+            raise ValueError("sample values must not exceed 1e150 in magnitude")
         order = np.argsort(x)
         x, y = x[order], y[order]
         return cls(evaluator=lambda t: np.interp(t, x, y),
@@ -136,16 +138,14 @@ def _cosine_mode_integrals(amps: np.ndarray, freqs: np.ndarray,
                            ) -> np.ndarray:
     """<f, U_k(scale .)> over [-T, T] for all modes k, f a cosine sum.
 
-    An even mode U_k(scale x) is the half-length cosine sum over nu_n =
-    pi (N-1-2n) scale of ``dpswf_matrix``, whose cross terms with cos(omega x)
-    integrate in closed form, so arbitrarily large omega (Weierstrass terms up
-    to 2^40) cost nothing in accuracy. An odd mode is a sine sum: exactly 0.0.
+    An even mode U_k(scale x) is a half-length cosine sum (``half_sums``),
+    whose cross terms with cos(omega x) integrate in closed form, so
+    arbitrarily large omega (Weierstrass terms up to 2^40) cost nothing in
+    accuracy. An odd mode is a sine sum: exactly 0.0.
     """
-    N, h = spec.N, spec.N // 2
-    n = np.arange(N - h)   # the middle term of odd N (nu = 0) counts once
-    cross = cos_pair_integral(freqs[:, None], np.pi * (N - 1 - 2 * n) * scale, T)
-    out = np.zeros(N)
-    out[0::2] = (amps @ cross * np.where(n < h, 2.0, 1.0)) @ spec.dpss[:N - h, 0::2]
+    nu, A = half_sums(spec, np.arange(0, spec.N, 2))
+    out = np.zeros(spec.N)
+    out[0::2] = amps @ cos_pair_integral(freqs[:, None], nu * scale, T) @ A
     return out
 
 

@@ -203,7 +203,7 @@ def kernel_hs_distance(N: int, W: float) -> float:
 def kernel_hs_distance_bound(W: float) -> float:
     """Closed-form bound 4 pi^2 W^3 / (3 sin(2 pi W)) for kernel_hs_distance."""
     if not 0.0 < W < 0.5:
-        raise ValueError(f"W must lie in (0, 0.5), got {W}")
+        raise OutOfRangeError(f"W must lie in (0, 0.5), got {W}")
     return 4.0 * math.pi ** 2 * W ** 3 / (3.0 * math.sin(2.0 * math.pi * W))
 
 

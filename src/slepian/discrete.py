@@ -96,11 +96,11 @@ def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     return _prolate_view(params).copy()
 
 
-def _prolate_blocks(params: DiscreteParams):
-    """The even, then the odd block of ``prolate_matrix(params)``, each read
-    from the strided view only when asked for (the N x N matrix never is)."""
+def _prolate_block(params: DiscreteParams, odd: bool) -> np.ndarray:
+    """The even or odd block of ``prolate_matrix(params)``, read from the
+    strided view (the N x N matrix is never built)."""
     view = _prolate_view(params)
-    return (parity_block(lambda i, j: view[i:j], params.N, odd) for odd in (0, 1))
+    return parity_block(lambda i, j: view[i:j], params.N, odd)
 
 
 def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
@@ -113,32 +113,19 @@ def commuting_tridiagonal(params: DiscreteParams) -> SymTridiag:
     return SymTridiag(diagonal, offdiag)
 
 
-def _sign_convention(U: np.ndarray, h: int) -> np.ndarray:
-    """Negate block columns in place so that the largest lifted component (the
-    first h rows scaled by 1/sqrt(2), a middle row h not) is positive."""
-    top = np.abs(U[:h + 1])   # |v| = |Jv|; the first maximum wins ties
-    top[:h] *= 1.0 / math.sqrt(2.0)
-    lead = np.argmax(top, axis=0)
-    U *= np.copysign(1.0, U[lead, np.arange(U.shape[1])])
-    return U
-
-
 def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectrum:
     """Compute the DPSS spectrum of (N, W) by the requested route."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    N = params.N
-    rho_blocks = _prolate_blocks(params)   # each dropped once solved or used
     T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
 
-    def solve(odd: bool) -> EigenSystem:
+    def solve(odd: bool) -> EigenSystem:   # a prolate block dies once used
         if method == "toeplitz":
-            values, U = eig_sym(next(rho_blocks))
-        else:   # u^T B u = v^T rho v for the lifted sequence v of block vector u
-            U = eig_symtridiag(T_blocks[odd]).vectors
-            values = np.einsum("ij,ij->j", U, next(rho_blocks) @ U)
-        return EigenSystem(values, _sign_convention(U, N // 2))
-    values, vectors = parity_spectrum(N, solve)
+            return eig_sym(_prolate_block(params, odd))
+        # u^T B u = v^T rho v for the lifted sequence v of block vector u
+        U = eig_symtridiag(T_blocks[odd]).vectors
+        return EigenSystem(np.einsum("ij,ij->j", U, _prolate_block(params, odd) @ U), U)
+    values, vectors = parity_spectrum(params.N, solve)
     warnings = _validate(params, values, vectors)
     return DiscreteSpectrum(params=params, values=values, dpss=vectors,
                             method=method, warnings=tuple(warnings))
@@ -152,7 +139,7 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if not np.max(np.abs(norms - 1.0)) <= 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
-    # |v_i| = |v_(N-1-i)| exactly, as parity_vectors writes +-Ju (a NaN fails);
+    # |v_i| = |v_(N-1-i)| exactly, as parity_spectrum writes +-Ju (a NaN fails);
     # 64-column chunks bound temporaries
     if not all((np.abs(vectors[:N // 2, j:j + 64])
                 == np.abs(vectors[:(N - 1) // 2:-1, j:j + 64])).all()
@@ -180,26 +167,32 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     return warnings
 
 
+def half_sums(spec: DiscreteSpectrum, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modes k as half-length trigonometric sums: frequencies f_n = pi (N-1-2n)
+    for n < N - N//2, and coefficients A[n, j] = 2 v_n^(k[j]), the middle one
+    of odd N (f = 0) counted once. U_k(x) = sum_n A[n, j] cos(f_n x) for even
+    k[j], sin for odd: eps_k sum_n v_n^(k) exp(-i f_n x), eps_k = 1 for even k
+    and i for odd k, folded by the parity of v^(k)."""
+    N, h = spec.N, spec.N // 2
+    n = np.arange(N - h)
+    return (np.pi * (N - 1 - 2 * n),
+            spec.dpss[:N - h, k] * np.where(n < h, 2.0, 1.0)[:, None])
+
+
 def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
                  k: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate wave functions on points ``x`` as float64; column j is mode k[j].
-
-    U_k(x) = eps_k sum_n v_n^(k) exp(-i pi m_n x), m_n = N-1-2n, eps_k = 1 for
-    even k and i for odd k, folds by the parity of v^(k) onto its first half:
-    2 sum_{n<N/2} v_n cos(pi m_n x) (plus the middle v_n of odd N) for even k,
-    2 sum_{n<N/2} v_n sin(pi m_n x) for odd k.
-    """
-    N, h = spec.N, spec.N // 2
+    """Evaluate wave functions on points ``x`` as float64; column j is mode
+    k[j], summed over the first half of its sequence (``half_sums``)."""
+    N = spec.N
     k = np.arange(N) if k is None else np.array(   # as objects, True stays a bool
         [checked_index(kj, 0, N - 1, "mode index k")
          for kj in np.atleast_1d(np.asarray(k, dtype=object))], dtype=int)
-    n = np.arange(N - h)   # the middle term of odd N (m = 0) counts once
-    t = np.multiply.outer(np.asarray(x, dtype=float).ravel(), np.pi * (N - 1 - 2 * n))
-    V = spec.dpss[:N - h, k] * np.where(n < h, 2.0, 1.0)[:, None]
+    freqs, A = half_sums(spec, k)
+    t = np.multiply.outer(np.asarray(x, dtype=float).ravel(), freqs)
     U = np.empty((len(t), k.size))
     for odd, trig in enumerate((np.cos, np.sin)):
         cols = np.flatnonzero(k % 2 == odd)
-        U[:, cols] = trig(t) @ V[:, cols]
+        U[:, cols] = trig(t) @ A[:, cols]
     return U
 
 
@@ -225,10 +218,10 @@ def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
     between modes of opposite parity vanish by construction."""
     N, h = spec.N, spec.N // 2
     grams = []
-    for odd, B in enumerate(_prolate_blocks(spec.params)):
+    for odd in (0, 1):
         U = spec.dpss[:h if odd else N - h, odd::2].copy()   # the block vectors
         U[:h] *= math.sqrt(2.0)
-        grams.append(U.T @ (B @ U))
+        grams.append(U.T @ (_prolate_block(spec.params, odd) @ U))
     return tuple(grams)
 
 

@@ -174,8 +174,8 @@ def parity_block(rows, n: int, odd: bool) -> np.ndarray:
     whose rows S[i:j] are ``rows(i, j)``, read about 2^16 entries at a time.
 
     With h = n // 2, A = S[:h, :h] and BJ = S[:h, n-h:][:, ::-1], they are
-    A + BJ and A - BJ: S in the orthonormal bases of ``parity_vectors``. For
-    odd n the even block gains the sqrt(2)-weighted middle row and column.
+    A + BJ and A - BJ: S in the orthonormal bases ``parity_spectrum`` lifts.
+    For odd n the even block gains the sqrt(2)-weighted middle row and column.
     """
     h, step = n // 2, max(1, 2 ** 16 // n)
     m = h if odd else n - h
@@ -193,32 +193,29 @@ def parity_block(rows, n: int, odd: bool) -> np.ndarray:
 def parity_spectrum(n: int, solve) -> EigenSystem:
     """System of an n x n centrosymmetric operator from ``solve(odd)``, the
     even block's system, then (n > 1) the odd's: a block built in ``solve``
-    dies there. ``parity_vectors`` lifts each block, in ``solve``'s order, into
-    the columns of its parity, 0::2 and 1::2, so column k has parity (-1)^k."""
+    dies there. The columns u of each block (overwritten) are lifted to
+    [u; +-Ju] / sqrt(2) in the F-ordered columns of their parity, 0::2 and
+    1::2, writing each entry once; for odd n the last row of an even block is
+    the middle entry, taken unscaled. Column k is exactly symmetric (k even)
+    or antisymmetric (k odd) under index reversal, and its first largest
+    entry is positive."""
+    h = n // 2
     even = solve(False)
     odd = solve(True) if n > 1 else EigenSystem(np.zeros(0), np.zeros((0, 0)))
     values = np.empty(n)
     values[0::2], values[1::2] = even.values, odd.values
-    return EigenSystem(values, parity_vectors(even.vectors, odd.vectors, n))
-
-
-def parity_vectors(Ue: np.ndarray, Uo: np.ndarray, n: int) -> np.ndarray:
-    """Lift the columns of Ue to columns 0::2 and those of Uo to 1::2 of an
-    F-ordered n x n array as [u; +-Ju] / sqrt(2), writing each entry once; Ue
-    and Uo are overwritten (first n // 2 rows scaled, Uo negated). For odd n
-    the last row of ``Ue`` is the middle entry, taken unscaled. Column k is
-    exactly symmetric (k even) or antisymmetric (k odd) under index reversal."""
-    h = n // 2
-    r = 1.0 / math.sqrt(2.0)
+    Ue, Uo = even.vectors, odd.vectors
+    for U in (Ue, Uo)[:1 + (n > 1)]:   # the odd block is empty at n = 1
+        U[:h] *= 1.0 / math.sqrt(2.0)
+        lead = np.argmax(np.abs(U), axis=0)   # |v| = |Jv|: U holds the first maximum
+        U *= np.copysign(1.0, U[lead, np.arange(U.shape[1])])
     out = np.empty((n, n), order="F")
-    Ue[:h] *= r
     out[:n - h, 0::2] = Ue
     out[n - h:, 0::2] = Ue[:h][::-1]
-    Uo *= r
     out[:h, 1::2] = Uo
     out[h:n - h, 1::2] = 0.0
     out[n - h:, 1::2] = np.negative(Uo, out=Uo)[::-1]
-    return out
+    return EigenSystem(values, out)
 
 
 def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slepian import approximation
-from slepian.approximation import (TestFunction, project_dilated,
+from slepian.approximation import (BASES, TestFunction, project_dilated,
                                    project_native, projection_sweep,
                                    sobolev_k_range, sobolev_norm,
                                    weierstrass_terms)
@@ -72,6 +72,20 @@ class TestTestFunction:
             TestFunction.from_samples(np.array([0.0, bad, 1.0]), good)
         with pytest.raises(ValueError, match="finite"):
             TestFunction.from_samples(good, np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("big", [1.1e150, -1e308])
+    def test_sample_values_that_overflow_the_fit_rejected(self, big):
+        # the L2 residual squares f: near 1e154 it overflowed to a NaN fit
+        with pytest.raises(ValueError, match="must not exceed 1e150"):
+            TestFunction.from_samples(np.array([-1.0, 0.0, 1.0]), np.array([0.0, big, 1.0]))
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_largest_sample_values_fit_finite(self, get_spectrum, basis):
+        x = np.linspace(-1.0, 1.0, 41)
+        f = TestFunction.from_samples(x, 1e150 * (-1.0) ** np.arange(41))
+        for row in projection_sweep(f, get_spectrum(61, 0.3), 61, basis):
+            assert math.isfinite(row.residual_l2) and math.isfinite(row.residual_sup)
+            assert np.isfinite(row.coefficients).all()
 
     def test_samples_interpolate(self):
         f = TestFunction.from_samples(np.array([0.0, 1.0]), np.array([0.0, 2.0]))

@@ -332,6 +332,12 @@ class TestKernelDistance:
         assert kernel_hs_distance_bound(0.3) == pytest.approx(expected, rel=1e-15)
         assert kernel_hs_distance(60, 0.3) <= expected
 
+    @pytest.mark.parametrize("W", [0.0, -0.1, 0.5, 0.7, math.nan, math.inf])
+    def test_bound_outside_its_range(self, W):
+        # the exception every other bound raises, which a bound check skips on
+        with pytest.raises(OutOfRangeError, match="W must lie in"):
+            kernel_hs_distance_bound(W)
+
 
 class TestPlungeIndex:
     def test_time_bandwidth_products(self):

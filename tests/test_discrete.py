@@ -568,6 +568,13 @@ def _interleaved(values, vectors):
     return out_values, out_vectors
 
 
+def _signed(vectors):
+    """Columns negated in place where their first largest |entry| is negative."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors[:, vectors[lead, np.arange(vectors.shape[1])] < 0] *= -1.0
+    return vectors
+
+
 def _reference_spectrum(params, method):
     """The full-size construction: blocks of the N x N prolate matrix, lift,
     interleave, then the sign convention on the lifted vectors."""
@@ -583,10 +590,7 @@ def _reference_spectrum(params, method):
                                  for s, B in zip(systems, rho_blocks)])
     Uo = systems[1].vectors if N > 1 else np.zeros((0, 0))
     values, vectors = _interleaved(values, _reference_lift(systems[0].vectors, Uo, N))
-    top = vectors[:(N + 1) // 2]
-    lead = np.argmax(np.abs(top), axis=0)
-    vectors[:, top[lead, np.arange(N)] < 0] *= -1.0
-    return values, vectors
+    return values, _signed(vectors)
 
 
 class TestBitIdentity:
@@ -606,8 +610,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("N", [1, 2, 7, 60, 61])
     def test_blocks_from_lag_vector(self, N):
         params = DiscreteParams(N, 0.3)
-        for new, old in zip(discrete._prolate_blocks(params),
-                            parity_blocks(prolate_matrix(params))):
+        for odd, old in enumerate(parity_blocks(prolate_matrix(params))):
+            new = discrete._prolate_block(params, odd)
             assert new.flags.c_contiguous and np.array_equal(new, old)
 
     @pytest.mark.parametrize("c,M", [(5.0, None), (18.85, 99)])
@@ -620,7 +624,22 @@ class TestBitIdentity:
                                        _reference_lift(se.vectors, so.vectors, order))
         cont = nystrom_spectrum(c, M, check_convergence=False)
         assert np.array_equal(cont.values, values)
-        assert np.array_equal(cont.grid_vectors, vectors)
+        assert np.array_equal(cont.grid_vectors, _signed(vectors))
+
+
+@pytest.mark.parametrize("route,order", [*((m, n) for m in METHODS for n in (1, 2, 60, 61)),
+                                         ("nystrom", 98), ("nystrom", 99)])
+def test_lift_applies_the_sign_rule(route, order):
+    # parity_spectrum makes the first largest |entry| of every column positive,
+    # for the DPSS of both routes and for the Nystrom grid vectors alike
+    if route == "nystrom":
+        V = nystrom_spectrum(18.85, order, check_convergence=False).grid_vectors
+    else:
+        V = spectrum(DiscreteParams(order, 0.3), route).dpss
+    lead = np.argmax(np.abs(V), axis=0)
+    assert (V[lead, np.arange(order)] > 0).all()
+    assert (V[::-1, 0::2] == V[:, 0::2]).all()
+    assert (V[::-1, 1::2] == -V[:, 1::2]).all()
 
 
 class TestMemory:
@@ -663,7 +682,7 @@ class TestValidateChecks:
             discrete._validate(disc.params, disc.values, V)
 
     def test_one_ulp_breaks_component_symmetry(self, corrupted):
-        # parity_vectors writes +-Ju, so the check is exact
+        # parity_spectrum writes +-Ju, so the check is exact
         disc, V = corrupted
         i = int(np.argmax(np.abs(V[:self.N // 2, self.N - 1])))
         V[i, self.N - 1] = np.nextafter(V[i, self.N - 1], 0.0)

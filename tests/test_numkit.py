@@ -12,7 +12,7 @@ from slepian import DiscreteParams, numkit
 from slepian.discrete import commuting_tridiagonal
 from slepian.config import Tolerances, using_tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
-                            eig_symtridiag, gauss_legendre, parity_vectors,
+                            eig_symtridiag, gauss_legendre, parity_spectrum,
                             sinc_kernel, snapped_floor, tridiag_parity_blocks)
 
 from conftest import parity_blocks
@@ -354,16 +354,14 @@ class TestParitySplit:
     @pytest.mark.parametrize("n", [1, 2, 5, 60, 61])
     def test_lifted_vectors_are_parity_eigenvectors(self, n):
         S = _centrosymmetric(n, 7 * n)
-        even, odd = parity_blocks(S)
-        se = eig_sym(even)
-        Uo = eig_sym(odd).vectors if n > 1 else np.zeros((0, 0))
-        V = parity_vectors(se.vectors, Uo, n)
+        blocks = parity_blocks(S)
+        values, V = parity_spectrum(n, lambda odd: eig_sym(blocks[odd]))
         assert V.shape == (n, n) and V.flags.f_contiguous
         assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-13
         assert (V[::-1, 0::2] == V[:, 0::2]).all()
         assert (V[::-1, 1::2] == -V[:, 1::2]).all()
-        resid = S @ V[:, 0::2] - V[:, 0::2] * se.values
-        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(se.values))
+        resid = S @ V - V * values
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(values))
 
     def test_tridiag_blocks_match_dense_blocks(self):
         T = _persymmetric_tridiag(9, 3)
