@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,8 +59,7 @@ class Output(NamedTuple):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
+    def error(self, message):   # one line, without argparse's usage lines
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -199,6 +199,7 @@ def cmd_turan(args) -> Output:
     return Output(lines)
 
 
+@functools.cache   # about 570 arguments: built once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="slepian",
                      description="Discrete prolate spheroidal spectra, "

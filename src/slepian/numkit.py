@@ -247,11 +247,18 @@ _NEWTON_MAX_STEPS = 20
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_n'(x)) by the three-term recurrence, O(n len(x)) flops."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
+    """(P_n(x), P_n'(x)) by the three-term recurrence, O(n len(x)) flops.
+
+    Each step computes ((2k + 1) x p - k p_prev) / (k + 1) in that operation
+    order, in place in three buffers."""
+    p_prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
     for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        np.multiply(2 * k + 1, x, out=t)
+        t *= p
+        p_prev *= k
+        np.subtract(t, p_prev, out=p_prev)
+        p_prev /= k + 1
+        p_prev, p = p, p_prev
     return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 

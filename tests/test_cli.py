@@ -700,6 +700,22 @@ class TestConfigAndExitCodes:
         assert (exc.value.code, out) == (1, "")
         assert "unrecognized arguments: --method toeplitz" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--N", "60", "--W", "0.3", "--eps", "0.05", "--method", "toeplitz"],
+         "slepian: error: unrecognized arguments: --method toeplitz"),
+        (["turan", "--N-list", "True,3"],
+         "slepian turan: error: argument --N-list: expected comma-separated "
+         "integers: True,3"),
+        ([], "slepian: error: the following arguments are required: command")])
+    def test_argparse_error_is_one_line(self, argv, message, capsys):
+        # no usage lines above the error, as for every other usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert (exc.value.code, capsys.readouterr()) == (1, ("", message + "\n"))
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_eigs_keeps_method(self, capsys):
         assert cli.main(["eigs", "--N", "8", "--W", "0.2",
                          "--method", "toeplitz"]) == 0

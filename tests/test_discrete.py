@@ -576,18 +576,18 @@ def _signed(vectors):
 
 
 def _reference_spectrum(params, method):
-    """The full-size construction: blocks of the N x N prolate matrix, lift,
-    interleave, then the sign convention on the lifted vectors."""
+    """The full-size construction: blocks of the N x N prolate matrix (or, on
+    the tridiag route, the FFT quotients), lift, interleave, then the sign
+    convention on the lifted vectors."""
     N = params.N
-    rho_blocks = parity_blocks(prolate_matrix(params))[:1 + (N > 1)]
     if method == "toeplitz":
-        systems = [eig_sym(B) for B in rho_blocks]
+        systems = [eig_sym(B) for B in parity_blocks(prolate_matrix(params))[:1 + (N > 1)]]
         values = np.concatenate([s.values for s in systems])
     else:
         T_blocks = tridiag_parity_blocks(discrete.commuting_tridiagonal(params))
-        systems = [eig_symtridiag(T) for T in T_blocks[:len(rho_blocks)]]
-        values = np.concatenate([np.einsum("ij,ij->j", s.vectors, B @ s.vectors)
-                                 for s, B in zip(systems, rho_blocks)])
+        systems = [eig_symtridiag(T) for T in T_blocks[:1 + (N > 1)]]
+        values = np.concatenate([discrete._block_quotients(params, s.vectors, odd)
+                                 for odd, s in enumerate(systems)])
     Uo = systems[1].vectors if N > 1 else np.zeros((0, 0))
     values, vectors = _interleaved(values, _reference_lift(systems[0].vectors, Uo, N))
     return values, _signed(vectors)
@@ -627,6 +627,34 @@ class TestBitIdentity:
         assert np.array_equal(cont.grid_vectors, _signed(vectors))
 
 
+class TestBlockQuotients:
+    """The tridiag route's FFT Rayleigh quotients against the dense u^T B u."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 60, 61, 301, 2000])
+    @pytest.mark.parametrize("W", [0.01, 0.1, 0.3, 0.45])
+    def test_matches_dense_quotient(self, N, W):
+        params = DiscreteParams(N, W)
+        T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
+        rng = np.random.default_rng(N)
+        for odd in (0, 1)[:1 + (N > 1)]:
+            B, U = discrete._prolate_block(params, odd), eig_symtridiag(T_blocks[odd]).vectors
+            R = rng.standard_normal((len(U), 3))   # unit vectors, not eigenvectors
+            for V in (U, R / np.linalg.norm(R, axis=0)):
+                dense = np.einsum("ij,ij->j", V, B @ V)
+                assert np.max(np.abs(discrete._block_quotients(params, V, odd) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("N", [1, 2, 61, 300])
+    def test_tridiag_route_builds_no_prolate_block(self, monkeypatch, N):
+        def refuse(*args):
+            raise AssertionError("the tridiag route built a prolate block")
+
+        monkeypatch.setattr(discrete, "_prolate_block", refuse)
+        monkeypatch.setattr(discrete, "_prolate_view", refuse)
+        assert spectrum(DiscreteParams(N, 0.3), "tridiag").values.shape == (N,)
+        with pytest.raises(AssertionError, match="built a prolate block"):
+            spectrum(DiscreteParams(N, 0.3), "toeplitz")
+
+
 @pytest.mark.parametrize("route,order", [*((m, n) for m in METHODS for n in (1, 2, 60, 61)),
                                          ("nystrom", 98), ("nystrom", 99)])
 def test_lift_applies_the_sign_rule(route, order):
@@ -647,7 +675,8 @@ class TestMemory:
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_full_spectrum_peak(self, N, method):
         # about N^2 doubles for the result and N^2 / 2 for the block vectors;
-        # one prolate block at a time lives next to them
+        # the toeplitz route builds one prolate block at a time next to them,
+        # the tridiag route none (its quotients take 16 columns at a time)
         params = DiscreteParams(N, 0.3)
         assert traced_peak(lambda: spectrum(params, method)) <= 1.7 * N * N * 8
 

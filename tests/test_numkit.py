@@ -122,6 +122,22 @@ class TestGaussLegendre:
         with pytest.raises(NumericalFailure, match="not symmetric about 0"):
             gauss_legendre(9)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 98, 256, 965])
+    def test_in_place_recurrence_changes_no_bit(self, monkeypatch, order):
+        # the recurrence as one expression per step, which the in-place
+        # buffers must reproduce operation for operation
+        def expression(n, x):
+            p_prev, p = np.ones_like(x), x.copy()
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+        rule = gauss_legendre(order)
+        monkeypatch.setattr(numkit, "_legendre", expression)
+        old = numkit._gauss_legendre_rule.__wrapped__(order)   # past the cache
+        assert np.array_equal(rule.nodes, old.nodes)
+        assert np.array_equal(rule.weights, old.weights)
+
     def test_scaled_interval(self):
         rule = gauss_legendre(5).scaled(0.25)
         assert abs(rule.weights.sum() - 0.5) <= 1e-14
