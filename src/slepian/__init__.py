@@ -9,8 +9,8 @@ the two, and spectral approximation in the wave-function bases.
 from .approximation import (ProjectionResult, TestFunction, project_dilated,
                             project_native, projection_sweep, sobolev_norm)
 from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
-                     asymptotic_decay_constants, comparison_constant,
-                     compare_spectra, concentration_inequality_constant,
+                     comparison_constant, compare_spectra,
+                     concentration_inequality_constant,
                      eigenvalue_tail_bound, plunge_count_bound,
                      plunge_count_bound_coarse, plunge_count_estimate,
                      plunge_decay_rate, plunge_mass,

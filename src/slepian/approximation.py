@@ -369,7 +369,8 @@ def project_dilated(f: TestFunction, spec: DiscreteSpectrum, K: int) -> Projecti
     K modes span, as in the reference experiments. Reported coefficients
     <f, u_k> use the orthonormal convention u_k = sqrt(W) U_k(W x) /
     sqrt(lambda_k) and are given for modes above the trust floor 1e-13;
-    deeper in-span modes are listed as untrusted. A sampled f must span [-1, 1].
+    deeper in-span modes are listed as untrusted. A coefficient's relative
+    error grows like eps/lambda_k (eps = 2.2e-16). A sampled f must span [-1, 1].
     """
     K = checked_index(K, 1, spec.N, "K")
     return _dilated_frame(f, spec)(K)

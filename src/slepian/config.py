@@ -24,9 +24,8 @@ class Tolerances:
     weight_sum: float = 1e-13
     # discrete spectrum identities
     trace_rel: float = 1e-11
-    cross_route: float = 1e-10   # Toeplitz vs tridiag, and Nystrom vs Legendre
+    cross_route: float = 1e-10   # tridiag at W vs Toeplitz at 1/2 - W; Nystrom vs Legendre
     double_orthogonality: float = 1e-10
-    symmetry_identity: float = 1e-10
     commutation: float = 1e-12
     # eigenvalue floors
     floor_untrusted: float = 1e-13

@@ -156,7 +156,8 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     """Compute the DPSS spectrum of (N, W) by the requested route."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
+    if method == "tridiag":
+        T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
 
     def solve(odd: bool) -> EigenSystem:   # a prolate block dies once used
         if method == "toeplitz":

@@ -9,9 +9,8 @@ import pytest
 
 from slepian import bounds, continuous, discrete
 from slepian.bounds import (COMPARISON_TAIL, TURAN_N_LIST, TURAN_W, OutOfRangeError,
-                            asymptotic_decay_constants, compare_spectra,
-                            comparison_constant,
-                            concentration_inequality_constant, decay_formula,
+                            compare_spectra, comparison_constant,
+                            concentration_inequality_constant,
                             eigenvalue_tail_bound, eigenvalue_tail_range,
                             plunge_count, plunge_count_bound,
                             plunge_count_bound_coarse, plunge_count_estimate,
@@ -198,15 +197,20 @@ class TestComparisonConstant:
 
 
 class TestSharedFormulas:
+    def test_one_definition_per_bound_statement(self):
+        # no exported asymptotic decay constants or second decay-bound body,
+        # and one tolerance for the reflection pair
+        import slepian
+        assert not hasattr(slepian, "asymptotic_decay_constants")
+        assert not hasattr(bounds, "decay_formula")
+        fields = [f.name for f in dataclasses.fields(Tolerances)]
+        assert "symmetry_identity" not in fields and len(fields) == 14
+
     @pytest.mark.parametrize("N,W", [(30, 0.1), (60, 0.3), (500, 0.45)])
     def test_count_bound_is_mass_bound_over_eps_gap(self, N, W):
         _, mass_bound = plunge_mass(N, W, np.zeros(N))
         for eps in (0.01, 0.05, 0.2):
             assert plunge_count_bound(N, W, eps) == mass_bound / (eps * (1 - eps))
-
-    def test_decay_bound_is_formula_in_range(self):
-        for k in range(26, 60):   # (e pi / 2) N W = 25.6
-            assert superexponential_decay_bound(k, 60, 0.1) == decay_formula(k, 60, 0.1)
 
 
 class TestDecayBound:
@@ -287,28 +291,6 @@ class TestPlungeDecayRate:
         etas = [plunge_decay_rate(N, 0.2, get_spectrum(N, 0.2).values)
                 for N in (150, 200, 300)]
         assert max(etas) <= 1.2 * min(etas)
-
-
-class TestAsymptoticDecayConstants:
-    def test_values(self):
-        c1, c2 = asymptotic_decay_constants(0.1, 1.0)
-        assert c1 == 2.0
-        assert c2 == pytest.approx(0.8 * math.log(10 / (E * PI)), rel=1e-13)
-        assert c2 == pytest.approx(0.126284, abs=1e-6)
-
-    def test_open_threshold(self):
-        with pytest.raises(OutOfRangeError):
-            asymptotic_decay_constants(0.1, (E * PI - 6) / 4)
-
-    def test_consistency_with_decay_bound(self):
-        # the asymptotic envelope dominates the per-index bound from k = 29 on
-        # at (N, W, eps) = (60, 0.1, 1); nearer the plunge the per-index bound
-        # is larger and the comparison reverses
-        c1, c2 = asymptotic_decay_constants(0.1, 1.0)
-        envelope = c1 * math.exp(-c2 * 60)
-        assert envelope < decay_formula(26, 60, 0.1)
-        for k in range(29, 60):
-            assert envelope >= decay_formula(k, 60, 0.1)
 
 
 class TestConcentrationConstant:

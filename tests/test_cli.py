@@ -543,10 +543,10 @@ class TestOtherCommands:
 class TestConfigAndExitCodes:
     def test_config_env_var(self, tmp_path):
         # the CLI reads no tolerance from its environment: SLEPIAN_CONFIG is
-        # not read, so its 1e-30 tolerance does not fail symmetry_identity
+        # not read, so its 1e-30 tolerance does not fail the reflection checks
         import os
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_symmetry_identity = 1e-30\n")
+        cfg.write_text("tol_cross_route = 1e-30\n")
         out = tmp_path / "report.json"
         env = dict(os.environ, SLEPIAN_CONFIG=str(cfg))
         cp = run_cli("bounds", "--N", "30", "--W", "0.2", "--eps", "0.2",
@@ -559,16 +559,16 @@ class TestConfigAndExitCodes:
         # an absurdly tight identity tolerance must fail the check and, under
         # --strict, surface as exit code 3
         out = tmp_path / "report.json"
-        with using_tolerances(Tolerances(symmetry_identity=1e-30)):
+        with using_tolerances(Tolerances(cross_route=1e-30)):
             code = cli.main(["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05",
                              "--out", str(out), "--strict"])
         assert code == 3
         payload = json.loads(out.read_text())
         assert payload["pass"] is False
-        assert payload["tolerances"]["symmetry_identity"] == 1e-30
-        failing = [c for c in payload["checks"]
-                   if c["name"] == "symmetry_identity"]
-        assert failing and not failing[0]["satisfied"]
+        assert payload["tolerances"]["cross_route"] == 1e-30
+        # both reflection-pair entries read the one tolerance
+        failing = sorted(c["name"] for c in payload["checks"] if not c["satisfied"])
+        assert failing == ["cross_route_agreement", "symmetry_identity"]
 
     @pytest.mark.parametrize("argv,tolerance,stderr,files", [
         (["table1", "--out", "t1.csv"], "table1_rel",
@@ -581,8 +581,8 @@ class TestConfigAndExitCodes:
          r"project: sup residual (?P<value>\S+) exceeds 1e-30\n",
          ["e2.csv", "e2.json"]),
         (["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05", "--out", "sy.json"],
-         "symmetry_identity",
-         r"bounds: failing checks: \['symmetry_identity'\]\n",
+         "cross_route",
+         r"bounds: failing checks: \['cross_route_agreement', 'symmetry_identity'\]\n",
          ["sy.json"])], ids=["table1-flag", "project-flag", "bounds-flag"])
     def test_strict_verdicts(self, tmp_path, capsys, argv, tolerance, stderr, files):
         # the output is written first, then the verdict goes to stderr
@@ -656,9 +656,9 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, value):
-        message = f"tolerance symmetry_identity must be positive and finite, got {value}"
+        message = f"tolerance cross_route must be positive and finite, got {value}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            Tolerances(symmetry_identity=value)
+            Tolerances(cross_route=value)
 
     def test_bounds_default_grid_is_verify_all_default(self, tmp_path):
         out = tmp_path / "report.json"

@@ -369,6 +369,15 @@ class TestPlungeIndex:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             plunge_index(c, b)
 
+    def test_level_falls_slowly_toward_the_limit(self):
+        # the docstring's measured values: at b = 1 the eigenvalue at n(c, 1)
+        # decreases with c but stays well above 1/(1 + e^pi) = 0.0414
+        index = {c: plunge_index(c, 1.0) for c in (10.0, 50.0, 200.0, 1000.0)}
+        mu = [legendre_spectrum(c, n + 1)[n] for c, n in index.items()]
+        assert np.round(mu, 4).tolist() == [0.1123, 0.0857, 0.0699, 0.0528]
+        assert all(np.diff(mu) < 0)
+        assert mu[-1] > 1.0 / (1.0 + math.exp(math.pi))
+
 
 class TestProjectorDistance:
     def test_rank_zero(self, get_spectrum):
@@ -433,6 +442,15 @@ class TestProjectorDistance:
         # form at M = 4N = 2000 peaked at 156 MB
         disc = get_spectrum(500, 0.1)
         assert traced_peak(lambda: projector_distance(disc, 102)) <= 10e6
+
+    @pytest.mark.parametrize("N,W,b", [(60, 0.1, 1.0), (100, 0.1, 2.0),
+                                       (200, 0.05, 1.5)])
+    def test_within_eigenspace_bound_at_plunge_index(self, get_spectrum, N, W, b):
+        # the bound is stated for K = n(c, b) where its condition holds
+        K = plunge_index(math.pi * N * W, b)
+        bound, condition_ok = eigenspace_bound(N, W, b)
+        assert condition_ok
+        assert projector_distance(get_spectrum(N, W), K) <= bound
 
     def test_nystrom_basis_is_certified(self, get_spectrum, monkeypatch):
         def shifted(c, count=0):

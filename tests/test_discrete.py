@@ -654,6 +654,16 @@ class TestBlockQuotients:
         with pytest.raises(AssertionError, match="built a prolate block"):
             spectrum(DiscreteParams(N, 0.3), "toeplitz")
 
+    @pytest.mark.parametrize("N", [1, 2, 61, 300])
+    def test_toeplitz_route_builds_no_tridiagonal_block(self, monkeypatch, N):
+        def refuse(*args):
+            raise AssertionError("the toeplitz route built a tridiagonal block")
+
+        monkeypatch.setattr(discrete, "tridiag_parity_blocks", refuse)
+        assert spectrum(DiscreteParams(N, 0.3), "toeplitz").values.shape == (N,)
+        with pytest.raises(AssertionError, match="built a tridiagonal block"):
+            spectrum(DiscreteParams(N, 0.3), "tridiag")
+
 
 @pytest.mark.parametrize("route,order", [*((m, n) for m in METHODS for n in (1, 2, 60, 61)),
                                          ("nystrom", 98), ("nystrom", 99)])

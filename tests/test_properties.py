@@ -48,7 +48,7 @@ def test_reflection_identity(N, W, method):
     spec = spectrum(params, method)
     for mirror_method in METHODS:   # the spec's route x the mirror's route
         mirror = spectrum(mirror_params(params), mirror_method)
-        assert symmetry_defect(spec, mirror) <= Tolerances().symmetry_identity
+        assert symmetry_defect(spec, mirror) <= Tolerances().cross_route
 
 
 @PROPERTY
