@@ -23,9 +23,8 @@ from .continuous import (ContinuousSpectrum, default_order, eigenspace_bound,
                          legendre_spectrum, nystrom_spectrum, plunge_index,
                          projector_distance)
 from .discrete import (DiscreteParams, DiscreteSpectrum, band_grams,
-                       commutation_defect, commuting_tridiagonal, concentration,
-                       dpswf, dpswf_matrix, extend_dpss, mirror_params,
-                       prolate_matrix, spectrum, symmetry_defect)
+                       commutation_defect, commuting_tridiagonal, dpswf_matrix,
+                       extend_dpss, mirror_params, spectrum, symmetry_defect)
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
                      QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
                      gauss_legendre, snapped_floor)

@@ -31,7 +31,6 @@ class ContinuousSpectrum:
     samples of sqrt(w_i) * psi_n(x_i).
     """
 
-    c: float
     values: np.ndarray
     grid_vectors: np.ndarray
     rule: QuadratureRule
@@ -141,8 +140,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
             raise NumericalFailure(
                 f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
                 f"c={c}; increase the quadrature order")
-    return ContinuousSpectrum(c=float(c), values=values, grid_vectors=vectors,
-                              rule=rule)
+    return ContinuousSpectrum(values=values, grid_vectors=vectors, rule=rule)
 
 
 def _lag_integral(kernel, length: float, c: float) -> float:

@@ -18,7 +18,8 @@ Eigenvalues ``values[k]`` are the band-concentration ratios in (0, 1); columns
 the tridiag route, is Slepian's mode k (ordered by the tridiagonal's well
 separated eigenvalues) also in the clusters at 1 and 0, where the values are
 rounding noise; they descend wherever resolved. The wave functions are the
-trigonometric polynomials obtained from the sequences (``dpswf``). A full
+trigonometric polynomials obtained from the sequences (``dpswf_matrix``), and
+``band_grams`` gives their band inner products v_j^T rho v_k. A full
 spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
 half-order block vector arrays lifted into it; on the toeplitz route one
 prolate block at a time lives beside them); partial spectra are ROADMAP
@@ -73,7 +74,6 @@ class DiscreteSpectrum:
     params: DiscreteParams
     values: np.ndarray
     dpss: np.ndarray          # columns are the unit eigenvectors v^(k)
-    method: str
     warnings: tuple[str, ...] = field(default=())
 
     @property
@@ -167,7 +167,7 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     values, vectors = parity_spectrum(params.N, solve)
     warnings = _validate(params, values, vectors)
     return DiscreteSpectrum(params=params, values=values, dpss=vectors,
-                            method=method, warnings=tuple(warnings))
+                            warnings=tuple(warnings))
 
 
 def _validate(params: DiscreteParams, values: np.ndarray,
@@ -235,22 +235,6 @@ def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
     return U
 
 
-def dpswf(spec: DiscreteSpectrum, k: int, x: float) -> float:
-    """The k-th discrete prolate spheroidal wave function at x, a real number."""
-    return float(dpswf_matrix(spec, [x], [k])[0, 0])
-
-
-def concentration(spec: DiscreteSpectrum, j: int, k: int) -> float:
-    """Band inner product (v_j)^T rho v_k = integral of U_j U_k on [-W, W].
-
-    Equals values[j] when j == k and vanishes otherwise (double
-    orthogonality of the wave functions).
-    """
-    j, k = (checked_index(i, 0, spec.N - 1, f"mode index {name}")
-            for i, name in ((j, "j"), (k, "k")))
-    return float(spec.dpss[:, j] @ (_prolate_view(spec.params) @ spec.dpss[:, k]))
-
-
 def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """V^T rho V for the even columns V = dpss[:, 0::2], then the odd 1::2, as
     U^T B U over the half-order prolate blocks B and block vectors U; entries
@@ -288,14 +272,23 @@ def commutation_defect(params: DiscreteParams) -> float:
                  (1.0 + np.linalg.norm(rho) * math.sqrt(d @ d + 2.0 * (e @ e))))
 
 
+def _split(x):
+    """Veltkamp's split x = hi + lo, each with at most 26 significant bits."""
+    hi = 134217729.0 * x - (134217729.0 * x - x)   # 2**27 + 1
+    return hi, x - hi
+
+
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     """Value of the k-th sequence at an integer index |n| <= 2**53, the range
     in which float64 holds every integer.
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
-    it outside. Requires values[k] >= ``Tolerances.tail_floor``: division by a
-    smaller eigenvalue amplifies double-precision noise beyond usefulness.
+    it outside. The kernel's phase W (n - j) is reduced mod 1 exactly, from
+    Dekker's two-product (Numer. Math. 18, 1971), so the error left is the
+    cancellation in the sum, about eps ||v||_1 / (pi |n| values[k]) absolute.
+    Requires values[k] >= ``Tolerances.tail_floor``: division by a smaller
+    eigenvalue amplifies double-precision noise beyond usefulness.
     """
     N, W = spec.N, spec.W
     k = checked_index(k, 0, N - 1, "mode index k")
@@ -304,5 +297,11 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     if not lam >= floor:
         raise IllConditionedError(
             f"eigenvalue {lam:.3e} below extension floor {floor:.1e}")
-    kernel = sinc_kernel(2.0 * np.pi * W, n - np.arange(N), 2.0 * W)
+    d = n - np.arange(N)   # exact in int64; d - dh is -1, 0 or 1
+    dh = d.astype(float)
+    p, ((a, b), (c, e)) = W * dh, (_split(W), _split(dh))
+    t = (p - np.rint(p)) + (((a * c - p) + a * e + b * c) + b * e) + W * (d - dh.astype(int))
+    t -= np.rint(t)   # W d = p + (W dh - p) + W (d - dh) mod 1, in [-1/2, 1/2]
+    kernel = np.divide(np.sin(2.0 * np.pi * t), np.pi * dh, out=np.full(N, 2.0 * W),
+                       where=d != 0)
     return float(kernel @ spec.dpss[:, k] / lam)

@@ -96,18 +96,21 @@ class EigenSystem(NamedTuple):
 def _load_flapack():
     """scipy's f2py LAPACK module, without importing ``scipy.linalg``.
 
-    One instance per process: one that ``scipy.linalg`` already loaded is
-    reused, and a new one, loaded under its own name, lands in ``sys.modules``
-    where a later ``import scipy.linalg`` finds it.
+    One instance per process: one loaded by ``scipy.linalg`` is reused, and a
+    new one lands in ``sys.modules`` under its own name, where a later
+    ``import scipy.linalg`` finds it; one without ``dstevd`` is an ImportError.
     """
     name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = os.path.join(scipy.__path__[0], "linalg",
-                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = sys.modules.get(name)
+    if module is None:
+        path = os.path.join(scipy.__path__[0], "linalg",
+                            "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    if not hasattr(module, "dstevd"):
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK dstevd in {name}; "
+                          "slepian needs scipy>=1.17")
     return module
 
 

@@ -65,6 +65,12 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             TestFunction.from_samples(np.array([]), np.array([]))
 
+    def test_unequal_sample_lengths_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TestFunction.from_samples(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0]))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "x and y sample arrays differ in length"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
         good = np.array([0.0, 0.5, 1.0])

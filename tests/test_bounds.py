@@ -146,6 +146,19 @@ class TestCountBounds:
         with pytest.raises(OutOfRangeError, match="makes the count bound overflow"):
             bound(eps)
 
+    @pytest.mark.parametrize("N,W", [(60, 0.0), (60, 0.5), (60, -0.1), (0, 0.3)])
+    def test_bound_outside_its_parameters(self, N, W):
+        with pytest.raises(OutOfRangeError) as info:
+            plunge_count_bound(N, W, 0.05)
+        assert type(info.value) is OutOfRangeError
+        assert str(info.value) == f"invalid (N, W)=({N}, {W})"
+
+    def test_estimate_needs_one_sample(self):
+        with pytest.raises(OutOfRangeError) as info:
+            plunge_count_estimate(0, 0.05)
+        assert type(info.value) is OutOfRangeError
+        assert str(info.value) == "N=0 must be >= 1"
+
     def test_estimate_takes_log_of_each_factor(self):
         # log(15/eps) overflows inside the log below eps = 15/DBL_MAX
         for eps in (sys.float_info.min, 5e-324, 1e-300):
@@ -174,6 +187,13 @@ class TestComparisonConstant:
     def test_reference_value(self):
         assert comparison_constant(0.3) == pytest.approx(1.4626227887577845,
                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("W", [0.0, 0.5, -0.1, math.nan])
+    def test_w_outside_half_open_band(self, W):
+        with pytest.raises(OutOfRangeError) as info:
+            comparison_constant(W)
+        assert type(info.value) is OutOfRangeError
+        assert str(info.value) == f"W={W} outside (0, 0.5)"
 
     def test_bounded_on_dense_grid(self):
         grid = np.linspace(1e-6, 0.5 - 1e-6, 1000)

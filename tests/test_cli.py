@@ -330,6 +330,19 @@ class TestProject:
         assert cp.stderr.splitlines() == [message.format(samples=samples)]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
+    @pytest.mark.parametrize("text", ["x,f\n", "# a comment\n\n# another\n"])
+    def test_samples_file_without_rows(self, tmp_path, capsys, text):
+        samples = tmp_path / "empty.csv"
+        samples.write_text(text)
+        assert cli.main(["project", "--target", "samples", "--samples-file",
+                         str(samples), "--N", "16", "--W", "0.2"]) == 1
+        assert capsys.readouterr() == ("", f"slepian: no sample rows in {samples}\n")
+
+    def test_samples_target_needs_a_file(self, capsys):
+        assert cli.main(["project", "--target", "samples", "--N", "16", "--W", "0.2"]) == 1
+        assert capsys.readouterr() == (
+            "", "slepian: --samples-file is required for --target samples\n")
+
     def test_samples_row_with_extra_cells(self, tmp_path, capsys):
         samples = tmp_path / "rows.csv"
         samples.write_text("x,f\n-1.0,0.0\n0.1,0.2,junk\n1.0,1.0\n")

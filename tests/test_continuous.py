@@ -51,6 +51,21 @@ class TestNystrom:
         with pytest.raises(NumericalFailure, match="Legendre route"):
             nystrom_spectrum(5.0, check_convergence=True)
 
+    def test_trace_check_catches_a_shifted_value(self, monkeypatch):
+        # one eigenvalue 1e-6 off breaks the operator trace 2c/pi
+        real = continuous.parity_spectrum
+
+        def shifted(M, solve):
+            values, vectors = real(M, solve)
+            values[0] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(continuous, "parity_spectrum", shifted)
+        with pytest.raises(NumericalFailure) as info:
+            nystrom_spectrum(5.0, check_convergence=False)
+        assert type(info.value) is NumericalFailure
+        assert str(info.value) == "sinc-kernel trace defect 1.000e-06 at c=5.0"
+
     def test_order_below_default_rejected(self):
         with pytest.raises(ValueError):
             nystrom_spectrum(18.85, M=32)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,9 +9,8 @@ from slepian import discrete
 from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
 from slepian.config import Tolerances, using_tolerances
 from slepian.discrete import (METHODS, DiscreteParams, band_grams, commutation_defect,
-                              commuting_tridiagonal, concentration, dpswf,
-                              dpswf_matrix, extend_dpss, mirror_params,
-                              prolate_matrix, spectrum, symmetry_defect)
+                              commuting_tridiagonal, dpswf_matrix, extend_dpss,
+                              mirror_params, prolate_matrix, spectrum, symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                             SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
                             sinc_kernel, tridiag_parity_blocks)
@@ -204,7 +204,8 @@ class TestModeOrder:
     def test_wave_functions_are_real(self, get_spectrum, method):
         disc = get_spectrum(60, 0.3, method)
         assert dpswf_matrix(disc, np.linspace(-0.5, 0.5, 201)).dtype == np.float64
-        assert type(dpswf(disc, 1, 0.1)) is float
+        # a scalar point and mode give a 1 x 1 array
+        assert dpswf_matrix(disc, 0.1, 1).shape == (1, 1)
 
 
 class TestWarnings:
@@ -276,8 +277,8 @@ class TestRandomisedSweep:
 class TestDpswf:
     def test_single_mode_is_constant_one(self):
         disc = spectrum(DiscreteParams(1, 0.3))
-        for x in (-0.4, 0.0, 0.27, 1.3):
-            assert dpswf(disc, 0, x) == pytest.approx(1.0, abs=1e-15)
+        U = dpswf_matrix(disc, [-0.4, 0.0, 0.27, 1.3], [0])
+        assert U == pytest.approx(np.ones((4, 1)), abs=1e-15)
 
     @pytest.mark.parametrize("N,W", [(60, 0.3), (7, 0.2), (8, 0.2)])
     def test_periodicity(self, get_spectrum, N, W):
@@ -292,11 +293,11 @@ class TestDpswf:
 
     def test_two_by_two_at_zero(self):
         disc = spectrum(DiscreteParams(2, 0.25))
-        assert abs(dpswf(disc, 0, 0.0)) ** 2 == pytest.approx(2.0, abs=1e-13)
+        assert dpswf_matrix(disc, 0.0, 0)[0, 0] ** 2 == pytest.approx(2.0, abs=1e-13)
 
     def test_index_range(self, spec60_03):
-        with pytest.raises(ValueError):
-            dpswf(spec60_03, 60, 0.0)
+        with pytest.raises(ValueError, match=r"mode index k=60 outside \[0, 59\]"):
+            dpswf_matrix(spec60_03, 0.0, 60)
 
     @pytest.mark.parametrize("k", [-1, 61])
     def test_matrix_index_range(self, get_spectrum, k):
@@ -310,7 +311,7 @@ class TestDpswf:
         message = rf"mode index k={k} is not an integer in \[0, 60\]"
         spec = get_spectrum(61, 0.25)
         with pytest.raises(ValueError, match=message):
-            dpswf(spec, k, 0.1)
+            dpswf_matrix(spec, 0.1, k)
         with pytest.raises(ValueError, match=message):
             dpswf_matrix(spec, [0.0, 0.1], [0, k])
 
@@ -343,42 +344,34 @@ class TestDpswf:
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
 
+class TestPublicApi:
+    def test_one_band_gram_one_evaluator_no_unread_fields(self):
+        import slepian
+        from slepian.continuous import ContinuousSpectrum
+        for name in ("concentration", "dpswf", "prolate_matrix"):
+            assert name not in slepian.__all__ and not hasattr(slepian, name)
+        assert [f.name for f in dataclasses.fields(discrete.DiscreteSpectrum)] == [
+            "params", "values", "dpss", "warnings"]
+        assert [f.name for f in dataclasses.fields(ContinuousSpectrum)] == [
+            "values", "grid_vectors", "rule"]
+
+
 class TestConcentration:
+    """Band inner products v_j^T rho v_k, from ``band_grams``."""
+
     def test_scalar_case(self):
-        disc = spectrum(DiscreteParams(1, 0.2))
-        assert concentration(disc, 0, 0) == pytest.approx(0.4, abs=1e-16)
+        even, odd = band_grams(spectrum(DiscreteParams(1, 0.2)))
+        assert even.tolist() == [[0.4]] and odd.shape == (0, 0)   # [[2W]]
 
     def test_diagonal_and_off_diagonal(self, spec60_03):
-        N = spec60_03.N
+        # mode k is row k // 2 of the Gram of its parity (-1)^k
+        grams = band_grams(spec60_03)
         for j in (0, 5, 20):
-            assert abs(concentration(spec60_03, j, j)
-                       - spec60_03.values[j]) <= 1e-10
-        for j, k in ((0, 1), (3, 10), (7, 40), (0, 59)):
-            assert abs(concentration(spec60_03, j, k)) <= 1e-10
-
-    @pytest.mark.parametrize("j,k,message", [
-        (0.5, 0, "mode index j=0.5 is not an integer in [0, 59]"),
-        (0, True, "mode index k=True is not an integer in [0, 59]"),
-        (0, 60, "mode index k=60 outside [0, 59]")])
-    def test_index_checks(self, get_spectrum, j, k, message):
-        with pytest.raises(ValueError) as info:
-            concentration(get_spectrum(60, 0.1), j, k)
-        assert str(info.value) == message
-
-    def test_peak(self):
-        # one scalar from the strided view; no N x N copy of the matrix
-        N = 400
-        spec = spectrum(DiscreteParams(N, 0.3))
-        tracemalloc.start()
-        try:
-            concentration(spec, 5, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.1 * N * N * 8
+            assert abs(grams[j % 2][j // 2, j // 2] - spec60_03.values[j]) <= 1e-10
+        for j, k in ((0, 2), (3, 11), (6, 40), (1, 59)):
+            assert abs(grams[j % 2][j // 2, k // 2]) <= 1e-10
 
     def test_full_double_orthogonality(self, spec60_03):
-        from slepian.discrete import prolate_matrix
         rho = prolate_matrix(spec60_03.params)
         gram = spec60_03.dpss.T @ rho @ spec60_03.dpss
         off = gram - np.diag(np.diag(gram))
@@ -491,6 +484,17 @@ class TestExtend:
         for k in (0, 1, 2):
             assert abs(extend_dpss(disc, k, 200)) <= abs(extend_dpss(disc, k, 20))
             assert abs(extend_dpss(disc, k, -181)) <= abs(extend_dpss(disc, k, -1))
+
+    # 60-digit mpmath sums sum_j v_j sin(2 pi W (n-j)) / (pi (n-j)) / lambda_0
+    # over the float64 tridiag-route vector v of (30, 0.2), mode 0;
+    # n = -2**53 takes lags n - j beyond 2**53
+    @pytest.mark.parametrize("n,reference", [
+        (10 ** 3, 1.5380559745193923e-11), (10 ** 6, 1.9606125809280158e-14),
+        (10 ** 9, 1.961000890325596e-17), (10 ** 12, 1.96118936653135e-20),
+        (2 ** 53 - 30, -2.1771485620095423e-24), (-2 ** 53, 2.177148562009637e-24)])
+    def test_far_values_match_mpmath(self, get_spectrum, n, reference):
+        value = extend_dpss(get_spectrum(30, 0.2), 0, n)
+        assert value == pytest.approx(reference, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("k,n,message", [
         (0.5, 3, "mode index k=0.5 is not an integer in [0, 59]"),

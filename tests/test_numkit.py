@@ -1,9 +1,11 @@
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
+import scipy
 
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstevd
@@ -121,6 +123,17 @@ class TestGaussLegendre:
         monkeypatch.setattr(numkit, "_gauss_legendre_rule", lambda n: moved)
         with pytest.raises(NumericalFailure, match="not symmetric about 0"):
             gauss_legendre(9)
+
+    @pytest.mark.parametrize("nodes,message", [
+        ([0.5, -0.5], "quadrature nodes are not strictly increasing"),
+        ([-1.0, 1.0], "quadrature nodes left (-1, 1)")])
+    def test_contract_rejects_a_faulty_rule(self, monkeypatch, nodes, message):
+        # symmetric nodes with unit weights: only the named check fails
+        faulty = numkit.QuadratureRule(np.array(nodes), np.ones(2))
+        monkeypatch.setattr(numkit, "_gauss_legendre_rule", lambda n: faulty)
+        with pytest.raises(NumericalFailure) as info:
+            gauss_legendre(2)
+        assert type(info.value) is NumericalFailure and str(info.value) == message
 
     @pytest.mark.parametrize("order", [1, 2, 3, 98, 256, 965])
     def test_in_place_recurrence_changes_no_bit(self, monkeypatch, order):
@@ -313,6 +326,16 @@ class TestDstevd:
                             lambda d, e: (d.copy(), np.eye(len(d)), 3))
         with pytest.raises(NumericalFailure, match="info=3"):
             eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)))
+
+    def test_scipy_without_dstevd_is_an_import_error(self, monkeypatch):
+        # a stand-in _flapack without the routine: one clear ImportError that
+        # names the installed scipy, not an AttributeError at the first solve
+        name = "scipy.linalg._flapack"
+        monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+        with pytest.raises(ImportError) as info:
+            numkit._load_flapack()
+        assert str(info.value) == (f"scipy {scipy.__version__} has no LAPACK dstevd in "
+                                   f"{name}; slepian needs scipy>=1.17")
 
 
 def test_import_keeps_scipy_linalg_out():
