@@ -6,6 +6,8 @@ operator and Nystrom), machine verification of the closed-form bounds relating
 the two, and spectral approximation in the wave-function bases.
 """
 
+from types import ModuleType as _ModuleType
+
 from .approximation import (ProjectionResult, TestFunction, project_dilated,
                             project_native, projection_sweep, sobolev_norm)
 from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
@@ -16,17 +18,16 @@ from .bounds import (VERSION as __version__, BoundCheck, BoundReport,
                      plunge_decay_rate, plunge_mass,
                      superexponential_decay_bound, verify_all,
                      verify_comparison)
-from .config import Tolerances, current_tolerances, using_tolerances
-from .continuous import (ContinuousSpectrum, default_order, eigenspace_bound,
-                         hs_lower_bound, hs_norm_sq,
-                         kernel_hs_distance, kernel_hs_distance_bound,
+from .config import Tolerances
+from .continuous import (ContinuousSpectrum, eigenspace_bound, hs_lower_bound,
+                         hs_norm_sq, kernel_hs_distance, kernel_hs_distance_bound,
                          legendre_spectrum, nystrom_spectrum, plunge_index,
                          projector_distance)
 from .discrete import (DiscreteParams, DiscreteSpectrum, band_grams,
-                       commutation_defect, commuting_tridiagonal, dpswf_matrix,
-                       extend_dpss, mirror_params, spectrum, symmetry_defect)
-from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
-                     QuadratureRule, SymTridiag, eig_sym, eig_symtridiag,
-                     gauss_legendre, snapped_floor)
+                       commutation_defect, dpswf_matrix, extend_dpss,
+                       mirror_params, spectrum, symmetry_defect)
+from .numkit import IllConditionedError, NumericalFailure
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the documented names; the submodules are attributes, not exports
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import current_tolerances
+from . import config
 from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix, half_sums
 from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
                      gauss_legendre, snapped_floor)
@@ -336,7 +336,7 @@ def _dilated_frame(f: TestFunction, spec: DiscreteSpectrum):
     raw_sup = dpswf_matrix(spec, W * xs)
     f_sup = f(xs)
     # normalised-mode coefficients, only where the eigenvalue is trustworthy
-    is_trusted = spec.values >= current_tolerances().floor_untrusted
+    is_trusted = spec.values >= config.TOLERANCES.floor_untrusted
     if f.cosine_terms is not None:
         amps, freqs = f.cosine_terms
         raw_ip = _cosine_mode_integrals(amps, freqs, spec, W, 1.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import current_tolerances
+from . import config
 from .continuous import (hs_lower_bound, hs_norm_sq, kernel_hs_distance,
                          kernel_hs_distance_bound, legendre_spectrum)
 from .discrete import (DiscreteParams, band_grams, commutation_defect,
@@ -194,7 +194,7 @@ def concentration_inequality_constant(W: float, n_list=TURAN_N_LIST) -> dict:
     """
     if not 1.0 / 6.0 <= W < 0.5:
         raise OutOfRangeError(f"W={W} outside [1/6, 1/2)")
-    per_n, floor = {}, current_tolerances().floor_checks
+    per_n, floor = {}, config.TOLERANCES.floor_checks
     for N in n_list:
         if N < 2:
             raise OutOfRangeError(f"N={N} must be >= 2")
@@ -240,7 +240,7 @@ def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     if not c >= 1.0:
         raise OutOfRangeError(f"c=pi N W={c:g} below 1")
     lo = 2.0 * N * W + math.log(c) + 6.0
-    hi, floor = min(c, N - 1), current_tolerances().floor_checks
+    hi, floor = min(c, N - 1), config.TOLERANCES.floor_checks
     if lo > hi:
         raise OutOfRangeError(f"empty plunge-decay range for (N, W)=({N}, {W})")
     candidates = [n for n in range(math.ceil(lo), math.floor(hi) + 1)
@@ -289,7 +289,7 @@ def verify_comparison(N: int, W: float, disc_values: np.ndarray,
                   "eigenvalue comparison with the sinc-kernel spectrum", params,
                   lambda: _family(params, disc_values, range(N),
                                   lambda k: A * cont_values[k]),
-                  current_tolerances().floor_checks)
+                  config.TOLERANCES.floor_checks)
 
 
 # ------------------------------------------------------------- verify_all
@@ -324,7 +324,7 @@ def _check(name: str, ref: str, params: dict, compute, slack: float = 0.0,
 def _family(params: dict, values: np.ndarray, indices, bound) -> tuple[float, float]:
     """(worst excess, 0.0) of values[k] <= bound(k) over the indices k with values[k]
     above the check floor, counted in ``params``; none is an OutOfRangeError."""
-    floor = current_tolerances().floor_checks
+    floor = config.TOLERANCES.floor_checks
     excess = [values[k] - bound(k) for k in indices if values[k] >= floor]
     params["checked"] = len(excess)
     if not excess:
@@ -337,7 +337,7 @@ def verify_all(n_grid=DEFAULT_N_GRID, w_grid=DEFAULT_W_GRID,
     """Run every bound/identity check over the grid, skipping out-of-range ones,
     on the tridiag route; both route checks measure the reflection identity against
     the Toeplitz route at (N, 1/2 - W), and skip where 1/2 - W rounds to 1/2."""
-    tol = current_tolerances()
+    tol = config.TOLERANCES
     w_grid = tuple(w_grid)
     eps_grid = tuple(dict.fromkeys(eps_grid))   # a repeated eps is one point
     grid = sorted({(p.N, p.W) for p in (DiscreteParams(N, W)

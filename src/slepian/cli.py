@@ -2,11 +2,10 @@
 
 Subcommands: eigs, table1, bounds, project, count, symmetry,
 projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
-parsed arguments and the tolerances in effect: the ``Tolerances()`` defaults,
-unless a library caller wraps ``main`` in ``using_tolerances``. ``main``
-writes the output to ``--out`` or stdout and maps the outcome to an exit
-code: 0 success, 1 usage or validation error, 2 numerical failure or out of
-memory, 3 verification failure under --strict, reported as
+parsed arguments at ``config.TOLERANCES``. ``main`` writes the output to
+``--out`` or stdout and maps the outcome to an exit code: 0 success, 1 usage
+or validation error or a scipy without LAPACK ``dstevd``, 2 numerical failure
+or out of memory, 3 verification failure under --strict, reported as
 ``<command>: <failure>`` on stderr after the output is written.
 Floats are written in scientific notation to 17 significant digits and JSON
 keys are sorted: output files are byte-deterministic for fixed inputs, version
@@ -25,10 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds as bnd
+from . import bounds as bnd, config
 from .approximation import (BASES, TestFunction, project_dilated,
                             project_native, projection_sweep)
-from .config import current_tolerances
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
 from .discrete import DiscreteParams, METHODS, mirror_params, spectrum, symmetry_defect
 from .numkit import NumericalFailure
@@ -97,7 +95,7 @@ def cmd_table1(args) -> Output:
         lines.append(f"{fmt(W)},{fmt(params.bandwidth)},{fmt(l2_diff)}")
         worst_rel = max(worst_rel,
                         abs(l2_diff - TABLE1_REFERENCE[W]) / TABLE1_REFERENCE[W])
-    rel = current_tolerances().table1_rel
+    rel = config.TOLERANCES.table1_rel
     failure = f"worst relative deviation {worst_rel:.3e} exceeds {rel}"
     return Output(lines, failure if worst_rel > rel else None)
 
@@ -154,7 +152,7 @@ def cmd_project(args) -> Output:
     payload.update(coefficients=[[float(z.real), float(z.imag)]
                                  for z in np.asarray(result.coefficients)],
                    target=args.target, N=args.N, W=args.W)
-    failure, sup = None, current_tolerances().example2_sup
+    failure, sup = None, config.TOLERANCES.example2_sup
     example2 = (args.alpha, args.N, args.W, K, args.basis)
     if args.preset == "example2" and example2 == EXAMPLE2 and result.residual_sup > sup:
         failure = f"sup residual {result.residual_sup:.3e} exceeds {sup}"
@@ -284,7 +282,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"{args.command}: {failure}\n")
             return EXIT_VERIFICATION
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         sys.stderr.write(f"slepian: {exc}\n")
         return EXIT_USAGE
     except (NumericalFailure, MemoryError) as exc:

@@ -1,17 +1,12 @@
 """Numerical tolerances.
 
-Every tolerance used by the library lives in the frozen ``Tolerances`` record;
-the one in effect is ``current_tolerances()``, set per thread or task only by
-``with using_tolerances(tol):``. The CLI sets none, so it runs at the
-``Tolerances()`` defaults.
+Every tolerance used by the library is a field of the one frozen record
+``TOLERANCES``, read by each check when it runs. Nothing in the library
+reassigns it, so every command runs at the ``Tolerances`` defaults.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
-import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -38,26 +33,5 @@ class Tolerances:
     table1_rel: float = 0.02
     example2_sup: float = 1e-8
 
-    def __post_init__(self):
-        for name, value in dataclasses.asdict(self).items():
-            if not 0 < value < math.inf:
-                raise ValueError(
-                    f"tolerance {name} must be positive and finite, got {value}")
 
-
-_TOLERANCES: ContextVar[Tolerances] = ContextVar("tolerances", default=Tolerances())
-
-
-def current_tolerances() -> Tolerances:
-    """The tolerances in effect in this context."""
-    return _TOLERANCES.get()
-
-
-@contextlib.contextmanager
-def using_tolerances(tolerances: Tolerances):
-    """Make ``tolerances`` the record in effect inside the ``with`` block."""
-    token = _TOLERANCES.set(tolerances)
-    try:
-        yield
-    finally:
-        _TOLERANCES.reset(token)
+TOLERANCES = Tolerances()

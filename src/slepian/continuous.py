@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import current_tolerances
+from . import config
 from .discrete import DiscreteParams, DiscreteSpectrum, dpswf_matrix
 from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                      QuadratureRule, SymTridiag, checked_index, eig_sym,
@@ -96,7 +96,7 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     mu[0::2] = (c / math.pi * (Ve[0] / psi0) ** 2)[::-1]
     mu[1::2] = (c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2)[::-1]
     defect = abs(mu.sum() - 2.0 * c / math.pi)
-    if not defect <= current_tolerances().trace_continuous_rel * 2.0 * c / math.pi:
+    if not defect <= config.TOLERANCES.trace_continuous_rel * 2.0 * c / math.pi:
         raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
     return mu
 
@@ -125,7 +125,7 @@ def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
     M = min_order if M is None else M
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
-    rule, tol = gauss_legendre(M).scaled(halfwidth), current_tolerances()
+    rule, tol = gauss_legendre(M).scaled(halfwidth), config.TOLERANCES
     values, vectors = parity_spectrum(M, lambda odd: eig_sym(parity_block(
         lambda i, j: _sinc_kernel_matrix(c, rule.nodes, rule.weights, slice(i, j)),
         M, odd)))
@@ -159,7 +159,7 @@ def hs_norm_sq(c: float, values: np.ndarray) -> float:
     squared kernel (``_lag_integral``)."""
     value = float(np.sum(values ** 2))
     quad = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
-    rel = current_tolerances().hs_cross_rel
+    rel = config.TOLERANCES.hs_cross_rel
     if not abs(value - quad) <= rel * max(abs(quad), 1e-300):
         raise NumericalFailure(
             f"HS norm cross-check failed at c={c}: {value} vs {quad}")
@@ -271,7 +271,7 @@ def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     K = checked_index(K, 0, N, "K")
     if K == 0:
         return 0.0
-    floor = current_tolerances().floor_untrusted
+    floor = config.TOLERANCES.floor_untrusted
     if not disc.values[K - 1] >= floor:
         raise IllConditionedError(
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "

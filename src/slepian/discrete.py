@@ -22,8 +22,8 @@ trigonometric polynomials obtained from the sequences (``dpswf_matrix``), and
 ``band_grams`` gives their band inner products v_j^T rho v_k. A full
 spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
 half-order block vector arrays lifted into it; on the toeplitz route one
-prolate block at a time lives beside them); partial spectra are ROADMAP
-item 6.
+prolate block at a time lives beside them); partial spectra are a ROADMAP
+item.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import current_tolerances
+from . import config
 from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
                      OutOfRangeError, SymTridiag, checked_index, eig_sym, eig_symtridiag,
                      parity_block, parity_spectrum, sinc_kernel, tridiag_parity_blocks)
@@ -173,7 +173,7 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
 def _validate(params: DiscreteParams, values: np.ndarray,
               vectors: np.ndarray) -> list[str]:
     N, W = params.N, params.W
-    tol = current_tolerances()
+    tol = config.TOLERANCES
     warnings: list[str] = []
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if not np.max(np.abs(norms - 1.0)) <= 1e-13:
@@ -293,7 +293,7 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     N, W = spec.N, spec.W
     k = checked_index(k, 0, N - 1, "mode index k")
     n = checked_index(n, -2 ** 53, 2 ** 53, "sequence index n")
-    lam, floor = spec.values[k], current_tolerances().tail_floor
+    lam, floor = spec.values[k], config.TOLERANCES.tail_floor
     if not lam >= floor:
         raise IllConditionedError(
             f"eigenvalue {lam:.3e} below extension floor {floor:.1e}")

@@ -11,10 +11,11 @@ symmetric nodes and positive weights summing to 2) before it is returned, so
 a silent defect cannot propagate into downstream verification.
 
 ``dstevd`` is the routine ``scipy.linalg.eigh_tridiagonal(d, e)`` runs for a
-full spectrum. It is called on scipy's f2py LAPACK extension, loaded from its
-file in the scipy package: importing ``scipy.linalg`` would run its package
-``__init__``, whose array-API layer imports ``numpy.f2py``, ``numpy.testing``
-and more, and triple the start-up time of every command. ``scipy.linalg``
+full spectrum. It is called on scipy's f2py LAPACK extension, loaded at the
+first solve from its file in the scipy package: importing ``scipy.linalg``
+would run its package ``__init__``, whose array-API layer imports
+``numpy.f2py``, ``numpy.testing`` and more, and triple the start-up time of
+every command. ``scipy.linalg``
 must stay off the import path of ``slepian``; a test in ``test_numkit`` and
 a CI step check that it does.
 """
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy   # runs scipy's shared-library setup, not its subpackages
 
-from .config import current_tolerances
+from . import config
 
 
 class NumericalFailure(RuntimeError):
@@ -93,12 +94,14 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
+@functools.cache
 def _load_flapack():
     """scipy's f2py LAPACK module, without importing ``scipy.linalg``.
 
     One instance per process: one loaded by ``scipy.linalg`` is reused, and a
     new one lands in ``sys.modules`` under its own name, where a later
-    ``import scipy.linalg`` finds it; one without ``dstevd`` is an ImportError.
+    ``import scipy.linalg`` finds it; one without ``dstevd`` is an ImportError
+    at the first solve, which the CLI reports in one line.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -114,9 +117,6 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-
-
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of the float64
     symmetric tridiagonal matrix with diagonal d and off-diagonal e, by LAPACK
@@ -125,7 +125,7 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     if len(d) == 1:   # the f2py wrapper wants len(e) >= 1
         return d.astype(float), np.ones((1, 1))
-    values, vectors, info = _flapack.dstevd(d, e)
+    values, vectors, info = _load_flapack().dstevd(d, e)
     if info:
         raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
     return values, vectors
@@ -139,7 +139,7 @@ def _validated_system(kind: str, solve, apply) -> EigenSystem:
         values, vectors = solve()
     except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
         raise NumericalFailure(f"{kind} eigensolver failed: {exc}") from exc
-    tol = current_tolerances()
+    tol = config.TOLERANCES
     gram = vectors.T @ vectors   # the buffer is reused for the residual
     gram.flat[::len(values) + 1] -= 1.0
     gram_defect = np.max(np.abs(gram, out=gram))
@@ -304,11 +304,11 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
     Rules are memoised by order and their arrays are read-only. The contract
     (ordered nodes inside (-1, 1), exact mirror symmetry, positive weights
-    summing to 2) is checked on every call, cache hits included, against the
-    current tolerances.
+    summing to 2) is checked on every call, cache hits included, against
+    ``config.TOLERANCES``.
     """
     order = checked_index(order, 1, math.inf, "order")
-    rule, tol = _gauss_legendre_rule(order), current_tolerances()
+    rule, tol = _gauss_legendre_rule(order), config.TOLERANCES
     nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")

@@ -18,7 +18,8 @@ from slepian.bounds import (COMPARISON_TAIL, TURAN_N_LIST, TURAN_W, OutOfRangeEr
                             superexponential_decay_bound,
                             superexponential_decay_range, verify_all,
                             verify_comparison)
-from slepian.config import Tolerances, using_tolerances
+from slepian import config
+from slepian.config import Tolerances
 from slepian.continuous import (default_order, hs_norm_sq, legendre_spectrum,
                                 nystrom_spectrum)
 
@@ -588,11 +589,11 @@ class TestVerifyAll:
         assert gain.skipped and gain.note == "N=1 must be >= 2"
         assert report.passed
 
-    def test_no_eigenvalue_above_the_check_floor(self):
+    def test_no_eigenvalue_above_the_check_floor(self, monkeypatch):
         # floor_checks = 1 empties every route comparison and inequality
-        tol = Tolerances(floor_checks=1.0)
-        with using_tolerances(tol):
-            report = verify_all((30,), (0.2,), (0.05,))
+        tol = dataclasses.replace(config.TOLERANCES, floor_checks=1.0)
+        monkeypatch.setattr(config, "TOLERANCES", tol)
+        report = verify_all((30,), (0.2,), (0.05,))
         assert report.tolerances == dataclasses.asdict(tol)
         cross, = [c for c in report.checks if c.name == "cross_route_agreement"]
         assert (cross.measured, cross.satisfied) == (0.0, True)

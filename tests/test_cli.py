@@ -4,16 +4,15 @@ import math
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_mode_order
-from slepian import cli
+from slepian import cli, config
 from slepian.bounds import verify_all
-from slepian.config import Tolerances, current_tolerances, using_tolerances
+from slepian.config import Tolerances
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -241,6 +240,19 @@ class TestProject:
                                 cli.fmt(payload["residual_sup"])]
         # a real target on real modes: every imaginary entry is exactly 0.0
         assert {im for _, im in payload["coefficients"]} == {0.0}
+
+    @pytest.mark.parametrize("basis", ["dilated", "native"])
+    def test_stdout_is_the_out_json(self, tmp_path, capsys, basis):
+        # without --out only K is fitted; the JSON is the --out sweep's last row
+        argv = ["project", "--target", "weierstrass", "--K", "36", "--basis", basis]
+        out = tmp_path / "proj.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (out.read_text(), "")
+        payload = json.loads(out.read_text())
+        _, rows = read_csv(tmp_path / "proj.csv")
+        assert rows[-1] == ["36", cli.fmt(payload["residual_l2"]),
+                            cli.fmt(payload["residual_sup"])]
 
     def test_no_lambda_floor_option(self, tmp_path, capsys):
         # the dilated fit always spans the first K modes
@@ -568,13 +580,14 @@ class TestConfigAndExitCodes:
         payload = json.loads(out.read_text())
         assert payload["tolerances"] == dataclasses.asdict(Tolerances())
 
-    def test_tolerance_override_drives_strict_failure(self, tmp_path, capsys):
+    def test_tolerance_override_drives_strict_failure(self, tmp_path, capsys, monkeypatch):
         # an absurdly tight identity tolerance must fail the check and, under
         # --strict, surface as exit code 3
         out = tmp_path / "report.json"
-        with using_tolerances(Tolerances(cross_route=1e-30)):
-            code = cli.main(["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05",
-                             "--out", str(out), "--strict"])
+        monkeypatch.setattr(config, "TOLERANCES",
+                            dataclasses.replace(config.TOLERANCES, cross_route=1e-30))
+        code = cli.main(["bounds", "--N", "30", "--W", "0.1", "--eps", "0.05",
+                         "--out", str(out), "--strict"])
         assert code == 3
         payload = json.loads(out.read_text())
         assert payload["pass"] is False
@@ -597,60 +610,23 @@ class TestConfigAndExitCodes:
          "cross_route",
          r"bounds: failing checks: \['cross_route_agreement', 'symmetry_identity'\]\n",
          ["sy.json"])], ids=["table1-flag", "project-flag", "bounds-flag"])
-    def test_strict_verdicts(self, tmp_path, capsys, argv, tolerance, stderr, files):
+    def test_strict_verdicts(self, tmp_path, capsys, monkeypatch, argv, tolerance,
+                             stderr, files):
         # the output is written first, then the verdict goes to stderr
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
-        with using_tolerances(Tolerances(**{tolerance: 1e-30})):
-            assert cli.main([*argv, "--strict"]) == 3
-            out, err = capsys.readouterr()
-            assert out == ""
-            verdict = re.fullmatch(stderr, err)
-            assert verdict, err
-            if "value" in verdict.groupdict():
-                assert 0 < float(verdict["value"]) < Tolerances().example2_sup
-            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
-            # without --strict the same failure is only recorded in the output
-            assert cli.main(argv) == 0
-            assert capsys.readouterr() == ("", "")
-
-    def test_main_restores_tolerances(self, capsys):
-        # a plain call runs under the caller's values and leaves them in place
-        argv = ["symmetry", "--N", "8", "--W", "0.2"]
-        with using_tolerances(Tolerances(trace_rel=5e-11)):
-            assert cli.main(argv) == 0
-            assert current_tolerances() == Tolerances(trace_rel=5e-11)
-        assert current_tolerances() == Tolerances()
-        assert capsys.readouterr().out.count("symmetry_defect=") == 1
-
-    def test_threads_do_not_share_tolerances(self, monkeypatch, capsys):
-        # two concurrent table1 calls, one under a 1e-30 tolerance; the
-        # barrier holds both inside their computation from the first
-        # comparison to the verdict, so each must decide on its own values
-        barrier = threading.Barrier(2, timeout=60)
-
-        def synced(fn):
-            def wait_then_call(*args):
-                barrier.wait()
-                return fn(*args)
-            return wait_then_call
-
-        monkeypatch.setattr(cli.bnd, "compare_spectra", synced(cli.bnd.compare_spectra))
-        monkeypatch.setattr(cli, "Output", synced(cli.Output))
-        tolerances = {"tight": Tolerances(table1_rel=1e-30), "plain": Tolerances()}
-        codes = {}
-
-        def run(key):
-            with using_tolerances(tolerances[key]):
-                codes[key] = cli.main(["table1", "--strict"])
-
-        threads = [threading.Thread(target=run, args=(k,)) for k in tolerances]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert codes == {"tight": 3, "plain": 0}
-        assert capsys.readouterr().err == (
-            "table1: worst relative deviation 8.840e-04 exceeds 1e-30\n")
+        monkeypatch.setattr(config, "TOLERANCES",
+                            dataclasses.replace(config.TOLERANCES, **{tolerance: 1e-30}))
+        assert cli.main([*argv, "--strict"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        verdict = re.fullmatch(stderr, err)
+        assert verdict, err
+        if "value" in verdict.groupdict():
+            assert 0 < float(verdict["value"]) < Tolerances().example2_sup
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        # without --strict the same failure is only recorded in the output
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("argv", [["--config", "x.cfg", "bounds"],
                                       ["bounds", "--config", "x.cfg"]],
@@ -667,11 +643,18 @@ class TestConfigAndExitCodes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             Tolerances().trace_rel = 1.0
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_tolerance_must_be_positive_and_finite(self, value):
-        message = f"tolerance cross_route must be positive and finite, got {value}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Tolerances(cross_route=value)
+    def test_scipy_without_dstevd_is_one_line(self):
+        # a stand-in _flapack without the routine: import slepian succeeds,
+        # and the first solve's ImportError is a one-line usage exit
+        code = ("import runpy, sys, types; name = 'scipy.linalg._flapack'; "
+                "sys.modules[name] = types.ModuleType(name); "
+                "sys.argv[1:] = ['count', '--N', '60', '--W', '0.3', '--eps', '0.05']; "
+                "runpy.run_module('slepian', run_name='__main__')")
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert re.fullmatch(r"slepian: scipy \S+ has no LAPACK dstevd in "
+                            r"scipy\.linalg\._flapack; slepian needs scipy>=1\.17\n",
+                            cp.stderr), cp.stderr
 
     def test_bounds_default_grid_is_verify_all_default(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import assert_mode_order, traced_peak
-from slepian import continuous
-from slepian.config import Tolerances, using_tolerances
+from slepian import config, continuous
+from slepian.config import Tolerances
 from slepian.continuous import (_lag_integral, _prolate_blocks,
                                 _sinc_kernel_matrix, default_order,
                                 eigenspace_bound, hs_lower_bound, hs_norm_sq,
@@ -224,10 +225,11 @@ class TestLegendreSpectrum:
         assert np.max(np.abs(mu - reference)) <= 1e-12
         assert np.max(mu[self._plunge_bound(c):]) <= 1e-17
 
-    def test_trace_defect_raises(self):
-        with using_tolerances(Tolerances(trace_continuous_rel=1e-300)):
-            with pytest.raises(NumericalFailure, match="trace defect"):
-                legendre_spectrum(18.85, 0)
+    def test_trace_defect_raises(self, monkeypatch):
+        monkeypatch.setattr(config, "TOLERANCES", dataclasses.replace(
+            config.TOLERANCES, trace_continuous_rel=1e-300))
+        with pytest.raises(NumericalFailure, match="trace defect"):
+            legendre_spectrum(18.85, 0)
 
     @pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
     def test_invalid_bandwidth(self, c):

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slepian import discrete
+from slepian import config, discrete
 from slepian.continuous import _sinc_kernel_matrix, default_order, nystrom_spectrum
-from slepian.config import Tolerances, using_tolerances
+from slepian.config import Tolerances
 from slepian.discrete import (METHODS, DiscreteParams, band_grams, commutation_defect,
                               commuting_tridiagonal, dpswf_matrix, extend_dpss,
                               mirror_params, prolate_matrix, spectrum, symmetry_defect)
@@ -355,6 +355,29 @@ class TestPublicApi:
         assert [f.name for f in dataclasses.fields(ContinuousSpectrum)] == [
             "values", "grid_vectors", "rule"]
 
+    def test_exports_are_the_documented_surface(self):
+        # numkit internals, the tolerance override and the submodules stay out
+        import slepian
+        assert set(slepian.__all__) == {
+            "BoundCheck", "BoundReport", "ContinuousSpectrum", "DiscreteParams",
+            "DiscreteSpectrum", "IllConditionedError", "NumericalFailure",
+            "ProjectionResult", "TestFunction", "Tolerances", "band_grams",
+            "commutation_defect", "compare_spectra", "comparison_constant",
+            "concentration_inequality_constant", "dpswf_matrix", "eigenspace_bound",
+            "eigenvalue_tail_bound", "extend_dpss", "hs_lower_bound", "hs_norm_sq",
+            "kernel_hs_distance", "kernel_hs_distance_bound", "legendre_spectrum",
+            "mirror_params", "nystrom_spectrum", "plunge_count_bound",
+            "plunge_count_bound_coarse", "plunge_count_estimate", "plunge_decay_rate",
+            "plunge_index", "plunge_mass", "project_dilated", "project_native",
+            "projection_sweep", "projector_distance", "sobolev_norm", "spectrum",
+            "superexponential_decay_bound", "symmetry_defect", "verify_all",
+            "verify_comparison"}
+        for name in ("EigenSystem", "QuadratureRule", "SymTridiag", "eig_sym",
+                     "eig_symtridiag", "gauss_legendre", "snapped_floor",
+                     "default_order", "commuting_tridiagonal", "current_tolerances",
+                     "using_tolerances"):
+            assert not hasattr(slepian, name)
+
 
 class TestConcentration:
     """Band inner products v_j^T rho v_k, from ``band_grams``."""
@@ -517,13 +540,14 @@ class TestExtend:
         with pytest.raises(IllConditionedError):
             extend_dpss(disc, 29, 35)
 
-    def test_floor_read_at_call_time(self, get_spectrum):
+    def test_floor_read_at_call_time(self, get_spectrum, monkeypatch):
         disc = get_spectrum(30, 0.1)
         assert 1e-8 < disc.values[6] < 0.5
         extend_dpss(disc, 6, 35)
-        with using_tolerances(Tolerances(tail_floor=0.5)):
-            with pytest.raises(IllConditionedError):
-                extend_dpss(disc, 6, 35)
+        monkeypatch.setattr(config, "TOLERANCES",
+                            dataclasses.replace(config.TOLERANCES, tail_floor=0.5))
+        with pytest.raises(IllConditionedError):
+            extend_dpss(disc, 6, 35)
 
 
 def _mp_prolate_values(N, W, dps=40):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -10,9 +11,9 @@ import scipy
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstevd
 
-from slepian import DiscreteParams, numkit
+from slepian import DiscreteParams, config, numkit
 from slepian.discrete import commuting_tridiagonal
-from slepian.config import Tolerances, using_tolerances
+from slepian.config import Tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
                             eig_symtridiag, gauss_legendre, parity_spectrum,
                             sinc_kernel, snapped_floor, tridiag_parity_blocks)
@@ -106,13 +107,20 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
-    def test_validation_runs_on_cache_hit(self):
+    def test_validation_runs_on_cache_hit(self, monkeypatch):
         rule = gauss_legendre(2048)
         defect = abs(rule.weights.sum() - 2.0)
         assert 0.0 < defect <= Tolerances().weight_sum
-        with using_tolerances(Tolerances(weight_sum=defect / 2)):
-            with pytest.raises(NumericalFailure):
-                gauss_legendre(2048)
+        monkeypatch.setattr(config, "TOLERANCES", dataclasses.replace(
+            config.TOLERANCES, weight_sum=defect / 2))
+        with pytest.raises(NumericalFailure):
+            gauss_legendre(2048)
+
+    def test_newton_non_convergence_is_numerical_failure(self, monkeypatch):
+        # the uncached builder, so no failed order stays in the memo
+        monkeypatch.setattr(numkit, "_NEWTON_MAX_STEPS", 0)
+        with pytest.raises(NumericalFailure, match="order 9 did not converge"):
+            numkit._gauss_legendre_rule.__wrapped__(9)
 
     def test_mirror_symmetry_is_exact(self, monkeypatch):
         # the rule is built by reflection, so one ulp off the mirror fails
@@ -322,7 +330,7 @@ class TestDstevd:
         assert str(ours.value) == str(scipys.value)
 
     def test_nonzero_info_is_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(numkit._flapack, "dstevd",
+        monkeypatch.setattr(numkit._load_flapack(), "dstevd",
                             lambda d, e: (d.copy(), np.eye(len(d)), 3))
         with pytest.raises(NumericalFailure, match="info=3"):
             eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)))
@@ -332,18 +340,25 @@ class TestDstevd:
         # names the installed scipy, not an AttributeError at the first solve
         name = "scipy.linalg._flapack"
         monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
-        with pytest.raises(ImportError) as info:
-            numkit._load_flapack()
+        numkit._load_flapack.cache_clear()   # loaded at the first solve, then kept
+        try:
+            with pytest.raises(ImportError) as info:
+                numkit._load_flapack()
+        finally:
+            numkit._load_flapack.cache_clear()
         assert str(info.value) == (f"scipy {scipy.__version__} has no LAPACK dstevd in "
                                    f"{name}; slepian needs scipy>=1.17")
 
 
 def test_import_keeps_scipy_linalg_out():
-    """``import slepian`` costs numpy and bare scipy only: a module-level
-    import of ``scipy.linalg`` pulls in ``numpy.f2py`` and ``numpy.testing``
-    through scipy's array-API layer, about 0.3 s per process."""
-    code = ("import sys, slepian, slepian.cli; print(*sorted({'scipy.linalg', "
-            "'numpy.f2py', 'numpy.testing'} & set(sys.modules)))")
+    """``import slepian`` and its first tridiagonal solve cost numpy and bare
+    scipy only: a module-level import of ``scipy.linalg`` pulls in
+    ``numpy.f2py`` and ``numpy.testing`` through scipy's array-API layer,
+    about 0.3 s per process."""
+    code = ("import sys, slepian, slepian.cli; "
+            "slepian.spectrum(slepian.DiscreteParams(8, 0.2)); "
+            "print(*sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing'} "
+            "& set(sys.modules)))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert run.stdout.split() == []
