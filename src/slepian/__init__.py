@@ -1,9 +1,9 @@
 """Discrete prolate spheroidal sequences and wave functions.
 
 Spectra by two independent routes (Toeplitz eigendecomposition and Slepian's
-commuting tridiagonal matrix), sinc-kernel eigenvalues by two routes (prolate
-operator and Nystrom), machine verification of the closed-form bounds relating
-the two, and spectral approximation in the wave-function bases.
+commuting tridiagonal matrix), sinc-kernel eigenpairs from the prolate operator
+(with a Nystrom oracle), machine verification of the closed-form bounds
+relating the two, and spectral approximation in the wave-function bases.
 """
 
 from types import ModuleType as _ModuleType

@@ -19,7 +19,7 @@ class Tolerances:
     weight_sum: float = 1e-13
     # discrete spectrum identities
     trace_rel: float = 1e-11
-    cross_route: float = 1e-10   # tridiag at W vs Toeplitz at 1/2 - W; Nystrom vs Legendre
+    cross_route: float = 1e-10   # tridiag at W vs Toeplitz at 1/2 - W
     double_orthogonality: float = 1e-10
     commutation: float = 1e-12
     # eigenvalue floors

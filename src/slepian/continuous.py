@@ -1,10 +1,10 @@
-"""Sinc-kernel operator on an interval: eigenvalues by two routes and
-related tools.
+"""Sinc-kernel operator on [-1, 1]: eigenvalues, eigenfunctions, related tools.
 
-The operator maps f to integral of sin(c(x-y))/(pi(x-y)) f(y) dy over the
-interval. ``legendre_spectrum`` diagonalises the commuting prolate
-differential operator; ``nystrom_spectrum`` discretises the kernel on a
-Gauss-Legendre grid and is certified against the Legendre route.
+The operator maps f to integral of sin(c(x-y))/(pi(x-y)) f(y) dy over
+[-1, 1]. ``legendre_spectrum`` diagonalises the commuting prolate
+differential operator, whose eigenfunctions ``projector_distance`` reads;
+``nystrom_spectrum``, the kernel discretised on a Gauss-Legendre grid, is
+the independent oracle the tests hold the Legendre route to.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
 
 @dataclass(frozen=True)
 class ContinuousSpectrum:
-    """Nystrom eigenvalues of the sinc kernel on [-h, h]; mode n has parity (-1)^n.
+    """Nystrom eigenvalues of the sinc kernel on [-1, 1]; mode n has parity (-1)^n.
 
-    ``rule`` is the Gauss-Legendre rule of [-h, h]; ``grid_vectors`` columns
-    are l2-orthonormal eigenvectors of the sqrt(w)-scaled matrix, i.e.
-    samples of sqrt(w_i) * psi_n(x_i).
+    ``grid_vectors`` columns are l2-orthonormal eigenvectors of the
+    sqrt(w)-scaled matrix on ``rule``: samples of sqrt(w_i) * psi_n(x_i).
     """
 
     values: np.ndarray
@@ -61,19 +60,10 @@ def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
             SymTridiag(diagonal[1::2], offdiag[1::2]))
 
 
-def legendre_spectrum(c: float, count: int) -> np.ndarray:
-    """Sinc-kernel eigenvalues mu_n on [-1, 1] in the order of the prolate
-    operator's eigenvalues chi_n: at least ``count``, and always enough to
-    match the trace 2c/pi to ``Tolerances.trace_continuous_rel``.
-
-    The operator's eigenfunctions psi_n (parity of n) are the kernel's. Both
-    parity blocks go through ``eig_symtridiag`` once, and the last two Legendre
-    coefficients beta of psi_n must be below machine epsilon for each n below
-    the plunge bound n0. Values from n0 on, below 1e-17, are untrusted and may
-    be 0.0. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n = sqrt(2) beta_0 /
-    psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0) for odd n (Xiao,
-    Rokhlin & Yarvin, Inverse Problems 17, 2001).
-    """
+def _legendre_route(c: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``legendre_spectrum``'s values mu and the normalised-Legendre
+    coefficients of psi_n, descending chi as solved: columns n = ..., 2, 0 of
+    Ve (degrees 0, 2, ...) and n = ..., 3, 1 of Vo (degrees 1, 3, ...)."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
     # mu_n < 1e-17 from plunge bound n0 on; psi_n needs degrees ~max(n, c + 14 c^(1/3))
@@ -81,8 +71,7 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     n = max(checked_index(count, 0, math.inf, "count"), n0)
     M = max(n, math.ceil(c + 14.0 * c ** (1.0 / 3.0))) + 40
     blocks = _prolate_blocks(c, M)
-    # descending chi as solved (n = ..., 2, 0 and ..., 3, 1); an ascending view
-    # would send psi0 to BLAS and move its last bits; mu is reversed below
+    # an ascending view would send psi0 to BLAS and move its last bits
     Ve, Vo = (eig_symtridiag(T).vectors[:, -m:]
               for T, m in zip(blocks, ((n + 1) // 2, n // 2)))
     tails = (Ve[-2:, -((n0 + 1) // 2):], Vo[-2:, -(n0 // 2):])
@@ -98,48 +87,50 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     defect = abs(mu.sum() - 2.0 * c / math.pi)
     if not defect <= config.TOLERANCES.trace_continuous_rel * 2.0 * c / math.pi:
         raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
-    return mu
+    return mu, Ve, Vo
 
 
-def nystrom_spectrum(c: float, M: int | None = None, halfwidth: float = 1.0,
-                     check_convergence: bool = True) -> ContinuousSpectrum:
-    """Sinc-kernel eigenvalues on [-halfwidth, halfwidth] by the Nystrom method.
+def legendre_spectrum(c: float, count: int) -> np.ndarray:
+    """Sinc-kernel eigenvalues mu_n on [-1, 1] in the order of the prolate
+    operator's eigenvalues chi_n: at least ``count``, and always enough to
+    match the trace 2c/pi to ``Tolerances.trace_continuous_rel``.
+
+    The operator's eigenfunctions psi_n (parity of n) are the kernel's. Both
+    parity blocks go through ``eig_symtridiag`` once, and the last two Legendre
+    coefficients beta of psi_n must be below machine epsilon for each n below
+    the plunge bound n0. Values from n0 on, below 1e-17, are untrusted and may
+    be 0.0. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n = sqrt(2) beta_0 /
+    psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0) for odd n (Xiao,
+    Rokhlin & Yarvin, Inverse Problems 17, 2001).
+    """
+    return _legendre_route(c, count)[0]
+
+
+def nystrom_spectrum(c: float, M: int | None = None) -> ContinuousSpectrum:
+    """Sinc-kernel eigenvalues on [-1, 1] by the Nystrom method: an oracle for
+    ``legendre_spectrum`` that the library itself does not call.
 
     The kernel is sampled on the memoised Newton Gauss-Legendre rule of order
     ``M``. The rule is mirror-symmetric, so the scaled kernel matrix splits
     into even and odd index-reversal blocks, each built from kernel rows (the
     M x M matrix never is) and diagonalised by the checked ``eig_sym`` before
     the next is built; even modes fill columns 0::2, odd ones 1::2. The
-    eigenvalues must also sum to the operator trace 2 c halfwidth / pi.
-
-    ``M`` defaults to ``default_order(c * halfwidth)`` and may not be smaller.
-    With ``check_convergence`` each eigenvalue above the ``floor_checks``
-    tolerance must agree with ``legendre_spectrum`` at c * halfwidth to
-    ``cross_route``, otherwise the discretisation is declared unconverged.
+    eigenvalues must also sum to the operator trace 2c/pi. ``M`` defaults to
+    ``default_order(c)`` and may not be smaller.
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
-    if not (halfwidth > 0 and math.isfinite(halfwidth)):
-        raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
-    min_order = default_order(c * halfwidth)
+    min_order = default_order(c)
     M = min_order if M is None else M
     if M < min_order:
         raise ValueError(f"quadrature order {M} below default {min_order}")
-    rule, tol = gauss_legendre(M).scaled(halfwidth), config.TOLERANCES
+    rule = gauss_legendre(M)
     values, vectors = parity_spectrum(M, lambda odd: eig_sym(parity_block(
         lambda i, j: _sinc_kernel_matrix(c, rule.nodes, rule.weights, slice(i, j)),
         M, odd)))
-    trace_defect = abs(values.sum() - 2.0 * c * halfwidth / math.pi)
-    if not trace_defect <= tol.trace_continuous_rel * (2.0 * c * halfwidth / math.pi):
+    trace_defect = abs(values.sum() - 2.0 * c / math.pi)
+    if not trace_defect <= config.TOLERANCES.trace_continuous_rel * (2.0 * c / math.pi):
         raise NumericalFailure(f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
-    if check_convergence:
-        k = int(np.count_nonzero(values >= tol.floor_checks))
-        reference = legendre_spectrum(c * halfwidth, k)
-        drift = np.max(np.abs(values[:k] - reference[:k]), initial=0.0)
-        if not drift <= tol.cross_route:
-            raise NumericalFailure(
-                f"Nystrom eigenvalue off the Legendre route by {drift:.3e} at "
-                f"c={c}; increase the quadrature order")
     return ContinuousSpectrum(values=values, grid_vectors=vectors, rule=rule)
 
 
@@ -257,32 +248,41 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
 def projector_distance(disc: DiscreteSpectrum, K: int) -> float:
     """Spectral-norm distance between two rank-K spectral projectors.
 
-    On the Gauss-Legendre grid of ``nystrom_spectrum(c)``, c = pi N W, at its
-    default order M (the dilated modes are trigonometric polynomials of
-    frequency below c, which it resolves): the span A of the first K Nystrom
-    eigenvectors (certified against ``legendre_spectrum``) versus the first K
-    dilated wave functions U_k(W x) of ``disc``, orthonormalised (Q) under the
-    quadrature weights, so the norm approximates the L2 one. It is the sine of
+    On the Gauss-Legendre rule of order M = ``default_order(c)``, c = pi N W,
+    which resolves the dilated modes (trigonometric polynomials of frequency
+    below c): the span A of the first K sinc-kernel eigenfunctions psi_n,
+    summed from the L Legendre coefficients of ``legendre_spectrum``'s solve
+    and certified by their quadrature Gram against I, versus the first K
+    dilated wave functions U_k(W x) of ``disc``, orthonormalised (Q) under
+    the weights. psi_n follow the well-separated chi_n, so a cut inside a
+    cluster of sinc-kernel values still names one subspace. It is the sine of
     the largest principal angle, ||A A^T - Q Q^T||_2 = ||(I - A A^T) Q||_2
-    (Bjorck & Golub, Math. Comp. 27, 1973): O(M K^2) after the Nystrom solve,
-    and no M x M array.
+    (Bjorck & Golub, Math. Comp. 27, 1973), in O(M L K) and no M x M array.
     """
     N, W = disc.N, disc.W
     K = checked_index(K, 0, N, "K")
     if K == 0:
         return 0.0
-    floor = config.TOLERANCES.floor_untrusted
-    if not disc.values[K - 1] >= floor:
+    tol = config.TOLERANCES
+    if not disc.values[K - 1] >= tol.floor_untrusted:   # U_k(W x) sinks under rounding
         raise IllConditionedError(
             f"eigenvalue {disc.values[K - 1]:.3e} of mode {K - 1} below "
-            f"{floor:.0e}; the rank-K projector is not resolvable")
-    cont = nystrom_spectrum(math.pi * N * W)
-    gap = cont.values[K - 1] - cont.values[K]
-    if not gap >= floor:   # the cut splits a cluster: the rank-K subspace is arbitrary
-        raise IllConditionedError(
-            f"sinc-kernel eigenvalue gap {gap:.3e} after mode {K - 1} below "
-            f"{floor:.0e}; the rank-K projector is not resolvable")
-    A = cont.grid_vectors[:, :K]
-    dilated = dpswf_matrix(disc, W * cont.rule.nodes, np.arange(K))
-    Q, _ = np.linalg.qr(dilated * np.sqrt(cont.rule.weights)[:, None])
+            f"{tol.floor_untrusted:.0e}; the rank-K projector is not resolvable")
+    c = math.pi * N * W
+    _, Ve, Vo = _legendre_route(c, K)
+    rule = gauss_legendre(default_order(c))
+    x, k = rule.nodes, np.arange(1.0, len(Ve) + len(Vo))
+    # p_k = sqrt(k + 1/2) P_k: x p_k = a_(k+1) p_(k+1) + a_k p_(k-1), a_k = k / sqrt(4k^2 - 1)
+    a, P = k / np.sqrt(4.0 * k * k - 1.0), np.empty((len(k) + 1, len(x)))
+    P[0], P[1] = math.sqrt(0.5), math.sqrt(1.5) * x
+    for j in range(1, len(k)):
+        P[j + 1] = (x * P[j] - a[j - 1] * P[j - 1]) / a[j]
+    sw = np.sqrt(rule.weights)[:, None]
+    A = sw * np.hstack([P[0::2].T @ Ve[:, ::-1][:, :(K + 1) // 2],
+                        P[1::2].T @ Vo[:, ::-1][:, :K // 2]])
+    defect = np.max(np.abs(A.T @ A - np.eye(K)))
+    if not defect <= tol.orthonormality:
+        raise NumericalFailure(f"sinc-kernel eigenfunction Gram defect {defect:.3e} "
+                               f"exceeds {tol.orthonormality:.1e} at c={c}")
+    Q, _ = np.linalg.qr(sw * dpswf_matrix(disc, W * x, np.arange(K)))
     return float(np.linalg.norm(Q - A @ (A.T @ Q), 2))

@@ -42,8 +42,8 @@ def cached_spectrum(N, W, method="tridiag"):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_nystrom(c, M=None, check=False):
-    return nystrom_spectrum(c, M, check_convergence=check)
+def cached_nystrom(c, M=None):
+    return nystrom_spectrum(c, M)
 
 
 @pytest.fixture(scope="session")

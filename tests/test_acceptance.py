@@ -179,8 +179,8 @@ def test_criterion_07_continuous_side():
     hs_ok = True
     for c in cs:
         M = default_order(c)
-        cont = nystrom_spectrum(c, M, check_convergence=False)
-        refined = nystrom_spectrum(c, 2 * M, check_convergence=False)
+        cont = nystrom_spectrum(c, M)
+        refined = nystrom_spectrum(c, 2 * M)
         expected = 2 * c / PI
         worst_trace = max(worst_trace,
                           abs(cont.values.sum() - expected) / expected)

@@ -213,7 +213,7 @@ class TestComparisonConstant:
 
     def test_scalar_case(self):
         lam = 0.4   # N = 1, W = 0.2
-        cont = nystrom_spectrum(0.2 * PI, check_convergence=False)
+        cont = nystrom_spectrum(0.2 * PI)
         assert lam <= comparison_constant(0.2) * cont.values[0] + 1e-12
 
 

@@ -650,7 +650,7 @@ class TestBitIdentity:
         se, so = eig_sym(even), eig_sym(odd)
         values, vectors = _interleaved(np.concatenate([se.values, so.values]),
                                        _reference_lift(se.vectors, so.vectors, order))
-        cont = nystrom_spectrum(c, M, check_convergence=False)
+        cont = nystrom_spectrum(c, M)
         assert np.array_equal(cont.values, values)
         assert np.array_equal(cont.grid_vectors, _signed(vectors))
 
@@ -699,7 +699,7 @@ def test_lift_applies_the_sign_rule(route, order):
     # parity_spectrum makes the first largest |entry| of every column positive,
     # for the DPSS of both routes and for the Nystrom grid vectors alike
     if route == "nystrom":
-        V = nystrom_spectrum(18.85, order, check_convergence=False).grid_vectors
+        V = nystrom_spectrum(18.85, order).grid_vectors
     else:
         V = spectrum(DiscreteParams(order, 0.3), route).dpss
     lead = np.argmax(np.abs(V), axis=0)
@@ -722,7 +722,7 @@ class TestMemory:
         # the M x M kernel is never built: the result, the two block vector
         # arrays and one block at a time
         M = 1001
-        peak = traced_peak(lambda: nystrom_spectrum(300.0, M, check_convergence=False))
+        peak = traced_peak(lambda: nystrom_spectrum(300.0, M))
         assert peak <= 1.6 * M * M * 8
 
 
