@@ -9,12 +9,13 @@ A ``TestFunction`` is an evaluator plus what the projections read of it.
 Functions that are finite cosine sums (the truncated Weierstrass function)
 carry their terms explicitly: their inner products against the trigonometric
 basis have closed forms, which sidesteps quadrature for frequencies far above
-any resolvable grid. A function with a smoothness ``s`` has the Sobolev
-approximation inequality evaluated in native projections, with the norm that
-``sobolev_norm`` computes in closed form for a cosine sum at s in {0, 1} (any
-other target or s gets a note instead). Projections onto the dilated family are
-computed as a least-squares fit on the span of the first K modes in the
-quadrature metric: dividing by sqrt(lambda_k) is meaningless once lambda_k
+any resolvable grid; the native band residual adds sum_k lambda_k beta_k^2, as
+the modes are doubly orthogonal. A function with a smoothness ``s`` has the
+Sobolev approximation inequality evaluated in native projections, with the norm
+that ``sobolev_norm`` computes in closed form for a cosine sum at s in {0, 1}
+(any other target or s gets a note instead). Projections onto the dilated
+family are computed as a least-squares fit on the span of the first K modes in
+the quadrature metric: dividing by sqrt(lambda_k) is meaningless once lambda_k
 drops to the double-precision noise floor, but the span itself stays
 numerically usable well past that point.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .discrete import DiscreteSpectrum, band_grams, dpswf_matrix, half_sums
+from .discrete import DiscreteSpectrum, dpswf_matrix, half_sums
 from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
                      gauss_legendre, snapped_floor)
 
@@ -114,8 +115,7 @@ def weierstrass_terms(s: float):
 def _sin_over(t: np.ndarray, T: float) -> np.ndarray:
     """sin(t T)/t with the t -> 0 limit T, elementwise."""
     t = np.asarray(t, dtype=float)
-    out = np.where(t == 0.0, T, np.sin(t * T) / np.where(t == 0.0, 1.0, t))
-    return out
+    return np.where(t == 0.0, T, np.sin(t * T) / np.where(t == 0.0, 1.0, t))
 
 
 def cos_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
@@ -129,8 +129,7 @@ def sin_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
 
 
 def _cosine_l2_sq(amps: np.ndarray, freqs: np.ndarray, T: float) -> float:
-    G = cos_pair_integral(freqs[:, None], freqs[None, :], T)
-    return float(amps @ G @ amps)
+    return float(amps @ cos_pair_integral(freqs[:, None], freqs[None, :], T) @ amps)
 
 
 def _cosine_mode_integrals(amps: np.ndarray, freqs: np.ndarray,
@@ -218,10 +217,10 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     return the per-K fit.
 
     The frame holds beta_k = <f, U_k> on [-1/2, 1/2] for every mode, the band
-    residual data (closed-form cross terms and band Gram for cosine sums,
-    otherwise all modes and f on the band quadrature rule), all modes and f
-    on the sup grid, and the Sobolev norm, computed at the first K that needs
-    it.
+    residual data (closed-form cross terms for cosine sums, whose band Gram is
+    diag(lambda), otherwise all modes and f on the band quadrature rule), all
+    modes and f on the sup grid, and the Sobolev norm, computed at the first K
+    that needs it.
     """
     _require_span(f, 0.5)
     N, W = spec.N, spec.W
@@ -231,13 +230,10 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         gamma = _cosine_mode_integrals(amps, freqs, spec, 1.0, W)
         f_band_sq = _cosine_l2_sq(amps, freqs, W)
         f_half_sq = _cosine_l2_sq(amps, freqs, 0.5)
-        grams = band_grams(spec)   # U_j U_k integrates to 0 across parities
 
-        def residual_l2(K):
+        def residual_l2(K):   # the band integral of U_j U_k is lambda_k delta_jk
             b = beta[:K]
-            res_sq = f_band_sq - 2.0 * (b @ gamma[:K])
-            for G, bp in zip(grams, (b[0::2], b[1::2])):
-                res_sq += bp @ G[:len(bp), :len(bp)] @ bp
+            res_sq = f_band_sq - 2.0 * (b @ gamma[:K]) + spec.values[:K] @ (b * b)
             return math.sqrt(max(res_sq, 0.0))
     else:
         rule = gauss_legendre(max(4 * N, 256))
@@ -257,8 +253,6 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     U_sup = dpswf_matrix(spec, xs)
     f_sup = f(xs)
 
-    s = f.s
-
     def out_of_range(K: int) -> str:
         """Why the Sobolev inequality does not apply at K, or ''."""
         try:
@@ -271,7 +265,7 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     @functools.cache
     def sobolev():
         try:
-            return sobolev_norm(f, s), ""
+            return sobolev_norm(f, f.s), ""
         except NumericalFailure as exc:
             return None, f"Sobolev norm unavailable: {exc}"
 
@@ -280,12 +274,12 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         residual_sup = float(np.max(np.abs(f_sup - U_sup[:, :K] @ beta[:K])))
         sobolev_rhs = sobolev_ok = None
         note = ""
-        if s is not None:
+        if f.s is not None:
             note = out_of_range(K)
             if not note:
                 hs, note = sobolev()
                 if hs is not None:
-                    sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (s / 2.0) * hs
+                    sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (f.s / 2.0) * hs
                                    + math.sqrt(max(float(spec.values[K]), 0.0))
                                    * math.sqrt(f_half_sq))
                     sobolev_ok = res_l2 <= sobolev_rhs
@@ -302,10 +296,10 @@ def project_native(f: TestFunction, spec: DiscreteSpectrum, K: int) -> Projectio
 
     Coefficients are beta_k = <f, U_k> on [-1/2, 1/2] (exact for cosine sums,
     Gauss-Legendre of order >= 4N otherwise). For a cosine sum residual_l2 is
-    sqrt(|f|^2 - 2 beta^T gamma + beta^T G beta) on [-W, W], whose absolute
-    error is about eps |f|^2 / residual_l2: 1.9e-10 relative for cos 3x at
-    N = 60, W = 0.3, K = 50. When f has a smoothness ``f.s`` and K falls in
-    the admissible range, the Sobolev approximation inequality
+    sqrt(|f|^2 - 2 beta^T gamma + sum_k lambda_k beta_k^2) on [-W, W], whose
+    absolute error is about eps |f|^2 / residual_l2: 8.6e-10 relative for
+    cos 3x at N = 60, W = 0.3, K = 50. When f has a smoothness ``f.s`` and K
+    falls in the admissible range, the Sobolev approximation inequality
     residual <= 4 (4+N^2)^(-s/2) |f|_{H^s} + sqrt(lambda_K) |f|_{L2}
     is evaluated alongside. A sampled f must span [-1/2, 1/2].
     """

@@ -47,6 +47,17 @@ def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray,
     return np.outer(np.sqrt(w[rows]), np.sqrt(w)) * K
 
 
+def _check_bandwidth(c: float) -> None:
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+
+
+def _check_trace(values: np.ndarray, c: float) -> None:   # the trace is 2c/pi
+    defect = abs(values.sum() - 2.0 * c / math.pi)
+    if not defect <= config.TOLERANCES.trace_continuous_rel * (2.0 * c / math.pi):
+        raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
+
+
 def _prolate_blocks(c: float, M: int) -> tuple[SymTridiag, SymTridiag]:
     """Even and odd parity blocks of the prolate operator
     -d/dx (1 - x^2) d/dx + c^2 x^2 in the normalised Legendre polynomials
@@ -64,8 +75,7 @@ def _legendre_route(c: float, count: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """``legendre_spectrum``'s values mu and the normalised-Legendre
     coefficients of psi_n, descending chi as solved: columns n = ..., 2, 0 of
     Ve (degrees 0, 2, ...) and n = ..., 3, 1 of Vo (degrees 1, 3, ...)."""
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+    _check_bandwidth(c)
     # mu_n < 1e-17 from plunge bound n0 on; psi_n needs degrees ~max(n, c + 14 c^(1/3))
     n0 = math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24
     n = max(checked_index(count, 0, math.inf, "count"), n0)
@@ -84,9 +94,7 @@ def _legendre_route(c: float, count: int) -> tuple[np.ndarray, np.ndarray, np.nd
     mu = np.empty(n)
     mu[0::2] = (c / math.pi * (Ve[0] / psi0) ** 2)[::-1]
     mu[1::2] = (c ** 3 / (3.0 * math.pi) * (Vo[0] / dpsi0) ** 2)[::-1]
-    defect = abs(mu.sum() - 2.0 * c / math.pi)
-    if not defect <= config.TOLERANCES.trace_continuous_rel * 2.0 * c / math.pi:
-        raise NumericalFailure(f"sinc-kernel trace defect {defect:.3e} at c={c}")
+    _check_trace(mu, c)
     return mu, Ve, Vo
 
 
@@ -118,8 +126,7 @@ def nystrom_spectrum(c: float, M: int | None = None) -> ContinuousSpectrum:
     eigenvalues must also sum to the operator trace 2c/pi. ``M`` defaults to
     ``default_order(c)`` and may not be smaller.
     """
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+    _check_bandwidth(c)
     min_order = default_order(c)
     M = min_order if M is None else M
     if M < min_order:
@@ -128,9 +135,7 @@ def nystrom_spectrum(c: float, M: int | None = None) -> ContinuousSpectrum:
     values, vectors = parity_spectrum(M, lambda odd: eig_sym(parity_block(
         lambda i, j: _sinc_kernel_matrix(c, rule.nodes, rule.weights, slice(i, j)),
         M, odd)))
-    trace_defect = abs(values.sum() - 2.0 * c / math.pi)
-    if not trace_defect <= config.TOLERANCES.trace_continuous_rel * (2.0 * c / math.pi):
-        raise NumericalFailure(f"sinc-kernel trace defect {trace_defect:.3e} at c={c}")
+    _check_trace(values, c)
     return ContinuousSpectrum(values=values, grid_vectors=vectors, rule=rule)
 
 

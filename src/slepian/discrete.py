@@ -237,8 +237,8 @@ def dpswf_matrix(spec: DiscreteSpectrum, x: np.ndarray,
 
 def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """V^T rho V for the even columns V = dpss[:, 0::2], then the odd 1::2, as
-    U^T B U over the half-order prolate blocks B and block vectors U; entries
-    between modes of opposite parity vanish by construction."""
+    U^T B U over the half-order prolate blocks B and block vectors U (entries
+    across parities vanish); the double-orthogonality check reads them."""
     N, h = spec.N, spec.N // 2
     grams = []
     for odd in (0, 1):

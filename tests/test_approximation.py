@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from slepian import approximation
+from slepian import approximation, discrete
 from slepian.approximation import (BASES, TestFunction, project_dilated,
                                    project_native, projection_sweep,
                                    sobolev_k_range, sobolev_norm,
                                    weierstrass_terms)
-from slepian.discrete import dpswf_matrix
+from slepian.discrete import band_grams, dpswf_matrix
 from slepian.numkit import NumericalFailure, OutOfRangeError, gauss_legendre
 
 
@@ -271,7 +271,7 @@ class TestProjectNative:
 
     def test_band_gram_residual_agrees_with_quadrature(self, spec60_03):
         # a cosine sum the band rule resolves: the closed-form residual, from
-        # the two parity blocks' band Grams, against the quadrature residual
+        # the band Gram diag(lambda), against the quadrature residual
         amps, freqs = np.array([1.0, 0.5]), np.array([3.0, 40.0])
         f = TestFunction(lambda x: np.cos(np.multiply.outer(x, freqs)) @ amps,
                          cosine_terms=(amps, freqs))
@@ -285,6 +285,41 @@ class TestProjectNative:
         for K in (0, 61):
             with pytest.raises(ValueError):
                 project_native(f, spec60_03, K)
+
+    @pytest.mark.parametrize("N,W,s", [(60, 0.3, 1.0), (61, 0.3, 1.0),
+                                       (200, 0.2, 1.0), (60, 0.45, 2.0)])
+    def test_residual_reads_double_orthogonality(self, get_spectrum, N, W, s):
+        # sum_k lambda_k beta_k^2 differs from beta^T G beta, G the band Grams,
+        # by beta^T (G - diag lambda) beta, plus rounding of the sums
+        disc = get_spectrum(N, W)
+        f = TestFunction.weierstrass(s)
+        amps, freqs = f.cosine_terms
+        gamma = approximation._cosine_mode_integrals(amps, freqs, disc, 1.0, W)
+        f_band_sq = approximation._cosine_l2_sq(amps, freqs, W)
+        grams = band_grams(disc)
+        defect = max(np.max(np.abs(G - np.diag(disc.values[odd::2])), initial=0.0)
+                     for odd, G in enumerate(grams))
+        for row in projection_sweep(f, disc, N, "native"):
+            b = row.coefficients
+            ref = f_band_sq - 2.0 * (b @ gamma[:row.K]) + sum(
+                bp @ G[:len(bp), :len(bp)] @ bp
+                for G, bp in zip(grams, (b[0::2], b[1::2])))
+            tol = np.sum(np.abs(b)) ** 2 * defect + 8 * np.finfo(float).eps * f_band_sq
+            assert abs(row.residual_l2 ** 2 - max(ref, 0.0)) <= tol, row.K
+
+    @pytest.mark.parametrize("N", [60, 61])
+    def test_cosine_sum_builds_no_prolate_block(self, get_spectrum, monkeypatch, N):
+        def refuse(*args):
+            raise AssertionError("a native projection built a prolate block")
+
+        disc = get_spectrum(N, 0.3)
+        monkeypatch.setattr(discrete, "_prolate_block", refuse)
+        monkeypatch.setattr(discrete, "_prolate_view", refuse)
+        f = TestFunction.weierstrass(1.0)
+        assert project_native(f, disc, 50).K == 50
+        assert len(projection_sweep(f, disc, N, "native")) == N
+        with pytest.raises(AssertionError, match="built a prolate block"):
+            band_grams(disc)
 
     def test_unresolvable_sobolev_norm_becomes_a_note(self, get_spectrum):
         # the evaluator refuses the Sobolev grids; the sup grid has 2001 points

@@ -236,6 +236,15 @@ class TestBandGrams:
         assert np.max(np.abs(np.diag(even) - spec60_03.values[0::2])) <= 1e-14
         assert np.max(np.abs(np.diag(odd) - spec60_03.values[1::2])) <= 1e-14
 
+    @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.3), (500, 0.45),
+                                     (2000, 0.3), (2001, 0.1)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_gram_is_diag_of_the_spectrum(self, N, W, method):
+        # double orthogonality, which the native cosine-sum residual reads
+        disc = spectrum(DiscreteParams(N, W), method=method)
+        for odd, G in enumerate(band_grams(disc)):
+            assert np.max(np.abs(G - np.diag(disc.values[odd::2]))) <= 1e-13
+
 
 def _random_cases(seed=90125, count=8):
     rng = np.random.default_rng(seed)
