@@ -5,7 +5,8 @@ projector-distance, turan. Each ``cmd_*`` computes an ``Output`` from the
 parsed arguments at ``config.TOLERANCES``. ``main`` writes the output to
 ``--out`` or stdout and maps the outcome to an exit code: 0 success, 1 usage
 or validation error or a scipy without LAPACK ``dstevd``, 2 numerical failure
-or out of memory, 3 verification failure under --strict, reported as
+or an allocation numpy refuses (one the OS grants but cannot back ends the
+process from outside), 3 verification failure under --strict, reported as
 ``<command>: <failure>`` on stderr after the output is written.
 Floats are written in scientific notation to 17 significant digits and JSON
 keys are sorted: output files are byte-deterministic for fixed inputs, version

@@ -172,18 +172,11 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
 
 def _validate(params: DiscreteParams, values: np.ndarray,
               vectors: np.ndarray) -> list[str]:
-    N, W = params.N, params.W
-    tol = config.TOLERANCES
+    N, W, tol = params.N, params.W, config.TOLERANCES
     warnings: list[str] = []
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if not np.max(np.abs(norms - 1.0)) <= 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
-    # |v_i| = |v_(N-1-i)| exactly, as parity_spectrum writes +-Ju (a NaN fails);
-    # 64-column chunks bound temporaries
-    if not all((np.abs(vectors[:N // 2, j:j + 64])
-                == np.abs(vectors[:(N - 1) // 2:-1, j:j + 64])).all()
-               for j in range(0, N, 64)):
-        raise NumericalFailure("DPSS vectors break component symmetry")
     trace_defect = abs(values.sum() - 2.0 * N * W) / (2.0 * N * W)
     if not trace_defect <= tol.trace_rel:
         raise NumericalFailure(

@@ -1,16 +1,26 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from slepian import DiscreteParams, Tolerances, nystrom_spectrum, spectrum
-from slepian.numkit import parity_block
 
 
 def parity_blocks(S):
-    """Both ``parity_block``s of S, which may be any strided view."""
-    return tuple(parity_block(lambda i, j: S[i:j], len(S), odd) for odd in (0, 1))
+    """The even and odd blocks of a centrosymmetric symmetric n x n matrix S,
+    by their definition: with h = n // 2, A = S[:h, :h] and
+    BJ = S[:h, n-h:][:, ::-1], they are A + BJ and A - BJ, and for odd n the
+    even block gains the sqrt(2)-weighted middle row and column and the middle
+    entry. The reference for ``numkit.parity_block``."""
+    n, h = len(S), len(S) // 2
+    A, BJ = S[:h, :h], S[:h, n - h:][:, ::-1]
+    even, odd = A + BJ, A - BJ
+    if n % 2:
+        col = math.sqrt(2.0) * S[:h, h:h + 1]
+        even = np.block([[even, col], [col.T, S[h:h + 1, h:h + 1]]])
+    return even, odd
 
 
 def assert_mode_order(values, vectors=None):

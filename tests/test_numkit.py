@@ -15,8 +15,9 @@ from slepian import DiscreteParams, config, numkit
 from slepian.discrete import commuting_tridiagonal
 from slepian.config import Tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
-                            eig_symtridiag, gauss_legendre, parity_spectrum,
-                            sinc_kernel, snapped_floor, tridiag_parity_blocks)
+                            eig_symtridiag, gauss_legendre, parity_block,
+                            parity_spectrum, sinc_kernel, snapped_floor,
+                            tridiag_parity_blocks)
 
 from conftest import parity_blocks
 
@@ -91,8 +92,11 @@ class TestGaussLegendre:
             assert abs(rule.nodes[i] - float(x)) <= 1e-15
             assert abs(rule.weights[i] / float(w) - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("order", [6, 7])
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 7, 2048])
     def test_exact_mirror_symmetry(self, order):
+        # built by reflection, and not re-checked at run time: order 1 is the
+        # bare middle node, 2 and 3 reflect one root, 2048 is the native
+        # frame's rule at N = 512
         rule = gauss_legendre(order)
         assert (rule.nodes == -rule.nodes[::-1]).all()
         assert (rule.weights == rule.weights[::-1]).all()
@@ -122,21 +126,11 @@ class TestGaussLegendre:
         with pytest.raises(NumericalFailure, match="order 9 did not converge"):
             numkit._gauss_legendre_rule.__wrapped__(9)
 
-    def test_mirror_symmetry_is_exact(self, monkeypatch):
-        # the rule is built by reflection, so one ulp off the mirror fails
-        rule = numkit._gauss_legendre_rule(9)
-        nodes = rule.nodes.copy()
-        nodes[-1] = np.nextafter(nodes[-1], 0.0)
-        moved = numkit.QuadratureRule(nodes, rule.weights)
-        monkeypatch.setattr(numkit, "_gauss_legendre_rule", lambda n: moved)
-        with pytest.raises(NumericalFailure, match="not symmetric about 0"):
-            gauss_legendre(9)
-
     @pytest.mark.parametrize("nodes,message", [
         ([0.5, -0.5], "quadrature nodes are not strictly increasing"),
         ([-1.0, 1.0], "quadrature nodes left (-1, 1)")])
     def test_contract_rejects_a_faulty_rule(self, monkeypatch, nodes, message):
-        # symmetric nodes with unit weights: only the named check fails
+        # unit weights summing to 2: only the named check fails
         faulty = numkit.QuadratureRule(np.array(nodes), np.ones(2))
         monkeypatch.setattr(numkit, "_gauss_legendre_rule", lambda n: faulty)
         with pytest.raises(NumericalFailure) as info:
@@ -394,6 +388,13 @@ class TestParitySplit:
              for B in (even, odd)]))
         full = eigh_tridiagonal(T.diagonal, T.offdiag, eigvals_only=True)
         assert np.max(np.abs(split - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 61, 601, 602])
+    def test_block_matches_definition(self, n):
+        # from n = 601 the rows are read in more than one chunk
+        S = _centrosymmetric(n, n)
+        for odd, ref in enumerate(parity_blocks(S)):
+            assert np.array_equal(parity_block(lambda i, j: S[i:j], n, odd), ref)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 60, 61])
     def test_dense_blocks_carry_spectrum(self, n):
