@@ -31,7 +31,7 @@ import numpy as np
 from . import config
 from .discrete import DiscreteSpectrum, dpswf_matrix, half_sums
 from .numkit import (NumericalFailure, OutOfRangeError, checked_index,
-                     gauss_legendre, snapped_floor)
+                     gauss_legendre, sinc_kernel, snapped_floor)
 
 BASES = ("native", "dilated")
 WEIERSTRASS_TOL = 1e-12
@@ -67,7 +67,7 @@ class TestFunction:
         """f(x) = sin(alpha x) / (alpha x), bandlimited to [-alpha, alpha]."""
         if not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        return cls(evaluator=lambda x: np.sinc(alpha * x / np.pi))
+        return cls(evaluator=lambda x: sinc_kernel(alpha * x, alpha * x, 1.0))
 
     @classmethod
     def weierstrass(cls, s: float) -> "TestFunction":
@@ -112,20 +112,16 @@ def weierstrass_terms(s: float):
 
 # ------------------------------------------------------ closed-form integrals
 
-def _sin_over(t: np.ndarray, T: float) -> np.ndarray:
-    """sin(t T)/t with the t -> 0 limit T, elementwise."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t == 0.0, T, np.sin(t * T) / np.where(t == 0.0, 1.0, t))
-
-
 def cos_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
     """integral_{-T}^{T} cos(a x) cos(b x) dx, elementwise."""
-    return _sin_over(a - b, T) + _sin_over(a + b, T)
+    d, s = a - b, a + b
+    return sinc_kernel(d * T, d, T) + sinc_kernel(s * T, s, T)
 
 
 def sin_pair_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
     """integral_{-T}^{T} sin(a x) sin(b x) dx, elementwise."""
-    return _sin_over(a - b, T) - _sin_over(a + b, T)
+    d, s = a - b, a + b
+    return sinc_kernel(d * T, d, T) - sinc_kernel(s * T, s, T)
 
 
 def _cosine_l2_sq(amps: np.ndarray, freqs: np.ndarray, T: float) -> float:

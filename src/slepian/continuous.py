@@ -42,7 +42,8 @@ def default_order(c: float) -> int:
 
 def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray,
                        rows: slice = slice(None)) -> np.ndarray:
-    K = sinc_kernel(c, x[rows, None] - x[None, :], c / np.pi)
+    d = x[rows, None] - x[None, :]
+    K = sinc_kernel(c * d, np.pi * d, c / np.pi)
     # outer(sqrt(w), sqrt(w)) is exactly symmetric, so S inherits exact symmetry from K
     return np.outer(np.sqrt(w[rows]), np.sqrt(w)) * K
 
@@ -154,7 +155,7 @@ def hs_norm_sq(c: float, values: np.ndarray) -> float:
     ``legendre_spectrum``), cross-checked against the lag integral of the
     squared kernel (``_lag_integral``)."""
     value = float(np.sum(values ** 2))
-    quad = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
+    quad = _lag_integral(lambda t: sinc_kernel(c * t, np.pi * t, c / np.pi), 2.0, c)
     rel = config.TOLERANCES.hs_cross_rel
     if not abs(value - quad) <= rel * max(abs(quad), 1e-300):
         raise NumericalFailure(

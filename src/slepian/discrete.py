@@ -6,7 +6,7 @@ solvers, so eigenvectors stay exactly symmetric/antisymmetric even where the
 spectrum clusters at 0 and 1 beyond double-precision resolution:
 
 * ``toeplitz`` route: the blocks of the prolate (Toeplitz) matrix
-  ``sin(2 pi W (n-m)) / (pi (n-m))``.
+  ``rho(n-m) = sin(2 pi W (n-m)) / (pi (n-m))``.
 * ``tridiag`` route: eigenvectors of the blocks of Slepian's commuting
   tridiagonal matrix, with eigenvalues recovered as Rayleigh quotients
   against the matching prolate block, taken by one real FFT of each block
@@ -23,7 +23,7 @@ trigonometric polynomials obtained from the sequences (``dpswf_matrix``), and
 spectrum peaks at about 1.5 N x N float64 arrays (the result and the two
 half-order block vector arrays lifted into it; on the toeplitz route one
 prolate block at a time lives beside them); partial spectra are a ROADMAP
-item.
+item. Every value of rho, in ``extend_dpss`` too, comes from ``_rho``.
 """
 
 from __future__ import annotations
@@ -85,32 +85,35 @@ class DiscreteSpectrum:
         return self.params.W
 
 
-def _lags(params: DiscreteParams) -> np.ndarray:
-    """The lag vector rho(n) = sin(2 pi W n) / (pi n), n = 0..N-1, with
-    rho(0) = 2W, the sinc limit."""
-    return sinc_kernel(2.0 * np.pi * params.W, np.arange(params.N), 2.0 * params.W)
+def _rho(W: float, lags: np.ndarray) -> np.ndarray:
+    """rho(d) = sin(2 pi W d) / (pi d) at the integer lags d, 2W at d = 0. The
+    phase W d is reduced mod 1 into (-1/2, 1/2] in integers on W = p / q, so
+    the t in sin(2 pi t) is correctly rounded at every lag."""
+    p, q = W.as_integer_ratio()
+    h = q // 2
+    t = np.array([(h - (h - p * d) % q) / q for d in lags.tolist()])
+    return sinc_kernel(2.0 * np.pi * t, np.pi * lags, 2.0 * W)
 
 
-def _prolate_view(params: DiscreteParams) -> np.ndarray:
-    """Read-only strided Toeplitz view ``[i, j] -> lag[|i - j|]`` of ``_lags``."""
-    lag = _lags(params)
-    return sliding_window_view(np.concatenate([lag[:0:-1], lag]), params.N)[::-1]
+def _prolate_view(lag: np.ndarray) -> np.ndarray:
+    """Read-only strided Toeplitz view ``[i, j] -> lag[|i - j|]``."""
+    return sliding_window_view(np.concatenate([lag[:0:-1], lag]), len(lag))[::-1]
 
 
 def prolate_matrix(params: DiscreteParams) -> np.ndarray:
     """Toeplitz matrix sin(2 pi W (n-m)) / (pi (n-m)), diagonal 2W (its limit)."""
-    return _prolate_view(params).copy()
+    return _prolate_view(_rho(params.W, np.arange(params.N))).copy()
 
 
-def _prolate_block(params: DiscreteParams, odd: bool) -> np.ndarray:
-    """The even or odd block of ``prolate_matrix(params)``, read from the
-    strided view (the N x N matrix is never built)."""
-    view = _prolate_view(params)
-    return parity_block(lambda i, j: view[i:j], params.N, odd)
+def _prolate_block(lag: np.ndarray, odd: bool) -> np.ndarray:
+    """The even or odd block of the prolate matrix of the lag vector ``lag``,
+    read from the strided view (the N x N matrix is never built)."""
+    view = _prolate_view(lag)
+    return parity_block(lambda i, j: view[i:j], len(lag), odd)
 
 
-def _block_quotients(params: DiscreteParams, U: np.ndarray, odd: bool) -> np.ndarray:
-    """u^T B u for every column u of U, B = ``_prolate_block(params, odd)``:
+def _block_quotients(lag: np.ndarray, U: np.ndarray, odd: bool) -> np.ndarray:
+    """u^T B u for every column u of U, B = ``_prolate_block(lag, odd)``:
     v^T rho v for the lifted sequence v of u, with B never built.
 
     With h = N // 2 and u = [w; mu] (mu only in the even block of odd N), B's
@@ -122,7 +125,7 @@ def _block_quotients(params: DiscreteParams, U: np.ndarray, odd: bool) -> np.nda
     O(h log h) a column, 16 columns at a time. The middle row of odd N adds
     2 sqrt(2) mu sum_i rho(h-i) w_i + 2W mu^2.
     """
-    N, h, lag = params.N, params.N // 2, _lags(params)
+    N, h = len(lag), len(lag) // 2
     out = np.zeros(U.shape[1])
     if h:
         L = 1 << (2 * h - 2).bit_length()
@@ -158,12 +161,13 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "tridiag":
         T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
+    lag = _rho(params.W, np.arange(params.N))
 
     def solve(odd: bool) -> EigenSystem:   # a prolate block dies once used
         if method == "toeplitz":
-            return eig_sym(_prolate_block(params, odd))
+            return eig_sym(_prolate_block(lag, odd))
         U = eig_symtridiag(T_blocks[odd]).vectors
-        return EigenSystem(_block_quotients(params, U, odd), U)
+        return EigenSystem(_block_quotients(lag, U, odd), U)
     values, vectors = parity_spectrum(params.N, solve)
     warnings = _validate(params, values, vectors)
     return DiscreteSpectrum(params=params, values=values, dpss=vectors,
@@ -232,12 +236,12 @@ def band_grams(spec: DiscreteSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """V^T rho V for the even columns V = dpss[:, 0::2], then the odd 1::2, as
     U^T B U over the half-order prolate blocks B and block vectors U (entries
     across parities vanish); the double-orthogonality check reads them."""
-    N, h = spec.N, spec.N // 2
+    N, h, lag = spec.N, spec.N // 2, _rho(spec.W, np.arange(spec.N))
     grams = []
     for odd in (0, 1):
         U = spec.dpss[:h if odd else N - h, odd::2].copy()   # the block vectors
         U[:h] *= math.sqrt(2.0)
-        grams.append(U.T @ (_prolate_block(spec.params, odd) @ U))
+        grams.append(U.T @ (_prolate_block(lag, odd) @ U))
     return tuple(grams)
 
 
@@ -258,17 +262,11 @@ def symmetry_defect(spec: DiscreteSpectrum, mirror: DiscreteSpectrum) -> float:
 
 def commutation_defect(params: DiscreteParams) -> float:
     """Normalised Frobenius norm of [commuting_tridiagonal, prolate_matrix]."""
-    rho, T = _prolate_view(params), commuting_tridiagonal(params)
+    rho, T = _prolate_view(_rho(params.W, np.arange(params.N))), commuting_tridiagonal(params)
     X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
     d, e = T.diagonal, T.offdiag
     return float(np.linalg.norm(X.T - X) /
                  (1.0 + np.linalg.norm(rho) * math.sqrt(d @ d + 2.0 * (e @ e))))
-
-
-def _split(x):
-    """Veltkamp's split x = hi + lo, each with at most 26 significant bits."""
-    hi = 134217729.0 * x - (134217729.0 * x - x)   # 2**27 + 1
-    return hi, x - hi
 
 
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
@@ -277,9 +275,9 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
 
     Applies the band-limiting kernel to the length-N eigenvector and divides
     by the eigenvalue, which reproduces v_n for n inside [0, N-1] and extends
-    it outside. The kernel's phase W (n - j) is reduced mod 1 exactly, from
-    Dekker's two-product (Numer. Math. 18, 1971), so the error left is the
-    cancellation in the sum, about eps ||v||_1 / (pi |n| values[k]) absolute.
+    it outside. The kernel ``_rho`` reduces its phase W (n - j) mod 1 in
+    integers, so the error left is the cancellation in the sum, about
+    eps ||v||_1 / (pi |n| values[k]) absolute.
     Requires values[k] >= ``Tolerances.tail_floor``: division by a smaller
     eigenvalue amplifies double-precision noise beyond usefulness.
     """
@@ -290,11 +288,4 @@ def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:
     if not lam >= floor:
         raise IllConditionedError(
             f"eigenvalue {lam:.3e} below extension floor {floor:.1e}")
-    d = n - np.arange(N)   # exact in int64; d - dh is -1, 0 or 1
-    dh = d.astype(float)
-    p, ((a, b), (c, e)) = W * dh, (_split(W), _split(dh))
-    t = (p - np.rint(p)) + (((a * c - p) + a * e + b * c) + b * e) + W * (d - dh.astype(int))
-    t -= np.rint(t)   # W d = p + (W dh - p) + W (d - dh) mod 1, in [-1/2, 1/2]
-    kernel = np.divide(np.sin(2.0 * np.pi * t), np.pi * dh, out=np.full(N, 2.0 * W),
-                       where=d != 0)
-    return float(kernel @ spec.dpss[:, k] / lam)
+    return float(_rho(W, n - np.arange(N)) @ spec.dpss[:, k] / lam)

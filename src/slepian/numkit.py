@@ -235,14 +235,13 @@ def tridiag_parity_blocks(T: SymTridiag) -> tuple[SymTridiag, SymTridiag]:
     return SymTridiag(d[:h] + shift, e[:h - 1]), SymTridiag(d[:h] - shift, e[:h - 1])
 
 
-def sinc_kernel(c: float, d: np.ndarray, at_zero: float) -> np.ndarray:
-    """sin(c d) / (pi d) elementwise, equal to ``at_zero`` where d == 0.
-
-    The caller gives the d = 0 limit c/pi in its own form (2W when c = 2 pi W),
-    because c/pi need not round to the same double.
+def sinc_kernel(x: np.ndarray, y: np.ndarray, at_zero: float) -> np.ndarray:
+    """sin(x) / y elementwise, equal to ``at_zero`` where y == 0: the one sin
+    ratio with a limit. The caller gives the limit in its own form (2W for
+    x = 2 pi W d, y = pi d), as (2 pi W)/pi need not round to 2W.
     """
-    out = np.full(np.shape(d), at_zero, dtype=float)
-    np.divide(np.sin(c * d), np.pi * d, out=out, where=(d != 0))
+    out = np.full(np.shape(y), at_zero, dtype=float)
+    np.divide(np.sin(x), y, out=out, where=(y != 0))
     return out
 
 

@@ -227,7 +227,7 @@ class TestLagIntegrals:
         rule = gauss_legendre(default_order(c) + 37)
         S = _sinc_kernel_matrix(c, rule.nodes, rule.weights)
         two_d = float(np.vdot(S, S))
-        one_d = _lag_integral(lambda t: sinc_kernel(c, t, c / np.pi), 2.0, c)
+        one_d = _lag_integral(lambda t: sinc_kernel(c * t, np.pi * t, c / np.pi), 2.0, c)
         assert one_d == pytest.approx(two_d, rel=1e-13, abs=0)
 
     @staticmethod
@@ -238,7 +238,7 @@ class TestLagIntegrals:
         dirichlet = np.full_like(d, N)
         np.divide(np.sin(np.pi * N * d), np.sin(np.pi * d), out=dirichlet,
                   where=(d != 0))
-        diff = dirichlet - sinc_kernel(np.pi * N, d, N)
+        diff = dirichlet - sinc_kernel(np.pi * N * d, np.pi * d, N)
         return math.sqrt(np.einsum("i,ij,j->", w, diff ** 2, w))
 
     @pytest.mark.parametrize("N,W", [(60, 0.1), (60, 0.3), (30, 0.4),

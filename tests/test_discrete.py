@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,19 @@ from slepian.discrete import (METHODS, DiscreteParams, band_grams, commutation_d
                               mirror_params, prolate_matrix, spectrum, symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                             SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
-                            sinc_kernel, tridiag_parity_blocks)
+                            tridiag_parity_blocks)
 
 from conftest import assert_mode_order, parity_blocks, traced_peak
+
+
+def _exact_phase(W, lags):
+    """W d mod 1 in (-1/2, 1/2], reduced in exact rationals and then rounded
+    once, for every integer lag d."""
+    phases = []
+    for d in lags:
+        x = Fraction(W) * int(d)
+        phases.append(float(x - math.ceil(x - Fraction(1, 2))))
+    return np.array(phases)
 
 
 class TestParams:
@@ -61,11 +72,28 @@ class TestProlateMatrix:
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 60, 61, 500, 2001])
     @pytest.mark.parametrize("W", [0.01, 0.3, 0.45])
     def test_matches_indexed_lag_vector(self, N, W):
+        # rho(n) = sin(2 pi t) / (pi n) at the exactly reduced phase t, 2W at 0
         idx = np.arange(N)
-        lag = sinc_kernel(2.0 * np.pi * W, idx, 2.0 * W)
+        lag = np.full(N, 2.0 * W)
+        lag[1:] = np.sin(2.0 * np.pi * _exact_phase(W, idx[1:])) / (np.pi * idx[1:])
         rho = prolate_matrix(DiscreteParams(N, W))
         assert np.array_equal(rho, lag[np.abs(idx[:, None] - idx[None, :])])
         assert rho.flags.c_contiguous and rho.flags.writeable
+
+    @pytest.mark.parametrize("W", [0.2, 0.25, 0.3, 0.45, 0.01, 1 / 3, 0.123,
+                                   2.2250738585072014e-308])
+    def test_phase_is_correctly_rounded(self, monkeypatch, W):
+        # lags near 0 and near +-2**53, the range extend_dpss reaches; Dekker's
+        # two-product reduction gave -1/2 at (0.2, -2**53), where W d is k + 1/2,
+        # and 1/2 at (1/3, -2**53 - 3), where the phase is -0.49999999999999994
+        lags = np.concatenate([np.arange(-40, 41), 2 ** 53 - np.arange(40),
+                               -2 ** 53 - np.arange(40), 2 ** 52 + np.arange(40)])
+        seen = []
+        real = discrete.sinc_kernel
+        monkeypatch.setattr(discrete, "sinc_kernel",
+                            lambda x, y, at_zero: seen.append(x) or real(x, y, at_zero))
+        discrete._rho(W, lags)
+        assert np.array_equal(seen[0], 2.0 * np.pi * _exact_phase(W, lags))
 
     def test_peak(self):
         # one N x N result; no N x N index array beside it
@@ -150,6 +178,13 @@ class TestSpectrum:
             overlap = abs(np.dot(a.dpss[:, k], b.dpss[:, k]))
             assert overlap >= 1 - 1e-8
 
+    @pytest.mark.parametrize("N,W", [(2000, 0.3), (2001, 0.1), (2000, 0.45)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_values_lie_in_the_unit_interval_at_scale(self, get_spectrum, N, W, method):
+        # README: values lie in (0, 1] to within about 1e-14, untrusted ones too
+        values = get_spectrum(N, W, method).values
+        assert values.min() >= -1e-14 and values.max() <= 1.0 + 1e-14
+
     @pytest.mark.parametrize("N", [60, 61])
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
     def test_parity_pure_by_construction(self, get_spectrum, N, method):
@@ -210,9 +245,9 @@ class TestModeOrder:
 
 class TestWarnings:
     @pytest.mark.parametrize("method", ["toeplitz", "tridiag"])
-    def test_ordering_warning_is_one_short_line(self, method):
+    def test_ordering_warning_is_one_short_line(self, get_spectrum, method):
         # hundreds of rounding-level ascents in the cluster at 1 at (2000, 0.3)
-        disc = spectrum(DiscreteParams(2000, 0.3), method=method)
+        disc = get_spectrum(2000, 0.3, method)
         ordering = [w for w in disc.warnings if w.startswith("non-strict ordering")]
         assert len(ordering) == 1
         assert "\n" not in ordering[0] and len(ordering[0]) < 200
@@ -239,9 +274,9 @@ class TestBandGrams:
     @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.3), (500, 0.45),
                                      (2000, 0.3), (2001, 0.1)])
     @pytest.mark.parametrize("method", METHODS)
-    def test_gram_is_diag_of_the_spectrum(self, N, W, method):
+    def test_gram_is_diag_of_the_spectrum(self, get_spectrum, N, W, method):
         # double orthogonality, which the native cosine-sum residual reads
-        disc = spectrum(DiscreteParams(N, W), method=method)
+        disc = get_spectrum(N, W, method)
         for odd, G in enumerate(band_grams(disc)):
             assert np.max(np.abs(G - np.diag(disc.values[odd::2]))) <= 1e-13
 
@@ -623,7 +658,8 @@ def _reference_spectrum(params, method):
     else:
         T_blocks = tridiag_parity_blocks(discrete.commuting_tridiagonal(params))
         systems = [eig_symtridiag(T) for T in T_blocks[:1 + (N > 1)]]
-        values = np.concatenate([discrete._block_quotients(params, s.vectors, odd)
+        lag = discrete._rho(params.W, np.arange(N))
+        values = np.concatenate([discrete._block_quotients(lag, s.vectors, odd)
                                  for odd, s in enumerate(systems)])
     Uo = systems[1].vectors if N > 1 else np.zeros((0, 0))
     values, vectors = _interleaved(values, _reference_lift(systems[0].vectors, Uo, N))
@@ -647,8 +683,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("N", [1, 2, 7, 60, 61])
     def test_blocks_from_lag_vector(self, N):
         params = DiscreteParams(N, 0.3)
+        lag = discrete._rho(params.W, np.arange(N))
         for odd, old in enumerate(parity_blocks(prolate_matrix(params))):
-            new = discrete._prolate_block(params, odd)
+            new = discrete._prolate_block(lag, odd)
             assert new.flags.c_contiguous and np.array_equal(new, old)
 
     @pytest.mark.parametrize("c,M", [(5.0, None), (18.85, 99)])
@@ -672,13 +709,13 @@ class TestBlockQuotients:
     def test_matches_dense_quotient(self, N, W):
         params = DiscreteParams(N, W)
         T_blocks = tridiag_parity_blocks(commuting_tridiagonal(params))
-        rng = np.random.default_rng(N)
+        lag, rng = discrete._rho(W, np.arange(N)), np.random.default_rng(N)
         for odd in (0, 1)[:1 + (N > 1)]:
-            B, U = discrete._prolate_block(params, odd), eig_symtridiag(T_blocks[odd]).vectors
+            B, U = discrete._prolate_block(lag, odd), eig_symtridiag(T_blocks[odd]).vectors
             R = rng.standard_normal((len(U), 3))   # unit vectors, not eigenvectors
             for V in (U, R / np.linalg.norm(R, axis=0)):
                 dense = np.einsum("ij,ij->j", V, B @ V)
-                assert np.max(np.abs(discrete._block_quotients(params, V, odd) - dense)) <= 1e-14
+                assert np.max(np.abs(discrete._block_quotients(lag, V, odd) - dense)) <= 1e-14
 
     @pytest.mark.parametrize("N", [1, 2, 61, 300])
     def test_tridiag_route_builds_no_prolate_block(self, monkeypatch, N):

@@ -428,7 +428,7 @@ class TestSincKernel:
     def test_lag_vector_matches_closed_form(self):
         W = 0.37
         k = np.arange(1, 40)
-        row = sinc_kernel(2.0 * np.pi * W, np.arange(40), 2.0 * W)
+        row = sinc_kernel(2.0 * np.pi * W * np.arange(40), np.pi * np.arange(40), 2.0 * W)
         assert row[0] == 2.0 * W
         assert np.array_equal(row[1:], np.sin(2.0 * np.pi * W * k) / (np.pi * k))
 
@@ -437,7 +437,7 @@ class TestSincKernel:
         c = 2.0 * np.pi * 0.37
         assert c / np.pi != 0.74
         d = np.array([[0.0, 0.5], [-0.5, 0.0]])
-        K = sinc_kernel(c, d, 0.74)
+        K = sinc_kernel(c * d, np.pi * d, 0.74)
         assert np.array_equal(np.diag(K), [0.74, 0.74])
         assert K[0, 1] == np.sin(c * 0.5) / (np.pi * 0.5) == K[1, 0]
 
