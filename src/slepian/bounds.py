@@ -231,7 +231,10 @@ def plunge_count(values: np.ndarray, eps: float) -> int:
 def plunge_decay_rate(N: int, W: float, values: np.ndarray) -> float:
     """Largest eta with lambda_n <= 2 exp(-eta (n - 2NW)/(log(pi N W) + 5))
     over the plunge-adjacent range 2NW + log(pi N W) + 6 <= n <= pi N W of
-    the spectrum ``values`` of (N, W).
+    the spectrum ``values`` of (N, W). Informational: its values reach down
+    to 1e-12, where an absolute error of 1e-16 is 1e-4 relative, so only its
+    first 4 significant digits are trustworthy (a last-bit change in the
+    spectrum moved it by 6.8e-7 relative at (60, 0.3)).
 
     Raises OutOfRangeError below c = pi N W = 1, or when the range is empty or
     contains no eigenvalue above the 1e-12 floor (informational skip).

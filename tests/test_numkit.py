@@ -137,21 +137,50 @@ class TestGaussLegendre:
             gauss_legendre(2)
         assert type(info.value) is NumericalFailure and str(info.value) == message
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 98, 256, 965])
-    def test_in_place_recurrence_changes_no_bit(self, monkeypatch, order):
-        # the recurrence as one expression per step, which the in-place
-        # buffers must reproduce operation for operation
-        def expression(n, x):
-            p_prev, p = np.ones_like(x), x.copy()
-            for k in range(1, n):
-                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-            return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+    @pytest.mark.parametrize("n", [963, 2048])
+    def test_outermost_weights_against_mpmath(self, n):
+        # where 1 - x^2 cancelled in the x-space rule: 5.5e-11 at n = 2048
+        rule = gauss_legendre(n)
+        for i in range(5):
+            x, w = _mp_gauss_node(n, i)
+            assert abs(rule.weights[i] / float(w) - 1.0) <= 1e-13
 
-        rule = gauss_legendre(order)
-        monkeypatch.setattr(numkit, "_legendre", expression)
-        old = numkit._gauss_legendre_rule.__wrapped__(order)   # past the cache
-        assert np.array_equal(rule.nodes, old.nodes)
-        assert np.array_equal(rule.weights, old.weights)
+    @staticmethod
+    def _mp_legendre(n, theta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            t = mpmath.mpf(float(theta))
+            x = mpmath.cos(t)
+            p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            return float(p), float(-mpmath.sin(t) * n * (x * p - q) / (x * x - 1))
+
+    @pytest.mark.parametrize("n,evaluator,ns", [
+        (7, "_legendre_fourier", [0.3, 2.0, 6.9]),
+        (100, "_legendre_fourier", [2.4, 15.0, 29.9]),
+        (2048, "_legendre_fourier", [2.4, 15.0, 29.9]),
+        (100, "_legendre_stieltjes", [30.0, 70.0, 100.0]),
+        (2048, "_legendre_stieltjes", [30.0, 500.0, 2048.0])])
+    def test_evaluators_against_mpmath(self, n, evaluator, ns):
+        # each route in its own regime, n sin(theta) = ns; errors relative to
+        # the amplitude of P_n and of n P_n there
+        theta = np.arcsin(np.array(ns) / n)
+        p, dp = getattr(numkit, evaluator)(n, theta)
+        for t, ns_, pi, dpi in zip(theta, ns, p, dp):
+            ref_p, ref_dp = self._mp_legendre(n, t)
+            amp = math.sqrt(2.0 / (math.pi * max(ns_, 1.0)))
+            assert abs(pi - ref_p) <= 1e-14 * amp
+            assert abs(dpi - ref_dp) <= 1e-14 * n * amp
+
+    @pytest.mark.parametrize("n", [30, 100, 963, 8000])
+    def test_evaluators_agree_at_the_cutoff(self, n):
+        theta = np.arcsin(numkit._FOURIER_CUTOFF / n) * np.array([0.999, 1.0, 1.001])
+        for a, b in zip(numkit._legendre_fourier(n, theta),
+                        numkit._legendre_stieltjes(n, theta)):
+            assert np.max(np.abs(a - b)) <= 1e-14 * n
+
+    def test_order_80000_keeps_its_contract(self):
+        rule = gauss_legendre(80000)
+        assert abs(rule.weights.sum() - 2.0) <= 1e-14
 
     def test_scaled_interval(self):
         rule = gauss_legendre(5).scaled(0.25)
