@@ -261,12 +261,23 @@ def symmetry_defect(spec: DiscreteSpectrum, mirror: DiscreteSpectrum) -> float:
 
 
 def commutation_defect(params: DiscreteParams) -> float:
-    """Normalised Frobenius norm of [commuting_tridiagonal, prolate_matrix]."""
-    rho, T = _prolate_view(_rho(params.W, np.arange(params.N))), commuting_tridiagonal(params)
-    X = T.apply(rho)   # T rho; rho T = X^T as both matrices are symmetric
+    """Normalised Frobenius norm of [commuting_tridiagonal, prolate_matrix],
+    row block by row block with no N x N temporary: entry (i, j) is
+    X_ji - X_ij, X = T rho, each X entry taken in ``SymTridiag.apply``'s
+    operation order from the lags and T's diagonals; ||rho||_F is O(N)."""
+    N, T = params.N, commuting_tridiagonal(params)
     d, e = T.diagonal, T.offdiag
-    return float(np.linalg.norm(X.T - X) /
-                 (1.0 + np.linalg.norm(rho) * math.sqrt(d @ d + 2.0 * (e @ e))))
+    lag = _rho(params.W, np.arange(N + 1))   # lag N meets only a zero e
+    view, ep = _prolate_view(lag), np.concatenate(([0.0], e, [0.0]))
+    sq, step = 0.0, max(1, 2 ** 16 // N)
+    for i in range(0, N, step):
+        j = min(i + step, N)
+        r0, rp, rm = view[i:j, :N], view[i + 1:j + 1, :N], view[i:j, 1:]
+        X = d[i:j, None] * r0 + ep[i + 1:j + 1, None] * rp + ep[i:j, None] * rm
+        C = d * r0 + ep[1:] * rm + ep[:-1] * rp - X
+        sq += float(np.einsum("ij,ij->", C, C))
+    rho_sq = N * lag[0] ** 2 + 2.0 * float(np.arange(N - 1, 0, -1) @ lag[1:N] ** 2)
+    return math.sqrt(sq) / (1.0 + math.sqrt(rho_sq * (d @ d + 2.0 * (e @ e))))
 
 
 def extend_dpss(spec: DiscreteSpectrum, k: int, n: int) -> float:

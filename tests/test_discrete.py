@@ -522,6 +522,16 @@ class TestCommutation:
     def test_grid(self, N, W):
         assert self.defect(DiscreteParams(N, W)) <= 1e-12
 
+    @pytest.mark.parametrize("N,W", [(1, 0.3), (2, 0.25), (61, 0.3), (500, 0.45), (2000, 0.3)])
+    def test_matches_dense_formula(self, N, W):
+        # the parent's dense formula: the N x N product T rho and its transpose
+        params = DiscreteParams(N, W)
+        T, rho = commuting_tridiagonal(params), prolate_matrix(params)
+        X = T.apply(rho)
+        dense = float(np.linalg.norm(X.T - X) / (1.0 + np.linalg.norm(rho) * math.sqrt(
+            T.diagonal @ T.diagonal + 2.0 * (T.offdiag @ T.offdiag))))
+        assert commutation_defect(params) == pytest.approx(dense, rel=1e-12, abs=0)
+
     def test_detects_non_commuting_matrix(self, monkeypatch):
         params = DiscreteParams(30, 0.2)
         T = commuting_tridiagonal(params)
