@@ -5,7 +5,8 @@ Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``, and
 ``dstevd`` for symmetric tridiagonal matrices), index-reversal parity splits,
 and a Gauss-Legendre rule computed in O(n) by Newton's method in theta
 (x = cos theta) on asymptotic and exact evaluations of P_n, memoised by
-order: nodes correctly rounded and weights within 5e-15 relative of mpmath.
+order: nodes correctly rounded (on x86-64) and weights within 5e-15
+relative of mpmath.
 Every decomposition and every rule is validated against its output contract
 (descending eigenvalues, orthonormal columns, small residual; ordered nodes,
 positive weights summing to 2) before it is returned. Mirror symmetry, which
