@@ -4,12 +4,12 @@ and quadrature.
 Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``, and
 ``dstevd`` for symmetric tridiagonal matrices), index-reversal parity splits,
 and a Gauss-Legendre rule computed in O(n) by Newton's method in theta
-(x = cos theta) on asymptotic and exact evaluations of P_n, memoised by
-order: nodes correctly rounded (on x86-64) and weights within 5e-15
-relative of mpmath.
-Every decomposition and every rule is validated against its output contract
-(descending eigenvalues, orthonormal columns, small residual; ordered nodes,
-positive weights summing to 2) before it is returned. Mirror symmetry, which
+(x = cos theta) on asymptotic and exact evaluations of P_n: nodes correctly
+rounded (on x86-64), weights within 5e-15 relative of mpmath to order 8,000.
+Every decomposition is validated against its output contract (descending
+eigenvalues, orthonormal columns, small residual) before it is returned;
+every rule (ordered nodes, positive weights summing to 2) once, when it is
+built, and only a rule that passes is memoised. Mirror symmetry, which
 the parity lift and the rule write exactly, is pinned by tests instead.
 
 ``dstevd`` is the routine ``scipy.linalg.eigh_tridiagonal(d, e)`` runs for a
@@ -262,49 +262,57 @@ def _two_product(theta: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     return hi, (np.multiply.outer(high, k) - hi) + np.multiply.outer(theta - high, k)
 
 
-def _legendre_fourier(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(cos theta), dP_n/dtheta) by the exact finite Fourier series
-    P_n(cos theta) = sum_{j=0..n} g_j g_(n-j) cos((n - 2j) theta), with
-    g_j = (1/2)_j / j! (Szego 4.9.19), O(n) flops a node. Its coefficients
-    are positive and sum to P_n(1) = 1, so the error is a few eps absolute."""
+def _legendre_fourier(n: int):
+    """theta -> (P_n(cos theta), dP_n/dtheta) by the exact finite Fourier
+    series P_n(cos theta) = sum_{j=0..n} g_j g_(n-j) cos((n - 2j) theta), with
+    g_j = (1/2)_j / j! (Szego 4.9.19), computed once per order; O(n) flops a
+    node. Its coefficients are positive and sum to P_n(1) = 1, so the error
+    is a few eps absolute plus the running product's drift, about sqrt(n) eps:
+    at order 80,000 dP_n/dtheta is 2.8e-14 relative off at the cutoff and the
+    outermost weights up to 7.8e-14 (2.2e-15 at 8,000; nodes within 6e-17)."""
     j = np.arange(1, n + 1)
     g = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
     k = np.arange(n, 0, -2)   # the terms j and n - j are equal
     a = 2.0 * g[:len(k)] * g[n - np.arange(len(k))]
-    kt, low = _two_product(theta, k)
-    c, s = np.cos(kt), np.sin(kt)
-    p = ((c - s * low) * a).sum(axis=1) + (0.0 if n % 2 else g[n // 2] ** 2)
-    return p, -((s + c * low) * (a * k)).sum(axis=1)
+    ak, middle = a * k, 0.0 if n % 2 else g[n // 2] ** 2
+    def legendre(theta):
+        kt, low = _two_product(theta, k)
+        c, s = np.cos(kt), np.sin(kt)
+        return ((c - s * low) * a).sum(axis=1) + middle, -((s + c * low) * ak).sum(axis=1)
+    return legendre
 
 
-def _legendre_stieltjes(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(cos theta), dP_n/dtheta) by Stieltjes' series (Szego 8.21.11),
-    C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m + 1/2) with
-    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2, in O(1) flops a node.
-    The sum is Re(e^(i alpha_0) sum_m h_m u^m), u = (1 - i cot theta) / 2, by
-    Horner. The phase (n + 1/2) theta is an exact Dekker product hi + lo
-    below order 2^25, so P_n is good to a few eps absolute even where that
-    phase is large. C_n = 2 / (pi (n + 1/2) g_n) takes g_n = (1/2)_n / n!
-    from a compensated sum of logarithms: a running product of n factors
-    drifts by about sqrt(n) eps, 3e-14 at n = 80,000."""
+def _legendre_stieltjes(n: int):
+    """theta -> (P_n(cos theta), dP_n/dtheta) by Stieltjes' series (Szego
+    8.21.11), C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m + 1/2) with
+    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2: O(1) flops a node, once
+    h_m and C_n are computed for the order. The sum is Re(e^(i alpha_0) sum_m
+    h_m u^m), u = (1 - i cot theta) / 2, by Horner. The phase (n + 1/2) theta
+    is an exact Dekker product hi + lo below order 2^25, so P_n is good to a
+    few eps absolute even where that phase is large. C_n = 2 / (pi (n + 1/2)
+    g_n) takes g_n = (1/2)_n / n! from a compensated sum of logarithms: a
+    running product of n factors drifts by about sqrt(n) eps, 3e-14 at 80,000."""
     h = np.cumprod([1.0] + [(m - 0.5) ** 2 / (m * (n + m + 0.5))
                             for m in range(1, _STIELTJES_TERMS)])
-    cot = np.cos(theta) / np.sin(theta)
-    u = 0.5 - 0.5j * cot
-    A = E = np.zeros_like(u)   # sum_m h_m u^m and sum_m m h_m u^m
-    for m in range(_STIELTJES_TERMS - 1, -1, -1):
-        A, E = A * u + h[m], E * u + m * h[m]
     g_n = math.exp(math.fsum(np.log1p(-0.5 / np.arange(1, n + 1))))
-    amp = 2.0 / (math.pi * (n + 0.5) * g_n) / np.sqrt(2.0 * np.sin(theta))
-    hi, lo = _two_product(theta, n + 0.5)
-    phase = np.exp(1j * hi) * np.exp(1j * (lo - 0.25 * math.pi))
-    A, E = phase * A, phase * E
-    return amp * A.real, -amp * ((n + 0.5) * A.imag + E.imag + cot * (0.5 * A.real + E.real))
+    c_n = 2.0 / (math.pi * (n + 0.5) * g_n)
+    def legendre(theta):
+        cot = np.cos(theta) / np.sin(theta)
+        u = 0.5 - 0.5j * cot
+        A = E = np.zeros_like(u)   # sum_m h_m u^m and sum_m m h_m u^m
+        for m in range(_STIELTJES_TERMS - 1, -1, -1):
+            A, E = A * u + h[m], E * u + m * h[m]
+        amp = c_n / np.sqrt(2.0 * np.sin(theta))
+        hi, lo = _two_product(theta, n + 0.5)
+        phase = np.exp(1j * hi) * np.exp(1j * (lo - 0.25 * math.pi))
+        A, E = phase * A, phase * E
+        return amp * A.real, -amp * ((n + 0.5) * A.imag + E.imag + cot * (0.5 * A.real + E.real))
+    return legendre
 
 
 def _newton(n: int, legendre, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Roots of P_n(cos theta) by Newton from ``theta``: the roots in double,
-    the Newton step still left at them (below an ulp) and dP_n/dtheta there.
+    """Roots of P_n(cos theta) by Newton on ``legendre`` from ``theta``: the
+    roots in double, the step still left at them (below an ulp) and dP_n/dtheta.
 
     The error left after a step is about |P''/2P'| step^2 <= n step^2 (the
     ratio is largest at the first root, about n/5), so the iteration stops
@@ -312,19 +320,20 @@ def _newton(n: int, legendre, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     itself would not do: the rounded roots keep the step near eps theta,
     which the bound passes at any order below 10^15."""
     for _ in range(_NEWTON_MAX_STEPS):
-        p, dp = legendre(n, theta)
+        p, dp = legendre(theta)
         step = p / dp
         theta = theta - step
         if (n * step ** 2 <= np.finfo(float).eps * theta).all():
-            p, dp = legendre(n, theta)
+            p, dp = legendre(theta)
             return theta, p / dp, dp
     raise NumericalFailure(
         f"Newton iteration for Gauss-Legendre order {n} did not converge")
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre_rule(n: int) -> QuadratureRule:
-    """Newton's method in theta (x = cos theta) from Tricomi's asymptotic
+@functools.lru_cache(maxsize=64, typed=True)
+def gauss_legendre(order: int) -> QuadratureRule:
+    """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1,
+    by Newton's method in theta (x = cos theta) from Tricomi's asymptotic
     guess, after Hale & Townsend (SIAM J. Sci. Comput. 35, 2013).
 
     Only the n // 2 positive roots (and pi/2 for odd n) are iterated: those
@@ -334,17 +343,22 @@ def _gauss_legendre_rule(n: int) -> QuadratureRule:
     completed by reflection, so nodes and weights are exactly
     mirror-symmetric and the middle node of an odd rule is exactly 0. Cost
     is O(n) flops and memory (numpy's ``leggauss`` is an O(n^3) eigensolve).
+
+    The contract (ordered nodes inside (-1, 1), positive weights summing to 2,
+    against ``config.TOLERANCES``) is checked once, when the rule is built: a
+    rule that fails raises and is not memoised. Rules are memoised by order
+    and type (``True`` is refused, not taken for 1) with read-only arrays.
     """
+    n = checked_index(order, 1, math.inf, "order")
     k = np.arange(1, n // 2 + 1)
     t = math.pi * (4 * k - 1) / (4 * n + 2)
     theta = np.arccos((1.0 - 1.0 / (8.0 * n ** 2) + 1.0 / (8.0 * n ** 3)) * np.cos(t))
     if n % 2:
         theta = np.append(theta, 0.5 * math.pi)
     edge = np.count_nonzero(n * np.sin(theta) < _FOURIER_CUTOFF)   # a prefix
-    parts = [_newton(n, legendre, part) for legendre, part in
-             ((_legendre_fourier, theta[:edge]), (_legendre_stieltjes, theta[edge:]))
-             if len(part)]
-    theta, step, dp = (np.concatenate(part) for part in zip(*parts))
+    theta, step, dp = (np.concatenate(part) for part in zip(
+        _newton(n, _legendre_fourier(n), theta[:edge]),
+        _newton(n, _legendre_stieltjes(n), theta[edge:])))   # empty below order 30
     # cos(theta - step) rounded once from long double: on x86-64 (a 64-bit
     # significand) every node the tests pin is correctly rounded; where long
     # double is double, the step is lost and nodes are within an ulp
@@ -356,30 +370,15 @@ def _gauss_legendre_rule(n: int) -> QuadratureRule:
     h = n // 2
     nodes = np.concatenate([-x[:h], x[h:], x[:h][::-1]])
     weights = np.concatenate([w[:h], w[h:], w[:h][::-1]])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes, weights)
-
-
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials up to 2*order-1.
-
-    Rules are built in O(n) (``_gauss_legendre_rule``), memoised by order,
-    and their arrays are read-only. The contract
-    (ordered nodes inside (-1, 1), positive weights summing to 2) is checked
-    on every call, cache hits included, against ``config.TOLERANCES``. Exact
-    mirror symmetry is built by reflection and pinned by tests.
-    """
-    order = checked_index(order, 1, math.inf, "order")
-    rule, tol = _gauss_legendre_rule(order), config.TOLERANCES
-    nodes, weights = rule.nodes, rule.weights
     if not (np.diff(nodes) > 0).all():
         raise NumericalFailure("quadrature nodes are not strictly increasing")
-    if not ((weights > 0).all() and abs(weights.sum() - 2.0) <= tol.weight_sum):
+    if not ((weights > 0).all() and abs(weights.sum() - 2.0) <= config.TOLERANCES.weight_sum):
         raise NumericalFailure("quadrature weights are invalid")
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
         raise NumericalFailure("quadrature nodes left (-1, 1)")
-    return rule
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes, weights)
 
 
 def snapped_floor(x: float) -> int:

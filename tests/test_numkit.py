@@ -111,30 +111,58 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
-    def test_validation_runs_on_cache_hit(self, monkeypatch):
+    def test_failed_rule_is_not_memoised(self, monkeypatch):
+        # the contract is checked where the rule is built: a rule that fails
+        # raises and stays out of the memo, so the next call builds it again
         rule = gauss_legendre(2048)
         defect = abs(rule.weights.sum() - 2.0)
         assert 0.0 < defect <= Tolerances().weight_sum
-        monkeypatch.setattr(config, "TOLERANCES", dataclasses.replace(
-            config.TOLERANCES, weight_sum=defect / 2))
-        with pytest.raises(NumericalFailure):
-            gauss_legendre(2048)
+        gauss_legendre.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "TOLERANCES", dataclasses.replace(
+                config.TOLERANCES, weight_sum=defect / 2))
+            with pytest.raises(NumericalFailure, match="quadrature weights are invalid"):
+                gauss_legendre(2048)
+        assert gauss_legendre.cache_info().currsize == 0
+        rebuilt = gauss_legendre(2048)
+        assert rebuilt is not rule and gauss_legendre.cache_info().currsize == 1
+        assert (rebuilt.nodes == rule.nodes).all() and (rebuilt.weights == rule.weights).all()
+
+    def test_bool_order_is_refused_after_order_one_is_memoised(self):
+        # typed memo keys: True equals 1.0 and np.int64(1) and hashes alike,
+        # so an untyped memo would hand order 1's rule to True, unchecked,
+        # once order 1 is memoised under either (a bare int is keyed apart)
+        for one in (1, 1.0, np.int64(1)):
+            assert gauss_legendre(one).nodes.tolist() == [0.0]
+        with pytest.raises(ValueError):
+            gauss_legendre(True)
+
+    def test_constants_are_computed_once_per_rule(self, monkeypatch):
+        # C_n's O(n) compensated sum runs once per build, not per Newton step
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda x: calls.append(1) or fsum(x))
+        gauss_legendre.__wrapped__(963)
+        assert len(calls) == 1
 
     def test_newton_non_convergence_is_numerical_failure(self, monkeypatch):
         # the uncached builder, so no failed order stays in the memo
         monkeypatch.setattr(numkit, "_NEWTON_MAX_STEPS", 0)
         with pytest.raises(NumericalFailure, match="order 9 did not converge"):
-            numkit._gauss_legendre_rule.__wrapped__(9)
+            gauss_legendre.__wrapped__(9)
 
     @pytest.mark.parametrize("nodes,message", [
         ([0.5, -0.5], "quadrature nodes are not strictly increasing"),
         ([-1.0, 1.0], "quadrature nodes left (-1, 1)")])
     def test_contract_rejects_a_faulty_rule(self, monkeypatch, nodes, message):
-        # unit weights summing to 2: only the named check fails
-        faulty = numkit.QuadratureRule(np.array(nodes), np.ones(2))
-        monkeypatch.setattr(numkit, "_gauss_legendre_rule", lambda n: faulty)
+        # Newton "converges" to theta = arccos(nodes[1]) with no step left and
+        # dP/dtheta = sqrt(2): order 2's nodes are +-cos(theta) with unit
+        # weights summing to 2, so only the named check fails
+        monkeypatch.setattr(numkit, "_newton", lambda n, legendre, t: (
+            np.full_like(t, math.acos(nodes[1])), np.zeros_like(t),
+            np.full_like(t, math.sqrt(2.0))))
         with pytest.raises(NumericalFailure) as info:
-            gauss_legendre(2)
+            gauss_legendre.__wrapped__(2)
         assert type(info.value) is NumericalFailure and str(info.value) == message
 
     @pytest.mark.parametrize("n", [963, 2048])
@@ -164,7 +192,7 @@ class TestGaussLegendre:
         # each route in its own regime, n sin(theta) = ns; errors relative to
         # the amplitude of P_n and of n P_n there
         theta = np.arcsin(np.array(ns) / n)
-        p, dp = getattr(numkit, evaluator)(n, theta)
+        p, dp = getattr(numkit, evaluator)(n)(theta)
         for t, ns_, pi, dpi in zip(theta, ns, p, dp):
             ref_p, ref_dp = self._mp_legendre(n, t)
             amp = math.sqrt(2.0 / (math.pi * max(ns_, 1.0)))
@@ -174,8 +202,8 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("n", [30, 100, 963, 8000])
     def test_evaluators_agree_at_the_cutoff(self, n):
         theta = np.arcsin(numkit._FOURIER_CUTOFF / n) * np.array([0.999, 1.0, 1.001])
-        for a, b in zip(numkit._legendre_fourier(n, theta),
-                        numkit._legendre_stieltjes(n, theta)):
+        for a, b in zip(numkit._legendre_fourier(n)(theta),
+                        numkit._legendre_stieltjes(n)(theta)):
             assert np.max(np.abs(a - b)) <= 1e-14 * n
 
     def test_order_80000_keeps_its_contract(self):
@@ -377,10 +405,11 @@ def test_import_keeps_scipy_linalg_out():
     """``import slepian`` and its first tridiagonal solve cost numpy and bare
     scipy only: a module-level import of ``scipy.linalg`` pulls in
     ``numpy.f2py`` and ``numpy.testing`` through scipy's array-API layer,
-    about 0.3 s per process."""
+    about 0.3 s per process. mpmath, which the tests' oracles import, is no
+    dependency of the package and stays out too."""
     code = ("import sys, slepian, slepian.cli; "
             "slepian.spectrum(slepian.DiscreteParams(8, 0.2)); "
-            "print(*sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing'} "
+            "print(*sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing', 'mpmath'} "
             "& set(sys.modules)))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
