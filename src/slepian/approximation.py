@@ -215,8 +215,8 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
     The frame holds beta_k = <f, U_k> on [-1/2, 1/2] for every mode, the band
     residual data (closed-form cross terms for cosine sums, whose band Gram is
     diag(lambda), otherwise all modes and f on the band quadrature rule), all
-    modes and f on the sup grid, and the Sobolev norm, computed at the first K
-    that needs it.
+    modes and f on the sup grid, and the H^s and L2 norms of f on [-1/2, 1/2]
+    (``sobolev_norm``), computed at the first K that needs them.
     """
     _require_span(f, 0.5)
     N, W = spec.N, spec.W
@@ -225,7 +225,6 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         beta = _cosine_mode_integrals(amps, freqs, spec, 1.0, 0.5)
         gamma = _cosine_mode_integrals(amps, freqs, spec, 1.0, W)
         f_band_sq = _cosine_l2_sq(amps, freqs, W)
-        f_half_sq = _cosine_l2_sq(amps, freqs, 0.5)
 
         def residual_l2(K):   # the band integral of U_j U_k is lambda_k delta_jk
             b = beta[:K]
@@ -237,7 +236,6 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         U_half = dpswf_matrix(spec, rule_half.nodes)
         f_half = f(rule_half.nodes)
         beta = (U_half.T * rule_half.weights[None, :]) @ f_half
-        f_half_sq = float(np.sum(rule_half.weights * np.abs(f_half) ** 2))
         U_band = dpswf_matrix(spec, rule_band.nodes)
         f_band = f(rule_band.nodes)
 
@@ -259,11 +257,11 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
             f"K={K} outside the inequality range [{k_lo}, {k_hi}]"
 
     @functools.cache
-    def sobolev():
+    def sobolev():   # the H^s and the L2 norm on [-1/2, 1/2], or why not
         try:
-            return sobolev_norm(f, f.s), ""
+            return sobolev_norm(f, f.s), sobolev_norm(f, 0.0), ""
         except NumericalFailure as exc:
-            return None, f"Sobolev norm unavailable: {exc}"
+            return None, None, f"Sobolev norm unavailable: {exc}"
 
     def fit(K: int) -> ProjectionResult:
         res_l2 = residual_l2(K)
@@ -273,11 +271,10 @@ def _native_frame(f: TestFunction, spec: DiscreteSpectrum):
         if f.s is not None:
             note = out_of_range(K)
             if not note:
-                hs, note = sobolev()
+                hs, l2, note = sobolev()
                 if hs is not None:
                     sobolev_rhs = (4.0 / (4.0 + N ** 2) ** (f.s / 2.0) * hs
-                                   + math.sqrt(max(float(spec.values[K]), 0.0))
-                                   * math.sqrt(f_half_sq))
+                                   + math.sqrt(max(float(spec.values[K]), 0.0)) * l2)
                     sobolev_ok = res_l2 <= sobolev_rhs
         return ProjectionResult(
             K=K, interval="native", residual_l2=res_l2,

@@ -198,7 +198,7 @@ def cmd_turan(args) -> Output:
     return Output(lines)
 
 
-@functools.cache   # about 570 arguments: built once per process
+@functools.cache   # 51 actions over 8 subcommands, ~1.5 ms: built once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="slepian",
                      description="Discrete prolate spheroidal spectra, "

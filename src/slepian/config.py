@@ -1,8 +1,8 @@
-"""Numerical tolerances.
-
-Every tolerance used by the library is a field of the one frozen record
-``TOLERANCES``, read by each check when it runs. Nothing in the library
-reassigns it, so every command runs at the ``Tolerances`` defaults.
+"""Numerical tolerances: the fields of the one frozen record ``TOLERANCES``, read
+by each check when it runs and never reassigned, so every command runs at the
+``Tolerances`` defaults. Four fixed constants are not fields: the unit-norm 1e-13
+of ``discrete._validate``, ``approximation.WEIERSTRASS_TOL``, the integer snap
+1e-9 of ``numkit.snapped_floor`` and the 1e-12 slack of ``sobolev_k_range``.
 """
 
 from __future__ import annotations

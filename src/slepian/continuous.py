@@ -48,9 +48,10 @@ def _sinc_kernel_matrix(c: float, x: np.ndarray, w: np.ndarray,
     return np.outer(np.sqrt(w[rows]), np.sqrt(w)) * K
 
 
-def _check_bandwidth(c: float) -> None:
+def _check_bandwidth(c: float) -> float:
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"bandwidth c must be positive and finite, got {c}")
+    return float(c)   # a float32 c would keep the trace 2c/pi in float32
 
 
 def _check_trace(values: np.ndarray, c: float) -> None:   # the trace is 2c/pi
@@ -76,7 +77,7 @@ def _legendre_route(c: float, count: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """``legendre_spectrum``'s values mu and the normalised-Legendre
     coefficients of psi_n, descending chi as solved: columns n = ..., 2, 0 of
     Ve (degrees 0, 2, ...) and n = ..., 3, 1 of Vo (degrees 1, 3, ...)."""
-    _check_bandwidth(c)
+    c = _check_bandwidth(c)
     # mu_n < 1e-17 from plunge bound n0 on; psi_n needs degrees ~max(n, c + 14 c^(1/3))
     n0 = math.ceil(2.0 * c / math.pi + 4.0 * math.log1p(c)) + 24
     n = max(checked_index(count, 0, math.inf, "count"), n0)
@@ -108,9 +109,10 @@ def legendre_spectrum(c: float, count: int) -> np.ndarray:
     parity blocks go through ``eig_symtridiag`` once, and the last two Legendre
     coefficients beta of psi_n must be below machine epsilon for each n below
     the plunge bound n0. Values from n0 on, below 1e-17, are untrusted and may
-    be 0.0. Then mu_n = c lambda_n^2 / (2 pi) with lambda_n = sqrt(2) beta_0 /
-    psi_n(0) for even n and c sqrt(2/3) beta_1 / psi_n'(0) for odd n (Xiao,
-    Rokhlin & Yarvin, Inverse Problems 17, 2001).
+    be 0.0. Past n0 and c + 14 c^(1/3), count sizes the basis and moves the last
+    digits (1.4e-14 at c = 6 pi). Then mu_n = c lambda_n^2 / (2 pi) with
+    lambda_n = sqrt(2) beta_0 / psi_n(0) for even n and c sqrt(2/3) beta_1 /
+    psi_n'(0) for odd n (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 2001).
     """
     return _legendre_route(c, count)[0]
 
@@ -127,7 +129,7 @@ def nystrom_spectrum(c: float, M: int | None = None) -> ContinuousSpectrum:
     eigenvalues must also sum to the operator trace 2c/pi. ``M`` defaults to
     ``default_order(c)`` and may not be smaller.
     """
-    _check_bandwidth(c)
+    c = _check_bandwidth(c)
     min_order = default_order(c)
     M = min_order if M is None else M
     if M < min_order:
@@ -189,7 +191,7 @@ def kernel_hs_distance(N: int, W: float) -> float:
     Both depend on x - y only: the squared distance is the lag integral of
     sin(pi N t)^2 (1/sin(pi t) - 1/(pi t))^2 over [0, 2W] (``_lag_integral``).
     """
-    N = DiscreteParams(N, W).N
+    N, W = (params := DiscreteParams(N, W)).N, params.W
     return math.sqrt(_lag_integral(
         lambda t: np.sin(np.pi * N * t) * _csc_minus_inverse(np.pi * t),
         2.0 * W, np.pi * N * W))
@@ -231,7 +233,7 @@ def eigenspace_bound(N: int, W: float, b: float) -> tuple[float, bool]:
     log c + 2 log 2 + pi/b > 0, that is a positive bound; the unspecified
     lower threshold on c cannot be checked and is not enforced.
     """
-    N = DiscreteParams(N, W).N
+    N, W = (params := DiscreteParams(N, W)).N, params.W
     if not b > math.log(3.0) / math.pi:
         raise ValueError(f"b must exceed log(3)/pi = {math.log(3)/math.pi:.4f}")
     if not math.isfinite(b):

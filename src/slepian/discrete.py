@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,11 +53,12 @@ class DiscreteParams:
     W: float
 
     def __post_init__(self):
-        W = self.W
+        W = self.W   # stored as its double: a float32 W would keep 2NW in float32
         if (isinstance(W, bool) or not isinstance(W, numbers.Real)
-                or not sys.float_info.min <= W < 0.5):
+                or not sys.float_info.min <= W < 0.5 or not float(W) < 0.5):
             raise ValueError(
                 f"W must lie strictly in (0, 0.5) and be a normal double, got {W!r}")
+        object.__setattr__(self, "W", float(W))
         object.__setattr__(self, "N", checked_index(self.N, 1, math.inf, "N"))
 
     @property
@@ -74,7 +75,6 @@ class DiscreteSpectrum:
     params: DiscreteParams
     values: np.ndarray
     dpss: np.ndarray          # columns are the unit eigenvectors v^(k)
-    warnings: tuple[str, ...] = field(default=())
 
     @property
     def N(self) -> int:
@@ -169,15 +169,12 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
         U = eig_symtridiag(T_blocks[odd]).vectors
         return EigenSystem(_block_quotients(lag, U, odd), U)
     values, vectors = parity_spectrum(params.N, solve)
-    warnings = _validate(params, values, vectors)
-    return DiscreteSpectrum(params=params, values=values, dpss=vectors,
-                            warnings=tuple(warnings))
+    _validate(params, values, vectors)
+    return DiscreteSpectrum(params, values, vectors)
 
 
-def _validate(params: DiscreteParams, values: np.ndarray,
-              vectors: np.ndarray) -> list[str]:
+def _validate(params: DiscreteParams, values: np.ndarray, vectors: np.ndarray) -> None:
     N, W, tol = params.N, params.W, config.TOLERANCES
-    warnings: list[str] = []
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     if not np.max(np.abs(norms - 1.0)) <= 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
@@ -185,22 +182,9 @@ def _validate(params: DiscreteParams, values: np.ndarray,
     if not trace_defect <= tol.trace_rel:
         raise NumericalFailure(
             f"trace identity defect {trace_defect:.3e} exceeds {tol.trace_rel:.1e}")
-    trusted, top = values >= tol.floor_untrusted, values.max()
     # the cluster at 1 reaches 1 within the floor; the largest need not come first
-    if not top <= 1.0 + tol.floor_untrusted:
+    if not values.max() <= 1.0 + tol.floor_untrusted:
         raise NumericalFailure("trusted eigenvalues left the interval (0, 1)")
-    if top >= 1.0:
-        warnings.append("leading eigenvalues reach 1 within the floor")
-    modes = np.flatnonzero(trusted)
-    ties = np.flatnonzero(np.diff(values[modes]) >= 0)
-    if ties.size:
-        warnings.append(f"non-strict ordering at {ties.size} trusted positions "
-                        f"between modes {modes[ties[0]]} and {modes[ties[-1] + 1]}")
-    if not trusted.all():
-        warnings.append(
-            f"{int((~trusted).sum())} eigenvalues below {tol.floor_untrusted:.0e} "
-            "are reported but untrusted")
-    return warnings
 
 
 def half_sums(spec: DiscreteSpectrum, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

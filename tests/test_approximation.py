@@ -441,6 +441,21 @@ class TestProjectionSweep:
         projection_sweep(f, spec60_03, 5, basis)
         assert n_full == len(calls) <= 4
 
+    def test_sobolev_side_reads_two_norms_once(self, spec60_03, monkeypatch):
+        # the right-hand side's L2 norm of f is sobolev_norm at s = 0
+        calls = []
+        real = approximation.sobolev_norm
+
+        def counting(f, s):
+            calls.append((f, s))
+            return real(f, s)
+
+        monkeypatch.setattr(approximation, "sobolev_norm", counting)
+        f = TestFunction.weierstrass(1.0)
+        rows = projection_sweep(f, spec60_03, 50, "native")
+        assert calls == [(f, 1.0), (f, 0.0)]
+        assert rows[-1].sobolev_rhs == 0.11218331167502095
+
     def test_rows_do_not_share_coefficients(self, spec60_03):
         sweep = projection_sweep(TestFunction.weierstrass(1.0), spec60_03, 3,
                                  "native")
