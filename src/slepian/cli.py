@@ -29,7 +29,7 @@ from . import bounds as bnd, config
 from .approximation import (BASES, TestFunction, project_dilated,
                             project_native, projection_sweep)
 from .continuous import eigenspace_bound, legendre_spectrum, projector_distance
-from .discrete import DiscreteParams, METHODS, mirror_params, spectrum, symmetry_defect
+from .discrete import DiscreteParams, METHODS, spectrum, symmetry_defect
 from .numkit import NumericalFailure
 
 EXIT_OK = 0
@@ -174,9 +174,8 @@ def cmd_count(args) -> Output:
 
 
 def cmd_symmetry(args) -> Output:
-    params = DiscreteParams(args.N, args.W)
-    mirror = spectrum(mirror_params(params), "toeplitz")
-    return Output([f"symmetry_defect={fmt(symmetry_defect(spectrum(params), mirror))}"])
+    spec = spectrum(DiscreteParams(args.N, args.W))   # the mirror is values only
+    return Output([f"symmetry_defect={fmt(symmetry_defect(spec))}"])
 
 
 def cmd_projector_distance(args) -> Output:

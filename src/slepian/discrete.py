@@ -37,8 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
-from .numkit import (EigenSystem, IllConditionedError, NumericalFailure,
-                     OutOfRangeError, SymTridiag, checked_index, eig_sym, eig_symtridiag,
+from .numkit import (EigenSystem, IllConditionedError, NumericalFailure, OutOfRangeError,
+                     SymTridiag, checked_index, eig_sym, eig_symtridiag, eigvals_sym,
                      parity_block, parity_spectrum, sinc_kernel, tridiag_parity_blocks)
 
 METHODS = ("toeplitz", "tridiag")
@@ -173,9 +173,9 @@ def spectrum(params: DiscreteParams, method: str = "tridiag") -> DiscreteSpectru
     return DiscreteSpectrum(params, values, vectors)
 
 
-def _validate(params: DiscreteParams, values: np.ndarray, vectors: np.ndarray) -> None:
+def _validate(params: DiscreteParams, values: np.ndarray, vectors=None) -> None:
     N, W, tol = params.N, params.W, config.TOLERANCES
-    norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
+    norms = np.sqrt(np.einsum("ij,ij->j", vectors, vectors)) if vectors is not None else 1.0
     if not np.max(np.abs(norms - 1.0)) <= 1e-13:
         raise NumericalFailure("DPSS vectors are not unit norm")
     trace_defect = abs(values.sum() - 2.0 * N * W) / (2.0 * N * W)
@@ -236,12 +236,24 @@ def mirror_params(params: DiscreteParams) -> DiscreteParams:
     return DiscreteParams(params.N, 0.5 - params.W)
 
 
-def symmetry_defect(spec: DiscreteSpectrum, mirror: DiscreteSpectrum) -> float:
-    """Max over all k of |mu_k - (1 - lambda_{N-1-k})|, the reflection identity
-    between the values lambda of ``spec`` and mu of ``mirror`` at (N, 1/2 - W)."""
-    if mirror_params(spec.params) != mirror.params:
+def mirror_values(params: DiscreteParams) -> np.ndarray:
+    """``spectrum(mirror_params(params), "toeplitz").values`` to rounding, by
+    ``eigvals_sym`` on each parity block: no vector is solved or lifted."""
+    mirror = mirror_params(params)
+    lag, values = _rho(mirror.W, np.arange(mirror.N)), np.empty(mirror.N)
+    for odd in range(1 + (mirror.N > 1)):   # the odd block is empty at N = 1
+        values[odd::2] = eigvals_sym(_prolate_block(lag, odd))
+    _validate(mirror, values)
+    return values
+
+
+def symmetry_defect(spec: DiscreteSpectrum, mirror: DiscreteSpectrum | None = None) -> float:
+    """Reflection-identity defect max_k |mu_k - (1 - lambda_{N-1-k})|: lambda of
+    ``spec``, mu of ``mirror`` at (N, 1/2 - W) or by default ``mirror_values``'s."""
+    if mirror is not None and mirror_params(spec.params) != mirror.params:
         raise ValueError(f"mirror is not at (N, 1/2 - W)=({spec.N}, {0.5 - spec.W!r})")
-    return float(np.max(np.abs(mirror.values - (1.0 - spec.values[::-1]))))
+    mu = mirror_values(spec.params) if mirror is None else mirror.values
+    return float(np.max(np.abs(mu - (1.0 - spec.values[::-1]))))
 
 
 def commutation_defect(params: DiscreteParams) -> float:

@@ -1,25 +1,26 @@
 """Numerical kernels: symmetric eigensolvers, parity splits, the sinc kernel
 and quadrature.
 
-Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh``, and
-``dstevd`` for symmetric tridiagonal matrices), index-reversal parity splits,
-and a Gauss-Legendre rule computed in O(n) by Newton's method in theta
-(x = cos theta) on asymptotic and exact evaluations of P_n: nodes correctly
+Thin, contract-checked wrappers around LAPACK (``numpy.linalg.eigh`` and
+``eigvalsh``, and ``dstevd`` for symmetric tridiagonal matrices), index-reversal
+parity splits, and a Gauss-Legendre rule computed in O(n) by Newton's method in
+theta (x = cos theta) on asymptotic and exact evaluations of P_n: nodes correctly
 rounded (on x86-64), weights within 5e-15 relative of mpmath to order 8,000.
-Every decomposition is validated against its output contract (descending
-eigenvalues, orthonormal columns, small residual) before it is returned;
-every rule (ordered nodes, positive weights summing to 2) once, when it is
-built, and only a rule that passes is memoised. Mirror symmetry, which
-the parity lift and the rule write exactly, is pinned by tests instead.
+Every decomposition is validated against its output contract (ascending LAPACK
+values; orthonormal columns and a small residual on the columns it returns, a
+tridiagonal's ``count`` lowest) before it is returned, values alone by their
+moments (sum w = tr A, sum w^2 = ||A||_F^2); every rule (ordered nodes, positive
+weights summing to 2) once, when it is built, and only a rule that passes is
+memoised. Mirror symmetry, which the parity lift and the rule write exactly, is
+pinned by tests instead.
 
 ``dstevd`` is the routine ``scipy.linalg.eigh_tridiagonal(d, e)`` runs for a
 full spectrum. It is called on scipy's f2py LAPACK extension, loaded at the
 first solve from its file in the scipy package: importing ``scipy.linalg``
 would run its package ``__init__``, whose array-API layer imports
 ``numpy.f2py``, ``numpy.testing`` and more, and triple the start-up time of
-every command. ``scipy.linalg``
-must stay off the import path of ``slepian``; a test in ``test_numkit`` and
-a CI step check that it does.
+every command. ``scipy.linalg`` must stay off the import path of
+``slepian``; a test in ``test_numkit`` and a CI step check that it does.
 """
 
 from __future__ import annotations
@@ -133,31 +134,33 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values, vectors
 
 
-def _validated_system(kind: str, solve, apply) -> EigenSystem:
-    """Run LAPACK's ``solve()``, check the contract in its ascending order and
-    free the check's buffer; return a descending view of LAPACK's arrays.
-    ``apply(V)`` is A @ V. A NaN anywhere fails the contract."""
+def _validated_system(kind: str, solve, apply, count: int | None = None) -> EigenSystem:
+    """Run LAPACK's ``solve()``, check the contract in its ascending order on the
+    ``count`` lowest pairs returned (all values set the order and |A|) and free the
+    check's buffer; return a descending view of LAPACK's arrays. ``apply(V)`` is
+    A @ V. A NaN in a checked pair fails the contract."""
     try:
         values, vectors = solve()
     except np.linalg.LinAlgError as exc:  # LAPACK message carries the index
         raise NumericalFailure(f"{kind} eigensolver failed: {exc}") from exc
-    tol = config.TOLERANCES
-    gram = vectors.T @ vectors   # the buffer is reused for the residual
-    gram.flat[::len(values) + 1] -= 1.0
+    tol, V = config.TOLERANCES, vectors[:, :count]
+    buf = np.empty(V.shape)   # the Gram in its top rows, then the residual
+    gram = np.matmul(V.T, V, out=buf[:V.shape[1]])
+    gram.flat[::len(gram) + 1] -= 1.0
     gram_defect = np.max(np.abs(gram, out=gram))
     if not gram_defect <= tol.orthonormality:
         raise NumericalFailure(
             f"eigenvector orthonormality defect {gram_defect:.3e} exceeds "
             f"{tol.orthonormality:.1e}")
-    R = np.subtract(apply(vectors), np.multiply(vectors, values, out=gram), out=gram)
+    R = np.subtract(apply(V), np.multiply(V, values[:count], out=buf), out=buf)
     resid = math.sqrt(np.max(np.einsum("ij,ij->j", R, R)))
-    del gram, R
+    del buf, gram, R
     if not resid <= tol.eigen_residual * max(np.max(np.abs(values)), 1e-300):
         raise NumericalFailure(
             f"eigen residual {resid:.3e} exceeds {tol.eigen_residual:.1e} * |A|")
     if not (np.diff(values) >= 0).all():
         raise NumericalFailure(f"{kind} eigenvalues are not ascending")
-    return EigenSystem(values=values[::-1], vectors=vectors[:, ::-1])
+    return EigenSystem(values=values[:count][::-1], vectors=V[:, ::-1])
 
 
 def eig_sym(A: np.ndarray) -> EigenSystem:
@@ -168,10 +171,25 @@ def eig_sym(A: np.ndarray) -> EigenSystem:
     return _validated_system("symmetric", lambda: np.linalg.eigh(A), A.__matmul__)
 
 
-def eig_symtridiag(T: SymTridiag) -> EigenSystem:
-    """Spectral decomposition of a symmetric tridiagonal matrix."""
+def eigvals_sym(A: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues w of a real symmetric matrix, no vectors: LAPACK's
+    ascend, and sum w = tr A and sum w^2 = ||A||_F^2 to ``eigen_residual`` times
+    ||A||_F and ||A||_F^2, in O(n^2)."""
+    try:
+        w = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
+    fro, tol = np.linalg.norm(A), config.TOLERANCES.eigen_residual
+    if not (abs(w.sum() - np.trace(A)) <= tol * fro
+            and abs(w @ w - fro * fro) <= tol * fro * fro and (np.diff(w) >= 0).all()):
+        raise NumericalFailure(f"symmetric eigenvalues break order or moments at {tol:.1e}")
+    return w[::-1]
+
+
+def eig_symtridiag(T: SymTridiag, count: int | None = None) -> EigenSystem:
+    """A symmetric tridiagonal matrix's ``count`` lowest eigenpairs (default all)."""
     return _validated_system(
-        "tridiagonal", lambda: eigh_tridiagonal(T.diagonal, T.offdiag), T.apply)
+        "tridiagonal", lambda: eigh_tridiagonal(T.diagonal, T.offdiag), T.apply, count)
 
 
 def parity_block(rows, n: int, odd: bool) -> np.ndarray:

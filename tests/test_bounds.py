@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from slepian import bounds, continuous, discrete
+from slepian import bounds, continuous, discrete, numkit
 from slepian.bounds import (COMPARISON_TAIL, TURAN_N_LIST, TURAN_W, OutOfRangeError,
                             compare_spectra, comparison_constant,
                             concentration_inequality_constant,
@@ -409,6 +409,14 @@ class TestVerifyAll:
         assert payload["pass"] is True
         assert {"version", "tolerances", "pass", "checks"} <= set(payload)
 
+    def test_json_equals_the_deep_copied_fields(self, report):
+        # the shallow field dicts serialise to the bytes dataclasses.asdict gives
+        payload = {"version": report.version, "tolerances": report.tolerances,
+                   "pass": report.passed,
+                   "checks": [dataclasses.asdict(c) for c in report.checks]}
+        assert report.to_json() == json.dumps(
+            payload, indent=2, sort_keys=True, default=np.generic.item, allow_nan=False)
+
     @staticmethod
     def digest(payload) -> str:
         # names, params and verdicts; the measured numbers may move in their
@@ -500,24 +508,41 @@ class TestVerifyAll:
 
     def test_one_spectrum_per_grid_point_and_route(self, monkeypatch):
         calls = []
-        real = discrete.spectrum
+        real, real_mirror = discrete.spectrum, discrete.mirror_values
 
         def counting(params, method="tridiag"):
             calls.append((params.N, params.W, method))
             return real(params, method)
 
+        def counting_mirror(params):
+            calls.append((params.N, 0.5 - params.W, "mirror_values"))
+            return real_mirror(params)
+
         monkeypatch.setattr(bounds, "spectrum", counting)
         monkeypatch.setattr(discrete, "spectrum", counting)
+        monkeypatch.setattr(bounds, "mirror_values", counting_mirror)
         verify_all((30,), (0.1,), (0.05,))
-        # the tridiag route at W, the Toeplitz route at 1/2 - W that both
-        # route checks read, then the concentration constant's spectra
-        assert calls == [(30, 0.1, "tridiag"), (30, 0.4, "toeplitz")] + [
+        # the tridiag route at W, the Toeplitz route's values alone at
+        # 1/2 - W that both route checks read, then the concentration
+        # constant's spectra
+        assert calls == [(30, 0.1, "tridiag"), (30, 0.4, "mirror_values")] + [
             (N, TURAN_W, "tridiag") for N in TURAN_N_LIST]
+
+    @pytest.mark.parametrize("N,W", [(60, 0.3), (61, 0.45)])
+    def test_no_dense_eigenvector_solve(self, monkeypatch, N, W):
+        # the mirror is eigenvalues only; the Legendre and tridiag routes are
+        # tridiagonal: no call of eig_sym anywhere in verify_all
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_all called eig_sym")
+
+        for module in (numkit, discrete, continuous):
+            monkeypatch.setattr(module, "eig_sym", forbidden)
+        assert verify_all((N,), (W,), (0.05,)).passed
 
     def test_route_checks_compare_the_mirror_with_the_reflected_spectrum(self):
         report = verify_all((60,), (0.3,), (0.05,))
         lam = discrete.spectrum(discrete.DiscreteParams(60, 0.3)).values
-        mu = discrete.spectrum(discrete.DiscreteParams(60, 0.2), "toeplitz").values
+        mu = discrete.mirror_values(discrete.DiscreteParams(60, 0.3))
         gap = np.abs(mu - (1.0 - lam[::-1]))   # over k, against lambda_(N-1-k)
         entry = {c.name: c for c in report.checks}
         assert entry["symmetry_identity"].measured == np.max(gap)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_mode_order
-from slepian import cli, config
+from slepian import cli, config, discrete, numkit
 from slepian.bounds import verify_all
 from slepian.config import Tolerances
 
@@ -447,10 +447,23 @@ class TestOtherCommands:
         assert cp.returncode == 0, cp.stderr
         defect = float(out.read_text().split("=")[1])
         assert defect <= 1e-10
-        # the tridiag route at W against the Toeplitz route at 1/2 - W
+        # the tridiag route at W against the Toeplitz route's values alone at
+        # 1/2 - W, within 1e-15 of the defect against its full spectrum there
         spec = cli.spectrum(cli.DiscreteParams(40, 0.15))
+        mu = discrete.mirror_values(spec.params)
+        assert defect == np.max(np.abs(mu - (1.0 - spec.values[::-1])))
         mirror = cli.spectrum(cli.DiscreteParams(40, 0.5 - 0.15), "toeplitz")
-        assert defect == cli.symmetry_defect(spec, mirror)
+        assert abs(defect - cli.symmetry_defect(spec, mirror)) <= 1e-15
+
+    @pytest.mark.parametrize("N", ["60", "61"])
+    def test_symmetry_solves_no_eigenvectors_of_the_mirror(self, monkeypatch, capsys, N):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symmetry called eig_sym")
+
+        for module in (numkit, discrete):
+            monkeypatch.setattr(module, "eig_sym", forbidden)
+        assert cli.main(["symmetry", "--N", N, "--W", "0.3"]) == 0
+        assert capsys.readouterr().out.startswith("symmetry_defect=")
 
     @pytest.mark.parametrize("eps,code", [("2.2250738585072014e-308", 0),
                                           ("1e-320", 1)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_mode_order, traced_peak
-from slepian import config, continuous
+from slepian import config, continuous, numkit
 from slepian.config import Tolerances
 from slepian.continuous import (_lag_integral, _prolate_blocks,
                                 _sinc_kernel_matrix, default_order,
@@ -199,6 +199,47 @@ class TestLegendreSpectrum:
         # measured 2.6e-13 against a basis twice the size
         assert np.max(np.abs(mu - reference)) <= 1e-12
         assert np.max(mu[self._plunge_bound(c):]) <= 1e-17
+
+    @pytest.mark.parametrize("c", [6 * math.pi, 12 * math.pi, 707.0, 1885.0])
+    def test_route_is_the_lowest_columns_of_the_full_solve(self, monkeypatch, c):
+        # eig_symtridiag checks and returns only the columns the route reads:
+        # the same LAPACK columns, so mu, Ve and Vo equal those of a full
+        # solve, checked whole and then sliced
+        count = math.ceil(2 * c / math.pi) + 30
+        got = continuous._legendre_route(c, count)
+
+        def full_then_sliced(T, m):
+            system = numkit.eig_symtridiag(T)
+            return numkit.EigenSystem(system.values[-m:], system.vectors[:, -m:])
+
+        monkeypatch.setattr(continuous, "eig_symtridiag", full_then_sliced)
+        for a, b in zip(got, continuous._legendre_route(c, count)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("read", [True, False])
+    def test_corrupted_column_raises_where_it_is_read(self, monkeypatch, read):
+        # a small rotation of two eigenvectors keeps them orthonormal; in the
+        # lowest columns, which the route reads, the residual check fails, and
+        # among the highest, which it neither reads nor checks, nothing moves
+        c, count = 12 * math.pi, 60
+        clean = continuous._legendre_route(c, count)
+        real = numkit.eigh_tridiagonal
+
+        def rotated(d, e):
+            values, vectors = real(d, e)
+            pair = [0, 1] if read else [-2, -1]
+            t = np.array([[math.cos(1e-4), -math.sin(1e-4)],
+                          [math.sin(1e-4), math.cos(1e-4)]])
+            vectors[:, pair] = vectors[:, pair] @ t
+            return values, vectors
+
+        monkeypatch.setattr(numkit, "eigh_tridiagonal", rotated)
+        if read:
+            with pytest.raises(NumericalFailure, match="residual"):
+                continuous._legendre_route(c, count)
+        else:
+            for a, b in zip(clean, continuous._legendre_route(c, count)):
+                assert np.array_equal(a, b)
 
     def test_trace_defect_raises(self, monkeypatch):
         monkeypatch.setattr(config, "TOLERANCES", dataclasses.replace(

@@ -13,7 +13,8 @@ from slepian.continuous import (_sinc_kernel_matrix, default_order, legendre_spe
 from slepian.config import Tolerances
 from slepian.discrete import (METHODS, DiscreteParams, band_grams, commutation_defect,
                               commuting_tridiagonal, dpswf_matrix, extend_dpss,
-                              mirror_params, prolate_matrix, spectrum, symmetry_defect)
+                              mirror_params, mirror_values, prolate_matrix, spectrum,
+                              symmetry_defect)
 from slepian.numkit import (IllConditionedError, NumericalFailure, OutOfRangeError,
                             SymTridiag, eig_sym, eig_symtridiag, gauss_legendre,
                             tridiag_parity_blocks)
@@ -464,6 +465,7 @@ class TestSymmetry:
     def test_scalar(self):
         params = DiscreteParams(1, 0.2)
         assert symmetry_defect(spectrum(params), spectrum(mirror_params(params))) <= 1e-16
+        assert symmetry_defect(spectrum(params)) <= 1e-16
 
     def test_self_dual_quarter(self, get_spectrum):
         disc = get_spectrum(60, 0.25)
@@ -475,6 +477,33 @@ class TestSymmetry:
         for mirror_method in METHODS:   # the spec's route x the mirror's route
             assert symmetry_defect(get_spectrum(N, W, method),
                                    get_spectrum(N, 0.5 - W, mirror_method)) <= 1e-10
+        assert symmetry_defect(get_spectrum(N, W, method)) <= 1e-10   # values only
+
+    @pytest.mark.parametrize("N,W", [(1, 0.2), (2, 0.3), (17, 0.05), (60, 0.1),
+                                     (61, 0.25), (400, 0.3), (401, 0.45)])
+    def test_mirror_values_are_the_toeplitz_values(self, N, W):
+        # eigvalsh's values of the same parity blocks: equal to rounding, in
+        # the same mode order, and never worse against the tridiag route
+        params = DiscreteParams(N, W)
+        full = spectrum(mirror_params(params), "toeplitz").values
+        mu = mirror_values(params)
+        assert mu.shape == (N,)
+        assert np.max(np.abs(mu - full)) <= 1e-14
+        gap = abs(symmetry_defect(spectrum(params)) - symmetry_defect(
+            spectrum(params), spectrum(mirror_params(params), "toeplitz")))
+        assert gap <= 4e-15
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_mirror_solves_no_vector(self, monkeypatch, method):
+        spec = spectrum(DiscreteParams(31, 0.2), method)
+        mu = mirror_values(spec.params)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the default mirror made a vector solve")
+
+        for name in ("spectrum", "eig_sym", "eig_symtridiag", "parity_spectrum"):
+            monkeypatch.setattr(discrete, name, forbidden)
+        assert symmetry_defect(spec) == np.max(np.abs(mu - (1.0 - spec.values[::-1])))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_values_at_hand_are_reused(self, monkeypatch, method):
@@ -505,8 +534,8 @@ class TestSymmetry:
     def test_reflection_that_rounds_to_half_is_out_of_range(self, W):
         # 1/2 - W rounds to 1/2 for W <= 2^-55: there is no mirror to compare
         spec = spectrum(DiscreteParams(30, W))
-        for call in (lambda: mirror_params(spec.params),
-                     lambda: symmetry_defect(spec, spec)):
+        for call in (lambda: mirror_params(spec.params), lambda: mirror_values(spec.params),
+                     lambda: symmetry_defect(spec), lambda: symmetry_defect(spec, spec)):
             with pytest.raises(OutOfRangeError, match=f"rounds to 1/2 at W={W:g}"):
                 call()
 
@@ -515,6 +544,7 @@ class TestSymmetry:
         params = DiscreteParams(30, 3e-17)
         mirror = spectrum(mirror_params(params), "toeplitz")
         assert symmetry_defect(spectrum(params), mirror) <= 1e-10
+        assert symmetry_defect(spectrum(params)) <= 1e-10
 
 
 class TestCommutation:

@@ -11,11 +11,11 @@ import scipy
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstevd
 
-from slepian import DiscreteParams, config, numkit
+from slepian import DiscreteParams, config, discrete, numkit
 from slepian.discrete import commuting_tridiagonal
 from slepian.config import Tolerances
 from slepian.numkit import (NumericalFailure, SymTridiag, checked_index, eig_sym,
-                            eig_symtridiag, gauss_legendre, parity_block,
+                            eig_symtridiag, eigvals_sym, gauss_legendre, parity_block,
                             parity_spectrum, sinc_kernel, snapped_floor,
                             tridiag_parity_blocks)
 
@@ -260,6 +260,56 @@ class TestEigSym:
             eig_sym(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
 
 
+class TestEigvalsSym:
+    @staticmethod
+    def _block(N, W, odd):
+        return discrete._prolate_block(discrete._rho(W, np.arange(N)), odd)
+
+    @pytest.mark.parametrize("N,W", [(2000, 0.2), (2001, 0.4)])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_agrees_with_eig_sym(self, N, W, odd):
+        # the blocks the mirror of (N, W) solves, at 1/2 - W
+        B = self._block(N, 0.5 - W, odd)
+        w = eigvals_sym(B)
+        assert (np.diff(w) <= 0).all()
+        assert np.max(np.abs(w - eig_sym(B).values)) <= 1e-14
+
+    def test_closed_form(self):
+        A = np.array([[0.5, 1 / math.pi], [1 / math.pi, 0.5]])
+        assert eigvals_sym(A) == pytest.approx([0.5 + 1 / math.pi, 0.5 - 1 / math.pi],
+                                               abs=1e-15)
+
+    @staticmethod
+    def _corrupt(w, where):
+        if where == "nan":
+            w[3] = math.nan
+        elif where == "shifted":   # the largest, so that the order holds
+            w[-1] += 1e-9
+        elif where == "dropped":   # the largest: a value near 0 moves no moment
+            w = w[:-1]
+        else:   # descending, with both moments intact
+            w = w[::-1].copy()
+        return w
+
+    @pytest.mark.parametrize("where", ["nan", "shifted", "dropped", "descending"])
+    def test_contract(self, monkeypatch, where):
+        B, real = self._block(60, 0.3, False), np.linalg.eigvalsh
+        eigvals_sym(B)   # the uncorrupted values pass
+        monkeypatch.setattr(numkit.np.linalg, "eigvalsh",
+                            lambda A: self._corrupt(real(A), where))
+        with pytest.raises(NumericalFailure, match="order or moments"):
+            eigvals_sym(B)
+
+    def test_lapack_error_is_numerical_failure(self, monkeypatch):
+        def failing(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numkit.np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalFailure, match="symmetric eigensolver failed: "
+                                                   "Eigenvalues did not converge"):
+            eigvals_sym(np.eye(3))
+
+
 class TestEigSymTridiag:
     def test_scalar(self):
         system = eig_symtridiag(SymTridiag(np.array([5.0]), np.array([])))
@@ -308,6 +358,49 @@ class TestEigSymTridiag:
         T = SymTridiag(np.arange(40.0), np.ones(39))
         with pytest.raises(NumericalFailure, match="residual"):
             eig_symtridiag(T)
+
+    def test_count_returns_the_lowest_pairs_unchanged(self):
+        rng = np.random.default_rng(5)
+        T = SymTridiag(rng.normal(size=80), rng.normal(size=79))
+        full = eig_symtridiag(T)
+        for m in (1, 7, 80):
+            part = eig_symtridiag(T, m)
+            assert part.values.shape == (m,) and part.vectors.shape == (80, m)
+            assert np.array_equal(part.values, full.values[-m:])
+            assert np.array_equal(part.vectors, full.vectors[:, -m:])
+
+    @pytest.mark.parametrize("columns, raises", [([0, 1], True), ([9, 10], True),
+                                                 ([38, 39], False)])
+    def test_count_checks_exactly_the_columns_returned(self, monkeypatch, columns,
+                                                       raises):
+        # ascending columns 0..9 are the 10 lowest: a rotation that reaches one
+        # of them fails the residual; one among the columns not asked for does
+        # not, and is not returned
+        def rotated(d, e):
+            values, vectors = eigh_tridiagonal(d, e)
+            c, s = math.cos(1e-4), math.sin(1e-4)
+            vectors[:, columns] = vectors[:, columns] @ np.array([[c, -s], [s, c]])
+            return values, vectors
+
+        monkeypatch.setattr(numkit, "eigh_tridiagonal", rotated)
+        T = SymTridiag(np.arange(40.0), np.ones(39))
+        if raises:
+            with pytest.raises(NumericalFailure, match="residual"):
+                eig_symtridiag(T, 10)
+        else:
+            assert eig_symtridiag(T, 10).vectors.shape == (40, 10)
+        with pytest.raises(NumericalFailure, match="residual"):
+            eig_symtridiag(T)   # the full contract sees every column
+
+    def test_count_keeps_the_order_check_on_all_values(self, monkeypatch):
+        def swapped(d, e):   # the two largest values out of order, vectors kept
+            values, vectors = eigh_tridiagonal(d, e)
+            values[[-2, -1]] = values[[-1, -2]]
+            return values, vectors
+
+        monkeypatch.setattr(numkit, "eigh_tridiagonal", swapped)
+        with pytest.raises(NumericalFailure, match="not ascending"):
+            eig_symtridiag(SymTridiag(np.arange(40.0), np.ones(39)), 10)
 
 
 
